@@ -7,14 +7,17 @@ without asserting them; ``scan`` finds extremal graphs for a measure over
 an enumerated family.
 
 Exit codes: 0 on success, 1 when a verify run records claim failures,
-2 for usage or input problems.  Reports are byte-deterministic for a
-given command line, including under ``--workers``.
+2 for usage or input problems and for any other error (for instance a
+float overflow at a large entropy order), reported on one ``error:`` line.
+Reports are byte-deterministic for a given command line, including under
+``--workers``.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -64,6 +67,11 @@ from .verifier import (
 )
 
 _EXIT_USAGE = 2
+
+# Comma-separated number lists may start with a minus sign; argparse would
+# take "--beta -1,-0.5,1" for a flag, so such a value is joined to its option.
+_NUMBER_LIST_OPTIONS = ("--alpha", "--beta")
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE
     try:
@@ -150,6 +158,27 @@ def main(argv: Sequence[str] | None = None) -> int:
             NoConvergenceError, NegativeEigenvalueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
+    except Exception as exc:  # anything else: still one line, never a traceback
+        detail = str(exc).splitlines()
+        print(f"error: {type(exc).__name__}: {detail[0] if detail else 'no detail'}",
+              file=sys.stderr)
+        return _EXIT_USAGE
+
+
+def _join_negative_lists(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--beta -1,-0.5,1`` as ``--beta=-1,-0.5,1``."""
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if (token in _NUMBER_LIST_OPTIONS and i + 1 < len(argv)
+                and _NEGATIVE_NUMBER.match(argv[i + 1])):
+            out.append(f"{token}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(token)
+            i += 1
+    return out
 
 
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:

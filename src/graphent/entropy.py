@@ -8,7 +8,10 @@ The closed route expresses the same quantities through graph invariants
 (edge count, degree sums, distance sums) plus a spectral moment, without
 ever forming the probability vector.  The verifier compares the two
 routes on every graph it sweeps; keeping them independent is the whole
-point, so nothing here shares intermediate results between them.
+point.  The routes share inputs (the graph, its spectrum, and its distance
+matrix, computed once per graph as :attr:`Graph.distance_matrix`) but no
+intermediate result: no probability vector, entropy or closed-form term
+passes from one route to the other.
 
 Logarithm base is 2 unless stated; Daroczy entropy is base-free.
 """

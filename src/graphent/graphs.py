@@ -1,14 +1,14 @@
 """Simple undirected graphs, orientations, deterministic generators, distances.
 
 Vertices are always 0-based integers.  Graphs are immutable after
-construction; derived data (degrees, adjacency, components) is cached on
-first access.
+construction; derived data (degrees, adjacency, edge array, components,
+distance matrix) is computed at most once per graph, on first access, and
+shared by every caller that reads it.  Cached arrays are read-only.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -129,6 +129,17 @@ class Graph:
     def is_connected(self) -> bool:
         return len(self.components) == 1
 
+    @cached_property
+    def distance_matrix(self) -> np.ndarray:
+        """All-pairs shortest-path lengths as a read-only (n, n) int64 array.
+
+        Computed once by :func:`distances`; raises DisconnectedGraphError
+        on every access when the graph is disconnected.
+        """
+        dm = distances(self)
+        dm.setflags(write=False)
+        return dm
+
     def edge_count_within(self, vertices: Sequence[int]) -> int:
         vs = set(vertices)
         return sum(1 for u, v in self.edges if u in vs and v in vs)
@@ -239,29 +250,34 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
 
 
 def distances(g: Graph) -> np.ndarray:
-    """All-pairs shortest-path matrix by BFS from every vertex.
+    """All-pairs shortest-path matrix by Seidel's algorithm.
 
-    Returns an (n, n) integer array; raises DisconnectedGraphError if any
-    pair is unreachable.
+    Returns a fresh (n, n) int64 array; raises DisconnectedGraphError if any
+    pair is unreachable.  Prefer :attr:`Graph.distance_matrix`, which runs
+    this once per graph.
     """
-    n = g.n
-    adj = g.adjacency
-    out = np.zeros((n, n), dtype=np.int64)
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = du + 1
-                    queue.append(w)
-        if min(dist) < 0:
-            raise DisconnectedGraphError("distance matrix requires a connected graph")
-        out[s] = dist
-    return out
+    if not g.is_connected:
+        raise DisconnectedGraphError("distance matrix requires a connected graph")
+    a = np.zeros((g.n, g.n))
+    ea = g.edge_array
+    a[ea[:, 0], ea[:, 1]] = 1.0
+    a[ea[:, 1], ea[:, 0]] = 1.0
+    return _seidel(a).astype(np.int64)
+
+
+def _seidel(a: np.ndarray) -> np.ndarray:
+    # Seidel's recursion on a connected 0/1 adjacency: the square graph b
+    # joins pairs at distance <= 2, its distances t are ceil(d / 2), and
+    # d = 2t - 1 exactly where sum_k t_ik a_kj < t_ij deg_j.  Each level
+    # halves the diameter, so there are about log2(diameter) dense
+    # products; every value stays an integer below n^2, exact in float64.
+    b = (a + a @ a) > 0
+    np.fill_diagonal(b, False)
+    n = len(a)
+    if np.count_nonzero(b) == n * n - n:
+        return 2.0 * b - a
+    t = _seidel(b.astype(float))
+    return 2.0 * t - (t @ a < t * a.sum(axis=0))
 
 
 def _check_order(n: int) -> None:

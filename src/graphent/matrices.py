@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyEdgeSetError, NotOrientedError
-from .graphs import Graph, OrientedGraph, distances
+from .graphs import Graph, OrientedGraph
 from .spectra import (
     Spectrum,
     singular_values,
@@ -159,7 +159,7 @@ def randic_incidence(g: Graph) -> np.ndarray:
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    return distances(g).astype(float)
+    return g.distance_matrix.astype(float)
 
 
 def general_randic(g: Graph, beta: float) -> np.ndarray:

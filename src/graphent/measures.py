@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, OrientedGraph, distances
+from .graphs import Graph, OrientedGraph
 from .matrices import MatrixKind, as_kind, signless_laplacian, spectrum_of
 from .spectra import Spectrum, sqrt_spectrum, symmetric_eigenvalues
 
@@ -38,13 +38,12 @@ def general_randic_index(g: Graph, beta: float) -> float:
 
 def distance_moment(g: Graph, k: int) -> float:
     """Half the sum of d(u,v)^k over unordered vertex pairs; connected only."""
-    dm = distances(g)
-    return 0.5 * float(np.sum(np.triu(dm, 1).astype(float) ** k))
+    return 0.5 * float(np.sum(np.triu(g.distance_matrix, 1).astype(float) ** k))
 
 
 def distance_moments(g: Graph, ks: tuple[int, ...] = (1, 2)) -> tuple[float, ...]:
-    """Several distance moments from a single BFS sweep."""
-    dm = np.triu(distances(g), 1).astype(float)
+    """Several distance moments from the graph's one distance matrix."""
+    dm = np.triu(g.distance_matrix, 1).astype(float)
     return tuple(0.5 * float(np.sum(dm ** k)) for k in ks)
 
 

@@ -12,10 +12,12 @@ Three claim families are checked per graph:
 
 Every claim produces a :class:`ClaimResult` with status ``pass``, ``fail``,
 ``not-applicable`` (hypothesis unmet), or ``equality-attained`` (the bound
-is met within the equality band).  The cross-entropy order inequalities are
-handled separately by :func:`audit_theorem10`: they are audited and
-reported, never asserted, because desk evaluation produces explicit
-counterexamples to one of them as stated.
+is met within the equality band).  A NaN or infinite value on either side
+of a comparison fails closed: the status is ``fail`` and the witness holds
+both values.  The cross-entropy order inequalities are handled separately
+by :func:`audit_theorem10`: they are audited and reported, never asserted,
+because desk evaluation produces explicit counterexamples to one of them
+as stated.
 
 Corpora are described by compact strings: ``all:<n>`` sweeps every labeled
 graph on 1..n vertices, ``trees:<n>`` every labeled tree on exactly n, and
@@ -27,6 +29,8 @@ byte-identical serializations.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -115,10 +119,11 @@ class ClaimResult:
 class GraphBundle:
     """Per-graph cache shared by the claim checkers.
 
-    Holds the graph6 descriptor, both orientations, and every spectrum
-    computed so far, so a combined equality/trace/bound sweep touches the
-    eigensolver once per matrix.  Passing an :class:`OrientedGraph` seats
-    its orientation in the ``canonical`` slot.
+    Holds the graph6 descriptor, both orientations, and every spectrum,
+    closed form and probability vector computed so far, so a combined
+    equality/trace/bound sweep touches the eigensolver once per matrix and
+    normalizes each spectrum once per log base.  Passing an
+    :class:`OrientedGraph` seats its orientation in the ``canonical`` slot.
     """
 
     def __init__(self, g: Graph | OrientedGraph, seed: int = 0):
@@ -132,6 +137,7 @@ class GraphBundle:
         self.descriptor = encode_graph6(self.graph).decode("ascii")
         self._spectra: dict[tuple[str, str | None], Spectrum] = {}
         self._closed: dict[tuple[str, str | None], ClosedFormParts] = {}
+        self._probabilities: dict[tuple[str, str | None, float], ProbabilityVector] = {}
 
     def oriented(self, label: str) -> OrientedGraph:
         og = self._oriented.get(label)
@@ -175,8 +181,30 @@ class GraphBundle:
             self._closed[key] = parts
         return parts
 
+    def probabilities(self, kind: MatrixKind | str, orientation: str | None = None,
+                      log_base: float = 2.0) -> ProbabilityVector:
+        kind = as_kind(kind)
+        key = (str(kind), orientation, float(log_base))
+        pv = self._probabilities.get(key)
+        if pv is None:
+            pv = probabilities_from_spectrum(self.spectrum(kind, orientation), log_base)
+            self._probabilities[key] = pv
+        return pv
+
     def quadratic(self, kind: MatrixKind | str, orientation: str | None = None) -> float:
-        return quadratic_entropy(probabilities_from_spectrum(self.spectrum(kind, orientation)))
+        return quadratic_entropy(self.probabilities(kind, orientation))
+
+
+def _gap(a: float, b: float) -> float:
+    """|a - b|, or inf when either side is non-finite."""
+    gap = abs(a - b)
+    return gap if math.isfinite(gap) else math.inf
+
+
+def _beyond(gap: float, tol: float) -> bool:
+    """gap > tol, failing closed: an infinite gap is beyond any tolerance,
+    including the inf or NaN tolerance a non-finite side produces."""
+    return gap == math.inf or gap > tol
 
 
 def _ensure_bundle(g: Graph | OrientedGraph, seed: int, bundle: GraphBundle | None) -> GraphBundle:
@@ -244,9 +272,8 @@ def _equality_claim(
     witness: dict | None = None
     try:
         for kind, orientation in parts_list:
-            spec = bundle.spectrum(kind, orientation)
             closed = bundle.closed(kind, orientation)
-            pv = probabilities_from_spectrum(spec, log_base)
+            pv = bundle.probabilities(kind, orientation, log_base)
             comparisons: list[tuple[str, float | None, float, float]] = [
                 ("quadratic", None, quadratic_entropy(pv), closed.quadratic_value)
             ]
@@ -254,9 +281,9 @@ def _equality_claim(
                 comparisons.append(("renyi", a, renyi_entropy(pv, a), closed.renyi(a, log_base)))
                 comparisons.append(("daroczy", a, daroczy_entropy(pv, a), closed.daroczy(a)))
             for functional, a, direct, closed_value in comparisons:
-                diff = abs(direct - closed_value)
+                diff = _gap(direct, closed_value)
                 worst = max(worst, diff)
-                if diff > comparison_tolerance(direct, closed_value) and diff > fail_diff:
+                if _beyond(diff, comparison_tolerance(direct, closed_value)) and diff > fail_diff:
                     fail_diff = diff
                     witness = {
                         "matrix": str(kind),
@@ -323,10 +350,10 @@ def check_traces(
         fail_diff = -1.0
         witness: dict | None = None
         for observed, expected in pairs:
-            diff = abs(observed - expected)
+            diff = _gap(observed, expected)
             worst = max(worst, diff)
             tol = TRACE_REL_TOL * max(1.0, abs(observed), abs(expected))
-            if diff > tol and diff > fail_diff:
+            if _beyond(diff, tol) and diff > fail_diff:
                 fail_diff = diff
                 witness = {"observed": observed, "expected": expected}
         status = FAIL if witness is not None else PASS
@@ -372,10 +399,12 @@ def check_bounds(
         at_value = at_bound = 0.0
         for value, rhs, direction in pairs:
             slack = value - rhs if direction == "lower" else rhs - value
+            if not math.isfinite(slack):
+                slack = -math.inf  # a non-finite side fails closed
             if slack < min_slack:
                 min_slack, at_value, at_bound = slack, value, rhs
         witness: dict | None = None
-        if min_slack < -comparison_tolerance(at_value, at_bound):
+        if _beyond(-min_slack, comparison_tolerance(at_value, at_bound)):
             status = FAIL
             witness = {"value": at_value, "bound": at_bound}
         else:
@@ -568,8 +597,10 @@ def audit_theorem10(
             ("inequality.renyi-quadratic", part_iii),
         ):
             margin = lhs - rhs
+            if not math.isfinite(margin):
+                margin = -math.inf  # a non-finite side fails closed
             band = comparison_tolerance(lhs, rhs)
-            if margin < -band:
+            if _beyond(-margin, band):
                 status = FAIL
             elif abs(margin) <= band:
                 status = EQUALITY
@@ -773,11 +804,14 @@ def verify_corpus(
     merged_counts: dict[str, dict[str, int]] = {}
     retained: list[ClaimResult] = []
     graphs = 0
-    if workers <= 1 or len(chunk_args) <= 1:
+    pool_size = _pool_size(workers, len(chunk_args))
+    if pool_size <= 1:
         chunk_results = map(_verify_chunk, chunk_args)
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        chunk_results = pool.map(_verify_chunk, chunk_args)
+        # spawned, not forked: the parent may hold BLAS threads
+        with ProcessPoolExecutor(max_workers=pool_size,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            chunk_results = list(pool.map(_verify_chunk, chunk_args))
     for chunk_graphs, counts, chunk_retained in chunk_results:
         graphs += chunk_graphs
         for claim_id, by_status in counts.items():
@@ -785,8 +819,6 @@ def verify_corpus(
             for status, k in by_status.items():
                 into[status] = into.get(status, 0) + k
         retained.extend(chunk_retained)
-    if workers > 1 and len(chunk_args) > 1:
-        pool.shutdown()
 
     summary = {claim_id: {status: by_status.get(status, 0) for status in STATUSES}
                for claim_id, by_status in merged_counts.items()}
@@ -802,6 +834,11 @@ def verify_corpus(
         summary=summary,
         runtime_seconds=time.perf_counter() - started,
     )
+
+
+def _pool_size(workers: int, chunks: int) -> int:
+    """Processes to start: never more than requested, chunks, or CPUs."""
+    return min(workers, chunks, os.cpu_count() or 1)
 
 
 @dataclass(eq=False)

@@ -173,3 +173,31 @@ def test_scan_cli(capsys):
 def test_scan_bad_measure_is_usage_error(capsys):
     assert main(["scan", "--family", "trees", "--order", "5",
                  "--measure", "zmeasure"]) == 2
+
+
+def test_compute_overflow_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "c7.edges"
+    path.write_text("".join(f"{i} {(i + 1) % 7}\n" for i in range(7)))
+    assert main(["compute", "--matrix", "q", "--alpha", "400", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: OverflowError")
+    assert "Traceback" not in captured.err
+
+
+def test_verify_overflow_is_one_line_error(capsys):
+    assert main(["verify", "--corpus", "all:3", "--alpha", "2000"]) == 2
+    err = capsys.readouterr().err
+    assert "error: OverflowError" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "compute"])
+def test_space_separated_negative_beta_matches_equals_form(command, k3_file, capsys):
+    source = ["--corpus", "all:3"] if command == "verify" else ["--input", k3_file]
+    argv = [command, *source, "--alpha", "2"]
+    assert main(argv + ["--beta=-1,-0.5,1"]) == 0
+    joined = capsys.readouterr().out
+    assert main(argv + ["--beta", "-1,-0.5,1"]) == 0
+    assert capsys.readouterr().out == joined
+    assert "general-randic:-0.5" in joined

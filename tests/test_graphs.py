@@ -1,3 +1,6 @@
+from collections import deque
+
+import numpy as np
 import pytest
 
 from graphent import (
@@ -7,13 +10,17 @@ from graphent import (
     complete_graph,
     cycle_graph,
     distances,
+    labeled_graph_count,
+    labeled_graph_from_mask,
     make_family,
     matching_graph,
     path_graph,
     random_gnp,
     random_orientation,
     star_graph,
+    wiener_index,
 )
+from graphent import graphs as graphs_module
 
 
 def test_from_edges_normalizes_and_deduplicates():
@@ -81,6 +88,95 @@ def test_distances_path():
 def test_distances_raises_when_disconnected():
     with pytest.raises(DisconnectedGraphError):
         distances(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def _all_graphs(max_order):
+    for n in range(1, max_order + 1):
+        for mask in range(labeled_graph_count(n)):
+            yield labeled_graph_from_mask(n, mask)
+
+
+def _bfs_distances(g):
+    """Reference: breadth-first search from every vertex, -1 if unreached."""
+    out = np.full((g.n, g.n), -1, dtype=np.int64)
+    for s in range(g.n):
+        out[s, s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in g.adjacency[u]:
+                if out[s, w] < 0:
+                    out[s, w] = out[s, u] + 1
+                    queue.append(w)
+    return out
+
+
+def test_distances_match_bfs_reference():
+    graphs = [g for g in _all_graphs(5) if g.is_connected]
+    graphs += [random_gnp(40, 0.3, seed=s) for s in range(20)]
+    graphs += [path_graph(70), cycle_graph(71), star_graph(30)]
+    for g in graphs:
+        assert np.array_equal(distances(g), _bfs_distances(g)), g.edges
+
+
+def _nx_graph(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def test_distances_match_networkx_on_every_small_graph():
+    nx = pytest.importorskip("networkx")
+    connected = 0
+    for g in _all_graphs(5):
+        if not g.is_connected:
+            with pytest.raises(DisconnectedGraphError):
+                distances(g)
+            continue
+        connected += 1
+        h = _nx_graph(nx, g)
+        d = distances(g)
+        assert d.dtype == np.int64
+        assert np.array_equal(d, nx.floyd_warshall_numpy(h, nodelist=range(g.n))), g.edges
+        assert wiener_index(g) == nx.wiener_index(h) / 2
+    assert connected == 772
+
+
+@pytest.mark.parametrize("p", [0.1, 0.2, 0.3, 0.6, 0.95])
+def test_distances_match_networkx_on_random_graphs(p):
+    """gnp:40,p samples; at p = 0.1 three of the twelve are disconnected."""
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for seed in range(12):
+        g = random_gnp(40, p, seed=seed)
+        if not g.is_connected:
+            with pytest.raises(DisconnectedGraphError):
+                distances(g)
+            continue
+        checked += 1
+        h = _nx_graph(nx, g)
+        assert np.array_equal(distances(g), nx.floyd_warshall_numpy(h, nodelist=range(g.n)))
+        assert wiener_index(g) == nx.wiener_index(h) / 2
+    assert checked >= 9
+
+
+def test_distance_matrix_is_cached_read_only(monkeypatch):
+    calls = []
+    kernel = graphs_module.distances
+
+    def counting(g):
+        calls.append(g)
+        return kernel(g)
+
+    monkeypatch.setattr(graphs_module, "distances", counting)
+    g = cycle_graph(6)
+    first = g.distance_matrix
+    assert g.distance_matrix is first
+    assert len(calls) == 1
+    assert first.dtype == np.int64 and first[0, 3] == 3
+    with pytest.raises(ValueError):
+        first[0, 1] = 7
 
 
 def test_canonical_orientation_points_upward():

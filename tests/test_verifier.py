@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -25,6 +26,8 @@ from graphent import (
     star_graph,
     verify_corpus,
 )
+from graphent import graphs as graphs_module
+from graphent import verifier
 from graphent.report import render_json, verification_to_object
 
 
@@ -142,10 +145,104 @@ def test_bundle_caches_spectra():
     check_bounds(complete_graph(4), bundle=bundle)
 
 
+def test_bundle_builds_one_probability_vector_per_spectrum_and_base(monkeypatch):
+    calls = []
+    build = verifier.probabilities_from_spectrum
+
+    def counting(spectrum, log_base=2.0):
+        calls.append(id(spectrum))
+        return build(spectrum, log_base)
+
+    monkeypatch.setattr(verifier, "probabilities_from_spectrum", counting)
+    g = random_gnp(9, 0.5, seed=4)
+    bundle = GraphBundle(g)
+    check_equalities(g, alphas=(0.5, 2.0), betas=(-1.0,), bundle=bundle)
+    check_bounds(g, bundle=bundle)
+    assert len(calls) == len(set(calls)) == len(bundle._spectra) == 12
+    natural = bundle.probabilities("q", log_base=math.e)
+    assert natural.log_base == math.e
+    assert bundle.probabilities("q").log_base == 2.0
+    assert bundle.probabilities("q", None, math.e) is natural
+
+
+def test_sweep_computes_each_distance_matrix_once(monkeypatch):
+    calls = []
+    kernel = graphs_module.distances
+
+    def counting(g):
+        calls.append(g)
+        return kernel(g)
+
+    monkeypatch.setattr(graphs_module, "distances", counting)
+    report = verify_corpus("gnp:12,0.5,6", alphas=(2.0,), seed=1)
+    assert report.ok
+    assert report.summary["trace.distance.square"]["pass"] == len(calls) == 6
+
+
 def test_oriented_input_is_respected():
     og = canonical_orientation(path_graph(4))
     bundle = GraphBundle(og)
     assert bundle.oriented("canonical") is og
+
+
+# non-finite values fail closed
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_equality_claims_fail_on_non_finite_closed_form(monkeypatch, bad):
+    parts = verifier.closed_form_parts
+    monkeypatch.setattr(verifier, "closed_form_parts", lambda *a, **k: dataclasses.replace(
+        parts(*a, **k), quadratic_value=bad))
+    res = _by_id(check_equalities(complete_graph(3), alphas=(2.0,)))
+    claim = res["identity.q"]
+    assert claim.status == "fail" and claim.residual == math.inf
+    assert claim.witness["functional"] == "quadratic"
+    assert claim.witness["direct"] == pytest.approx(0.5)
+    assert claim.witness["closed"] is bad
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_trace_claims_fail_on_non_finite_sides(monkeypatch, bad):
+    monkeypatch.setattr(verifier, "first_zagreb", lambda g: bad)
+    res = _by_id(check_traces(path_graph(4)))
+    claim = res["trace.q.square"]
+    assert claim.status == "fail" and claim.residual == math.inf
+    assert claim.witness["observed"] == pytest.approx(16.0)
+    assert not math.isfinite(claim.witness["expected"])
+    assert res["trace.q.sum"].status == "pass"
+
+    monkeypatch.setattr(verifier, "spectral_moment", lambda spectrum, k: bad)
+    res = _by_id(check_traces(path_graph(4)))
+    assert res.pop("trace.q.sum").status == "pass"
+    assert {r.status for r in res.values()} == {"fail"}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bound_claims_fail_on_non_finite_values(monkeypatch, bad):
+    monkeypatch.setattr(GraphBundle, "quadratic", lambda self, kind, orientation=None: bad)
+    res = _by_id(check_bounds(path_graph(4)))
+    for claim_id in ("bound.q.upper", "bound.q.lower", "bound.normalized.lower",
+                     "bound.distance.lower", "bound.distance.upper", "bound.randic.upper"):
+        claim = res[claim_id]
+        assert claim.status == "fail", claim_id
+        assert claim.residual == -math.inf
+        assert claim.witness["value"] is bad
+        assert math.isfinite(claim.witness["bound"])
+    # the degree chain compares two invariants and stays finite
+    assert res["bound.skew.degree-chain"].status == "pass"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_audit_claims_fail_on_non_finite_values(monkeypatch, bad):
+    monkeypatch.setattr(verifier, "quadratic_entropy", lambda p: bad)
+    pv = probability_vector((0.6, 0.3, 0.1), log_base=math.e)
+    res = _by_id(audit_theorem10(pv, (3.0,), log_base=math.e))
+    assert res["inequality.renyi-daroczy"].status == "pass"
+    for claim_id in ("inequality.daroczy-quadratic", "inequality.renyi-quadratic"):
+        claim = res[claim_id]
+        assert claim.status == "fail" and claim.residual == -math.inf
+        assert math.isfinite(claim.witness["lhs"])
+        assert claim.witness["rhs"] is bad or not math.isfinite(claim.witness["rhs"])
 
 
 # cross-order inequality audit
@@ -241,11 +338,23 @@ def test_verify_corpus_rejects_unknown_check():
 
 
 def test_verify_corpus_worker_reports_are_byte_identical():
+    # 600 graphs make two chunks of at most 512, so two workers really run
     kwargs = dict(alphas=(0.5, 2.0), betas=(-1.0,), seed=3)
-    solo = verify_corpus("all:4", workers=1, **kwargs)
-    duo = verify_corpus("all:4", workers=2, **kwargs)
+    solo = verify_corpus("gnp:5,0.6,600", workers=1, **kwargs)
+    duo = verify_corpus("gnp:5,0.6,600", workers=2, **kwargs)
+    assert solo.total_graphs == 600
     assert render_json(verification_to_object(solo)) == \
         render_json(verification_to_object(duo))
+
+
+def test_worker_pool_is_capped_by_chunks_and_cpus(monkeypatch):
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 4)
+    assert verifier._pool_size(1, 9) == 1
+    assert verifier._pool_size(3, 9) == 3
+    assert verifier._pool_size(64, 2) == 2
+    assert verifier._pool_size(10_000, 10_000) == 4
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: None)
+    assert verifier._pool_size(8, 8) == 1
 
 
 def test_random_graph_sweep_has_no_failures():
