@@ -35,12 +35,17 @@ from .errors import (
 from .graphs import Graph, OrientedGraph
 from .matrices import MatrixKind, as_kind, signless_laplacian, spectrum_of
 from .measures import distance_moment, first_zagreb, general_randic_index
-from .spectra import Spectrum, spectral_moment, sqrt_spectrum, symmetric_eigenvalues
+from .spectra import Spectrum, per_member, spectral_moment, sqrt_spectrum, symmetric_eigenvalues
 
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityVector:
-    """A finite probability distribution with provenance and a log base."""
+    """A finite probability distribution with provenance and a log base.
+
+    ``p`` has shape ``(n,)``, or ``(B, n)`` for a stack of B distributions,
+    one per row; validation and the entropy functionals act along the last
+    axis, so a single vector is a batch of one of the same code.
+    """
 
     p: np.ndarray
     origin: str = "custom"
@@ -48,13 +53,13 @@ class ProbabilityVector:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.p, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("probability vector must be a nonempty 1-D array")
-        if not np.all(np.isfinite(arr)):
+        if arr.ndim not in (1, 2) or arr.size == 0:
+            raise ValueError("probability vector must be a nonempty 1-D array or a stack of them")
+        if not np.isfinite(arr).all():
             raise ValueError("probability vector has non-finite entries")
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError("probability vector has negative entries")
-        if abs(float(np.sum(arr)) - 1.0) > 1e-12:
+        if (abs(arr.sum(axis=-1) - 1.0) > 1e-12).any():
             raise ValueError("probability vector does not sum to 1")
         if self.log_base <= 0 or self.log_base == 1.0:
             raise ValueError(f"invalid log base {self.log_base}")
@@ -62,7 +67,7 @@ class ProbabilityVector:
 
     @property
     def size(self) -> int:
-        return int(self.p.size)
+        return int(self.p.shape[-1])
 
 
 def probability_vector(weights, origin: str = "custom", log_base: float = 2.0) -> ProbabilityVector:
@@ -79,10 +84,10 @@ def probability_vector(weights, origin: str = "custom", log_base: float = 2.0) -
 
 
 def probabilities_from_spectrum(spectrum: Spectrum, log_base: float = 2.0) -> ProbabilityVector:
-    """p_i = |value_i| / sum_j |value_j| over a spectrum."""
+    """p_i = |value_i| / sum_j |value_j| over a spectrum, or each row of a stack."""
     absv = np.abs(spectrum.values)
-    total = float(np.sum(absv))
-    if total <= 0:
+    total = absv.sum(axis=-1, keepdims=True)
+    if (total <= 0).any():
         raise ZeroSpectrumError(f"spectrum of {spectrum.source} is identically zero")
     return ProbabilityVector(absv / total, spectrum.source, log_base)
 
@@ -94,27 +99,39 @@ def _check_alpha(alpha: float) -> None:
         raise AlphaOneError("entropy order 1 is the Shannon limit; use shannon_entropy")
 
 
-def quadratic_entropy(p: ProbabilityVector) -> float:
+# The functionals return a float for one vector and a (B,) array for a stack.
+
+
+def quadratic_entropy(p: ProbabilityVector):
     """1 minus the sum of squared probabilities."""
-    return 1.0 - float(np.sum(p.p * p.p))
+    return per_member(1.0 - (p.p * p.p).sum(axis=-1))
 
 
-def renyi_entropy(p: ProbabilityVector, alpha: float, log_base: float | None = None) -> float:
+def _log(x):
+    # math.log on each entry: numpy's vectorized log may differ from it in
+    # the last bit, and a stack must reproduce the single-vector values
+    if isinstance(x, np.ndarray):
+        return np.array([math.log(v) for v in x.tolist()])
+    return math.log(x)
+
+
+def renyi_entropy(p: ProbabilityVector, alpha: float, log_base: float | None = None):
     """log of the alpha-power sum, scaled by 1/(1 - alpha)."""
     _check_alpha(alpha)
     base = p.log_base if log_base is None else log_base
-    power_sum = float(np.sum(p.p ** alpha))
-    return math.log(power_sum) / ((1.0 - alpha) * math.log(base))
+    power_sum = (p.p ** alpha).sum(axis=-1)
+    return per_member(_log(power_sum) / ((1.0 - alpha) * math.log(base)))
 
 
-def daroczy_entropy(p: ProbabilityVector, alpha: float) -> float:
+def daroczy_entropy(p: ProbabilityVector, alpha: float):
     """(alpha-power sum - 1) / (2^(1-alpha) - 1); no base enters."""
     _check_alpha(alpha)
-    power_sum = float(np.sum(p.p ** alpha))
-    return (power_sum - 1.0) / (2.0 ** (1.0 - alpha) - 1.0)
+    power_sum = (p.p ** alpha).sum(axis=-1)
+    return per_member((power_sum - 1.0) / (2.0 ** (1.0 - alpha) - 1.0))
 
 
 def shannon_entropy(p: ProbabilityVector, log_base: float | None = None) -> float:
+    """Shannon entropy of one vector (not a stack)."""
     base = p.log_base if log_base is None else log_base
     pos = p.p[p.p > 0]
     return float(-np.sum(pos * np.log(pos))) / math.log(base)

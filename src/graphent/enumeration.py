@@ -4,14 +4,35 @@ Both enumerators are deterministic: graphs stream in increasing order of the
 upper-triangle edge bitmask, trees in lexicographic order of their decoded
 vertex sequences.  The supported ranges (n <= 7 for all graphs, n <= 9 for
 trees) keep full sweeps at desk scale.
+
+Decoding works on stacks.  :func:`tree_edge_stack` turns a batch of B tree
+indices into a ``(B, n - 1, 2)`` int64 array, and :func:`graph_edge_stacks`
+turns a batch of masks into one ``(B_m, m, 2)`` array per edge count m; each
+row holds one member's edges, sorted, with ``u < v``.  The single-member
+functions (:func:`labeled_tree_from_index`, :func:`labeled_graph_from_mask`)
+and the streams are a batch of one, or of :data:`STACK_CHUNK`, of the same
+decoders, so there is one decoding path.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from typing import Iterator, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator
 
-from .graphs import Edge, Graph
+import numpy as np
+
+from .graphs import Graph
+
+# Members per decoded stack, here and in the extremal scan.  Small stacks
+# keep a sweep's peak memory at the level of a graph-by-graph loop, and at
+# this size the per-stack overhead is already spread over many members.
+STACK_CHUNK = 512
+
+
+def index_chunks(start: int, stop: int) -> Iterator[range]:
+    """Consecutive ranges of at most :data:`STACK_CHUNK` indices covering [start, stop)."""
+    for lo in range(start, stop, STACK_CHUNK):
+        yield range(lo, min(lo + STACK_CHUNK, stop))
 
 
 def labeled_graph_count(n: int) -> int:
@@ -21,31 +42,6 @@ def labeled_graph_count(n: int) -> int:
     return 1 << (n * (n - 1) // 2)
 
 
-def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled graph on n vertices, one per edge-subset bitmask.
-
-    Bit k of the mask toggles the k-th vertex pair in lexicographic order;
-    masks run from 0 (edgeless) to 2^C(n,2) - 1 (complete).
-    """
-    if not 1 <= n <= 7:
-        raise ValueError(f"labeled-graph enumeration supports 1 <= n <= 7, got {n}")
-    pairs = tuple(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        edges = tuple(pair for k, pair in enumerate(pairs) if (mask >> k) & 1)
-        yield Graph(n, edges)
-
-
-def labeled_graph_from_mask(n: int, mask: int) -> Graph:
-    """The graph at one bitmask position of the enumeration order."""
-    if not 1 <= n <= 7:
-        raise ValueError(f"labeled-graph enumeration supports 1 <= n <= 7, got {n}")
-    pairs = tuple(combinations(range(n), 2))
-    if not 0 <= mask < (1 << len(pairs)):
-        raise ValueError(f"mask {mask} out of range for order {n}")
-    edges = tuple(pair for k, pair in enumerate(pairs) if (mask >> k) & 1)
-    return Graph(n, edges)
-
-
 def labeled_tree_count(n: int) -> int:
     """n^(n-2) labeled trees on n vertices."""
     if not 2 <= n <= 9:
@@ -53,67 +49,101 @@ def labeled_tree_count(n: int) -> int:
     return n ** (n - 2)
 
 
-def enumerate_labeled_trees(n: int) -> Iterator[Graph]:
-    """Every labeled tree on n vertices, one per vertex sequence of length n-2."""
-    if not 2 <= n <= 9:
-        raise ValueError(f"labeled-tree enumeration supports 2 <= n <= 9, got {n}")
-    if n == 2:
-        yield Graph(2, ((0, 1),))
-        return
-    for seq in product(range(n), repeat=n - 2):
-        yield Graph(n, tree_edges_from_sequence(seq, n))
+def graphs_of_stack(n: int, edges: np.ndarray) -> list[Graph]:
+    """One :class:`Graph` per row of a ``(B, m, 2)`` sorted-edge stack."""
+    return [Graph(n, tuple(map(tuple, rows))) for rows in np.asarray(edges).tolist()]
+
+
+def graph_edge_stacks(n: int, masks: Iterable[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Decode edge bitmasks into one sorted-edge stack per edge count.
+
+    Bit k of a mask toggles the k-th vertex pair in lexicographic order.
+    Returns ``(positions, edges)`` pairs in increasing edge count m, where
+    ``edges`` has shape ``(len(positions), m, 2)`` and ``positions`` are the
+    indices of those members in ``masks``.
+    """
+    total = labeled_graph_count(n)
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+    bad = masks[(masks < 0) | (masks >= total)]
+    if bad.size:
+        raise ValueError(f"mask {int(bad[0])} out of range for order {n}")
+    pairs = np.array(list(combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2)
+    bits = (masks[:, None] >> np.arange(len(pairs))) & 1
+    counts = bits.sum(axis=1)
+    groups = []
+    for m in np.flatnonzero(np.bincount(counts, minlength=1)):
+        positions = np.flatnonzero(counts == m)
+        cols = np.nonzero(bits[positions])[1]
+        groups.append((positions, pairs[cols].reshape(len(positions), int(m), 2)))
+    return groups
+
+
+def labeled_graphs_from_masks(n: int, masks: Iterable[int]) -> list[Graph]:
+    """The graphs at several bitmask positions, in the order given."""
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+    out: list[Graph] = [None] * len(masks)  # type: ignore[list-item]
+    for positions, edges in graph_edge_stacks(n, masks):
+        for pos, g in zip(positions.tolist(), graphs_of_stack(n, edges)):
+            out[pos] = g
+    return out
+
+
+def labeled_graph_from_mask(n: int, mask: int) -> Graph:
+    """The graph at one bitmask position of the enumeration order."""
+    return labeled_graphs_from_masks(n, [mask])[0]
+
+
+def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
+    """Every labeled graph on n vertices, one per edge-subset bitmask.
+
+    Masks run from 0 (edgeless) to 2^C(n,2) - 1 (complete).
+    """
+    for masks in index_chunks(0, labeled_graph_count(n)):
+        yield from labeled_graphs_from_masks(n, masks)
+
+
+def tree_edge_stack(n: int, indices: Iterable[int]) -> np.ndarray:
+    """Decode tree indices into a ``(B, n - 1, 2)`` sorted-edge stack.
+
+    An index is the tree's vertex sequence (length n - 2) read as a base-n
+    numeral, leftmost digit most significant.  The sequence decodes by
+    repeatedly joining the smallest remaining leaf to the next entry, for
+    every member at once.
+    """
+    total = labeled_tree_count(n)
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    bad = idx[(idx < 0) | (idx >= total)]
+    if bad.size:
+        raise ValueError(f"tree index {int(bad[0])} out of range for order {n}")
+    size = len(idx)
+    members = np.arange(size)
+    seq = (idx[:, None] // n ** np.arange(n - 3, -1, -1)) % n
+    degree = 1 + np.bincount((members[:, None] * n + seq).ravel(),
+                             minlength=size * n).reshape(size, n)
+    edges = np.empty((size, n - 1, 2), dtype=np.int64)
+    for step in range(n - 2):
+        leaf = np.argmax(degree == 1, axis=1)
+        v = seq[:, step]
+        edges[:, step, 0] = np.minimum(leaf, v)
+        edges[:, step, 1] = np.maximum(leaf, v)
+        degree[members, leaf] -= 1
+        degree[members, v] -= 1
+    edges[:, n - 2] = np.nonzero(degree == 1)[1].reshape(size, 2)
+    order = np.argsort(edges[..., 0] * n + edges[..., 1], axis=1)
+    return np.take_along_axis(edges, order[..., None], axis=1)
+
+
+def labeled_trees_from_indices(n: int, indices: Iterable[int]) -> list[Graph]:
+    """The trees at several positions of the enumeration order."""
+    return graphs_of_stack(n, tree_edge_stack(n, indices))
 
 
 def labeled_tree_from_index(n: int, index: int) -> Graph:
-    """The tree at one position of the enumeration order.
-
-    The index is the decoded vertex sequence read as a base-n numeral,
-    leftmost digit most significant, matching the lexicographic stream.
-    """
-    total = labeled_tree_count(n)
-    if not 0 <= index < total:
-        raise ValueError(f"tree index {index} out of range for order {n}")
-    if n == 2:
-        return Graph(2, ((0, 1),))
-    digits = []
-    for _ in range(n - 2):
-        index, d = divmod(index, n)
-        digits.append(d)
-    digits.reverse()
-    return Graph(n, tree_edges_from_sequence(digits, n))
+    """The tree at one position of the enumeration order."""
+    return labeled_trees_from_indices(n, [index])[0]
 
 
-def tree_edges_from_sequence(seq: Sequence[int], n: int) -> tuple[Edge, ...]:
-    """Decode a length n-2 sequence over {0..n-1} into sorted tree edges.
-
-    Streaming decoder: repeatedly join the smallest remaining leaf to the
-    next sequence entry, tracking degrees so the scan pointer never moves
-    backwards.
-    """
-    if len(seq) != n - 2:
-        raise ValueError(f"sequence length must be n - 2 = {n - 2}, got {len(seq)}")
-    degree = [1] * n
-    for v in seq:
-        if not 0 <= v < n:
-            raise ValueError(f"sequence entry {v} out of range for order {n}")
-        degree[v] += 1
-    edges: list[Edge] = []
-    ptr = 0
-    leaf = -1
-    for v in seq:
-        if leaf < 0:
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-            ptr += 1
-        edges.append((leaf, v) if leaf < v else (v, leaf))
-        degree[leaf] -= 1
-        degree[v] -= 1
-        if degree[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            leaf = -1
-    last = [i for i in range(n) if degree[i] == 1]
-    edges.append((last[0], last[1]))
-    edges.sort()
-    return tuple(edges)
+def enumerate_labeled_trees(n: int) -> Iterator[Graph]:
+    """Every labeled tree on n vertices, one per vertex sequence of length n-2."""
+    for indices in index_chunks(0, labeled_tree_count(n)):
+        yield from labeled_trees_from_indices(n, indices)

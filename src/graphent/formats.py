@@ -53,9 +53,10 @@ def parse_arc_list(text: str) -> OrientedGraph:
 def parse_graph6(data: bytes | str) -> Graph:
     """Decode a single graph6 record (single-byte order, so n < 63).
 
-    One trailing newline is tolerated; any other surplus byte raises
-    TrailingBytesError, a short payload raises TruncatedStreamError, and
-    bytes outside 63..126 raise ByteOutOfRangeError.
+    One trailing newline is tolerated; any other surplus byte, or a nonzero
+    padding bit after the last adjacency bit, raises TrailingBytesError, a
+    short payload raises TruncatedStreamError, and bytes outside 63..126
+    raise ByteOutOfRangeError.
     """
     if isinstance(data, str):
         try:
@@ -88,6 +89,11 @@ def parse_graph6(data: bytes | str) -> Graph:
     if len(body) > nbytes:
         raise TrailingBytesError(
             f"graph6 payload for n={n} needs {nbytes} bytes, got {len(body)}"
+        )
+    padding = 6 * nbytes - nbits
+    if padding and (body[-1] - 63) & ((1 << padding) - 1):
+        raise TrailingBytesError(
+            f"graph6 payload for n={n} has nonzero padding bits after the last adjacency bit"
         )
     edges = []
     idx = 0

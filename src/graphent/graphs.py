@@ -172,6 +172,11 @@ class OrientedGraph:
     def m(self) -> int:
         return self.underlying.m
 
+    @cached_property
+    def arc_array(self) -> np.ndarray:
+        """Arcs as an (m, 2) int array; the empty graph gives shape (0, 2)."""
+        return np.array(self.arcs, dtype=np.int64).reshape(-1, 2)
+
 
 def canonical_orientation(g: Graph) -> OrientedGraph:
     """Orient every edge from its smaller to its larger endpoint."""
@@ -249,35 +254,58 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
+def adjacency_stack(n: int, edges: np.ndarray) -> np.ndarray:
+    """0/1 adjacency matrices, shape (B, n, n), of a (B, m, 2) edge stack."""
+    edges = np.asarray(edges, dtype=np.int64)
+    out = np.zeros((len(edges), n, n))
+    members = np.arange(len(edges))[:, None]
+    out[members, edges[..., 0], edges[..., 1]] = 1.0
+    out[members, edges[..., 1], edges[..., 0]] = 1.0
+    return out
+
+
+def distance_stack(n: int, edges: np.ndarray) -> np.ndarray:
+    """All-pairs shortest-path matrices, shape (B, n, n) float, by Seidel's algorithm.
+
+    ``edges`` is a (B, m, 2) edge stack.  Raises DisconnectedGraphError if
+    any member is disconnected.
+    """
+    return _seidel(adjacency_stack(n, edges))
+
+
 def distances(g: Graph) -> np.ndarray:
-    """All-pairs shortest-path matrix by Seidel's algorithm.
+    """All-pairs shortest-path matrix of one graph: a batch of one of
+    :func:`distance_stack`.
 
     Returns a fresh (n, n) int64 array; raises DisconnectedGraphError if any
     pair is unreachable.  Prefer :attr:`Graph.distance_matrix`, which runs
     this once per graph.
     """
-    if not g.is_connected:
-        raise DisconnectedGraphError("distance matrix requires a connected graph")
-    a = np.zeros((g.n, g.n))
-    ea = g.edge_array
-    a[ea[:, 0], ea[:, 1]] = 1.0
-    a[ea[:, 1], ea[:, 0]] = 1.0
-    return _seidel(a).astype(np.int64)
+    return distance_stack(g.n, g.edge_array[None]).astype(np.int64)[0]
 
 
 def _seidel(a: np.ndarray) -> np.ndarray:
-    # Seidel's recursion on a connected 0/1 adjacency: the square graph b
+    # Seidel's recursion on a stack of 0/1 adjacencies: the square graph b
     # joins pairs at distance <= 2, its distances t are ceil(d / 2), and
     # d = 2t - 1 exactly where sum_k t_ik a_kj < t_ij deg_j.  Each level
     # halves the diameter, so there are about log2(diameter) dense
     # products; every value stays an integer below n^2, exact in float64.
+    # A member whose square graph adds no pair and is not complete is
+    # disconnected.
+    n = a.shape[-1]
+    diagonal = np.arange(n)
     b = (a + a @ a) > 0
-    np.fill_diagonal(b, False)
-    n = len(a)
-    if np.count_nonzero(b) == n * n - n:
-        return 2.0 * b - a
+    b[:, diagonal, diagonal] = False
+    out = 2.0 * b - a
+    pending = np.count_nonzero(b, axis=(1, 2)) != n * n - n
+    if not pending.any():
+        return out
+    a, b = a[pending], b[pending]
+    if np.all(b == (a > 0), axis=(1, 2)).any():
+        raise DisconnectedGraphError("distance matrix requires a connected graph")
     t = _seidel(b.astype(float))
-    return 2.0 * t - (t @ a < t * a.sum(axis=0))
+    out[pending] = 2.0 * t - (t @ a < t * a.sum(axis=1)[:, None, :])
+    return out
 
 
 def _check_order(n: int) -> None:

@@ -16,6 +16,12 @@ Every matrix family the package knows about is addressed by a
 
 Edge columns of incidence matrices follow the sorted edge order of the
 graph, so incidence-based spectra are reproducible across runs.
+
+Matrices are built in stacks: :func:`build_stack` takes an order n and a
+``(B, m, 2)`` stack of edges (arcs for the oriented kinds) and returns one
+matrix per row, and :func:`spectrum_stack` solves the whole stack at once.
+The per-graph :func:`build` and :func:`spectrum_of` are a batch of one of
+the same code, so a graph's matrix and spectrum equal its row in any stack.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyEdgeSetError, NotOrientedError
-from .graphs import Graph, OrientedGraph
+from .graphs import Graph, OrientedGraph, adjacency_stack, distance_stack
 from .spectra import (
     Spectrum,
     singular_values,
@@ -106,128 +112,166 @@ def standard_kinds(betas: tuple[float, ...] = ()) -> tuple[MatrixKind, ...]:
     return tuple(kinds)
 
 
-def degree_vector(g: Graph) -> np.ndarray:
-    return np.asarray(g.degrees, dtype=float)
+def edge_stack_of(g: Graph | OrientedGraph) -> np.ndarray:
+    """A graph's ``(1, m, 2)`` pair stack for :func:`build_stack`.
+
+    The pairs are the arcs of an :class:`OrientedGraph` and the sorted edges
+    of a :class:`Graph`, which are its canonical arcs.  Arcs list the edges
+    in the same order, so every unoriented kind builds the same matrix from
+    either.
+    """
+    return (g.arc_array if isinstance(g, OrientedGraph) else g.edge_array)[None]
 
 
-def adjacency(g: Graph) -> np.ndarray:
-    out = np.zeros((g.n, g.n))
-    ea = g.edge_array
-    out[ea[:, 0], ea[:, 1]] = 1.0
-    out[ea[:, 1], ea[:, 0]] = 1.0
-    return out
+def require_orientation(kind: MatrixKind, g: Graph | OrientedGraph) -> None:
+    """Raise NotOrientedError if the kind needs an orientation and g has none."""
+    if kind.needs_orientation and not isinstance(g, OrientedGraph):
+        raise NotOrientedError(f"{kind} requires an oriented graph")
 
 
-def signless_laplacian(g: Graph) -> np.ndarray:
-    return np.diag(degree_vector(g)) + adjacency(g)
+def _degrees(n: int, edges: np.ndarray) -> np.ndarray:
+    members = np.arange(len(edges))[:, None, None]
+    counts = np.bincount((members * n + edges).ravel(), minlength=len(edges) * n)
+    return counts.reshape(len(edges), n).astype(float)
 
 
-def _inv_sqrt_degrees(g: Graph) -> np.ndarray:
+def _inv_sqrt(d: np.ndarray) -> np.ndarray:
     # zero-row convention: isolated vertices scale to 0, not 1/sqrt(0)
-    d = degree_vector(g)
-    s = np.zeros(g.n)
+    s = np.zeros_like(d)
     nz = d > 0
     s[nz] = 1.0 / np.sqrt(d[nz])
     return s
 
 
-def normalized_laplacian(g: Graph) -> np.ndarray:
-    s = _inv_sqrt_degrees(g)
-    lap = np.diag(degree_vector(g)) - adjacency(g)
-    return (s[:, None] * lap) * s[None, :]
+def build_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> np.ndarray:
+    """One matrix of the given kind per row of a ``(B, m, 2)`` pair stack.
 
-
-def normalized_signless_laplacian(g: Graph) -> np.ndarray:
-    s = _inv_sqrt_degrees(g)
-    return (s[:, None] * signless_laplacian(g)) * s[None, :]
-
-
-def incidence(g: Graph) -> np.ndarray:
-    if g.m == 0:
-        raise EmptyEdgeSetError("incidence matrix needs at least one edge column")
-    out = np.zeros((g.n, g.m))
-    ea = g.edge_array
-    cols = np.arange(g.m)
-    out[ea[:, 0], cols] = 1.0
-    out[ea[:, 1], cols] = 1.0
-    return out
-
-
-def randic_incidence(g: Graph) -> np.ndarray:
-    """Incidence rows scaled by 1/sqrt(degree); isolated vertices keep zero rows."""
-    return _inv_sqrt_degrees(g)[:, None] * incidence(g)
-
-
-def distance_matrix(g: Graph) -> np.ndarray:
-    return g.distance_matrix.astype(float)
-
-
-def general_randic(g: Graph, beta: float) -> np.ndarray:
-    out = np.zeros((g.n, g.n))
-    if g.m == 0:
+    Rows hold each member's sorted edges; for the oriented kinds they hold
+    the arcs (tail, head), one per edge in sorted edge order.  Returns a
+    ``(B, n, n)`` stack, or ``(B, n, m)`` for the incidence kinds, whose
+    columns follow the edge order.
+    """
+    kind = as_kind(kind)
+    edges = np.asarray(edges, dtype=np.int64)
+    if kind.tag == "distance":
+        return distance_stack(n, edges)
+    size, m = edges.shape[:2]
+    members = np.arange(size)[:, None]
+    tail, head = edges[..., 0], edges[..., 1]
+    if kind.tag in ("incidence", "randic-incidence"):
+        if m == 0:
+            raise EmptyEdgeSetError("incidence matrix needs at least one edge column")
+        out = np.zeros((size, n, m))
+        cols = np.arange(m)
+        out[members, tail, cols] = 1.0
+        out[members, head, cols] = 1.0
+        if kind.tag == "incidence":
+            return out
+        return _inv_sqrt(_degrees(n, edges))[:, :, None] * out
+    out = np.zeros((size, n, n))
+    if kind.tag == "skew":
+        out[members, tail, head] = 1.0
+        out[members, head, tail] = -1.0
         return out
-    d = degree_vector(g)
-    ea = g.edge_array
-    w = (d[ea[:, 0]] * d[ea[:, 1]]) ** beta
-    out[ea[:, 0], ea[:, 1]] = w
-    out[ea[:, 1], ea[:, 0]] = w
-    return out
-
-
-def randic_matrix(g: Graph) -> np.ndarray:
-    return general_randic(g, -0.5)
-
-
-def skew_adjacency(og: OrientedGraph) -> np.ndarray:
-    g = og.underlying
-    out = np.zeros((g.n, g.n))
-    for (a, b) in og.arcs:
-        out[a, b] = 1.0
-        out[b, a] = -1.0
-    return out
-
-
-def skew_randic_matrix(og: OrientedGraph) -> np.ndarray:
-    g = og.underlying
-    d = degree_vector(g)
-    out = np.zeros((g.n, g.n))
-    # arc endpoints always have positive degree
-    for (a, b) in og.arcs:
-        w = 1.0 / np.sqrt(d[a] * d[b])
-        out[a, b] = w
-        out[b, a] = -w
+    d = _degrees(n, edges)
+    if kind.tag in ("q", "norm-l", "norm-q"):
+        diagonal = np.arange(n)
+        out[:, diagonal, diagonal] = d
+        w = -1.0 if kind.tag == "norm-l" else 1.0  # degree minus or plus adjacency
+        out[members, tail, head] = w
+        out[members, head, tail] = w
+        if kind.tag == "q":
+            return out
+        s = _inv_sqrt(d)
+        return (s[:, :, None] * out) * s[:, None, :]
+    ends = d[members, tail] * d[members, head]
+    if kind.tag == "skew-randic":
+        w = 1.0 / np.sqrt(ends)  # arc endpoints always have positive degree
+    else:
+        w = ends ** (-0.5 if kind.tag == "randic" else kind.beta)
+    out[members, tail, head] = w
+    out[members, head, tail] = -w if kind.needs_orientation else w
     return out
 
 
 def build(kind: MatrixKind | str, g: Graph | OrientedGraph) -> np.ndarray:
-    """Build the matrix of the given kind for a graph.
+    """Build the matrix of the given kind for a graph: a batch of one of
+    :func:`build_stack`.
 
     Oriented kinds require an :class:`OrientedGraph`; all others accept
-    either and use the underlying simple graph.
+    either and use the underlying simple graph.  The distance kind reads the
+    graph's cached :attr:`Graph.distance_matrix`, which the same kernel
+    computes once per graph.
     """
     kind = as_kind(kind)
-    if kind.needs_orientation:
-        if not isinstance(g, OrientedGraph):
-            raise NotOrientedError(f"{kind} requires an oriented graph")
-        if kind.tag == "skew":
-            return skew_adjacency(g)
-        return skew_randic_matrix(g)
-    plain = g.underlying if isinstance(g, OrientedGraph) else g
-    if kind.tag == "q":
-        return signless_laplacian(plain)
-    if kind.tag == "norm-l":
-        return normalized_laplacian(plain)
-    if kind.tag == "norm-q":
-        return normalized_signless_laplacian(plain)
-    if kind.tag == "incidence":
-        return incidence(plain)
+    require_orientation(kind, g)
     if kind.tag == "distance":
-        return distance_matrix(plain)
-    if kind.tag == "randic":
-        return randic_matrix(plain)
-    if kind.tag == "randic-incidence":
-        return randic_incidence(plain)
-    return general_randic(plain, kind.beta)
+        plain = g.underlying if isinstance(g, OrientedGraph) else g
+        return plain.distance_matrix.astype(float)
+    return build_stack(kind, g.n, edge_stack_of(g))[0]
+
+
+def adjacency(g: Graph) -> np.ndarray:
+    return adjacency_stack(g.n, g.edge_array[None])[0]
+
+
+def signless_laplacian(g: Graph) -> np.ndarray:
+    return build("q", g)
+
+
+def normalized_laplacian(g: Graph) -> np.ndarray:
+    return build("norm-l", g)
+
+
+def normalized_signless_laplacian(g: Graph) -> np.ndarray:
+    return build("norm-q", g)
+
+
+def incidence(g: Graph) -> np.ndarray:
+    return build("incidence", g)
+
+
+def randic_incidence(g: Graph) -> np.ndarray:
+    """Incidence rows scaled by 1/sqrt(degree); isolated vertices keep zero rows."""
+    return build("randic-incidence", g)
+
+
+def distance_matrix(g: Graph) -> np.ndarray:
+    return build("distance", g)
+
+
+def general_randic(g: Graph, beta: float) -> np.ndarray:
+    return build(MatrixKind("general-randic", float(beta)), g)
+
+
+def randic_matrix(g: Graph) -> np.ndarray:
+    return build("randic", g)
+
+
+def skew_adjacency(og: OrientedGraph) -> np.ndarray:
+    return build("skew", og)
+
+
+def skew_randic_matrix(og: OrientedGraph) -> np.ndarray:
+    return build("skew-randic", og)
+
+
+def _solve(kind: MatrixKind, matrices: np.ndarray) -> Spectrum:
+    label = str(kind)
+    if kind.tag in ("incidence", "randic-incidence"):
+        return singular_values(matrices, pad_to=matrices.shape[-2], source=label)
+    if kind.needs_orientation:
+        return skew_absolute_eigenvalues(matrices, source=label)
+    return symmetric_eigenvalues(matrices, source=label)
+
+
+def spectrum_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> Spectrum:
+    """The spectra of every row of a pair stack, as one ``(B, n)`` Spectrum.
+
+    One stacked matrix build and one stacked solve; see :func:`spectrum_of`.
+    """
+    kind = as_kind(kind)
+    return _solve(kind, build_stack(kind, n, edges))
 
 
 def spectrum_of(kind: MatrixKind | str, g: Graph | OrientedGraph) -> Spectrum:
@@ -235,13 +279,7 @@ def spectrum_of(kind: MatrixKind | str, g: Graph | OrientedGraph) -> Spectrum:
 
     Symmetric kinds report eigenvalues, the incidence kinds report
     singular values padded to the vertex count, and the skew kinds
-    report absolute eigenvalues.
+    report absolute eigenvalues.  A batch of one of :func:`spectrum_stack`.
     """
     kind = as_kind(kind)
-    mat = build(kind, g)
-    label = str(kind)
-    if kind.tag in ("incidence", "randic-incidence"):
-        return singular_values(mat, pad_to=mat.shape[0], source=label)
-    if kind.needs_orientation:
-        return skew_absolute_eigenvalues(mat, source=label)
-    return symmetric_eigenvalues(mat, source=label)
+    return _solve(kind, build(kind, g))

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Graph, OrientedGraph
-from .matrices import MatrixKind, as_kind, signless_laplacian, spectrum_of
-from .spectra import Spectrum, sqrt_spectrum, symmetric_eigenvalues
+from .matrices import MatrixKind, as_kind, edge_stack_of, require_orientation, spectrum_stack
+from .spectra import Spectrum, sqrt_spectrum
 
 
 def first_zagreb(g: Graph) -> float:
@@ -56,9 +56,31 @@ def hyper_wiener_index(g: Graph) -> float:
     return 0.5 * (w1 + w2)
 
 
-def energy_from_spectrum(spectrum: Spectrum) -> float:
-    """Sum of absolute spectral values."""
+def energy_from_spectrum(spectrum: Spectrum):
+    """Sum of absolute spectral values (one per member of a stacked spectrum)."""
     return spectrum.abs_sum()
+
+
+def energy_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> np.ndarray:
+    """The energies of every row of a pair stack (see
+    :func:`graphent.matrices.build_stack`), as a (B,) array.
+
+    For the plain incidence kind this takes the signless Laplacian route
+    (square roots of its eigenvalues); every other kind sums the absolute
+    values of the spectrum from :func:`graphent.matrices.spectrum_stack`.
+    """
+    kind = as_kind(kind)
+    if kind.tag == "incidence":
+        return sqrt_spectrum(spectrum_stack("q", n, edges), source="incidence").sum()
+    return energy_from_spectrum(spectrum_stack(kind, n, edges))
+
+
+def energy(kind: MatrixKind | str, g: Graph | OrientedGraph) -> float:
+    """The energy of a graph with respect to a matrix kind: a batch of one
+    of :func:`energy_stack`."""
+    kind = as_kind(kind)
+    require_orientation(kind, g)
+    return float(energy_stack(kind, g.n, edge_stack_of(g))[0])
 
 
 def incidence_energy(g: Graph) -> float:
@@ -67,19 +89,4 @@ def incidence_energy(g: Graph) -> float:
     The direct route (singular values of the incidence matrix) is kept
     separate in the verifier so the two computations stay independent.
     """
-    q = symmetric_eigenvalues(signless_laplacian(g), source="q")
-    return sqrt_spectrum(q, source="incidence").sum()
-
-
-def energy(kind: MatrixKind | str, g: Graph | OrientedGraph) -> float:
-    """The energy of a graph with respect to a matrix kind.
-
-    For the plain incidence kind this takes the signless Laplacian
-    route; every other kind sums the absolute values of the spectrum
-    reported by :func:`graphent.matrices.spectrum_of`.
-    """
-    kind = as_kind(kind)
-    if kind.tag == "incidence":
-        plain = g.underlying if isinstance(g, OrientedGraph) else g
-        return incidence_energy(plain)
-    return energy_from_spectrum(spectrum_of(kind, g))
+    return energy("incidence", g)

@@ -1,7 +1,13 @@
 """Dense spectral routines and the package-wide numerical conventions.
 
-All solvers return a :class:`Spectrum` sorted in descending order.  The
-conventions used everywhere else in the package live here:
+All solvers return a :class:`Spectrum` sorted in descending order.  Every
+solver takes one matrix or a stack of them: an ``(n, n)`` input (``(n, k)``
+for singular values) gives values of shape ``(n,)``, and a ``(B, n, n)``
+stack gives ``(B, n)``, one row per member, from one stacked LAPACK call.
+Clamping, snapping, square roots and padding act along the last axis, so a
+single matrix is a batch of one of the same code and its values equal,
+bit for bit, its row in any stack.  The conventions used everywhere else in
+the package live here:
 
 * dual comparison tolerance ``|a - b| <= 1e-9 + 1e-8 * max(|a|, |b|)``;
 * symmetry / skew-symmetry admission at 1e-12 absolute;
@@ -46,13 +52,20 @@ def within_tolerance(a: float, b: float) -> bool:
     return abs(a - b) <= comparison_tolerance(a, b)
 
 
+def per_member(values):
+    """A reduction over the last axis: a float for one member, else the array."""
+    return values if isinstance(values, np.ndarray) else float(values)
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """An ordered list of spectral values with origin metadata.
 
-    ``values`` is a descending float array; ``kind`` is one of
-    ``eigenvalues``, ``singular-values``, ``absolute-eigenvalues``;
-    ``source`` names the matrix family the values came from.
+    ``values`` is a float array, descending along its last axis: shape
+    ``(n,)`` for one matrix, ``(B, n)`` for a stack of B matrices.
+    ``kind`` is one of ``eigenvalues``, ``singular-values``,
+    ``absolute-eigenvalues``; ``source`` names the matrix family the values
+    came from.
     """
 
     values: np.ndarray
@@ -61,13 +74,13 @@ class Spectrum:
 
     @property
     def size(self) -> int:
-        return int(self.values.size)
+        return int(self.values.shape[-1])
 
-    def sum(self) -> float:
-        return float(np.sum(self.values))
+    def sum(self):
+        return per_member(self.values.sum(axis=-1))
 
-    def abs_sum(self) -> float:
-        return float(np.sum(np.abs(self.values)))
+    def abs_sum(self):
+        return per_member(np.abs(self.values).sum(axis=-1))
 
 
 def symmetric_eigenvalues(matrix, source: str = "custom") -> Spectrum:
@@ -76,13 +89,10 @@ def symmetric_eigenvalues(matrix, source: str = "custom") -> Spectrum:
     Rejects matrices that are not symmetric within 1e-12 absolute.
     """
     a = _as_square(matrix)
-    if float(np.max(np.abs(a - a.T), initial=0.0)) > SYMMETRY_TOL:
+    if np.abs(a - a.swapaxes(-1, -2)).max(initial=0.0) > SYMMETRY_TOL:
         raise NonSymmetricError("matrix is not symmetric within 1e-12")
-    try:
-        vals = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
-    return Spectrum(np.ascontiguousarray(vals[::-1]), EIGENVALUES, source)
+    vals = _eigvalsh(a)
+    return Spectrum(np.ascontiguousarray(vals[..., ::-1]), EIGENVALUES, source)
 
 
 def singular_values(matrix, pad_to: int | None = None, source: str = "custom") -> Spectrum:
@@ -92,17 +102,18 @@ def singular_values(matrix, pad_to: int | None = None, source: str = "custom") -
     The default padding length is the row count.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    rows, cols = m.shape
+    rows, cols = m.shape[-2:]
     if pad_to is None:
         pad_to = rows
-    gram = m @ m.T if rows <= cols else m.T @ m
+    mt = m.swapaxes(-1, -2)
+    gram = m @ mt if rows <= cols else mt @ m
     svals = _sqrt_of_gram_eigenvalues(_eigvalsh(gram))
-    if pad_to < svals.size:
-        if np.any(svals[pad_to:] > 0.0):
-            raise ValueError(f"cannot pad {svals.size} nonzero singular values into {pad_to}")
-        svals = svals[:pad_to]
-    out = np.zeros(pad_to)
-    out[:svals.size] = svals
+    if pad_to < svals.shape[-1]:
+        if (svals[..., pad_to:] > 0.0).any():
+            raise ValueError(f"cannot pad {svals.shape[-1]} nonzero singular values into {pad_to}")
+        svals = svals[..., :pad_to]
+    out = np.zeros(svals.shape[:-1] + (pad_to,))
+    out[..., :svals.shape[-1]] = svals
     return Spectrum(out, SINGULAR_VALUES, source)
 
 
@@ -113,9 +124,10 @@ def skew_absolute_eigenvalues(matrix, source: str = "custom") -> Spectrum:
     positive semidefinite product M Mt = -M^2.
     """
     a = _as_square(matrix)
-    if float(np.max(np.abs(a + a.T), initial=0.0)) > SYMMETRY_TOL:
+    at = a.swapaxes(-1, -2)
+    if np.abs(a + at).max(initial=0.0) > SYMMETRY_TOL:
         raise NonSkewError("matrix is not skew-symmetric within 1e-12")
-    vals = _sqrt_of_gram_eigenvalues(_eigvalsh(a @ a.T))
+    vals = _sqrt_of_gram_eigenvalues(_eigvalsh(a @ at))
     return Spectrum(vals, ABSOLUTE_EIGENVALUES, source)
 
 
@@ -129,22 +141,22 @@ def sqrt_spectrum(spectrum: Spectrum, source: str | None = None) -> Spectrum:
     return Spectrum(vals, SINGULAR_VALUES, source if source is not None else spectrum.source)
 
 
-def spectral_moment(spectrum: Spectrum, alpha: float) -> float:
+def spectral_moment(spectrum: Spectrum, alpha: float):
     """Sum of |value|^alpha over the spectrum, with 0^alpha taken as 0."""
     if alpha <= 0:
         raise AlphaNonPositiveError(f"moment order must be positive, got {alpha}")
-    return float(np.sum(np.abs(spectrum.values) ** alpha))
+    return per_member((np.abs(spectrum.values) ** alpha).sum(axis=-1))
 
 
-def determinant(matrix) -> float:
+def determinant(matrix):
     """Determinant via pivoted LU factorization; sign is exact."""
-    return float(np.linalg.det(_as_square(matrix)))
+    return per_member(np.linalg.det(_as_square(matrix)))
 
 
 def _as_square(matrix) -> np.ndarray:
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim > 3 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     return a
 
 
@@ -156,16 +168,16 @@ def _eigvalsh(gram: np.ndarray) -> np.ndarray:
 
 
 def _sqrt_of_gram_eigenvalues(vals_ascending: np.ndarray) -> np.ndarray:
-    """Clamp, snap, and square-root ascending PSD eigenvalues; returns descending."""
+    """Clamp, snap, and square-root ascending PSD eigenvalues along the last
+    axis; returns them descending."""
     if vals_ascending.size == 0:
         return vals_ascending.astype(float)
-    low = float(vals_ascending[0])
-    if low < NEGATIVE_CLAMP:
+    low = vals_ascending[..., 0]
+    if (low < NEGATIVE_CLAMP).any():
         raise NegativeEigenvalueError(
-            f"Gram eigenvalue {low} below the clamp threshold {NEGATIVE_CLAMP}"
+            f"Gram eigenvalue {float(low[low < NEGATIVE_CLAMP].flat[0])} "
+            f"below the clamp threshold {NEGATIVE_CLAMP}"
         )
-    vals = np.clip(vals_ascending, 0.0, None)
-    top = float(vals[-1])
-    if top > 0.0:
-        vals[vals < NULLSPACE_REL * top] = 0.0
-    return np.sqrt(vals)[::-1].copy()
+    vals = np.maximum(vals_ascending, 0.0)
+    vals[vals < NULLSPACE_REL * vals[..., -1:]] = 0.0
+    return np.sqrt(vals)[..., ::-1].copy()

@@ -37,6 +37,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .entropy import (
     ClosedFormParts,
     ProbabilityVector,
@@ -47,10 +49,16 @@ from .entropy import (
     renyi_entropy,
 )
 from .enumeration import (
+    graph_edge_stacks,
+    graphs_of_stack,
+    index_chunks,
     labeled_graph_count,
     labeled_graph_from_mask,
+    labeled_graphs_from_masks,
     labeled_tree_count,
     labeled_tree_from_index,
+    labeled_trees_from_indices,
+    tree_edge_stack,
 )
 from .errors import (
     AlphaNonPositiveError,
@@ -65,10 +73,10 @@ from .graphs import (
     random_gnp,
     random_orientation,
 )
-from .matrices import MatrixKind, as_kind, build, spectrum_of
+from .matrices import MatrixKind, as_kind, build, edge_stack_of, spectrum_of, spectrum_stack
 from .measures import (
     distance_moment,
-    energy,
+    energy_stack,
     first_zagreb,
     general_randic_index,
     hyper_wiener_index,
@@ -122,7 +130,7 @@ class GraphBundle:
     Holds the graph6 descriptor, both orientations, and every spectrum,
     closed form and probability vector computed so far, so a combined
     equality/trace/bound sweep touches the eigensolver once per matrix and
-    normalizes each spectrum once per log base.  Passing an
+    normalizes each spectrum once, whatever the log base.  Passing an
     :class:`OrientedGraph` seats its orientation in the ``canonical`` slot.
     """
 
@@ -137,7 +145,7 @@ class GraphBundle:
         self.descriptor = encode_graph6(self.graph).decode("ascii")
         self._spectra: dict[tuple[str, str | None], Spectrum] = {}
         self._closed: dict[tuple[str, str | None], ClosedFormParts] = {}
-        self._probabilities: dict[tuple[str, str | None, float], ProbabilityVector] = {}
+        self._probabilities: dict[tuple[str, str | None], ProbabilityVector] = {}
 
     def oriented(self, label: str) -> OrientedGraph:
         og = self._oriented.get(label)
@@ -181,13 +189,15 @@ class GraphBundle:
             self._closed[key] = parts
         return parts
 
-    def probabilities(self, kind: MatrixKind | str, orientation: str | None = None,
-                      log_base: float = 2.0) -> ProbabilityVector:
+    def probabilities(self, kind: MatrixKind | str,
+                      orientation: str | None = None) -> ProbabilityVector:
+        """The spectrum's probability vector.  It carries the default base 2;
+        callers pass any other base to the functional that takes a log."""
         kind = as_kind(kind)
-        key = (str(kind), orientation, float(log_base))
+        key = (str(kind), orientation)
         pv = self._probabilities.get(key)
         if pv is None:
-            pv = probabilities_from_spectrum(self.spectrum(kind, orientation), log_base)
+            pv = probabilities_from_spectrum(self.spectrum(kind, orientation))
             self._probabilities[key] = pv
         return pv
 
@@ -273,12 +283,13 @@ def _equality_claim(
     try:
         for kind, orientation in parts_list:
             closed = bundle.closed(kind, orientation)
-            pv = bundle.probabilities(kind, orientation, log_base)
+            pv = bundle.probabilities(kind, orientation)
             comparisons: list[tuple[str, float | None, float, float]] = [
                 ("quadratic", None, quadratic_entropy(pv), closed.quadratic_value)
             ]
             for a in alphas:
-                comparisons.append(("renyi", a, renyi_entropy(pv, a), closed.renyi(a, log_base)))
+                comparisons.append(("renyi", a, renyi_entropy(pv, a, log_base),
+                                    closed.renyi(a, log_base)))
                 comparisons.append(("daroczy", a, daroczy_entropy(pv, a), closed.daroczy(a)))
             for functional, a, direct, closed_value in comparisons:
                 diff = _gap(direct, closed_value)
@@ -648,13 +659,12 @@ class CorpusSpec:
             base = 0
             for k in range(1, self.order + 1):
                 cnt = labeled_graph_count(k)
-                lo, hi = max(start - base, 0), min(stop - base, cnt)
-                for mask in range(lo, hi):
-                    yield labeled_graph_from_mask(k, mask)
+                for masks in index_chunks(max(start - base, 0), min(stop - base, cnt)):
+                    yield from labeled_graphs_from_masks(k, masks)
                 base += cnt
         elif self.family == "trees":
-            for index in range(max(start, 0), stop):
-                yield labeled_tree_from_index(self.order, index)
+            for indices in index_chunks(max(start, 0), stop):
+                yield from labeled_trees_from_indices(self.order, indices)
         else:
             for index in range(max(start, 0), stop):
                 yield random_gnp(self.order, self.edge_probability,
@@ -952,6 +962,25 @@ class ExtremalScan:
 SCAN_FAMILIES = ("trees", "oriented-trees", "all-graphs")
 
 
+def _family_stacks(family: str, order: int,
+                   indices: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Decode family members into ``(positions, edges)`` stacks of one shape.
+
+    Trees decode into one stack; their sorted edges are also the canonical
+    arcs of ``oriented-trees``.  ``all-graphs`` decodes into one stack per
+    edge count.
+    """
+    if family == "all-graphs":
+        return graph_edge_stacks(order, indices)
+    return [(np.arange(len(indices)), tree_edge_stack(order, indices))]
+
+
+def _family_graphs(family: str, order: int, indices: np.ndarray) -> list[Graph]:
+    if family == "all-graphs":
+        return labeled_graphs_from_masks(order, indices)
+    return labeled_trees_from_indices(order, indices)
+
+
 def scan_extremal(
     family: str,
     order: int,
@@ -962,39 +991,95 @@ def scan_extremal(
 ) -> ExtremalScan:
     """Evaluate a measure on every member of a family and find its extremes.
 
-    Members within 1e-9 of an extreme value form its witness tie set,
-    reported as graph6 descriptors in enumeration order.  With
-    ``keep_ranking`` the full (descriptor, value) list is retained,
-    sorted by descending value then descriptor.
+    Members are decoded, built, solved and measured as stacks,
+    :data:`graphent.enumeration.STACK_CHUNK` at a time.  Members within
+    1e-9 of an extreme value form its witness tie set, reported as graph6
+    descriptors in enumeration order; only the witnesses are encoded.
+    With ``keep_ranking`` the full (descriptor, value) list is retained,
+    sorted by descending value then descriptor, so every member is encoded.
     """
-    fn = resolve_measure(measure, log_base=log_base)
+    values_of = _measure_stack(measure, log_base=log_base)
     if family == "all-graphs":
-        members: Iterator[Graph] = (labeled_graph_from_mask(order, mask)
-                                    for mask in range(labeled_graph_count(order)))
+        total = labeled_graph_count(order)
     elif family in ("trees", "oriented-trees"):
-        members = (labeled_tree_from_index(order, i)
-                   for i in range(labeled_tree_count(order)))
+        total = labeled_tree_count(order)
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {SCAN_FAMILIES}")
 
-    values: list[tuple[str, float]] = []
-    for g in members:
-        target: Graph | OrientedGraph = (
-            canonical_orientation(g) if family == "oriented-trees" else g
-        )
-        values.append((encode_graph6(g).decode("ascii"), fn(target)))
-    if not values:
-        raise ValueError(f"family {family}:{order} is empty")
+    values = np.empty(total)
+    for chunk in index_chunks(0, total):
+        indices = np.arange(chunk.start, chunk.stop)
+        for positions, edges in _family_stacks(family, order, indices):
+            values[indices[positions]] = values_of(order, edges)
 
-    min_value = min(v for _, v in values)
-    max_value = max(v for _, v in values)
-    min_witnesses = tuple(d for d, v in values if abs(v - min_value) <= TIE_TOL)
-    max_witnesses = tuple(d for d, v in values if abs(v - max_value) <= TIE_TOL)
+    def descriptors(indices: np.ndarray) -> list[str]:
+        out: list[str] = []
+        for chunk in index_chunks(0, len(indices)):
+            members = _family_graphs(family, order, indices[chunk.start:chunk.stop])
+            out.extend(encode_graph6(g).decode("ascii") for g in members)
+        return out
+
+    min_value = float(values.min())
+    max_value = float(values.max())
+    min_witnesses = descriptors(np.flatnonzero(np.abs(values - min_value) <= TIE_TOL))
+    max_witnesses = descriptors(np.flatnonzero(np.abs(values - max_value) <= TIE_TOL))
     ranking = None
     if keep_ranking:
-        ranking = tuple(sorted(values, key=lambda item: (-item[1], item[0])))
-    return ExtremalScan(family, order, measure, len(values), min_value, max_value,
-                        min_witnesses, max_witnesses, ranking)
+        pairs = zip(descriptors(np.arange(total)), values.tolist())
+        ranking = tuple(sorted(pairs, key=lambda item: (-item[1], item[0])))
+    return ExtremalScan(family, order, measure, total, min_value, max_value,
+                        tuple(min_witnesses), tuple(max_witnesses), ranking)
+
+
+def _invariant_measure(text: str) -> Callable[[Graph], float] | None:
+    if text == "m1":
+        return first_zagreb
+    if text == "wiener":
+        return wiener_index
+    if text == "hyper-wiener":
+        return hyper_wiener_index
+    if text.startswith("randic-index:"):
+        beta = _parse_float(text.split(":", 1)[1], "exponent")
+        return lambda g: general_randic_index(g, beta)
+    if text.startswith("wk:"):
+        k = _parse_int(text.split(":", 1)[1], "moment order")
+        return lambda g: distance_moment(g, k)
+    return None
+
+
+def _measure_stack(text: str, *,
+                   log_base: float = 2.0) -> Callable[[int, np.ndarray], np.ndarray]:
+    """Turn a measure id into a function of an order and a pair stack.
+
+    The function maps ``(n, edges)``, a ``(B, m, 2)`` stack of sorted edges
+    (the canonical arcs for the oriented kinds), to a (B,) array of values.
+    Spectral measures take one stacked build and solve; invariant measures
+    map their per-graph function over the stack's graphs.  See
+    :func:`resolve_measure` for the grammar.
+    """
+    invariant = _invariant_measure(text)
+    if invariant is not None:
+        return lambda n, edges: np.array([invariant(g) for g in graphs_of_stack(n, edges)])
+    if text.startswith("energy:"):
+        kind = as_kind(text.split(":", 1)[1])
+        return lambda n, edges: energy_stack(kind, n, edges)
+    for prefix in ("quadratic:", "renyi:", "daroczy:"):
+        if text.startswith(prefix):
+            rest = text[len(prefix):]
+            if prefix == "quadratic:":
+                kind = as_kind(rest)
+                return lambda n, edges: quadratic_entropy(_distribution(kind, n, edges, log_base))
+            kind_text, sep, alpha_text = rest.rpartition(":")
+            if not sep:
+                raise ValueError(f"measure {text!r} needs an order, like {prefix}q:2")
+            kind = as_kind(kind_text)
+            alpha = _parse_float(alpha_text, "entropy order")
+            if prefix == "renyi:":
+                return lambda n, edges: renyi_entropy(_distribution(kind, n, edges, log_base),
+                                                      alpha)
+            return lambda n, edges: daroczy_entropy(_distribution(kind, n, edges, log_base),
+                                                    alpha)
+    raise ValueError(f"unknown measure {text!r}")
 
 
 def resolve_measure(text: str, *, log_base: float = 2.0) -> Callable[[Graph | OrientedGraph], float]:
@@ -1004,50 +1089,21 @@ def resolve_measure(text: str, *, log_base: float = 2.0) -> Callable[[Graph | Or
     ``wk:<k>``, ``energy:<kind>``, ``quadratic:<kind>``,
     ``renyi:<kind>:<a>``, ``daroczy:<kind>:<a>``.  Orientation-requiring
     kinds applied to a plain graph use the smaller-to-larger orientation.
+    Spectral measures are a batch of one of the stacked code the scan runs.
     """
     def plain(g: Graph | OrientedGraph) -> Graph:
         return g.underlying if isinstance(g, OrientedGraph) else g
 
-    if text == "m1":
-        return lambda g: first_zagreb(plain(g))
-    if text == "wiener":
-        return lambda g: wiener_index(plain(g))
-    if text == "hyper-wiener":
-        return lambda g: hyper_wiener_index(plain(g))
-    if text.startswith("randic-index:"):
-        beta = _parse_float(text.split(":", 1)[1], "exponent")
-        return lambda g: general_randic_index(plain(g), beta)
-    if text.startswith("wk:"):
-        k = _parse_int(text.split(":", 1)[1], "moment order")
-        return lambda g: distance_moment(plain(g), k)
-    if text.startswith("energy:"):
-        kind = as_kind(text.split(":", 1)[1])
-        return lambda g: energy(kind, _oriented_target(kind, g))
-    for prefix in ("quadratic:", "renyi:", "daroczy:"):
-        if text.startswith(prefix):
-            rest = text[len(prefix):]
-            if prefix == "quadratic:":
-                kind = as_kind(rest)
-                return lambda g: quadratic_entropy(_distribution(kind, g, log_base))
-            kind_text, sep, alpha_text = rest.rpartition(":")
-            if not sep:
-                raise ValueError(f"measure {text!r} needs an order, like {prefix}q:2")
-            kind = as_kind(kind_text)
-            alpha = _parse_float(alpha_text, "entropy order")
-            if prefix == "renyi:":
-                return lambda g: renyi_entropy(_distribution(kind, g, log_base), alpha)
-            return lambda g: daroczy_entropy(_distribution(kind, g, log_base), alpha)
-    raise ValueError(f"unknown measure {text!r}")
+    invariant = _invariant_measure(text)
+    if invariant is not None:
+        return lambda g: invariant(plain(g))
+    values_of = _measure_stack(text, log_base=log_base)
+    return lambda g: float(values_of(g.n, edge_stack_of(g))[0])
 
 
-def _oriented_target(kind: MatrixKind, g: Graph | OrientedGraph) -> Graph | OrientedGraph:
-    if kind.needs_orientation and not isinstance(g, OrientedGraph):
-        return canonical_orientation(g)
-    return g
-
-
-def _distribution(kind: MatrixKind, g: Graph | OrientedGraph, log_base: float) -> ProbabilityVector:
-    return probabilities_from_spectrum(spectrum_of(kind, _oriented_target(kind, g)), log_base)
+def _distribution(kind: MatrixKind, n: int, edges: np.ndarray,
+                  log_base: float) -> ProbabilityVector:
+    return probabilities_from_spectrum(spectrum_stack(kind, n, edges), log_base)
 
 
 def _parse_float(text: str, what: str) -> float:

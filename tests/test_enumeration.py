@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from graphent import (
@@ -10,7 +11,38 @@ from graphent import (
     labeled_tree_count,
     labeled_tree_from_index,
 )
+from graphent.enumeration import graph_edge_stacks, tree_edge_stack
 from graphent.graphs import Graph
+
+
+def _tree_edges_from_sequence(seq, n):
+    """Reference: the streaming linear-time Pruefer decoder.
+
+    Repeatedly join the smallest remaining leaf to the next sequence entry,
+    tracking degrees so the scan pointer never moves backwards.
+    """
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    ptr = 0
+    leaf = -1
+    for v in seq:
+        if leaf < 0:
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+            ptr += 1
+        edges.append((leaf, v) if leaf < v else (v, leaf))
+        degree[leaf] -= 1
+        degree[v] -= 1
+        if degree[v] == 1 and v < ptr:
+            leaf = v
+        else:
+            leaf = -1
+    last = [i for i in range(n) if degree[i] == 1]
+    edges.append((last[0], last[1]))
+    return sorted(edges)
 
 
 def test_graph_counts():
@@ -79,3 +111,26 @@ def test_random_access_bounds_checked():
         labeled_tree_from_index(4, 16)
     with pytest.raises(ValueError):
         labeled_tree_from_index(4, -1)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_tree_edge_stack_matches_streaming_decoder(n):
+    sequences = list(itertools.product(range(n), repeat=n - 2))
+    stack = tree_edge_stack(n, range(len(sequences)))
+    assert stack.shape == (len(sequences), n - 1, 2) and stack.dtype == np.int64
+    for seq, rows in zip(sequences, stack.tolist()):
+        assert [tuple(e) for e in rows] == _tree_edges_from_sequence(seq, n)
+
+
+def test_graph_edge_stacks_group_by_edge_count_and_keep_positions():
+    masks = [63, 0, 5, 1, 6, 2]
+    groups = graph_edge_stacks(4, masks)
+    assert [edges.shape for _, edges in groups] == [(1, 0, 2), (2, 1, 2), (2, 2, 2), (1, 6, 2)]
+    seen = {}
+    for positions, edges in groups:
+        for pos, rows in zip(positions.tolist(), edges.tolist()):
+            seen[pos] = tuple(map(tuple, rows))
+    assert [seen[i] for i in range(len(masks))] == [
+        labeled_graph_from_mask(4, mask).edges for mask in masks
+    ]
+    assert seen[2] == ((0, 1), (0, 3))  # bits 0 and 2: pairs (0,1) and (0,3)

@@ -71,6 +71,27 @@ def test_graph6_trailing_bytes_rejected():
         parse_graph6(b"A_\n\n")
 
 
+def test_graph6_nonzero_padding_bits_rejected():
+    # order 2 has one adjacency bit and five padding bits; "~" sets them all
+    with pytest.raises(TrailingBytesError):
+        parse_graph6(b"A~")
+    # order 5 has ten bits in two bytes: the last two bits of "@" are padding
+    assert parse_graph6(b"D?_").n == 5
+    with pytest.raises(TrailingBytesError):
+        parse_graph6(b"D?@")
+    # order 4 fills its one byte exactly, so every bit is an edge
+    assert parse_graph6(b"C~").edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def test_graph6_padding_error_exits_2(tmp_path, capsys):
+    from graphent.cli import main
+
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"A~")
+    assert main(["compute", "--input", str(path), "--matrix", "q"]) == 2
+    assert capsys.readouterr().err.startswith("error: graph6 payload for n=2")
+
+
 def test_graph6_truncated_rejected():
     with pytest.raises(TruncatedStreamError):
         parse_graph6(b"D")
@@ -93,3 +114,17 @@ def test_encode_rejects_large_orders():
 
     with pytest.raises(ValueError):
         encode_graph6(Graph.from_edges(63, []))
+
+
+def test_graph6_matches_networkx_on_every_graph_up_to_five():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges)
+            data = encode_graph6(g)
+            assert nx.to_graph6_bytes(h, nodes=range(n), header=False) == data + b"\n"
+            back = nx.from_graph6_bytes(data)
+            assert sorted(back.nodes) == list(range(n))
+            assert sorted(tuple(sorted(e)) for e in back.edges) == list(g.edges)

@@ -119,6 +119,26 @@ def test_distances_match_bfs_reference():
         assert np.array_equal(distances(g), _bfs_distances(g)), g.edges
 
 
+def test_distance_stack_rows_match_bfs_across_recursion_depths():
+    from graphent.enumeration import graph_edge_stacks
+    from graphent.graphs import distance_stack
+
+    for n in (5, 6):
+        for _, edges in graph_edge_stacks(n, range(labeled_graph_count(n))):
+            graphs = [Graph(n, tuple(map(tuple, rows))) for rows in edges.tolist()]
+            keep = [g.is_connected for g in graphs]
+            if not any(keep):
+                continue
+            # one stack mixes diameters 1 to n - 1, so members leave the
+            # recursion at different levels
+            stack = distance_stack(n, edges[keep])
+            for g, got in zip([g for g, k in zip(graphs, keep) if k], stack):
+                assert np.array_equal(got, _bfs_distances(g)), g.edges
+            if not all(keep):
+                with pytest.raises(DisconnectedGraphError):
+                    distance_stack(n, edges)
+
+
 def _nx_graph(nx, g):
     h = nx.Graph()
     h.add_nodes_from(range(g.n))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphent import (
     EmptyEdgeSetError,
@@ -175,3 +176,70 @@ def test_spectrum_of_skew_uses_absolute_values():
 def test_spectrum_source_labels_follow_kind():
     assert spectrum_of("randic", path_graph(3)).source == "randic"
     assert spectrum_of("general-randic:1", path_graph(3)).source == "general-randic:1"
+
+
+def test_build_stack_rows_equal_per_graph_builds():
+    from graphent import OrientedGraph, enumerate_labeled_graphs, random_orientation
+    from graphent.matrices import build_stack, edge_stack_of
+
+    graphs = [g for g in enumerate_labeled_graphs(4) if g.m == 4]
+    for kind in standard_kinds((-0.5, 1.0)):
+        if kind.tag == "distance":
+            members = [g for g in graphs if g.is_connected]
+        else:
+            members = graphs
+        targets = [random_orientation(g, 9) if kind.needs_orientation else g for g in members]
+        pairs = np.concatenate([edge_stack_of(t) for t in targets])
+        stack = build_stack(kind, 4, pairs)
+        for t, mat in zip(targets, stack):
+            assert np.array_equal(build(kind, t), mat), (kind, t)
+        if not kind.needs_orientation:
+            # arcs in any direction build the same unoriented matrix
+            og = [OrientedGraph(t, tuple((v, u) for u, v in t.edges)) for t in targets]
+            assert np.array_equal(build_stack(kind, 4, np.concatenate(
+                [edge_stack_of(o) for o in og])), stack)
+
+
+def test_normalized_laplacian_spectrum_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    pytest.importorskip("scipy")
+    from graphent import enumerate_labeled_graphs
+
+    for g in enumerate_labeled_graphs(5):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        want = np.sort(nx.normalized_laplacian_spectrum(h))[::-1]
+        assert np.allclose(spectrum_of("norm-l", g).values, want, rtol=0, atol=1e-10), g.edges
+
+
+@st.composite
+def _relabeled_pairs(draw):
+    from graphent import labeled_graph_from_mask
+
+    n = draw(st.integers(min_value=2, max_value=7))
+    g = labeled_graph_from_mask(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+    perm = draw(st.permutations(range(n)))
+    return g, Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@given(_relabeled_pairs())
+@settings(max_examples=80, deadline=None)
+def test_relabeling_leaves_spectra_and_quadratic_entropies_unchanged(pair):
+    from graphent import ZeroSpectrumError, probabilities_from_spectrum, quadratic_entropy
+
+    g, h = pair
+    for kind in standard_kinds((-0.5, 1.0)):
+        if kind.needs_orientation:
+            continue
+        if kind.tag in ("incidence", "randic-incidence") and g.m == 0:
+            continue
+        if kind.tag == "distance" and not g.is_connected:
+            continue
+        a, b = spectrum_of(kind, g), spectrum_of(kind, h)
+        assert np.allclose(a.values, b.values, rtol=0, atol=1e-9), kind
+        try:
+            qa = quadratic_entropy(probabilities_from_spectrum(a))
+        except ZeroSpectrumError:
+            continue
+        assert qa == pytest.approx(quadratic_entropy(probabilities_from_spectrum(b)), abs=1e-9)

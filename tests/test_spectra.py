@@ -144,3 +144,49 @@ def test_tolerance_helpers():
     assert within_tolerance(1.0, 1.0 + 1e-10)
     assert not within_tolerance(1.0, 1.0 + 1e-6)
     assert comparison_tolerance(1e6, 0.0) > comparison_tolerance(1.0, 0.0)
+
+
+# stacks: one solve for many matrices, each row equal to its batch of one
+
+
+def test_stacked_solvers_equal_their_batches_of_one_bitwise():
+    rng = np.random.default_rng(3)
+    sym = rng.normal(size=(40, 6, 6))
+    sym = sym + np.swapaxes(sym, 1, 2)
+    skew = np.triu(rng.normal(size=(40, 6, 6)), 1)
+    skew = skew - np.swapaxes(skew, 1, 2)
+    rect = rng.normal(size=(40, 6, 4))
+    for solve, stack in ((symmetric_eigenvalues, sym), (skew_absolute_eigenvalues, skew),
+                         (singular_values, rect)):
+        rows = solve(stack).values
+        assert rows.shape == (40, 6)
+        for one, row in zip(stack, rows):
+            assert np.array_equal(solve(one).values, row)
+
+
+def test_stacked_eigenvalues_match_scipy():
+    linalg = pytest.importorskip("scipy.linalg")
+    from graphent.enumeration import graph_edge_stacks, tree_edge_stack
+    from graphent.matrices import build_stack
+
+    graphs = [edges for _, edges in graph_edge_stacks(5, range(1024))]
+    trees = [tree_edge_stack(5, range(125))]  # connected, for the distance kind
+    for kind in ("q", "norm-l", "randic", "general-randic:1", "distance"):
+        for edges in trees if kind == "distance" else graphs:
+            stack = build_stack(kind, 5, edges)
+            got = symmetric_eigenvalues(stack).values
+            for mat, row in zip(stack, got):
+                want = linalg.eigvalsh(mat)[::-1]
+                assert np.allclose(row, want, rtol=0, atol=1e-10), kind
+
+
+def test_stack_with_a_negative_gram_eigenvalue_is_rejected():
+    from graphent import NegativeEigenvalueError
+    from graphent.spectra import _sqrt_of_gram_eigenvalues
+
+    ok = np.array([0.0, 1.0, 4.0])
+    bad = np.array([-1e-6, 1.0, 4.0])
+    assert np.array_equal(_sqrt_of_gram_eigenvalues(np.stack([ok, ok])),
+                          [[2.0, 1.0, 0.0], [2.0, 1.0, 0.0]])
+    with pytest.raises(NegativeEigenvalueError, match="-1e-06"):
+        _sqrt_of_gram_eigenvalues(np.stack([ok, bad]))

@@ -145,7 +145,7 @@ def test_bundle_caches_spectra():
     check_bounds(complete_graph(4), bundle=bundle)
 
 
-def test_bundle_builds_one_probability_vector_per_spectrum_and_base(monkeypatch):
+def _count_probability_vectors(monkeypatch) -> list[int]:
     calls = []
     build = verifier.probabilities_from_spectrum
 
@@ -154,15 +154,29 @@ def test_bundle_builds_one_probability_vector_per_spectrum_and_base(monkeypatch)
         return build(spectrum, log_base)
 
     monkeypatch.setattr(verifier, "probabilities_from_spectrum", counting)
+    return calls
+
+
+def test_bundle_builds_one_probability_vector_per_spectrum(monkeypatch):
+    calls = _count_probability_vectors(monkeypatch)
     g = random_gnp(9, 0.5, seed=4)
     bundle = GraphBundle(g)
     check_equalities(g, alphas=(0.5, 2.0), betas=(-1.0,), bundle=bundle)
     check_bounds(g, bundle=bundle)
     assert len(calls) == len(set(calls)) == len(bundle._spectra) == 12
-    natural = bundle.probabilities("q", log_base=math.e)
-    assert natural.log_base == math.e
-    assert bundle.probabilities("q").log_base == 2.0
-    assert bundle.probabilities("q", None, math.e) is natural
+    assert bundle.probabilities("q") is bundle.probabilities("q")
+    assert len(calls) == 12
+
+
+def test_one_probability_vector_per_spectrum_at_base_e(monkeypatch):
+    """The bounds read the vectors the base-e identities built: 11, not 22."""
+    calls = _count_probability_vectors(monkeypatch)
+    g = random_gnp(10, 0.6, seed=1)
+    assert g.is_connected and g.min_degree >= 1
+    bundle = GraphBundle(g)
+    check_equalities(g, log_base=math.e, bundle=bundle)
+    check_bounds(g, bundle=bundle)
+    assert len(calls) == len(set(calls)) == len(bundle._spectra) == 11
 
 
 def test_sweep_computes_each_distance_matrix_once(monkeypatch):
@@ -447,3 +461,105 @@ def test_resolve_measure_grammar():
 def test_scan_rejects_unknown_family():
     with pytest.raises(ValueError):
         scan_extremal("forests", 4, "m1")
+
+
+# the stacked scan against the per-graph route, bit for bit
+
+SCAN_KINDS = ("q", "norm-l", "norm-q", "incidence", "distance", "skew", "randic",
+              "randic-incidence", "general-randic:-0.5", "skew-randic")
+
+
+def _scan_values(family, order, measure, log_base=2.0):
+    scan = scan_extremal(family, order, measure, log_base=log_base, keep_ranking=True)
+    assert scan.count == len(scan.ranking)
+    return dict(scan.ranking)
+
+
+def _members(family, order):
+    from graphent import enumerate_labeled_graphs, enumerate_labeled_trees
+
+    if family == "all-graphs":
+        return list(enumerate_labeled_graphs(order))
+    return list(enumerate_labeled_trees(order))
+
+
+def _scalar_spectrum(kind, g):
+    from graphent import as_kind
+
+    target = canonical_orientation(g) if as_kind(kind).needs_orientation else g
+    return spectrum_of(kind, target)
+
+
+def _scalar_value(measure, g, log_base=2.0):
+    """The measure by the per-graph route: one spectrum_of per member."""
+    from graphent import (daroczy_entropy, probabilities_from_spectrum, quadratic_entropy,
+                          renyi_entropy, sqrt_spectrum)
+
+    functional, _, rest = measure.partition(":")
+    if functional == "energy":
+        if rest == "incidence":
+            return sqrt_spectrum(spectrum_of("q", g)).sum()
+        return _scalar_spectrum(rest, g).abs_sum()
+    if functional == "quadratic":
+        return quadratic_entropy(probabilities_from_spectrum(_scalar_spectrum(rest, g)))
+    kind, _, alpha = rest.rpartition(":")
+    pv = probabilities_from_spectrum(_scalar_spectrum(kind, g), log_base)
+    if functional == "renyi":
+        return renyi_entropy(pv, float(alpha))
+    return daroczy_entropy(pv, float(alpha))
+
+
+def _assert_scan_matches_scalar(family, order, measures, log_base=2.0):
+    from graphent import encode_graph6
+
+    members = _members(family, order)
+    descriptors = [encode_graph6(g).decode() for g in members]
+    for measure in measures:
+        got = _scan_values(family, order, measure, log_base)
+        one = resolve_measure(measure, log_base=log_base)
+        for g, d in zip(members, descriptors):
+            target = canonical_orientation(g) if family == "oriented-trees" else g
+            want = _scalar_value(measure, g, log_base)
+            assert got[d].hex() == want.hex() == one(target).hex(), (measure, d)
+
+
+@pytest.mark.parametrize("family", ["trees", "oriented-trees"])
+def test_tree_scan_values_equal_the_per_graph_route_bitwise(family):
+    measures = [f"quadratic:{k}" for k in SCAN_KINDS]
+    measures += [f"energy:{k}" for k in SCAN_KINDS]
+    _assert_scan_matches_scalar(family, 6, measures)
+
+
+def test_renyi_and_daroczy_scans_equal_the_per_graph_route_bitwise():
+    _assert_scan_matches_scalar(
+        "trees", 6, ["renyi:q:2", "renyi:incidence:0.5", "daroczy:norm-l:3",
+                     "daroczy:skew-randic:0.5", "renyi:distance:1.5"], log_base=math.e)
+
+
+def test_all_graph_scan_groups_by_edge_count_and_scatters_back_in_order():
+    # every member of all-graphs:4 has an energy for these kinds, edgeless included
+    kinds = [k for k in SCAN_KINDS if k not in ("distance", "randic-incidence")]
+    _assert_scan_matches_scalar("all-graphs", 4, [f"energy:{k}" for k in kinds])
+    scan = scan_extremal("all-graphs", 4, "energy:q")
+    assert scan.min_witnesses == ("C?",)           # mask 0 alone has energy 0
+    assert scan.max_witnesses == ("C~",)           # K4 alone has the top energy
+
+
+def test_all_graph_distance_scan_fails_on_the_first_disconnected_member():
+    from graphent import DisconnectedGraphError
+
+    with pytest.raises(DisconnectedGraphError, match="distance matrix requires a connected graph"):
+        scan_extremal("all-graphs", 4, "quadratic:distance")
+
+
+def test_scan_encodes_only_witnesses(monkeypatch):
+    calls = []
+    encode = verifier.encode_graph6
+
+    def counting(g):
+        calls.append(g)
+        return encode(g)
+
+    monkeypatch.setattr(verifier, "encode_graph6", counting)
+    scan = scan_extremal("trees", 5, "quadratic:incidence")
+    assert len(calls) == len(scan.min_witnesses) + len(scan.max_witnesses) == 65
