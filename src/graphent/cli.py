@@ -59,9 +59,9 @@ from .report import (
 from .verifier import (
     CHECK_NAMES,
     SCAN_FAMILIES,
-    STATUSES,
     audit_corpus,
-    audit_theorem10,
+    audit_summary,
+    audit_table,
     scan_extremal,
     verify_corpus,
 )
@@ -351,19 +351,14 @@ def _run_audit(args) -> int:
     if args.p is not None:
         weights = _parse_floats(args.p, "probability")
         pv = probability_vector(weights, origin="stated", log_base=args.log_base)
-        results = audit_theorem10(pv, grid, args.log_base)
-        counts: dict[str, dict[str, int]] = {}
-        for res in results:
-            by_status = counts.setdefault(res.claim_id, {})
-            by_status[res.status] = by_status.get(res.status, 0) + 1
+        table = audit_table(pv, grid, args.log_base)
         doc = {
             "report": "audit",
             "distribution": list(weights),
             "alpha_grid": list(grid),
             "log_base": float(args.log_base),
-            "summary": {cid: {st: by.get(st, 0) for st in STATUSES}
-                        for cid, by in counts.items()},
-            "claims": [claim_to_object(c) for c in results],
+            "summary": audit_summary(table.tally()),
+            "claims": [claim_to_object(c) for c in table.records(0, pv.origin)],
         }
         _write_report(doc, args)
         return 0

@@ -17,7 +17,7 @@ decoders, so there is one decoding path.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,13 +69,30 @@ def graph_edge_stacks(n: int, masks: Iterable[int]) -> list[tuple[np.ndarray, np
         raise ValueError(f"mask {int(bad[0])} out of range for order {n}")
     pairs = np.array(list(combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2)
     bits = (masks[:, None] >> np.arange(len(pairs))) & 1
-    counts = bits.sum(axis=1)
     groups = []
-    for m in np.flatnonzero(np.bincount(counts, minlength=1)):
-        positions = np.flatnonzero(counts == m)
+    for m, positions in _by_edge_count(bits.sum(axis=1)):
         cols = np.nonzero(bits[positions])[1]
-        groups.append((positions, pairs[cols].reshape(len(positions), int(m), 2)))
+        groups.append((positions, pairs[cols].reshape(len(positions), m, 2)))
     return groups
+
+
+def stacks_by_edge_count(edge_arrays: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group ``(m, 2)`` sorted-edge arrays into one stack per edge count m.
+
+    Returns ``(positions, edges)`` pairs as :func:`graph_edge_stacks` does,
+    with ``positions`` indexing ``edge_arrays``.
+    """
+    counts = np.array([len(e) for e in edge_arrays], dtype=np.int64)
+    return [(positions,
+             np.array([edge_arrays[i] for i in positions.tolist()],
+                      dtype=np.int64).reshape(len(positions), m, 2))
+            for m, positions in _by_edge_count(counts)]
+
+
+def _by_edge_count(counts: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """``(m, positions)`` for each edge count m present, in increasing m."""
+    for m in np.flatnonzero(np.bincount(counts, minlength=1)):
+        yield int(m), np.flatnonzero(counts == m)
 
 
 def labeled_graphs_from_masks(n: int, masks: Iterable[int]) -> list[Graph]:

@@ -264,6 +264,19 @@ def adjacency_stack(n: int, edges: np.ndarray) -> np.ndarray:
     return out
 
 
+def connected_stack(n: int, edges: np.ndarray) -> np.ndarray:
+    """Whether each member of a (B, m, 2) edge stack is connected, as a (B,) bool array.
+
+    Squares the reachability matrices (walks of length at most 1, then 2,
+    4, ...) until walks reach length n - 1; a member is connected when
+    vertex 0 reaches every vertex.  The single vertex is connected.
+    """
+    reach = adjacency_stack(n, edges) + np.eye(n)
+    for _ in range(max(n - 2, 0).bit_length()):
+        reach = (reach @ reach > 0).astype(float)
+    return (reach[:, 0] > 0).all(axis=1)
+
+
 def distance_stack(n: int, edges: np.ndarray) -> np.ndarray:
     """All-pairs shortest-path matrices, shape (B, n, n) float, by Seidel's algorithm.
 

@@ -43,8 +43,11 @@ SINGULAR_VALUES = "singular-values"
 ABSOLUTE_EIGENVALUES = "absolute-eigenvalues"
 
 
-def comparison_tolerance(a: float, b: float) -> float:
-    """The dual absolute/relative tolerance for comparing two reals."""
+def comparison_tolerance(a, b):
+    """The dual absolute/relative tolerance for comparing two reals, or two
+    arrays elementwise."""
+    if isinstance(a, np.ndarray):
+        return ABS_TOL + REL_TOL * np.maximum(np.abs(a), np.abs(b))
     return ABS_TOL + REL_TOL * max(abs(a), abs(b))
 
 

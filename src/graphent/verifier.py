@@ -15,19 +15,24 @@ Every claim produces a :class:`ClaimResult` with status ``pass``, ``fail``,
 is met within the equality band).  A NaN or infinite value on either side
 of a comparison fails closed: the status is ``fail`` and the witness holds
 both values.  The cross-entropy order inequalities are handled separately
-by :func:`audit_theorem10`: they are audited and reported, never asserted,
+by :func:`audit_table`: they are audited and reported, never asserted,
 because desk evaluation produces explicit counterexamples to one of them
-as stated.
+as stated.  The audit is stacked: :func:`audit_corpus` solves each kind
+once per stack of graphs and evaluates the claims as arrays over every
+distribution and grid point, and :func:`audit_theorem10` is a stack of one.
 
 Corpora are described by compact strings: ``all:<n>`` sweeps every labeled
 graph on 1..n vertices, ``trees:<n>`` every labeled tree on exactly n, and
-``gnp:<n>,<p>,<count>`` draws seeded random graphs.  Reports are
+``gnp:<n>,<p>,<count>`` draws seeded random graphs.  A corpus decodes a
+chunk at a time into sorted-edge stacks (:meth:`CorpusSpec.stacks`); the
+verify loop reads the same chunks as graphs, one at a time.  Reports are
 deterministic: reruns, and runs with different worker counts, produce
 byte-identical serializations.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import multiprocessing
 import os
@@ -35,7 +40,8 @@ import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from itertools import repeat
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,11 +59,10 @@ from .enumeration import (
     graphs_of_stack,
     index_chunks,
     labeled_graph_count,
-    labeled_graph_from_mask,
     labeled_graphs_from_masks,
     labeled_tree_count,
-    labeled_tree_from_index,
     labeled_trees_from_indices,
+    stacks_by_edge_count,
     tree_edge_stack,
 )
 from .errors import (
@@ -70,6 +75,7 @@ from .graphs import (
     Graph,
     OrientedGraph,
     canonical_orientation,
+    connected_stack,
     random_gnp,
     random_orientation,
 )
@@ -558,12 +564,65 @@ def check_bounds(
     return results
 
 
-def audit_theorem10(
+AUDIT_CLAIMS = ("inequality.renyi-daroczy", "inequality.daroczy-quadratic",
+                "inequality.renyi-quadratic")
+_PASS, _FAIL, _NOT_APPLICABLE, _EQUALITY = range(len(STATUSES))  # status codes
+
+
+def _audit_grid(alpha_grid: Sequence[float]) -> tuple[float, ...]:
+    alphas = tuple(float(a) for a in alpha_grid)
+    for alpha in alphas:
+        if alpha <= 0:
+            raise AlphaNonPositiveError(f"audit grid must be positive, got {alpha}")
+    return alphas
+
+
+class AuditTable(NamedTuple):
+    """The order-inequality audit of a stack of B distributions.
+
+    Arrays have shape ``(B, len(alphas), 3)``: distribution, grid point and
+    claim, in :data:`AUDIT_CLAIMS` order.  ``status`` holds indices into
+    :data:`STATUSES`; ``margin`` is ``lhs - rhs``, or -inf where that is
+    not finite.
+    """
+
+    alphas: tuple[float, ...]
+    status: np.ndarray
+    margin: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+    def tally(self) -> np.ndarray:
+        """Status counts, shape ``(3, len(STATUSES))``: one row per claim."""
+        size = len(AUDIT_CLAIMS) * len(STATUSES)
+        codes = np.arange(len(AUDIT_CLAIMS)) * len(STATUSES) + self.status
+        return np.bincount(codes.ravel(), minlength=size).reshape(len(AUDIT_CLAIMS), -1)
+
+    def records(self, row: int, graph: str) -> list[ClaimResult]:
+        """Every claim record of one distribution, by grid point then claim."""
+        return [_audit_record(c, graph, alpha, int(self.status[row, a, c]),
+                              float(self.margin[row, a, c]), float(self.lhs[row, a, c]),
+                              float(self.rhs[row, a, c]))
+                for a, alpha in enumerate(self.alphas) for c in range(len(AUDIT_CLAIMS))]
+
+
+def _audit_record(claim: int, graph: str, alpha: float, status: int, margin: float,
+                  lhs: float, rhs: float, matrix: str | None = None) -> ClaimResult:
+    """One audit claim record; ``matrix``, when given, joins the witness."""
+    if status == _NOT_APPLICABLE:
+        return ClaimResult(AUDIT_CLAIMS[claim], graph, NOT_APPLICABLE, None, {"alpha": alpha})
+    witness = {"alpha": alpha, "lhs": lhs, "rhs": rhs}
+    if matrix is not None:
+        witness["matrix"] = matrix
+    return ClaimResult(AUDIT_CLAIMS[claim], graph, STATUSES[status], margin, witness)
+
+
+def audit_table(
     p: ProbabilityVector,
     alpha_grid: Sequence[float],
     log_base: float = 2.0,
-) -> list[ClaimResult]:
-    """Audit the cross-entropy order inequalities on one distribution.
+) -> AuditTable:
+    """Audit the cross-entropy order inequalities on a stack of distributions.
 
     Three claims per grid point, each comparing the two sides the stated
     inequality relates (Renyi vs Daroczy, Daroczy vs quadratic, Renyi vs
@@ -571,19 +630,20 @@ def audit_theorem10(
     is left-hand side minus right-hand side; a negative margin beyond
     tolerance means the stated inequality fails on this distribution, and
     that is reported, not raised: these claims are audited as published,
-    not assumed true.
+    not assumed true.  A non-finite margin fails closed; alpha = 1 is
+    not applicable.  The grid is validated before any work.  A single
+    vector is a stack of one.
     """
+    alphas = _audit_grid(alpha_grid)
+    if p.p.ndim == 1:
+        p = ProbabilityVector(p.p[None], p.origin, p.log_base)
+    shape = (len(p.p), len(alphas), len(AUDIT_CLAIMS))
+    lhs = np.full(shape, np.nan)
+    rhs = np.full(shape, np.nan)
     quad = quadratic_entropy(p)
     ln2 = math.log(2.0)
-    results: list[ClaimResult] = []
-    for alpha in alpha_grid:
-        if alpha <= 0:
-            raise AlphaNonPositiveError(f"audit grid must be positive, got {alpha}")
+    for j, alpha in enumerate(alphas):
         if alpha == 1.0:
-            for claim_id in ("inequality.renyi-daroczy", "inequality.daroczy-quadratic",
-                             "inequality.renyi-quadratic"):
-                results.append(ClaimResult(claim_id, p.origin, NOT_APPLICABLE,
-                                           None, {"alpha": alpha}))
             continue
         ren = renyi_entropy(p, alpha, log_base)
         dar = daroczy_entropy(p, alpha)
@@ -602,24 +662,48 @@ def audit_theorem10(
             part_iii = (ren, (c * c * ln2 / (alpha - 1.0)) * quad)
         else:
             part_iii = (ren, quad)
-        for claim_id, (lhs, rhs) in (
-            ("inequality.renyi-daroczy", part_i),
-            ("inequality.daroczy-quadratic", part_ii),
-            ("inequality.renyi-quadratic", part_iii),
-        ):
-            margin = lhs - rhs
-            if not math.isfinite(margin):
-                margin = -math.inf  # a non-finite side fails closed
-            band = comparison_tolerance(lhs, rhs)
-            if _beyond(-margin, band):
-                status = FAIL
-            elif abs(margin) <= band:
-                status = EQUALITY
-            else:
-                status = PASS
-            results.append(ClaimResult(claim_id, p.origin, status, margin,
-                                       {"alpha": alpha, "lhs": lhs, "rhs": rhs}))
-    return results
+        for k, (left, right) in enumerate((part_i, part_ii, part_iii)):
+            lhs[:, j, k] = left
+            rhs[:, j, k] = right
+    with np.errstate(invalid="ignore", over="ignore"):
+        margin = lhs - rhs
+    margin[~np.isfinite(margin)] = -math.inf  # a non-finite side fails closed
+    band = comparison_tolerance(lhs, rhs)
+    status = np.where((margin == -math.inf) | (-margin > band), _FAIL,
+                      np.where(np.abs(margin) <= band, _EQUALITY, _PASS))
+    status[:, [alpha == 1.0 for alpha in alphas]] = _NOT_APPLICABLE
+    return AuditTable(alphas, status, margin, lhs, rhs)
+
+
+def audit_theorem10(
+    p: ProbabilityVector,
+    alpha_grid: Sequence[float],
+    log_base: float = 2.0,
+) -> list[ClaimResult]:
+    """The claim records of :func:`audit_table` on one distribution, by grid
+    point then claim, each naming the distribution's origin."""
+    if p.p.ndim != 1:
+        raise ValueError("audit_theorem10 takes one distribution; use audit_table for a stack")
+    return audit_table(p, alpha_grid, log_base).records(0, p.origin)
+
+
+def audit_summary(tally: np.ndarray) -> dict[str, dict[str, int]]:
+    """``{claim id: {status: count}}`` of a claim-by-status tally; empty when
+    nothing was audited."""
+    if not tally.any():
+        return {}
+    return {claim_id: dict(zip(STATUSES, row.tolist()))
+            for claim_id, row in zip(AUDIT_CLAIMS, tally)}
+
+
+def _domain_mask(n: int, edges: np.ndarray, *, needs_edge: bool,
+                 needs_connected: bool) -> np.ndarray:
+    """Which members of a ``(B, m, 2)`` edge stack have an edge, where
+    ``needs_edge``, and are connected, where ``needs_connected``."""
+    keep = np.full(len(edges), edges.shape[1] >= 1 or not needs_edge)
+    if needs_connected and keep.any():
+        keep &= connected_stack(n, edges)
+    return keep
 
 
 @dataclass(frozen=True)
@@ -643,32 +727,53 @@ class CorpusSpec:
     def graph_at(self, index: int, seed: int = 0) -> Graph:
         if not 0 <= index < self.total:
             raise ValueError(f"corpus index {index} out of range")
-        if self.family == "all":
-            for k in range(1, self.order + 1):
-                cnt = labeled_graph_count(k)
-                if index < cnt:
-                    return labeled_graph_from_mask(k, index)
-                index -= cnt
-        if self.family == "trees":
-            return labeled_tree_from_index(self.order, index)
-        return random_gnp(self.order, self.edge_probability, self._sample_seed(seed, index))
+        return next(self.iterate(index, index + 1, seed))
 
     def iterate(self, start: int, stop: int, seed: int = 0) -> Iterator[Graph]:
-        stop = min(stop, self.total)
+        """The graphs at corpus indices [start, stop), in corpus order.
+
+        Each graph is built from its stack row as it is reached, so a sweep
+        holds one graph, and the caches it fills, at a time.
+        """
+        for groups in self.stacks(start, stop, seed):
+            rows = sorted((index, group, row) for group, (_, positions, _) in enumerate(groups)
+                          for row, index in enumerate(positions.tolist()))
+            for _, group, row in rows:
+                n, _, edges = groups[group]
+                yield graphs_of_stack(n, edges[row:row + 1])[0]
+
+    def stacks(self, start: int, stop: int,
+               seed: int = 0) -> Iterator[list[tuple[int, np.ndarray, np.ndarray]]]:
+        """The members at corpus indices [start, stop), decoded a chunk at a time.
+
+        Each chunk of at most :data:`graphent.enumeration.STACK_CHUNK`
+        consecutive members is a list of ``(order, positions, edges)``
+        groups: ``edges`` is a ``(B, m, 2)`` sorted-edge stack and
+        ``positions`` holds the corpus indices of its rows.  ``all`` groups
+        a chunk by edge count within one order, ``trees`` gives one group
+        per chunk, and ``gnp`` groups its seeded samples by edge count.
+        """
+        start, stop = max(start, 0), min(stop, self.total)
         if self.family == "all":
             base = 0
             for k in range(1, self.order + 1):
                 cnt = labeled_graph_count(k)
                 for masks in index_chunks(max(start - base, 0), min(stop - base, cnt)):
-                    yield from labeled_graphs_from_masks(k, masks)
+                    yield [(k, base + masks.start + positions, edges)
+                           for positions, edges in graph_edge_stacks(k, masks)]
                 base += cnt
         elif self.family == "trees":
-            for indices in index_chunks(max(start, 0), stop):
-                yield from labeled_trees_from_indices(self.order, indices)
+            for indices in index_chunks(start, stop):
+                yield [(self.order, np.arange(indices.start, indices.stop),
+                        tree_edge_stack(self.order, indices))]
         else:
-            for index in range(max(start, 0), stop):
-                yield random_gnp(self.order, self.edge_probability,
-                                 self._sample_seed(seed, index))
+            for indices in index_chunks(start, stop):
+                stacks = stacks_by_edge_count([
+                    random_gnp(self.order, self.edge_probability,
+                               self._sample_seed(seed, index)).edge_array
+                    for index in indices])
+                yield [(self.order, indices.start + positions, edges)
+                       for positions, edges in stacks]
 
     def _sample_seed(self, seed: int, index: int) -> int:
         return zlib.crc32(f"{self.text}#{index}".encode("ascii")) ^ (seed & 0xFFFFFFFF)
@@ -889,59 +994,64 @@ def audit_corpus(
     """Audit the order inequalities on every spectrum the corpus yields.
 
     Kinds whose hypotheses a graph fails are skipped silently (the audit
-    is about distributions, not graph coverage).  Retains at most
-    :data:`AUDIT_RETAIN_LIMIT` violation/equality records, in corpus order.
+    is about distributions, not graph coverage): every kind needs an edge,
+    and ``distance`` a connected graph.  Skew kinds use the canonical
+    orientation.  The corpus is decoded a chunk at a time into edge stacks,
+    and each stack gets one stacked solve per kind and one
+    :func:`audit_table`.  Retains at most :data:`AUDIT_RETAIN_LIMIT`
+    violation/equality records in corpus order (graph, kind, grid point,
+    claim) and keeps counting past it; only graphs that own a retained
+    record are encoded as graph6.  The grid is validated before any work.
     """
     spec = corpus if isinstance(corpus, CorpusSpec) else parse_corpus(corpus)
     use_kinds = tuple(as_kind(k) for k in (kinds if kinds is not None else default_audit_kinds()))
+    alphas = _audit_grid(alpha_grid)
     started = time.perf_counter()
-    counts: dict[str, dict[str, int]] = {}
+    tally = np.zeros((len(AUDIT_CLAIMS), len(STATUSES)), dtype=np.int64)
     retained: list[ClaimResult] = []
     graphs = 0
-    total_claims = 0
-    for g in spec.iterate(0, spec.total, seed):
-        graphs += 1
-        bundle = GraphBundle(g, seed)
-        for kind in use_kinds:
-            p = _spectrum_distribution(bundle, kind, log_base)
-            if p is None:
-                continue
-            for res in audit_theorem10(p, alpha_grid, log_base):
-                witness = dict(res.witness or {})
-                witness["matrix"] = str(kind)
-                rec = ClaimResult(res.claim_id, bundle.descriptor, res.status,
-                                  res.residual, witness)
-                total_claims += 1
-                by_status = counts.setdefault(rec.claim_id, {})
-                by_status[rec.status] = by_status.get(rec.status, 0) + 1
-                if rec.status in (FAIL, EQUALITY) and len(retained) < AUDIT_RETAIN_LIMIT:
-                    retained.append(rec)
-    summary = {claim_id: {status: by_status.get(status, 0) for status in STATUSES}
-               for claim_id, by_status in counts.items()}
+    for groups in spec.stacks(0, spec.total, seed):
+        # retainable cells of this chunk: graph index, kind, alpha and claim
+        # (their corpus order), the cell's (status, margin, lhs, rhs), and
+        # where the graph sits: its group and row
+        cells: list[tuple] = []
+        for group, (n, positions, edges) in enumerate(groups):
+            graphs += len(positions)
+            for k, kind in enumerate(use_kinds):
+                rows = np.flatnonzero(_domain_mask(n, edges, needs_edge=True,
+                                                   needs_connected=kind.needs_connected))
+                if not len(rows):
+                    continue
+                pv = probabilities_from_spectrum(spectrum_stack(kind, n, edges[rows]), log_base)
+                table = audit_table(pv, alphas, log_base)
+                tally += table.tally()
+                if len(retained) < AUDIT_RETAIN_LIMIT:
+                    b, a, c = np.nonzero((table.status == _FAIL) | (table.status == _EQUALITY))
+                    values = zip(*(x[b, a, c].tolist() for x in
+                                   (table.status, table.margin, table.lhs, table.rhs)))
+                    cells.extend(zip(positions[rows[b]].tolist(), repeat(k), a.tolist(),
+                                     c.tolist(), values, repeat(group), rows[b].tolist()))
+        descriptors: dict[int, str] = {}
+        for index, k, a, c, values, group, row in heapq.nsmallest(
+                AUDIT_RETAIN_LIMIT - len(retained), cells):
+            if index not in descriptors:
+                n, _, edges = groups[group]
+                g = graphs_of_stack(n, edges[row:row + 1])[0]
+                descriptors[index] = encode_graph6(g).decode("ascii")
+            retained.append(_audit_record(c, descriptors[index], alphas[a], *values,
+                                          str(use_kinds[k])))
     return AuditReport(
         corpus=spec.text,
         kinds=tuple(str(k) for k in use_kinds),
-        alpha_grid=tuple(float(a) for a in alpha_grid),
+        alpha_grid=alphas,
         seed=seed,
         log_base=float(log_base),
         total_graphs=graphs,
-        total_claims=total_claims,
+        total_claims=int(tally.sum()),
         claims=tuple(retained),
-        summary=summary,
+        summary=audit_summary(tally),
         runtime_seconds=time.perf_counter() - started,
     )
-
-
-def _spectrum_distribution(
-    bundle: GraphBundle, kind: MatrixKind, log_base: float
-) -> ProbabilityVector | None:
-    graph = bundle.graph
-    if kind.tag == "distance" and not (graph.is_connected and graph.n >= 2):
-        return None
-    if kind.tag != "distance" and graph.m == 0:
-        return None
-    spec = bundle.spectrum(kind, "canonical" if kind.needs_orientation else None)
-    return probabilities_from_spectrum(spec, log_base)
 
 
 @dataclass(eq=False)
@@ -992,13 +1102,17 @@ def scan_extremal(
     """Evaluate a measure on every member of a family and find its extremes.
 
     Members are decoded, built, solved and measured as stacks,
-    :data:`graphent.enumeration.STACK_CHUNK` at a time.  Members within
+    :data:`graphent.enumeration.STACK_CHUNK` at a time.  Members outside
+    the measure's domain, where its per-graph form (:func:`resolve_measure`)
+    raises for want of an edge or of connectivity, are skipped; ``count``
+    is the number measured, and a family with none in the domain is an
+    error.  Members within
     1e-9 of an extreme value form its witness tie set, reported as graph6
     descriptors in enumeration order; only the witnesses are encoded.
     With ``keep_ranking`` the full (descriptor, value) list is retained,
     sorted by descending value then descriptor, so every member is encoded.
     """
-    values_of = _measure_stack(measure, log_base=log_base)
+    stacked = _measure_stack(measure, log_base=log_base)
     if family == "all-graphs":
         total = labeled_graph_count(order)
     elif family in ("trees", "oriented-trees"):
@@ -1007,10 +1121,20 @@ def scan_extremal(
         raise ValueError(f"unknown family {family!r}; expected one of {SCAN_FAMILIES}")
 
     values = np.empty(total)
+    measured = np.zeros(total, dtype=bool)
     for chunk in index_chunks(0, total):
         indices = np.arange(chunk.start, chunk.stop)
         for positions, edges in _family_stacks(family, order, indices):
-            values[indices[positions]] = values_of(order, edges)
+            rows = np.flatnonzero(_domain_mask(order, edges, needs_edge=stacked.needs_edge,
+                                               needs_connected=stacked.needs_connected))
+            if len(rows):
+                members = indices[positions[rows]]
+                values[members] = stacked.values(order, edges[rows])
+                measured[members] = True
+    members = np.flatnonzero(measured)
+    if not len(members):
+        raise ValueError(f"no member of {family}:{order} lies in the domain of {measure}")
+    values = values[members]
 
     def descriptors(indices: np.ndarray) -> list[str]:
         out: list[str] = []
@@ -1021,13 +1145,13 @@ def scan_extremal(
 
     min_value = float(values.min())
     max_value = float(values.max())
-    min_witnesses = descriptors(np.flatnonzero(np.abs(values - min_value) <= TIE_TOL))
-    max_witnesses = descriptors(np.flatnonzero(np.abs(values - max_value) <= TIE_TOL))
+    min_witnesses = descriptors(members[np.abs(values - min_value) <= TIE_TOL])
+    max_witnesses = descriptors(members[np.abs(values - max_value) <= TIE_TOL])
     ranking = None
     if keep_ranking:
-        pairs = zip(descriptors(np.arange(total)), values.tolist())
+        pairs = zip(descriptors(members), values.tolist())
         ranking = tuple(sorted(pairs, key=lambda item: (-item[1], item[0])))
-    return ExtremalScan(family, order, measure, total, min_value, max_value,
+    return ExtremalScan(family, order, measure, len(members), min_value, max_value,
                         tuple(min_witnesses), tuple(max_witnesses), ranking)
 
 
@@ -1047,38 +1171,59 @@ def _invariant_measure(text: str) -> Callable[[Graph], float] | None:
     return None
 
 
-def _measure_stack(text: str, *,
-                   log_base: float = 2.0) -> Callable[[int, np.ndarray], np.ndarray]:
-    """Turn a measure id into a function of an order and a pair stack.
+class _StackedMeasure(NamedTuple):
+    """A measure as a function of an order and a pair stack, with its domain.
 
-    The function maps ``(n, edges)``, a ``(B, m, 2)`` stack of sorted edges
-    (the canonical arcs for the oriented kinds), to a (B,) array of values.
+    ``values`` maps ``(n, edges)``, a ``(B, m, 2)`` stack of sorted edges
+    (the canonical arcs for the oriented kinds), to a (B,) array.  The
+    members it can measure have an edge where ``needs_edge`` and are
+    connected where ``needs_connected``; elsewhere it raises.
+    """
+
+    values: Callable[[int, np.ndarray], np.ndarray]
+    needs_edge: bool = False
+    needs_connected: bool = False
+
+
+_DISTANCE_INVARIANTS = ("wiener", "hyper-wiener", "wk:")
+
+
+def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
+    """Turn a measure id into a stacked measure.
+
     Spectral measures take one stacked build and solve; invariant measures
-    map their per-graph function over the stack's graphs.  See
+    map their per-graph function over the stack's graphs.  Entropies need a
+    nonzero spectrum, so an edge; the randic-incidence energy needs an edge
+    column; distance-based measures need a connected graph.  See
     :func:`resolve_measure` for the grammar.
     """
     invariant = _invariant_measure(text)
     if invariant is not None:
-        return lambda n, edges: np.array([invariant(g) for g in graphs_of_stack(n, edges)])
+        return _StackedMeasure(
+            lambda n, edges: np.array([invariant(g) for g in graphs_of_stack(n, edges)]),
+            needs_connected=text.startswith(_DISTANCE_INVARIANTS))
     if text.startswith("energy:"):
         kind = as_kind(text.split(":", 1)[1])
-        return lambda n, edges: energy_stack(kind, n, edges)
+        return _StackedMeasure(lambda n, edges: energy_stack(kind, n, edges),
+                               needs_edge=kind.tag == "randic-incidence",
+                               needs_connected=kind.needs_connected)
     for prefix in ("quadratic:", "renyi:", "daroczy:"):
         if text.startswith(prefix):
             rest = text[len(prefix):]
             if prefix == "quadratic:":
                 kind = as_kind(rest)
-                return lambda n, edges: quadratic_entropy(_distribution(kind, n, edges, log_base))
-            kind_text, sep, alpha_text = rest.rpartition(":")
-            if not sep:
-                raise ValueError(f"measure {text!r} needs an order, like {prefix}q:2")
-            kind = as_kind(kind_text)
-            alpha = _parse_float(alpha_text, "entropy order")
-            if prefix == "renyi:":
-                return lambda n, edges: renyi_entropy(_distribution(kind, n, edges, log_base),
-                                                      alpha)
-            return lambda n, edges: daroczy_entropy(_distribution(kind, n, edges, log_base),
-                                                    alpha)
+                values = lambda n, edges: quadratic_entropy(_distribution(kind, n, edges, log_base))
+            else:
+                kind_text, sep, alpha_text = rest.rpartition(":")
+                if not sep:
+                    raise ValueError(f"measure {text!r} needs an order, like {prefix}q:2")
+                kind = as_kind(kind_text)
+                alpha = _parse_float(alpha_text, "entropy order")
+                functional = renyi_entropy if prefix == "renyi:" else daroczy_entropy
+                values = lambda n, edges: functional(_distribution(kind, n, edges, log_base),
+                                                     alpha)
+            return _StackedMeasure(values, needs_edge=True,
+                                   needs_connected=kind.needs_connected)
     raise ValueError(f"unknown measure {text!r}")
 
 
@@ -1097,7 +1242,7 @@ def resolve_measure(text: str, *, log_base: float = 2.0) -> Callable[[Graph | Or
     invariant = _invariant_measure(text)
     if invariant is not None:
         return lambda g: invariant(plain(g))
-    values_of = _measure_stack(text, log_base=log_base)
+    values_of = _measure_stack(text, log_base=log_base).values
     return lambda g: float(values_of(g.n, edge_stack_of(g))[0])
 
 

@@ -161,6 +161,15 @@ def test_audit_needs_exactly_one_source(capsys):
     assert main(["audit", "--p", "0.5,0.5", "--corpus", "all:3"]) == 2
 
 
+@pytest.mark.parametrize("source", [["--corpus", "all:1"], ["--corpus", "all:3"],
+                                    ["--p", "0.5,0.5"]])
+def test_audit_rejects_a_non_positive_order_whatever_the_source(source, tmp_path, capsys):
+    out = tmp_path / "audit.json"
+    assert main(["audit", *source, "--alpha=-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: audit grid must be positive, got -1.0\n"
+
+
 def test_scan_cli(capsys):
     assert main(["scan", "--family", "trees", "--order", "5",
                  "--measure", "quadratic:incidence"]) == 0
@@ -168,6 +177,21 @@ def test_scan_cli(capsys):
     assert doc["report"] == "scan"
     assert doc["count"] == 125
     assert len(doc["min"]["witnesses"]) == 5
+
+
+def test_scan_counts_only_members_in_the_measure_domain(capsys):
+    assert main(["scan", "--family", "all-graphs", "--order", "4",
+                 "--measure", "quadratic:q"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["count"] == 63  # every graph on four vertices but the edgeless one
+
+
+def test_scan_with_no_member_in_the_domain_is_one_line_error(capsys):
+    assert main(["scan", "--family", "all-graphs", "--order", "1",
+                 "--measure", "quadratic:q"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_scan_bad_measure_is_usage_error(capsys):

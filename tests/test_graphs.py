@@ -21,6 +21,7 @@ from graphent import (
     wiener_index,
 )
 from graphent import graphs as graphs_module
+from graphent.enumeration import stacks_by_edge_count
 
 
 def test_from_edges_normalizes_and_deduplicates():
@@ -179,6 +180,30 @@ def test_distances_match_networkx_on_random_graphs(p):
         assert np.array_equal(distances(g), nx.floyd_warshall_numpy(h, nodelist=range(g.n)))
         assert wiener_index(g) == nx.wiener_index(h) / 2
     assert checked >= 9
+
+
+def _connected_by_stack(graphs):
+    """connected_stack over graphs of one order, one stack per edge count."""
+    out = [None] * len(graphs)
+    for positions, edges in stacks_by_edge_count([g.edge_array for g in graphs]):
+        verdicts = graphs_module.connected_stack(graphs[0].n, edges)
+        for pos, verdict in zip(positions.tolist(), verdicts.tolist()):
+            out[pos] = verdict
+    return out
+
+
+def test_connected_stack_matches_components_on_every_small_graph():
+    for n in range(1, 6):
+        graphs = [labeled_graph_from_mask(n, mask) for mask in range(labeled_graph_count(n))]
+        assert _connected_by_stack(graphs) == [g.is_connected for g in graphs], n
+
+
+def test_connected_stack_matches_networkx_on_random_graphs():
+    nx = pytest.importorskip("networkx")
+    samples = [random_gnp(40, p, seed=seed) for p in (0.05, 0.1, 0.3) for seed in range(20)]
+    verdicts = _connected_by_stack(samples)
+    assert verdicts == [nx.is_connected(_nx_graph(nx, g)) for g in samples]
+    assert True in verdicts and False in verdicts
 
 
 def test_distance_matrix_is_cached_read_only(monkeypatch):

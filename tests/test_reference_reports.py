@@ -1,0 +1,39 @@
+"""The reference report hashes listed in ROADMAP.md, regenerated on every run.
+
+Each command writes its report through the CLI; the report's sha256 must
+equal the recorded value.  A change that moves a byte of any of these
+reports must say so and record the new hash.
+"""
+
+import hashlib
+
+import pytest
+
+from graphent.cli import main
+
+REFERENCE_REPORTS = {
+    "verify-all5": (
+        ["verify", "--corpus", "all:5", "--beta=-1,-0.5,1", "--seed", "0"],
+        "5c6c96c0046351e08be1e41ba1dfa090744f547e2a6e88c963fac229497574b2"),
+    "verify-gnp40": (
+        ["verify", "--corpus", "gnp:40,0.3,200", "--seed", "7"],
+        "e1fbc497fd83f3f18c22c0a850046cb9e0cfb8b003a8d4c7b232ab1fdeae5785"),
+    "scan-trees7": (
+        ["scan", "--family", "trees", "--order", "7", "--measure", "quadratic:incidence"],
+        "2e977b064cb5527fba505c34130023258664e4672b1d83e4e33561fc20f79c2f"),
+    "audit-all5": (
+        ["audit", "--corpus", "all:5", "--log-base", "2.718281828459045", "--seed", "0"],
+        "9002d32ce8428d1d688e307dbb33d36a8a33704eb14b53424733163da24971ae"),
+    # the README's direct-distribution example
+    "audit-readme-p": (
+        ["audit", "--p", "0.9,0.1", "--alpha", "0.5", "--log-base", "2.718281828459045"],
+        "70b0fdfb099d83cb46df3a03f736d75a1cf8013bb52760bb33f54f139a4fc767"),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_REPORTS)
+def test_reference_report_hash(name, tmp_path):
+    argv, sha256 = REFERENCE_REPORTS[name]
+    out = tmp_path / "report"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

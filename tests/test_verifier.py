@@ -1,25 +1,34 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from graphent import (
     AlphaNonPositiveError,
+    ClaimResult,
     Graph,
     GraphBundle,
+    ProbabilityVector,
+    as_kind,
     audit_corpus,
     audit_theorem10,
     canonical_orientation,
     check_bounds,
     check_equalities,
     check_traces,
+    comparison_tolerance,
     complete_graph,
+    daroczy_entropy,
     matching_graph,
     parse_corpus,
     path_graph,
+    probabilities_from_spectrum,
     probability_vector,
+    quadratic_entropy,
     random_gnp,
     random_orientation,
+    renyi_entropy,
     resolve_measure,
     scan_extremal,
     spectrum_of,
@@ -28,7 +37,7 @@ from graphent import (
 )
 from graphent import graphs as graphs_module
 from graphent import verifier
-from graphent.report import render_json, verification_to_object
+from graphent.report import audit_to_object, render_json, verification_to_object
 
 
 def _by_id(results):
@@ -302,6 +311,163 @@ def test_audit_corpus_is_deterministic():
     assert a.summary == b.summary
 
 
+def test_audit_corpus_validates_the_grid_before_any_work(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the grid was checked")
+
+    monkeypatch.setattr(verifier, "spectrum_stack", no_solve)
+    for corpus in ("all:1", "all:3"):
+        with pytest.raises(AlphaNonPositiveError):
+            audit_corpus(corpus, alpha_grid=(0.5, -1.0))
+    with pytest.raises(AlphaNonPositiveError):
+        verifier.audit_table(probability_vector((0.5, 0.5)), (0.0,))
+
+
+# the stacked audit against the per-graph loop it replaced
+
+
+def _reference_audit_theorem10(p, alpha_grid, log_base):
+    """Reference: the scalar predicate, one distribution and one claim at a time."""
+    quad = quadratic_entropy(p)
+    ln2 = math.log(2.0)
+    results = []
+    for alpha in alpha_grid:
+        if alpha == 1.0:
+            for claim_id in verifier.AUDIT_CLAIMS:
+                results.append(ClaimResult(claim_id, p.origin, "not-applicable",
+                                           None, {"alpha": alpha}))
+            continue
+        ren = renyi_entropy(p, alpha, log_base)
+        dar = daroczy_entropy(p, alpha)
+        c = 1.0 - 2.0 ** (1.0 - alpha)
+        if alpha < 1.0:
+            part_i = (dar * ln2, ren)
+        else:
+            part_i = (ren, (c * ln2 / (alpha - 1.0)) * dar)
+        if alpha < 1.0 or alpha >= 2.0:
+            part_ii = (dar, quad)
+        else:
+            part_ii = (quad, c * dar)
+        if alpha >= 2.0:
+            part_iii = (ren, (c * ln2 / (alpha - 1.0)) * quad)
+        elif alpha > 1.0:
+            part_iii = (ren, (c * c * ln2 / (alpha - 1.0)) * quad)
+        else:
+            part_iii = (ren, quad)
+        for claim_id, (lhs, rhs) in zip(verifier.AUDIT_CLAIMS, (part_i, part_ii, part_iii)):
+            margin = lhs - rhs
+            if not math.isfinite(margin):
+                margin = -math.inf
+            band = comparison_tolerance(lhs, rhs)
+            if margin == -math.inf or -margin > band:
+                status = "fail"
+            elif abs(margin) <= band:
+                status = "equality-attained"
+            else:
+                status = "pass"
+            results.append(ClaimResult(claim_id, p.origin, status, margin,
+                                       {"alpha": alpha, "lhs": lhs, "rhs": rhs}))
+    return results
+
+
+def _reference_audit_corpus(corpus, kinds=None, alpha_grid=verifier.DEFAULT_AUDIT_GRID,
+                            seed=0, log_base=2.0):
+    """Reference: the per-graph loop, one bundle and one solve per graph and kind."""
+    spec = parse_corpus(corpus)
+    use_kinds = [as_kind(k) for k in (kinds or verifier.default_audit_kinds())]
+    counts, retained, graphs, total = {}, [], 0, 0
+    for g in spec.iterate(0, spec.total, seed):
+        graphs += 1
+        bundle = GraphBundle(g, seed)
+        for kind in use_kinds:
+            if kind.tag == "distance" and not (g.is_connected and g.n >= 2):
+                continue
+            if kind.tag != "distance" and g.m == 0:
+                continue
+            spec_ = bundle.spectrum(kind, "canonical" if kind.needs_orientation else None)
+            p = probabilities_from_spectrum(spec_, log_base)
+            for res in _reference_audit_theorem10(p, alpha_grid, log_base):
+                witness = dict(res.witness)
+                witness["matrix"] = str(kind)
+                total += 1
+                by_status = counts.setdefault(res.claim_id, {})
+                by_status[res.status] = by_status.get(res.status, 0) + 1
+                if (res.status in ("fail", "equality-attained")
+                        and len(retained) < verifier.AUDIT_RETAIN_LIMIT):
+                    retained.append(ClaimResult(res.claim_id, bundle.descriptor, res.status,
+                                                res.residual, witness))
+    summary = {cid: {st: by.get(st, 0) for st in verifier.STATUSES}
+               for cid, by in counts.items()}
+    return verifier.AuditReport(spec.text, tuple(str(k) for k in use_kinds),
+                                tuple(float(a) for a in alpha_grid), seed, float(log_base),
+                                graphs, total, tuple(retained), summary)
+
+
+AUDIT_REFERENCE_CASES = [
+    ("all:4", {}),
+    ("trees:6", {}),
+    ("gnp:8,0.5,60", {"seed": 3}),
+    ("all:4", {"kinds": ["skew"]}),
+    ("all:4", {"kinds": ["general-randic:-0.5"]}),
+    ("all:4", {"alpha_grid": (0.5, 1.0, 1.5, 2.0, 3.0)}),
+    ("all:3", {"log_base": math.e}),
+]
+
+
+@pytest.mark.parametrize("corpus,options", AUDIT_REFERENCE_CASES)
+def test_stacked_audit_report_equals_the_per_graph_loop(corpus, options):
+    got = audit_to_object(audit_corpus(corpus, **options))
+    want = audit_to_object(_reference_audit_corpus(corpus, **options))
+    assert got["total_claims"] == want["total_claims"] > 0
+    assert render_json(got) == render_json(want)
+
+
+def test_stacked_audit_retains_the_first_records_in_corpus_order(monkeypatch):
+    grid = (0.5, 1.0, 1.5, 2.0, 3.0)
+    full = _reference_audit_corpus("all:4", alpha_grid=grid)
+    monkeypatch.setattr(verifier, "AUDIT_RETAIN_LIMIT", 7)
+    report = audit_corpus("all:4", alpha_grid=grid)
+    assert report.claims == full.claims[:7]
+    assert report.summary == full.summary and report.total_claims == full.total_claims
+
+
+def test_stacked_audit_encodes_only_graphs_owning_a_retained_record(monkeypatch):
+    calls = []
+    encode = verifier.encode_graph6
+
+    def counting(g):
+        calls.append(g)
+        return encode(g)
+
+    monkeypatch.setattr(verifier, "encode_graph6", counting)
+    report = audit_corpus("all:4")
+    owners = {c.graph for c in report.claims}
+    assert len(calls) == len(owners) < report.total_graphs
+
+
+def test_audit_table_fails_a_non_finite_row_only(monkeypatch):
+    quadratic = verifier.quadratic_entropy
+
+    def poisoned(p):
+        values = quadratic(p)
+        values[1] = math.nan
+        return values
+
+    rows = np.array([[0.6, 0.3, 0.1], [0.5, 0.25, 0.25], [0.7, 0.2, 0.1]])
+    pv = ProbabilityVector(rows, log_base=math.e)
+    clean = verifier.audit_table(pv, (0.5, 1.5, 3.0), log_base=math.e)
+    monkeypatch.setattr(verifier, "quadratic_entropy", poisoned)
+    table = verifier.audit_table(pv, (0.5, 1.5, 3.0), log_base=math.e)
+    untouched = [0, 2]
+    assert np.array_equal(table.status[untouched], clean.status[untouched])
+    assert np.array_equal(table.margin[untouched], clean.margin[untouched])
+    fail = verifier.STATUSES.index("fail")
+    # every claim reading the quadratic entropy fails on row 1; Renyi vs Daroczy does not
+    assert (table.status[1, :, 1:] == fail).all()
+    assert (table.margin[1, :, 1:] == -math.inf).all()
+    assert np.array_equal(table.status[1, :, 0], clean.status[1, :, 0])
+
+
 # corpora
 
 
@@ -328,6 +494,24 @@ def test_corpus_random_access_matches_iteration():
     streamed = [g.edges for g in spec.iterate(0, 12, seed=9)]
     direct = [spec.graph_at(i, seed=9).edges for i in range(12)]
     assert streamed == direct
+
+
+def test_corpus_stacks_decode_every_family_in_corpus_order():
+    from graphent import labeled_graph_from_mask, labeled_tree_from_index
+
+    spec = parse_corpus("all:5")
+    want = [labeled_graph_from_mask(n, mask).edges
+            for n in range(1, 6) for mask in range(2 ** (n * (n - 1) // 2))]
+    assert [g.edges for g in spec.iterate(60, 700)] == want[60:700]  # orders 4 and 5
+    spec = parse_corpus("trees:6")
+    assert [g.edges for g in spec.iterate(500, 1296)] == [
+        labeled_tree_from_index(6, i).edges for i in range(500, 1296)]
+    spec = parse_corpus("gnp:7,0.4,600")
+    assert [g.edges for g in spec.iterate(0, 600, seed=5)] == [
+        random_gnp(7, 0.4, spec._sample_seed(5, i)).edges for i in range(600)]
+    chunks = [np.sort(np.concatenate([positions for _, positions, _ in groups])).tolist()
+              for groups in spec.stacks(0, 600, seed=5)]
+    assert chunks == [list(range(512)), list(range(512, 600))]  # STACK_CHUNK members each
 
 
 def test_gnp_corpus_seed_changes_samples():
@@ -545,11 +729,31 @@ def test_all_graph_scan_groups_by_edge_count_and_scatters_back_in_order():
     assert scan.max_witnesses == ("C~",)           # K4 alone has the top energy
 
 
-def test_all_graph_distance_scan_fails_on_the_first_disconnected_member():
-    from graphent import DisconnectedGraphError
+DOMAIN_MEASURES = ["quadratic:distance", "quadratic:q", "renyi:incidence:0.5", "daroczy:skew:2",
+                   "energy:randic-incidence", "energy:distance", "energy:incidence",
+                   "wiener", "hyper-wiener", "wk:2", "m1", "randic-index:-1"]
 
-    with pytest.raises(DisconnectedGraphError, match="distance matrix requires a connected graph"):
-        scan_extremal("all-graphs", 4, "quadratic:distance")
+
+@pytest.mark.parametrize("measure", DOMAIN_MEASURES)
+def test_all_graph_scan_skips_exactly_the_members_where_the_measure_raises(measure):
+    from graphent import (DisconnectedGraphError, EmptyEdgeSetError, ZeroSpectrumError,
+                          encode_graph6)
+
+    one = resolve_measure(measure)
+    want = {}
+    for g in _members("all-graphs", 4):
+        try:
+            want[encode_graph6(g).decode()] = one(g).hex()
+        except (ZeroSpectrumError, EmptyEdgeSetError, DisconnectedGraphError):
+            pass
+    scan = scan_extremal("all-graphs", 4, measure, keep_ranking=True)
+    assert scan.count == len(want) == len(scan.ranking)
+    assert {d: v.hex() for d, v in scan.ranking} == want
+
+
+def test_scan_with_no_member_in_the_domain_is_an_error():
+    with pytest.raises(ValueError, match="domain of quadratic:q"):
+        scan_extremal("all-graphs", 1, "quadratic:q")
 
 
 def test_scan_encodes_only_witnesses(monkeypatch):
