@@ -307,7 +307,8 @@ def _compute_kind(kind: MatrixKind, loaded: Graph | OrientedGraph, plain: Graph,
         orientation = None
     spectrum = spectrum_of(kind, target)
     pv = probabilities_from_spectrum(spectrum, base)
-    closed = closed_form_parts(kind, target, spectrum=None if kind.tag == "incidence" else spectrum)
+    closed = closed_form_parts(kind, target,
+                               spectrum=None if kind.spec.moment_source else spectrum)
     renyi_rows = []
     daroczy_rows = []
     for a in alphas:

@@ -4,14 +4,21 @@ The direct route turns a spectrum into a probability vector
 (absolute value over absolute sum) and applies an entropy functional:
 quadratic, Renyi of order alpha, Daroczy of order alpha, or Shannon.
 
-The closed route expresses the same quantities through graph invariants
-(edge count, degree sums, distance sums) plus a spectral moment, without
-ever forming the probability vector.  The verifier compares the two
-routes on every graph it sweeps; keeping them independent is the whole
-point.  The routes share inputs (the graph, its spectrum, and its distance
-matrix, computed once per graph as :attr:`Graph.distance_matrix`) but no
-intermediate result: no probability vector, entropy or closed-form term
-passes from one route to the other.
+The closed route reads each kind's row of the catalogue
+(:data:`graphent.matrices.KINDS`): the quadratic entropy is one minus the
+square-sum invariant (degree sums, distance sums) over the squared trace
+sum, and the Renyi and Daroczy entropies take the power sums of the moment
+spectrum divided by the trace sum.  The trace sum is an invariant where
+the row has one (2m, or the vertex count), and the incidence moments come
+from the signless Laplacian, never from the incidence matrix.  Where the
+row has neither, the closed Renyi and Daroczy values repeat the direct
+route's sums over the same spectrum, and only the quadratic entropy,
+through the square-sum invariant, checks anything there.  The
+verifier compares the two routes on every graph it sweeps.  The routes
+share inputs (the graph, its spectrum, and its distance matrix, computed
+once per graph as :attr:`Graph.distance_matrix`) but no intermediate
+result: no probability vector, entropy or closed-form term passes from
+one route to the other.
 
 Logarithm base is 2 unless stated; Daroczy entropy is base-free.
 """
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,15 +35,11 @@ from .errors import (
     AllZeroWeightsError,
     AlphaNonPositiveError,
     AlphaOneError,
-    EmptyEdgeSetError,
-    HypothesisNotMetError,
-    NotOrientedError,
     ZeroSpectrumError,
 )
 from .graphs import Graph, OrientedGraph
-from .matrices import MatrixKind, as_kind, signless_laplacian, spectrum_of
-from .measures import distance_moment, first_zagreb, general_randic_index
-from .spectra import Spectrum, per_member, spectral_moment, sqrt_spectrum, symmetric_eigenvalues
+from .matrices import MatrixKind, as_kind, require_orientation, spectrum_of
+from .spectra import Spectrum, per_member, sqrt_spectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,11 +150,10 @@ def functional_entropy(weights, log_base: float = 2.0) -> float:
 class ClosedFormParts:
     """Invariant-based ingredients for the closed entropy expressions.
 
-    ``trace_sum`` is the total absolute spectral mass, taken from a
-    closed form whenever one exists (2m for the signless Laplacian, the
-    vertex count for the normalized kinds).  ``moment_spectrum`` supplies
-    the alpha-power sums; for the incidence kind it comes from square
-    roots of signless Laplacian eigenvalues rather than from the
+    ``trace_sum`` is the total absolute spectral mass, taken from the
+    kind's trace-sum invariant where it has one.  ``moment_spectrum``
+    supplies the alpha-power sums; for the incidence kind it comes from
+    square roots of signless Laplacian eigenvalues rather than from the
     incidence matrix itself.
     """
 
@@ -162,17 +165,20 @@ class ClosedFormParts:
     def quadratic(self) -> float:
         return self.quadratic_value
 
-    def renyi(self, alpha: float, log_base: float = 2.0) -> float:
+    @cached_property
+    def _normalized(self) -> np.ndarray:
+        # |v| / t: every power of these terms is at most 1, so no order overflows
+        return np.abs(self.moment_spectrum.values) / self.trace_sum
+
+    def _power_sum(self, alpha: float) -> float:
         _check_alpha(alpha)
-        m_alpha = spectral_moment(self.moment_spectrum, alpha)
-        value = math.log(m_alpha) - alpha * math.log(self.trace_sum)
-        return value / ((1.0 - alpha) * math.log(log_base))
+        return float((self._normalized ** alpha).sum())
+
+    def renyi(self, alpha: float, log_base: float = 2.0) -> float:
+        return math.log(self._power_sum(alpha)) / ((1.0 - alpha) * math.log(log_base))
 
     def daroczy(self, alpha: float) -> float:
-        _check_alpha(alpha)
-        m_alpha = spectral_moment(self.moment_spectrum, alpha)
-        ratio = m_alpha / self.trace_sum ** alpha
-        return (ratio - 1.0) / (2.0 ** (1.0 - alpha) - 1.0)
+        return (self._power_sum(alpha) - 1.0) / (2.0 ** (1.0 - alpha) - 1.0)
 
 
 def closed_form_parts(
@@ -182,68 +188,30 @@ def closed_form_parts(
     spectrum: Spectrum | None = None,
     q_spectrum: Spectrum | None = None,
 ) -> ClosedFormParts:
-    """Assemble the closed-route ingredients for one matrix kind.
+    """Assemble the closed-route ingredients for one matrix kind from its
+    row of :data:`graphent.matrices.KINDS`.
 
     ``spectrum`` lets callers reuse an already-computed spectrum for the
     moment terms; ``q_spectrum`` likewise for the signless Laplacian
-    eigenvalues behind the incidence route.  Raises
-    :class:`ZeroSpectrumError` when the spectrum would be identically
-    zero, so the closed route refuses exactly where the direct route does.
+    eigenvalues behind the incidence route.  Outside the row's hypothesis
+    raises the row's refusal (:class:`ZeroSpectrumError` where the
+    spectrum would be identically zero), so the closed route refuses
+    exactly where the direct route does.
     """
     kind = as_kind(kind)
+    row = kind.spec
     plain = g.underlying if isinstance(g, OrientedGraph) else g
-    n, m = plain.n, plain.m
-
-    if kind.needs_orientation and not isinstance(g, OrientedGraph):
-        raise NotOrientedError(f"{kind} requires an oriented graph")
-
-    if kind.tag == "q" and m == 0:
-        raise EmptyEdgeSetError("closed form divides by 4m^2 and the graph has no edges")
-    if kind.tag == "incidence" and m == 0:
-        raise EmptyEdgeSetError("incidence closed form needs at least one edge")
-    if kind.tag in ("norm-l", "norm-q") and plain.non_isolated_count != n:
-        raise HypothesisNotMetError("normalized closed form needs every vertex non-isolated")
-    if kind.tag == "distance" and n < 2:
-        raise ZeroSpectrumError("distance spectrum of a single vertex is zero")
-    if kind.tag not in ("q", "incidence", "norm-l", "norm-q", "distance") and m == 0:
-        raise ZeroSpectrumError(f"spectrum of {kind} is identically zero without edges")
-
-    if kind.tag == "incidence":
-        qs = q_spectrum
-        if qs is None:
-            qs = symmetric_eigenvalues(signless_laplacian(plain), source="q")
-        ms = sqrt_spectrum(qs, source="incidence")
-        t = ms.sum()
-        return ClosedFormParts(kind, 1.0 - 2.0 * m / (t * t), t, ms)
-
-    ms = spectrum if spectrum is not None else spectrum_of(kind, g)
-
-    if kind.tag == "q":
-        t = 2.0 * m
-        square_sum = first_zagreb(plain) + 2.0 * m
-    elif kind.tag in ("norm-l", "norm-q"):
-        t = float(n)
-        square_sum = n + 2.0 * general_randic_index(plain, -1.0)
-    elif kind.tag == "distance":
-        t = ms.abs_sum()
-        square_sum = 4.0 * distance_moment(plain, 2)
-    elif kind.tag == "skew":
-        t = ms.abs_sum()
-        square_sum = 2.0 * m
-    elif kind.tag == "randic":
-        t = ms.abs_sum()
-        square_sum = 2.0 * general_randic_index(plain, -1.0)
-    elif kind.tag == "randic-incidence":
-        t = ms.abs_sum()
-        square_sum = float(plain.non_isolated_count)
-    elif kind.tag == "skew-randic":
-        t = ms.abs_sum()
-        square_sum = 2.0 * general_randic_index(plain, -1.0)
+    require_orientation(kind, g)
+    if not row.hypothesis(plain):
+        error, reason = row.refusal
+        raise error(reason.format(kind=kind))
+    if row.moment_source is None:
+        ms = spectrum if spectrum is not None else spectrum_of(kind, g)
     else:
-        t = ms.abs_sum()
-        square_sum = 2.0 * general_randic_index(plain, 2.0 * kind.beta)
-
-    return ClosedFormParts(kind, 1.0 - square_sum / (t * t), t, ms)
+        qs = q_spectrum if q_spectrum is not None else spectrum_of(row.moment_source, plain)
+        ms = sqrt_spectrum(qs, source=str(kind))
+    t = ms.abs_sum() if row.trace is None else row.trace(plain)
+    return ClosedFormParts(kind, 1.0 - row.square_sum(plain, kind) / (t * t), t, ms)
 
 
 def closed_form(

@@ -17,6 +17,12 @@ Every matrix family the package knows about is addressed by a
 Edge columns of incidence matrices follow the sorted edge order of the
 graph, so incidence-based spectra are reproducible across runs.
 
+Each tag has one :class:`KindSpec` row in :data:`KINDS`, the catalogue the
+rest of the package reads: the kind's domain (orientation, an edge column,
+connectivity, and the closed form's own hypothesis with the error it
+raises), its trace sum, its square-sum invariant, and the spectrum its
+closed-form moments come from.
+
 Matrices are built in stacks: :func:`build_stack` takes an order n and a
 ``(B, m, 2)`` stack of edges (arcs for the oriented kinds) and returns one
 matrix per row, and :func:`spectrum_stack` solves the whole stack at once.
@@ -27,28 +33,23 @@ the same code, so a graph's matrix and spectrum equal its row in any stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyEdgeSetError, NotOrientedError
+from . import measures
+from .errors import (
+    EmptyEdgeSetError,
+    HypothesisNotMetError,
+    NotOrientedError,
+    ZeroSpectrumError,
+)
 from .graphs import Graph, OrientedGraph, adjacency_stack, distance_stack
 from .spectra import (
     Spectrum,
     singular_values,
     skew_absolute_eigenvalues,
     symmetric_eigenvalues,
-)
-
-_SIMPLE_TAGS = (
-    "q",
-    "norm-l",
-    "norm-q",
-    "incidence",
-    "distance",
-    "skew",
-    "randic",
-    "randic-incidence",
-    "skew-randic",
 )
 
 
@@ -60,14 +61,13 @@ class MatrixKind:
     beta: float | None = None
 
     def __post_init__(self) -> None:
+        if self.tag not in KINDS:
+            raise ValueError(f"unknown matrix kind {self.tag!r}")
         if self.tag == "general-randic":
             if self.beta is None:
                 raise ValueError("general-randic requires an exponent")
-        elif self.tag in _SIMPLE_TAGS:
-            if self.beta is not None:
-                raise ValueError(f"{self.tag} does not take an exponent")
-        else:
-            raise ValueError(f"unknown matrix kind {self.tag!r}")
+        elif self.beta is not None:
+            raise ValueError(f"{self.tag} does not take an exponent")
 
     def __str__(self) -> str:
         if self.tag == "general-randic":
@@ -75,18 +75,92 @@ class MatrixKind:
         return self.tag
 
     @property
+    def spec(self) -> KindSpec:
+        """This kind's row of :data:`KINDS`."""
+        return KINDS[self.tag]
+
+    @property
     def needs_orientation(self) -> bool:
-        return self.tag in ("skew", "skew-randic")
+        return self.spec.oriented
 
-    @property
-    def needs_connected(self) -> bool:
-        return self.tag == "distance"
 
-    @property
-    def needs_positive_degrees(self) -> bool:
-        # the normalized Laplacians divide by every vertex degree; the
-        # Randic-weighted families only ever divide by endpoint degrees
-        return self.tag in ("norm-l", "norm-q")
+def _has_edge(g: Graph) -> bool:
+    return g.m >= 1
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """One matrix family's row of the catalogue.
+
+    Domain: an ``oriented`` kind is built from an :class:`OrientedGraph`
+    (else NotOrientedError), an ``edge_column`` kind needs an edge
+    (EmptyEdgeSetError) and a ``connected`` kind a connected graph
+    (DisconnectedGraphError).  Its closed form also needs ``hypothesis``
+    and, where that fails, raises ``refusal``: an error type and a message
+    that may name ``{kind}``.
+
+    Closed route: ``trace`` is the trace-sum invariant, or None where the
+    trace sum is the spectrum's absolute sum; ``square_sum`` is the
+    invariant sum of squared spectral values; the moments come from the
+    kind's own spectrum, or, where ``moment_source`` names a kind, from the
+    square roots of that kind's eigenvalues.
+    """
+
+    square_sum: Callable[[Graph, MatrixKind], float]
+    oriented: bool = False
+    edge_column: bool = False
+    connected: bool = False
+    hypothesis: Callable[[Graph], bool] = _has_edge
+    refusal: tuple[type[Exception], str] = (
+        ZeroSpectrumError, "spectrum of {kind} is identically zero without edges")
+    trace: Callable[[Graph], float] | None = None
+    moment_source: str | None = None
+
+    def builds(self, g: Graph) -> bool:
+        """Whether the matrix of g (oriented, where the kind needs it) exists."""
+        return ((not self.edge_column or g.m >= 1)
+                and (not self.connected or g.is_connected))
+
+    def has_closed_form(self, g: Graph) -> bool:
+        """Whether the closed form applies to g: the matrix exists and the
+        hypothesis holds."""
+        return self.builds(g) and self.hypothesis(g)
+
+
+def _randic_square_sum(g: Graph, kind: MatrixKind) -> float:
+    return 2.0 * measures.general_randic_index(g, -1.0)
+
+
+_NORMALIZED = KindSpec(
+    lambda g, kind: g.non_isolated_count + 2.0 * measures.general_randic_index(g, -1.0),
+    hypothesis=lambda g: g.non_isolated_count == g.n,
+    refusal=(HypothesisNotMetError, "normalized closed form needs every vertex non-isolated"),
+    trace=lambda g: float(g.n))
+
+# In the audit's default order; standard_kinds lists general-randic, which
+# takes an exponent, last.
+KINDS: dict[str, KindSpec] = {
+    "q": KindSpec(
+        lambda g, kind: measures.first_zagreb(g) + 2.0 * g.m,
+        refusal=(EmptyEdgeSetError, "closed form divides by 4m^2 and the graph has no edges"),
+        trace=lambda g: 2.0 * g.m),
+    "norm-l": _NORMALIZED,
+    "norm-q": _NORMALIZED,
+    "incidence": KindSpec(
+        lambda g, kind: 2.0 * g.m, edge_column=True,
+        refusal=(EmptyEdgeSetError, "incidence closed form needs at least one edge"),
+        moment_source="q"),
+    "distance": KindSpec(
+        lambda g, kind: 4.0 * measures.distance_moment(g, 2), connected=True,
+        hypothesis=lambda g: g.n >= 2,
+        refusal=(ZeroSpectrumError, "distance spectrum of a single vertex is zero")),
+    "skew": KindSpec(lambda g, kind: 2.0 * g.m, oriented=True),
+    "randic": KindSpec(_randic_square_sum),
+    "randic-incidence": KindSpec(lambda g, kind: float(g.non_isolated_count), edge_column=True),
+    "general-randic": KindSpec(
+        lambda g, kind: 2.0 * measures.general_randic_index(g, 2.0 * kind.beta)),
+    "skew-randic": KindSpec(_randic_square_sum, oriented=True),
+}
 
 
 def kind_from_string(text: str) -> MatrixKind:
@@ -107,7 +181,7 @@ def as_kind(kind: MatrixKind | str) -> MatrixKind:
 
 def standard_kinds(betas: tuple[float, ...] = ()) -> tuple[MatrixKind, ...]:
     """All simple kinds, plus one general-randic kind per requested exponent."""
-    kinds = [MatrixKind(tag) for tag in _SIMPLE_TAGS]
+    kinds = [MatrixKind(tag) for tag in KINDS if tag != "general-randic"]
     kinds.extend(MatrixKind("general-randic", float(b)) for b in betas)
     return tuple(kinds)
 
@@ -158,7 +232,7 @@ def build_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> np.ndarray
     size, m = edges.shape[:2]
     members = np.arange(size)[:, None]
     tail, head = edges[..., 0], edges[..., 1]
-    if kind.tag in ("incidence", "randic-incidence"):
+    if kind.spec.edge_column:
         if m == 0:
             raise EmptyEdgeSetError("incidence matrix needs at least one edge column")
         out = np.zeros((size, n, m))
@@ -215,50 +289,9 @@ def adjacency(g: Graph) -> np.ndarray:
     return adjacency_stack(g.n, g.edge_array[None])[0]
 
 
-def signless_laplacian(g: Graph) -> np.ndarray:
-    return build("q", g)
-
-
-def normalized_laplacian(g: Graph) -> np.ndarray:
-    return build("norm-l", g)
-
-
-def normalized_signless_laplacian(g: Graph) -> np.ndarray:
-    return build("norm-q", g)
-
-
-def incidence(g: Graph) -> np.ndarray:
-    return build("incidence", g)
-
-
-def randic_incidence(g: Graph) -> np.ndarray:
-    """Incidence rows scaled by 1/sqrt(degree); isolated vertices keep zero rows."""
-    return build("randic-incidence", g)
-
-
-def distance_matrix(g: Graph) -> np.ndarray:
-    return build("distance", g)
-
-
-def general_randic(g: Graph, beta: float) -> np.ndarray:
-    return build(MatrixKind("general-randic", float(beta)), g)
-
-
-def randic_matrix(g: Graph) -> np.ndarray:
-    return build("randic", g)
-
-
-def skew_adjacency(og: OrientedGraph) -> np.ndarray:
-    return build("skew", og)
-
-
-def skew_randic_matrix(og: OrientedGraph) -> np.ndarray:
-    return build("skew-randic", og)
-
-
 def _solve(kind: MatrixKind, matrices: np.ndarray) -> Spectrum:
     label = str(kind)
-    if kind.tag in ("incidence", "randic-incidence"):
+    if kind.spec.edge_column:
         return singular_values(matrices, pad_to=matrices.shape[-2], source=label)
     if kind.needs_orientation:
         return skew_absolute_eigenvalues(matrices, source=label)

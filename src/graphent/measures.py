@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import matrices  # a module import: the kind catalogue in matrices reads this module
 from .graphs import Graph, OrientedGraph
-from .matrices import MatrixKind, as_kind, edge_stack_of, require_orientation, spectrum_stack
 from .spectra import Spectrum, sqrt_spectrum
 
 
@@ -61,26 +61,28 @@ def energy_from_spectrum(spectrum: Spectrum):
     return spectrum.abs_sum()
 
 
-def energy_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> np.ndarray:
+def energy_stack(kind: matrices.MatrixKind | str, n: int, edges: np.ndarray) -> np.ndarray:
     """The energies of every row of a pair stack (see
     :func:`graphent.matrices.build_stack`), as a (B,) array.
 
-    For the plain incidence kind this takes the signless Laplacian route
-    (square roots of its eigenvalues); every other kind sums the absolute
-    values of the spectrum from :func:`graphent.matrices.spectrum_stack`.
+    A kind with a moment source (the plain incidence kind) takes that
+    kind's route: the sum of square roots of its eigenvalues; every other
+    kind sums the absolute values of the spectrum from
+    :func:`graphent.matrices.spectrum_stack`.
     """
-    kind = as_kind(kind)
-    if kind.tag == "incidence":
-        return sqrt_spectrum(spectrum_stack("q", n, edges), source="incidence").sum()
-    return energy_from_spectrum(spectrum_stack(kind, n, edges))
+    kind = matrices.as_kind(kind)
+    source = kind.spec.moment_source
+    if source is not None:
+        return sqrt_spectrum(matrices.spectrum_stack(source, n, edges), source=str(kind)).sum()
+    return energy_from_spectrum(matrices.spectrum_stack(kind, n, edges))
 
 
-def energy(kind: MatrixKind | str, g: Graph | OrientedGraph) -> float:
+def energy(kind: matrices.MatrixKind | str, g: Graph | OrientedGraph) -> float:
     """The energy of a graph with respect to a matrix kind: a batch of one
     of :func:`energy_stack`."""
-    kind = as_kind(kind)
-    require_orientation(kind, g)
-    return float(energy_stack(kind, g.n, edge_stack_of(g))[0])
+    kind = matrices.as_kind(kind)
+    matrices.require_orientation(kind, g)
+    return float(energy_stack(kind, g.n, matrices.edge_stack_of(g))[0])
 
 
 def incidence_energy(g: Graph) -> float:

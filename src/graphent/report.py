@@ -96,9 +96,9 @@ def render_json(value) -> str:
     return "".join(pieces)
 
 
-def _emit(value, pieces: list[str], depth: int) -> None:
-    pad = "  " * depth
-    inner = "  " * (depth + 1)
+def _emit(value, pieces: list[str], depth: int | None) -> None:
+    """Append ``value`` as JSON: indented two spaces per level from
+    ``depth``, or compact (no indent, no newlines) where ``depth`` is None."""
     if value is None:
         pieces.append("null")
     elif value is True:
@@ -111,26 +111,26 @@ def _emit(value, pieces: list[str], depth: int) -> None:
         pieces.append(str(value))
     elif isinstance(value, float):
         pieces.append(format_float(value))
-    elif isinstance(value, dict):
+    elif isinstance(value, (dict, list, tuple)):
+        is_dict = isinstance(value, dict)
+        opening, closing = "{}" if is_dict else "[]"
         if not value:
-            pieces.append("{}")
+            pieces.append(opening + closing)
             return
-        pieces.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            pieces.append(f"{inner}{_escape(str(key))}: ")
-            _emit(item, pieces, depth + 1)
-            pieces.append(",\n" if i + 1 < len(value) else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, item in enumerate(value):
-            pieces.append(inner)
-            _emit(item, pieces, depth + 1)
-            pieces.append(",\n" if i + 1 < len(value) else "\n")
-        pieces.append(pad + "]")
+        if depth is None:
+            inner = outer = ""
+            colon, child = ":", None
+        else:
+            inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+            colon, child = ": ", depth + 1
+        pieces.append(opening)
+        for i, item in enumerate(value.items() if is_dict else value):
+            pieces.append("," + inner if i else inner)
+            if is_dict:
+                key, item = item
+                pieces.append(_escape(str(key)) + colon)
+            _emit(item, pieces, child)
+        pieces.append(outer + closing)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -166,41 +166,9 @@ def _csv_cell(value) -> str:
         return text.strip('"')
     if isinstance(value, (dict, list, tuple)):
         pieces: list[str] = []
-        _emit_compact(value, pieces)
+        _emit(value, pieces, None)
         return "".join(pieces)
     return str(value)
-
-
-def _emit_compact(value, pieces: list[str]) -> None:
-    if isinstance(value, dict):
-        pieces.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                pieces.append(",")
-            pieces.append(_escape(str(key)) + ":")
-            _emit_compact(item, pieces)
-        pieces.append("}")
-    elif isinstance(value, (list, tuple)):
-        pieces.append("[")
-        for i, item in enumerate(value):
-            if i:
-                pieces.append(",")
-            _emit_compact(item, pieces)
-        pieces.append("]")
-    elif isinstance(value, str):
-        pieces.append(_escape(value))
-    elif value is None:
-        pieces.append("null")
-    elif value is True:
-        pieces.append("true")
-    elif value is False:
-        pieces.append("false")
-    elif isinstance(value, int):
-        pieces.append(str(value))
-    elif isinstance(value, float):
-        pieces.append(format_float(value))
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def render_csv(doc: dict) -> str:

@@ -1,14 +1,20 @@
 """Machine verification of the spectral-entropy identities over graph corpora.
 
-Three claim families are checked per graph:
+Three claim families are checked per graph, each read off a catalogue:
 
 * ``identity.*``: the closed entropy expressions agree with the direct
   spectral route, for the quadratic entropy and for the Renyi and Daroczy
   entropies at every requested order;
 * ``trace.*``: the power-sum identities that feed those closed forms
   (sum of signless Laplacian eigenvalues is 2m, and so on);
-* ``bound.*``: the published upper and lower bounds, with their equality
-  characterizations cross-checked in both directions where stated.
+* ``bound.*``: the published upper and lower bounds of :data:`BOUNDS`,
+  with their equality characterizations cross-checked in both directions
+  where stated.
+
+The first two read each kind's row of :data:`graphent.matrices.KINDS`:
+an identity claim applies where its kinds' closed forms do, and a trace
+claim where their matrices exist; the trace and square-sum invariants are
+the row's.  Each bound shares the closed-form hypothesis of one kind.
 
 Every claim produces a :class:`ClaimResult` with status ``pass``, ``fail``,
 ``not-applicable`` (hypothesis unmet), or ``equality-attained`` (the bound
@@ -40,6 +46,7 @@ import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -79,7 +86,15 @@ from .graphs import (
     random_gnp,
     random_orientation,
 )
-from .matrices import MatrixKind, as_kind, build, edge_stack_of, spectrum_of, spectrum_stack
+from .matrices import (
+    KINDS,
+    MatrixKind,
+    as_kind,
+    build,
+    edge_stack_of,
+    spectrum_of,
+    spectrum_stack,
+)
 from .measures import (
     distance_moment,
     energy_stack,
@@ -133,10 +148,10 @@ class ClaimResult:
 class GraphBundle:
     """Per-graph cache shared by the claim checkers.
 
-    Holds the graph6 descriptor, both orientations, and every spectrum,
-    closed form and probability vector computed so far, so a combined
-    equality/trace/bound sweep touches the eigensolver once per matrix and
-    normalizes each spectrum once, whatever the log base.  Passing an
+    Holds the graph6 descriptor, both orientations, and every spectrum and
+    probability vector computed so far, so a combined equality/trace/bound
+    sweep touches the eigensolver once per matrix and normalizes each
+    spectrum once, whatever the log base.  Passing an
     :class:`OrientedGraph` seats its orientation in the ``canonical`` slot.
     """
 
@@ -150,7 +165,6 @@ class GraphBundle:
         self.seed = seed
         self.descriptor = encode_graph6(self.graph).decode("ascii")
         self._spectra: dict[tuple[str, str | None], Spectrum] = {}
-        self._closed: dict[tuple[str, str | None], ClosedFormParts] = {}
         self._probabilities: dict[tuple[str, str | None], ProbabilityVector] = {}
 
     def oriented(self, label: str) -> OrientedGraph:
@@ -181,19 +195,14 @@ class GraphBundle:
         return spec
 
     def closed(self, kind: MatrixKind | str, orientation: str | None = None) -> ClosedFormParts:
+        """The closed-route ingredients, from the cached spectrum of the
+        kind's moment source (the kind itself unless its row names one)."""
         kind = as_kind(kind)
-        key = (str(kind), orientation)
-        parts = self._closed.get(key)
-        if parts is None:
-            target = self._target(kind, orientation)
-            if kind.tag == "incidence":
-                parts = closed_form_parts(kind, target, q_spectrum=self.spectrum("q"))
-            else:
-                parts = closed_form_parts(
-                    kind, target, spectrum=self.spectrum(kind, orientation)
-                )
-            self._closed[key] = parts
-        return parts
+        target = self._target(kind, orientation)
+        source = kind.spec.moment_source
+        if source is None:
+            return closed_form_parts(kind, target, spectrum=self.spectrum(kind, orientation))
+        return closed_form_parts(kind, target, q_spectrum=self.spectrum(source))
 
     def probabilities(self, kind: MatrixKind | str,
                       orientation: str | None = None) -> ProbabilityVector:
@@ -227,6 +236,33 @@ def _ensure_bundle(g: Graph | OrientedGraph, seed: int, bundle: GraphBundle | No
     return bundle if bundle is not None else GraphBundle(g, seed)
 
 
+# Claim families: a family covers the kind of its name, but "normalized"
+# covers both normalized kinds and "general-randic" gives one claim per
+# requested exponent.  An oriented kind is checked under both orientations.
+_FAMILIES = {"normalized": ("norm-l", "norm-q")}
+_IDENTITY_FAMILIES = ("q", "normalized", "incidence", "distance", "skew", "randic",
+                     "randic-incidence", "general-randic", "skew-randic")
+_TRACE_FAMILIES = ("q", "normalized", "skew", "randic", "randic-incidence",
+                  "general-randic", "distance")
+
+
+@lru_cache(maxsize=None)
+def _claim_members(families: tuple[str, ...], betas: tuple[float, ...]
+                   ) -> tuple[tuple[str, tuple[tuple[MatrixKind, str | None], ...]], ...]:
+    """``(name, ((kind, orientation), ...))`` for each claim of the families."""
+    claims = []
+    for family in families:
+        if family == "general-randic":
+            for b in betas:
+                kind = MatrixKind("general-randic", float(b))
+                claims.append((str(kind), ((kind, None),)))
+            continue
+        kinds = [MatrixKind(tag) for tag in _FAMILIES.get(family, (family,))]
+        claims.append((family, tuple((kind, label) for kind in kinds for label in
+                                     (_ORIENTATION_LABELS if kind.needs_orientation else (None,)))))
+    return tuple(claims)
+
+
 def check_equalities(
     g: Graph | OrientedGraph,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
@@ -241,79 +277,65 @@ def check_equalities(
     One claim per identity family: the two normalized kinds aggregate
     into ``identity.normalized``, the two orientations of each skew kind
     aggregate into their family, and each requested exponent adds an
-    ``identity.general-randic:<b>`` claim.  Hypotheses that fail (no
-    edges, isolated vertices, disconnected) yield not-applicable.
+    ``identity.general-randic:<b>`` claim.  A claim is not-applicable
+    where the closed form of one of its kinds does not apply
+    (:meth:`graphent.matrices.KindSpec.has_closed_form`).
     """
     bundle = _ensure_bundle(g, seed, bundle)
-    graph = bundle.graph
-    has_edges = graph.m >= 1
-    full_degree = graph.non_isolated_count == graph.n and graph.m >= 1
-
-    blocks: list[tuple[str, list[tuple[MatrixKind, str | None]], bool]] = [
-        ("identity.q", [(MatrixKind("q"), None)], has_edges),
-        ("identity.normalized",
-         [(MatrixKind("norm-l"), None), (MatrixKind("norm-q"), None)], full_degree),
-        ("identity.incidence", [(MatrixKind("incidence"), None)], has_edges),
-        ("identity.distance", [(MatrixKind("distance"), None)],
-         graph.is_connected and graph.n >= 2),
-        ("identity.skew",
-         [(MatrixKind("skew"), o) for o in _ORIENTATION_LABELS], has_edges),
-        ("identity.randic", [(MatrixKind("randic"), None)], has_edges),
-        ("identity.randic-incidence", [(MatrixKind("randic-incidence"), None)], has_edges),
-    ]
-    for b in betas:
-        kind = MatrixKind("general-randic", float(b))
-        blocks.append((f"identity.{kind}", [(kind, None)], has_edges))
-    blocks.append(("identity.skew-randic",
-                   [(MatrixKind("skew-randic"), o) for o in _ORIENTATION_LABELS], has_edges))
-
     results: list[ClaimResult] = []
-    for claim_id, parts_list, applicable in blocks:
-        if not applicable:
+    for name, members in _claim_members(_IDENTITY_FAMILIES, tuple(betas)):
+        claim_id = f"identity.{name}"
+        if all(kind.spec.has_closed_form(bundle.graph) for kind, _ in members):
+            results.append(_equality_claim(bundle, claim_id, members, alphas, log_base))
+        else:
             results.append(ClaimResult(claim_id, bundle.descriptor, NOT_APPLICABLE))
-            continue
-        results.append(_equality_claim(bundle, claim_id, parts_list, alphas, log_base))
     return results
 
 
 def _equality_claim(
     bundle: GraphBundle,
     claim_id: str,
-    parts_list: list[tuple[MatrixKind, str | None]],
+    members: Sequence[tuple[MatrixKind, str | None]],
     alphas: Sequence[float],
     log_base: float,
 ) -> ClaimResult:
-    worst = 0.0
-    fail_diff = -1.0
-    witness: dict | None = None
+    comparisons = []
     try:
-        for kind, orientation in parts_list:
+        for kind, orientation in members:
             closed = bundle.closed(kind, orientation)
             pv = bundle.probabilities(kind, orientation)
-            comparisons: list[tuple[str, float | None, float, float]] = [
+            rows: list[tuple[str, float | None, float, float]] = [
                 ("quadratic", None, quadratic_entropy(pv), closed.quadratic_value)
             ]
             for a in alphas:
-                comparisons.append(("renyi", a, renyi_entropy(pv, a, log_base),
-                                    closed.renyi(a, log_base)))
-                comparisons.append(("daroczy", a, daroczy_entropy(pv, a), closed.daroczy(a)))
-            for functional, a, direct, closed_value in comparisons:
-                diff = _gap(direct, closed_value)
-                worst = max(worst, diff)
-                if _beyond(diff, comparison_tolerance(direct, closed_value)) and diff > fail_diff:
-                    fail_diff = diff
-                    witness = {
-                        "matrix": str(kind),
-                        "orientation": orientation,
-                        "functional": functional,
-                        "alpha": a,
-                        "direct": direct,
-                        "closed": closed_value,
-                    }
+                rows.append(("renyi", a, renyi_entropy(pv, a, log_base), closed.renyi(a, log_base)))
+                rows.append(("daroczy", a, daroczy_entropy(pv, a), closed.daroczy(a)))
+            for functional, a, direct, closed_value in rows:
+                tol = comparison_tolerance(direct, closed_value)
+                comparisons.append((direct, closed_value, tol, (kind, orientation, functional, a)))
     except (NoConvergenceError, NegativeEigenvalueError) as exc:
         return ClaimResult(claim_id, bundle.descriptor, FAIL, None, {"error": str(exc)})
-    status = FAIL if witness is not None else PASS
-    return ClaimResult(claim_id, bundle.descriptor, status, worst, witness)
+    return _agreement_claim(bundle, claim_id, comparisons, lambda direct, closed, detail: {
+        "matrix": str(detail[0]), "orientation": detail[1], "functional": detail[2],
+        "alpha": detail[3], "direct": direct, "closed": closed})
+
+
+def _agreement_claim(bundle: GraphBundle, claim_id: str, comparisons: list[tuple],
+                     witness: Callable[[float, float, object], dict]) -> ClaimResult:
+    """The residual is the largest gap over ``(a, b, tolerance, detail)``
+    comparisons; the claim fails on the largest gap beyond its tolerance,
+    with ``witness(a, b, detail)`` of that comparison."""
+    worst = 0.0
+    fail_diff = -1.0
+    failing = None
+    for a, b, tol, detail in comparisons:
+        diff = _gap(a, b)
+        worst = max(worst, diff)
+        if _beyond(diff, tol) and diff > fail_diff:
+            fail_diff, failing = diff, (a, b, detail)
+    if failing is None:
+        return ClaimResult(claim_id, bundle.descriptor, PASS, worst)
+    return ClaimResult(claim_id, bundle.descriptor, FAIL, worst, witness(*failing))
 
 
 def check_traces(
@@ -325,57 +347,145 @@ def check_traces(
 ) -> list[ClaimResult]:
     """Verify the power-sum identities behind the closed entropy forms.
 
-    Uses a tighter relative tolerance than the entropy comparisons since
-    both sides are plain sums of squares.
+    ``trace.q.sum`` compares the signless Laplacian's eigenvalue sum with
+    its trace-sum invariant; each ``trace.<family>.square`` compares every
+    member's sum of squared spectral values with its square-sum invariant.
+    A claim is not-applicable where a member's matrix does not exist
+    (:meth:`graphent.matrices.KindSpec.builds`).  Uses a tighter relative
+    tolerance than the entropy comparisons since both sides are plain sums.
     """
     bundle = _ensure_bundle(g, seed, bundle)
     graph = bundle.graph
-    m2 = 2.0 * graph.m
-    r = float(graph.non_isolated_count)
-    r_minus_1 = general_randic_index(graph, -1.0)
-
-    def square_sum(kind: str, orientation: str | None = None) -> float:
-        return spectral_moment(bundle.spectrum(kind, orientation), 2.0)
-
-    claims: list[tuple[str, bool, list[tuple[float, float]]]] = [
-        ("trace.q.sum", True, [(bundle.spectrum("q").sum(), m2)]),
-        ("trace.q.square", True, [(square_sum("q"), first_zagreb(graph) + m2)]),
-        ("trace.normalized.square", True,
-         [(square_sum("norm-l"), r + 2.0 * r_minus_1),
-          (square_sum("norm-q"), r + 2.0 * r_minus_1)]),
-        ("trace.skew.square", True,
-         [(square_sum("skew", o), m2) for o in _ORIENTATION_LABELS]),
-        ("trace.randic.square", True, [(square_sum("randic"), 2.0 * r_minus_1)]),
-        ("trace.randic-incidence.square", graph.m >= 1,
-         [(square_sum("randic-incidence"), r)] if graph.m >= 1 else []),
-    ]
-    for b in betas:
-        kind = MatrixKind("general-randic", float(b))
-        claims.append((f"trace.{kind}.square", True,
-                       [(spectral_moment(bundle.spectrum(kind), 2.0),
-                         2.0 * general_randic_index(graph, 2.0 * float(b)))]))
-    claims.append(("trace.distance.square", graph.is_connected,
-                   [(square_sum("distance"), 4.0 * distance_moment(graph, 2))]
-                   if graph.is_connected else []))
-
-    results: list[ClaimResult] = []
-    for claim_id, applicable, pairs in claims:
-        if not applicable:
+    q = MatrixKind("q")
+    results = [_trace_claim(bundle, "trace.q.sum",
+                            [(bundle.spectrum(q).sum(), q.spec.trace(graph))])]
+    for name, members in _claim_members(_TRACE_FAMILIES, tuple(betas)):
+        claim_id = f"trace.{name}.square"
+        if all(kind.spec.builds(graph) for kind, _ in members):
+            results.append(_trace_claim(bundle, claim_id, [
+                (spectral_moment(bundle.spectrum(kind, label), 2.0),
+                 kind.spec.square_sum(graph, kind)) for kind, label in members]))
+        else:
             results.append(ClaimResult(claim_id, bundle.descriptor, NOT_APPLICABLE))
-            continue
-        worst = 0.0
-        fail_diff = -1.0
-        witness: dict | None = None
-        for observed, expected in pairs:
-            diff = _gap(observed, expected)
-            worst = max(worst, diff)
-            tol = TRACE_REL_TOL * max(1.0, abs(observed), abs(expected))
-            if _beyond(diff, tol) and diff > fail_diff:
-                fail_diff = diff
-                witness = {"observed": observed, "expected": expected}
-        status = FAIL if witness is not None else PASS
-        results.append(ClaimResult(claim_id, bundle.descriptor, status, worst, witness))
     return results
+
+
+def _trace_claim(bundle: GraphBundle, claim_id: str,
+                 pairs: list[tuple[float, float]]) -> ClaimResult:
+    return _agreement_claim(
+        bundle, claim_id,
+        [(observed, expected, TRACE_REL_TOL * max(1.0, abs(observed), abs(expected)), None)
+         for observed, expected in pairs],
+        lambda observed, expected, _: {"observed": observed, "expected": expected})
+
+
+class BoundSpec(NamedTuple):
+    """One published bound.  Its hypothesis is the closed-form hypothesis
+    of the kind ``hypothesis`` names (:data:`graphent.matrices.KINDS`):
+    an edge, a connected pair for ``distance``, every degree positive for
+    the normalized kinds.  Only where it holds, ``pairs`` gives the bound's
+    ``(value, rhs, direction)`` comparisons and ``equality`` its equality
+    characterization (None where the source states none)."""
+
+    claim_id: str
+    hypothesis: str
+    pairs: Callable[[Graph, GraphBundle], list[tuple[float, float, str]]]
+    equality: Callable[[Graph], bool] | None = None
+
+
+def _regular(g: Graph) -> bool:
+    return g.min_degree >= 1 and g.min_degree == g.max_degree
+
+
+def _complete(g: Graph) -> bool:
+    return g.n >= 2 and g.m == g.n * (g.n - 1) // 2
+
+
+def _bidegreed(g: Graph) -> bool:
+    """Two degrees, delta < Delta, with delta * n / (delta + Delta) vertices at Delta."""
+    delta, big_delta = g.min_degree, g.max_degree
+    if len(set(g.degrees)) != 2:
+        return False
+    p_count = sum(1 for d in g.degrees if d == big_delta)
+    return ((delta * g.n) % (delta + big_delta) == 0
+            and p_count == delta * g.n // (delta + big_delta))
+
+
+def _near_matching(g: Graph) -> bool:
+    """Every component is K2, but for one P3 when n is odd."""
+    shapes = [(len(comp), g.edge_count_within(comp)) for comp in g.components]
+    return (all(shape in ((2, 1), (3, 2)) for shape in shapes)
+            and shapes.count((3, 2)) == g.n % 2)
+
+
+def _quadratics(family: str, direction: str, rhs: Callable[[Graph], float]):
+    """Pairs comparing the quadratic entropy of each member of a claim
+    family with ``rhs``."""
+    [(_, members)] = _claim_members((family,), ())
+    return lambda g, b: [(b.quadratic(kind, label), rhs(g), direction) for kind, label in members]
+
+
+def _skew_det_pairs(g: Graph, b: GraphBundle) -> list[tuple[float, float, str]]:
+    pairs = []
+    for label in _ORIENTATION_LABELS:
+        det = abs(determinant(build(MatrixKind("skew"), b.oriented(label))))
+        rhs = 1.0 - 2.0 * g.m / (2.0 * g.m + g.n * (g.n - 1.0) * det ** (2.0 / g.n))
+        pairs.append((b.quadratic("skew", label), rhs, "lower"))
+    return pairs
+
+
+def _q_lower_rhs(g: Graph) -> float:
+    delta, big_delta = g.min_degree, g.max_degree
+    return (1.0 - 1.0 / (2.0 * g.m) - 1.0 / (2.0 * g.n)
+            - (big_delta ** 2 + delta ** 2) / (4.0 * g.n * big_delta * delta))
+
+
+def _randic_incidence_upper_rhs(g: Graph) -> float:
+    n = g.n
+    denom = n * n - 3.0 * n + 4.0 + 2.0 * math.sqrt(2.0 * (n - 1.0) * (n - 2.0))
+    return 1.0 - g.non_isolated_count / denom
+
+
+# The bounds in claim order.  The incidence upper bound's equality case sits
+# outside the domain, so its characterization is the empty family.
+BOUNDS = (
+    BoundSpec("bound.q.upper", "q", _quadratics(
+        "q", "upper", lambda g: 1.0 - 1.0 / (2.0 * g.m) - 1.0 / g.n)),
+    BoundSpec("bound.q.lower", "norm-l", _quadratics(
+        "q", "lower", _q_lower_rhs), lambda g: _regular(g) or _bidegreed(g)),
+    BoundSpec("bound.normalized.lower", "norm-l", _quadratics(
+        "normalized", "lower", lambda g: 1.0 - 2.0 / g.n + (1.0 / (g.n * g.n) if g.n % 2 else 0.0)),
+        _near_matching),
+    BoundSpec("bound.normalized.upper", "norm-l", _quadratics(
+        "normalized", "upper", lambda g: 1.0 - 1.0 / (g.n - 1.0)), _complete),
+    BoundSpec("bound.normalized.degree-lower", "norm-l", _quadratics(
+        "normalized", "lower", lambda g: 1.0 - 1.0 / g.n - 1.0 / (g.n * g.min_degree)), _regular),
+    BoundSpec("bound.normalized.degree-upper", "norm-l", _quadratics(
+        "normalized", "upper", lambda g: 1.0 - 1.0 / g.n - 1.0 / (g.n * g.max_degree)), _regular),
+    BoundSpec("bound.incidence.lower", "incidence", _quadratics(
+        "incidence", "lower", lambda g: 0.0), lambda g: g.m == 1),
+    BoundSpec("bound.incidence.upper", "incidence", _quadratics(
+        "incidence", "upper", lambda g: 1.0 - 1.0 / g.n), lambda g: False),
+    BoundSpec("bound.distance.lower", "distance", _quadratics(
+        "distance", "lower", lambda g: 0.0)),
+    BoundSpec("bound.distance.upper", "distance", _quadratics(
+        "distance", "upper", lambda g: 1.0 - 1.0 / g.n)),
+    BoundSpec("bound.skew.det-lower", "skew", _skew_det_pairs),
+    BoundSpec("bound.skew.upper", "skew", _quadratics(
+        "skew", "upper", lambda g: 1.0 - 1.0 / g.n)),
+    # the degree link between the two skew upper expressions
+    BoundSpec("bound.skew.degree-chain", "skew", lambda g, b: [
+        (1.0 - 2.0 * g.m / (g.n * g.n * g.max_degree), 1.0 - 1.0 / g.n, "lower")]),
+    BoundSpec("bound.randic.upper", "randic", _quadratics(
+        "randic", "upper", lambda g: 1.0 - 1.0 / g.n), lambda g: all(d == 1 for d in g.degrees)),
+    BoundSpec("bound.randic-incidence.lower", "norm-l", _quadratics(
+        "randic-incidence", "lower", lambda g: 1.0 - g.non_isolated_count / g.n),
+        lambda g: g.n == 2 and g.m == 1),
+    BoundSpec("bound.randic-incidence.upper", "randic-incidence", _quadratics(
+        "randic-incidence", "upper", _randic_incidence_upper_rhs), _complete),
+    BoundSpec("bound.skew-randic.upper", "skew-randic", _quadratics(
+        "skew-randic", "upper", lambda g: 1.0 - 1.0 / g.n)),
+)
 
 
 def check_bounds(
@@ -384,7 +494,8 @@ def check_bounds(
     seed: int = 0,
     bundle: GraphBundle | None = None,
 ) -> list[ClaimResult]:
-    """Evaluate the published entropy bounds under their hypotheses.
+    """Evaluate the published entropy bounds (:data:`BOUNDS`) under their
+    hypotheses.
 
     Residual is the slack (distance into the feasible side); a slack below
     minus the comparison tolerance is a violation.  Where the source
@@ -394,174 +505,40 @@ def check_bounds(
     """
     bundle = _ensure_bundle(g, seed, bundle)
     graph = bundle.graph
-    n, m = graph.n, graph.m
-    degs = graph.degrees
-    delta, big_delta = (min(degs), max(degs)) if n else (0, 0)
-    r = graph.non_isolated_count
-    has_edges = m >= 1
-    positive_degrees = delta >= 1
-    regular = positive_degrees and delta == big_delta
-    complete = n >= 2 and m == n * (n - 1) // 2
-    connected = graph.is_connected
-
     results: list[ClaimResult] = []
-
-    def emit(claim_id: str, applicable: bool,
-             pairs: list[tuple[float, float, str]],
-             condition: bool | None) -> None:
-        if not applicable:
-            results.append(ClaimResult(claim_id, bundle.descriptor, NOT_APPLICABLE))
-            return
-        min_slack = math.inf
-        at_value = at_bound = 0.0
-        for value, rhs, direction in pairs:
-            slack = value - rhs if direction == "lower" else rhs - value
-            if not math.isfinite(slack):
-                slack = -math.inf  # a non-finite side fails closed
-            if slack < min_slack:
-                min_slack, at_value, at_bound = slack, value, rhs
-        witness: dict | None = None
-        if _beyond(-min_slack, comparison_tolerance(at_value, at_bound)):
-            status = FAIL
-            witness = {"value": at_value, "bound": at_bound}
-        else:
-            in_band = abs(min_slack) <= EQUALITY_BAND
-            if condition is not None and condition and not in_band:
-                status = FAIL
-                witness = {"value": at_value, "bound": at_bound,
-                           "note": "characterized graph misses equality"}
-            elif condition is not None and in_band and not condition:
-                status = FAIL
-                witness = {"value": at_value, "bound": at_bound,
-                           "note": "equality attained off the characterized family"}
-            else:
-                status = EQUALITY if in_band else PASS
-        results.append(ClaimResult(claim_id, bundle.descriptor, status, min_slack, witness))
-
-    def component_shape() -> tuple[int, int, int]:
-        # counts of (K2 components, P3 components, anything else)
-        k2 = p3 = other = 0
-        for comp in graph.components:
-            ec = graph.edge_count_within(comp)
-            if len(comp) == 2 and ec == 1:
-                k2 += 1
-            elif len(comp) == 3 and ec == 2:
-                p3 += 1
-            else:
-                other += 1
-        return k2, p3, other
-
-    # degree-diagonal plus adjacency
-    if has_edges:
-        i_q = bundle.quadratic("q")
-        emit("bound.q.upper", True,
-             [(i_q, 1.0 - 1.0 / (2.0 * m) - 1.0 / n, "upper")], None)
-        if positive_degrees:
-            rhs = (1.0 - 1.0 / (2.0 * m) - 1.0 / (2.0 * n)
-                   - (big_delta ** 2 + delta ** 2) / (4.0 * n * big_delta * delta))
-            bidegreed = False
-            if len(set(degs)) == 2:
-                p_count = sum(1 for d in degs if d == big_delta)
-                bidegreed = ((delta * n) % (delta + big_delta) == 0
-                             and p_count == delta * n // (delta + big_delta))
-            emit("bound.q.lower", True, [(i_q, rhs, "lower")], regular or bidegreed)
-        else:
-            emit("bound.q.lower", False, [], None)
-    else:
-        emit("bound.q.upper", False, [], None)
-        emit("bound.q.lower", False, [], None)
-
-    # normalized kinds; hypotheses need every degree positive
-    if positive_degrees:
-        norm_values = [bundle.quadratic("norm-l"), bundle.quadratic("norm-q")]
-        low_rhs = 1.0 - 2.0 / n + (1.0 / (n * n) if n % 2 else 0.0)
-        k2_comps, p3_comps, other_comps = component_shape()
-        if n % 2:
-            matched = other_comps == 0 and p3_comps == 1
-        else:
-            matched = other_comps == 0 and p3_comps == 0
-        emit("bound.normalized.lower", True,
-             [(v, low_rhs, "lower") for v in norm_values], matched)
-        emit("bound.normalized.upper", True,
-             [(v, 1.0 - 1.0 / (n - 1.0), "upper") for v in norm_values], complete)
-        emit("bound.normalized.degree-lower", True,
-             [(v, 1.0 - 1.0 / n - 1.0 / (n * delta), "lower") for v in norm_values], regular)
-        emit("bound.normalized.degree-upper", True,
-             [(v, 1.0 - 1.0 / n - 1.0 / (n * big_delta), "upper") for v in norm_values], regular)
-    else:
-        for claim_id in ("bound.normalized.lower", "bound.normalized.upper",
-                         "bound.normalized.degree-lower", "bound.normalized.degree-upper"):
-            emit(claim_id, False, [], None)
-
-    # incidence; the upper equality case sits outside the domain, so the
-    # characterization is the empty family
-    if has_edges:
-        i_inc = bundle.quadratic("incidence")
-        emit("bound.incidence.lower", True, [(i_inc, 0.0, "lower")], m == 1)
-        emit("bound.incidence.upper", True, [(i_inc, 1.0 - 1.0 / n, "upper")], False)
-    else:
-        emit("bound.incidence.lower", False, [], None)
-        emit("bound.incidence.upper", False, [], None)
-
-    # distance
-    dist_ok = connected and n >= 2
-    if dist_ok:
-        i_dist = bundle.quadratic("distance")
-        emit("bound.distance.lower", True, [(i_dist, 0.0, "lower")], None)
-        emit("bound.distance.upper", True, [(i_dist, 1.0 - 1.0 / n, "upper")], None)
-    else:
-        emit("bound.distance.lower", False, [], None)
-        emit("bound.distance.upper", False, [], None)
-
-    # skew family: determinant-based lower bound per orientation, shared
-    # upper bound, and the degree link between the two upper expressions
-    if has_edges:
-        det_pairs = []
-        upper_pairs = []
-        for label in _ORIENTATION_LABELS:
-            value = bundle.quadratic("skew", label)
-            det = abs(determinant(build(MatrixKind("skew"), bundle.oriented(label))))
-            rhs = 1.0 - 2.0 * m / (2.0 * m + n * (n - 1.0) * det ** (2.0 / n))
-            det_pairs.append((value, rhs, "lower"))
-            upper_pairs.append((value, 1.0 - 1.0 / n, "upper"))
-        emit("bound.skew.det-lower", True, det_pairs, None)
-        emit("bound.skew.upper", True, upper_pairs, None)
-        emit("bound.skew.degree-chain", True,
-             [(1.0 - 2.0 * m / (n * n * big_delta), 1.0 - 1.0 / n, "lower")], None)
-    else:
-        emit("bound.skew.det-lower", False, [], None)
-        emit("bound.skew.upper", False, [], None)
-        emit("bound.skew.degree-chain", False, [], None)
-
-    # degree-scaled adjacency
-    if has_edges:
-        emit("bound.randic.upper", True,
-             [(bundle.quadratic("randic"), 1.0 - 1.0 / n, "upper")],
-             all(d == 1 for d in degs))
-    else:
-        emit("bound.randic.upper", False, [], None)
-
-    # degree-scaled incidence; the lower bound needs every vertex covered
-    if has_edges:
-        i_ri = bundle.quadratic("randic-incidence")
-        emit("bound.randic-incidence.lower", r == n,
-             [(i_ri, 1.0 - r / n, "lower")] if r == n else [],
-             n == 2 and m == 1)
-        denom = n * n - 3.0 * n + 4.0 + 2.0 * math.sqrt(2.0 * (n - 1.0) * (n - 2.0))
-        emit("bound.randic-incidence.upper", True, [(i_ri, 1.0 - r / denom, "upper")], complete)
-    else:
-        emit("bound.randic-incidence.lower", False, [], None)
-        emit("bound.randic-incidence.upper", False, [], None)
-
-    # degree-scaled skew adjacency
-    if has_edges:
-        emit("bound.skew-randic.upper", True,
-             [(bundle.quadratic("skew-randic", o), 1.0 - 1.0 / n, "upper")
-              for o in _ORIENTATION_LABELS], None)
-    else:
-        emit("bound.skew-randic.upper", False, [], None)
-
+    for bound in BOUNDS:
+        if not KINDS[bound.hypothesis].has_closed_form(graph):
+            results.append(ClaimResult(bound.claim_id, bundle.descriptor, NOT_APPLICABLE))
+            continue
+        condition = bound.equality(graph) if bound.equality is not None else None
+        results.append(_bound_claim(bundle, bound.claim_id, bound.pairs(graph, bundle),
+                                    condition))
     return results
+
+
+def _bound_claim(bundle: GraphBundle, claim_id: str,
+                 pairs: list[tuple[float, float, str]], condition: bool | None) -> ClaimResult:
+    min_slack = math.inf
+    at_value = at_bound = 0.0
+    for value, rhs, direction in pairs:
+        slack = value - rhs if direction == "lower" else rhs - value
+        if not math.isfinite(slack):
+            slack = -math.inf  # a non-finite side fails closed
+        if slack < min_slack:
+            min_slack, at_value, at_bound = slack, value, rhs
+    witness: dict | None = None
+    in_band = abs(min_slack) <= EQUALITY_BAND
+    if _beyond(-min_slack, comparison_tolerance(at_value, at_bound)):
+        status = FAIL
+        witness = {"value": at_value, "bound": at_bound}
+    elif condition is not None and condition != in_band:
+        status = FAIL
+        witness = {"value": at_value, "bound": at_bound,
+                   "note": "characterized graph misses equality" if condition
+                   else "equality attained off the characterized family"}
+    else:
+        status = EQUALITY if in_band else PASS
+    return ClaimResult(claim_id, bundle.descriptor, status, min_slack, witness)
 
 
 AUDIT_CLAIMS = ("inequality.renyi-daroczy", "inequality.daroczy-quadratic",
@@ -973,14 +950,9 @@ class AuditReport:
 
 
 def default_audit_kinds() -> tuple[MatrixKind, ...]:
-    """The matrix families audited by default: all simple kinds plus the
-    degree-product weighting with exponent one."""
-    return (
-        MatrixKind("q"), MatrixKind("norm-l"), MatrixKind("norm-q"),
-        MatrixKind("incidence"), MatrixKind("distance"), MatrixKind("skew"),
-        MatrixKind("randic"), MatrixKind("randic-incidence"),
-        MatrixKind("general-randic", 1.0), MatrixKind("skew-randic"),
-    )
+    """The matrix families audited by default: every kind of the catalogue,
+    in its order, with exponent one for the degree-product weighting."""
+    return tuple(MatrixKind(tag, 1.0 if tag == "general-randic" else None) for tag in KINDS)
 
 
 def audit_corpus(
@@ -1019,7 +991,7 @@ def audit_corpus(
             graphs += len(positions)
             for k, kind in enumerate(use_kinds):
                 rows = np.flatnonzero(_domain_mask(n, edges, needs_edge=True,
-                                                   needs_connected=kind.needs_connected))
+                                                   needs_connected=kind.spec.connected))
                 if not len(rows):
                     continue
                 pv = probabilities_from_spectrum(spectrum_stack(kind, n, edges[rows]), log_base)
@@ -1193,9 +1165,9 @@ def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
 
     Spectral measures take one stacked build and solve; invariant measures
     map their per-graph function over the stack's graphs.  Entropies need a
-    nonzero spectrum, so an edge; the randic-incidence energy needs an edge
-    column; distance-based measures need a connected graph.  See
-    :func:`resolve_measure` for the grammar.
+    nonzero spectrum, so an edge, and the matrix's domain; energies need
+    the domain of the matrix they solve; distance-based measures need a
+    connected graph.  See :func:`resolve_measure` for the grammar.
     """
     invariant = _invariant_measure(text)
     if invariant is not None:
@@ -1204,9 +1176,9 @@ def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
             needs_connected=text.startswith(_DISTANCE_INVARIANTS))
     if text.startswith("energy:"):
         kind = as_kind(text.split(":", 1)[1])
+        solved = as_kind(kind.spec.moment_source or kind).spec  # the matrix energy_stack solves
         return _StackedMeasure(lambda n, edges: energy_stack(kind, n, edges),
-                               needs_edge=kind.tag == "randic-incidence",
-                               needs_connected=kind.needs_connected)
+                               needs_edge=solved.edge_column, needs_connected=solved.connected)
     for prefix in ("quadratic:", "renyi:", "daroczy:"):
         if text.startswith(prefix):
             rest = text[len(prefix):]
@@ -1222,8 +1194,7 @@ def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
                 functional = renyi_entropy if prefix == "renyi:" else daroczy_entropy
                 values = lambda n, edges: functional(_distribution(kind, n, edges, log_base),
                                                      alpha)
-            return _StackedMeasure(values, needs_edge=True,
-                                   needs_connected=kind.needs_connected)
+            return _StackedMeasure(values, needs_edge=True, needs_connected=kind.spec.connected)
     raise ValueError(f"unknown measure {text!r}")
 
 

@@ -28,7 +28,7 @@ from graphent import (
     symmetric_eigenvalues,
     verify_corpus,
 )
-from graphent.matrices import signless_laplacian
+from graphent.matrices import build
 from graphent.report import audit_to_object, render_json
 
 
@@ -184,7 +184,7 @@ def test_criterion_6_inequality_audit():
 def test_criterion_7_eigensolver_oracles():
     worst_kn = 0.0
     for n in range(3, 11):
-        spec = symmetric_eigenvalues(signless_laplacian(complete_graph(n)))
+        spec = symmetric_eigenvalues(build("q", complete_graph(n)))
         expected = np.array([2.0 * n - 2.0] + [n - 2.0] * (n - 1))
         worst_kn = max(worst_kn, float(np.max(np.abs(spec.values - expected))))
 

@@ -199,18 +199,29 @@ def test_scan_bad_measure_is_usage_error(capsys):
                  "--measure", "zmeasure"]) == 2
 
 
-def test_compute_overflow_is_one_line_error(tmp_path, capsys):
+def _overflow(*args, **kwargs):
+    raise OverflowError("(34, 'Numerical result out of range')")
+
+
+def test_compute_overflow_is_one_line_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "c7.edges"
     path.write_text("".join(f"{i} {(i + 1) % 7}\n" for i in range(7)))
-    assert main(["compute", "--matrix", "q", "--alpha", "400", "--input", str(path)]) == 2
+    argv = ["compute", "--matrix", "q", "--alpha", "400", "--input", str(path)]
+    assert main(argv) == 0  # the closed forms take power sums of terms at most 1
+    assert json.loads(capsys.readouterr().out)["matrices"][0]["kind"] == "q"
+    monkeypatch.setattr("graphent.cli.closed_form_parts", _overflow)
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: OverflowError")
     assert "Traceback" not in captured.err
 
 
-def test_verify_overflow_is_one_line_error(capsys):
-    assert main(["verify", "--corpus", "all:3", "--alpha", "2000"]) == 2
+def test_verify_overflow_is_one_line_error(capsys, monkeypatch):
+    assert main(["verify", "--corpus", "all:4", "--alpha", "400"]) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == 0
+    monkeypatch.setattr("graphent.cli.verify_corpus", _overflow)
+    assert main(["verify", "--corpus", "all:3", "--alpha", "2"]) == 2
     err = capsys.readouterr().err
     assert "error: OverflowError" in err
     assert "Traceback" not in err

@@ -28,6 +28,14 @@ REFERENCE_REPORTS = {
     "audit-readme-p": (
         ["audit", "--p", "0.9,0.1", "--alpha", "0.5", "--log-base", "2.718281828459045"],
         "70b0fdfb099d83cb46df3a03f736d75a1cf8013bb52760bb33f54f139a4fc767"),
+    # CSV: compact JSON witnesses in the last column
+    "audit-all4-csv": (
+        ["audit", "--corpus", "all:4", "--format", "csv", "--log-base", "2.718281828459045",
+         "--seed", "0"],
+        "7e13e0843219068fe0066f79c02bfb81348c7a6a97ed104d4aba53bc60a64c1a"),
+    "verify-all4-csv": (
+        ["verify", "--corpus", "all:4", "--format", "csv", "--beta=-1,-0.5,1", "--seed", "0"],
+        "f5209c6ecca048a89b741d06cc31942d195b04b90e8d734de771923478d6dc7a"),
 }
 
 

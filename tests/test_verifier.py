@@ -13,10 +13,12 @@ from graphent import (
     as_kind,
     audit_corpus,
     audit_theorem10,
+    build,
     canonical_orientation,
     check_bounds,
     check_equalities,
     check_traces,
+    closed_form_parts,
     comparison_tolerance,
     complete_graph,
     daroczy_entropy,
@@ -36,6 +38,7 @@ from graphent import (
     verify_corpus,
 )
 from graphent import graphs as graphs_module
+from graphent import measures
 from graphent import verifier
 from graphent.report import audit_to_object, render_json, verification_to_object
 
@@ -92,6 +95,51 @@ def test_trace_distance_needs_connectivity():
     res = _by_id(check_traces(matching_graph(4)))
     assert res["trace.distance.square"].status == "not-applicable"
     assert res["trace.skew.square"].status == "pass"
+
+
+# each claim's applicability against the route it gates
+
+_BETAS = (-1.0, -0.5, 1.0)
+_GENERAL = tuple(f"general-randic:{b:g}" for b in _BETAS)
+IDENTITY_KINDS = {
+    "identity.q": ("q",), "identity.normalized": ("norm-l", "norm-q"),
+    "identity.incidence": ("incidence",), "identity.distance": ("distance",),
+    "identity.skew": ("skew",), "identity.randic": ("randic",),
+    "identity.randic-incidence": ("randic-incidence",),
+    **{f"identity.{kind}": (kind,) for kind in _GENERAL},
+    "identity.skew-randic": ("skew-randic",),
+}
+TRACE_KINDS = {
+    "trace.q.sum": ("q",), "trace.q.square": ("q",),
+    "trace.normalized.square": ("norm-l", "norm-q"), "trace.skew.square": ("skew",),
+    "trace.randic.square": ("randic",), "trace.randic-incidence.square": ("randic-incidence",),
+    **{f"trace.{kind}.square": (kind,) for kind in _GENERAL},
+    "trace.distance.square": ("distance",),
+}
+
+
+def _route_raises(route, kind, g) -> bool:
+    target = canonical_orientation(g) if as_kind(kind).needs_orientation else g
+    try:
+        route(kind, target)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("corpus", ["all:4", "trees:5"])
+def test_claims_are_not_applicable_exactly_where_their_route_raises(corpus):
+    """identity.* against closed_form_parts, trace.* against build."""
+    spec = parse_corpus(corpus)
+    for g in spec.iterate(0, spec.total):
+        for claims, kinds_of, route in (
+                (check_equalities(g, alphas=(2.0,), betas=_BETAS), IDENTITY_KINDS,
+                 closed_form_parts),
+                (check_traces(g, betas=_BETAS), TRACE_KINDS, build)):
+            assert [r.claim_id for r in claims] == list(kinds_of)
+            for claim in claims:
+                raises = any(_route_raises(route, kind, g) for kind in kinds_of[claim.claim_id])
+                assert (claim.status == "not-applicable") == raises, (claim.claim_id, g.edges)
 
 
 def test_bounds_hold_on_assorted_graphs():
@@ -226,7 +274,7 @@ def test_equality_claims_fail_on_non_finite_closed_form(monkeypatch, bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_trace_claims_fail_on_non_finite_sides(monkeypatch, bad):
-    monkeypatch.setattr(verifier, "first_zagreb", lambda g: bad)
+    monkeypatch.setattr(measures, "first_zagreb", lambda g: bad)
     res = _by_id(check_traces(path_graph(4)))
     claim = res["trace.q.square"]
     assert claim.status == "fail" and claim.residual == math.inf
