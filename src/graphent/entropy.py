@@ -8,13 +8,14 @@ The closed route reads each kind's row of the catalogue
 (:data:`graphent.matrices.KINDS`): the quadratic entropy is one minus the
 square-sum invariant (degree sums, distance sums) over the squared trace
 sum, and the Renyi and Daroczy entropies take the power sums of the moment
-spectrum divided by the trace sum.  The trace sum is an invariant where
-the row has one (2m, or the vertex count), and the incidence moments come
-from the signless Laplacian, never from the incidence matrix.  Where the
-row has neither, the closed Renyi and Daroczy values repeat the direct
-route's sums over the same spectrum, and only the quadratic entropy,
-through the square-sum invariant, checks anything there.  The
-verifier compares the two routes on every graph it sweeps.  The routes
+spectrum divided by the trace sum, each as a log-sum-exp of
+alpha * log(|v| / t), so no order overflows or underflows them.  The trace
+sum is an invariant where the row has one (2m, or the vertex count), and
+the incidence moments come from the signless Laplacian, never from the
+incidence matrix.  Where the row has neither, the closed Renyi and
+Daroczy values read the same spectrum as the direct route, through
+different arithmetic.  The verifier compares the two routes on every
+graph it sweeps.  The routes
 share inputs (the graph, its spectrum, and its distance matrix, computed
 once per graph as :attr:`Graph.distance_matrix`) but no intermediate
 result: no probability vector, entropy or closed-form term passes from
@@ -166,19 +167,26 @@ class ClosedFormParts:
         return self.quadratic_value
 
     @cached_property
-    def _normalized(self) -> np.ndarray:
-        # |v| / t: every power of these terms is at most 1, so no order overflows
-        return np.abs(self.moment_spectrum.values) / self.trace_sum
+    def _log_terms(self) -> tuple[float, np.ndarray]:
+        # log(|v| / t) of the nonzero moments, as the largest and each one's
+        # excess over it; zeros add nothing to a power sum
+        v = np.abs(self.moment_spectrum.values)
+        logs = np.log(v[v > 0]) - math.log(self.trace_sum)
+        top = float(logs.max())
+        return top, logs - top
 
-    def _power_sum(self, alpha: float) -> float:
+    def _log_power_sum(self, alpha: float) -> float:
+        """log of the sum of (|v| / t)^alpha, as a log-sum-exp: no order
+        overflows or underflows it."""
         _check_alpha(alpha)
-        return float((self._normalized ** alpha).sum())
+        top, excess = self._log_terms
+        return alpha * top + math.log(float(np.exp(alpha * excess).sum()))
 
     def renyi(self, alpha: float, log_base: float = 2.0) -> float:
-        return math.log(self._power_sum(alpha)) / ((1.0 - alpha) * math.log(log_base))
+        return self._log_power_sum(alpha) / ((1.0 - alpha) * math.log(log_base))
 
     def daroczy(self, alpha: float) -> float:
-        return (self._power_sum(alpha) - 1.0) / (2.0 ** (1.0 - alpha) - 1.0)
+        return (math.exp(self._log_power_sum(alpha)) - 1.0) / (2.0 ** (1.0 - alpha) - 1.0)
 
 
 def closed_form_parts(

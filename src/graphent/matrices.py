@@ -26,14 +26,16 @@ closed-form moments come from.
 Matrices are built in stacks: :func:`build_stack` takes an order n and a
 ``(B, m, 2)`` stack of edges (arcs for the oriented kinds) and returns one
 matrix per row, and :func:`spectrum_stack` solves the whole stack at once.
-The per-graph :func:`build` and :func:`spectrum_of` are a batch of one of
-the same code, so a graph's matrix and spectrum equal its row in any stack.
+:func:`build_graphs` and :func:`spectrum_graphs` do the same for a list of
+graphs, and the per-graph :func:`build` and :func:`spectrum_of` are a
+batch of one of the same code, so a graph's matrix and spectrum equal its
+row in any stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -268,21 +270,29 @@ def build_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> np.ndarray
     return out
 
 
-def build(kind: MatrixKind | str, g: Graph | OrientedGraph) -> np.ndarray:
-    """Build the matrix of the given kind for a graph: a batch of one of
-    :func:`build_stack`.
+def build_graphs(kind: MatrixKind | str,
+                 graphs: Sequence[Graph | OrientedGraph]) -> np.ndarray:
+    """One matrix of the given kind per graph, for graphs of one order and
+    edge count: the stack :func:`build_stack` builds from their pairs.
 
-    Oriented kinds require an :class:`OrientedGraph`; all others accept
-    either and use the underlying simple graph.  The distance kind reads the
-    graph's cached :attr:`Graph.distance_matrix`, which the same kernel
-    computes once per graph.
+    Oriented kinds require each graph to be an :class:`OrientedGraph`; all
+    others accept either and use the underlying simple graphs.  The
+    distance kind stacks each graph's cached :attr:`Graph.distance_matrix`,
+    which the same kernel computes once per graph.
     """
     kind = as_kind(kind)
-    require_orientation(kind, g)
+    for g in graphs:
+        require_orientation(kind, g)
     if kind.tag == "distance":
-        plain = g.underlying if isinstance(g, OrientedGraph) else g
-        return plain.distance_matrix.astype(float)
-    return build_stack(kind, g.n, edge_stack_of(g))[0]
+        return np.stack([(g.underlying if isinstance(g, OrientedGraph) else g).distance_matrix
+                         for g in graphs]).astype(float)
+    return build_stack(kind, graphs[0].n, np.concatenate([edge_stack_of(g) for g in graphs]))
+
+
+def build(kind: MatrixKind | str, g: Graph | OrientedGraph) -> np.ndarray:
+    """Build the matrix of the given kind for a graph: a batch of one of
+    :func:`build_graphs`."""
+    return build_graphs(kind, [g])[0]
 
 
 def adjacency(g: Graph) -> np.ndarray:
@@ -316,3 +326,11 @@ def spectrum_of(kind: MatrixKind | str, g: Graph | OrientedGraph) -> Spectrum:
     """
     kind = as_kind(kind)
     return _solve(kind, build(kind, g))
+
+
+def spectrum_graphs(kind: MatrixKind | str, graphs: Sequence[Graph | OrientedGraph]) -> Spectrum:
+    """The spectra of graphs of one order and edge count, as one ``(B, n)``
+    Spectrum from one stacked build and solve; row i equals
+    :func:`spectrum_of` of ``graphs[i]`` bit for bit."""
+    kind = as_kind(kind)
+    return _solve(kind, build_graphs(kind, graphs))

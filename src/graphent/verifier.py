@@ -30,8 +30,11 @@ distribution and grid point, and :func:`audit_theorem10` is a stack of one.
 Corpora are described by compact strings: ``all:<n>`` sweeps every labeled
 graph on 1..n vertices, ``trees:<n>`` every labeled tree on exactly n, and
 ``gnp:<n>,<p>,<count>`` draws seeded random graphs.  A corpus decodes a
-chunk at a time into sorted-edge stacks (:meth:`CorpusSpec.stacks`); the
-verify loop reads the same chunks as graphs, one at a time.  Reports are
+chunk at a time into sorted-edge stacks (:meth:`CorpusSpec.stacks`).  The
+verify loop cuts each edge-count group into stacks of at most
+:data:`VERIFY_STACK_ENTRIES` matrix entries (:meth:`GraphBundle.stack`),
+so each spectrum a claim reads is solved once per stack, and then checks
+the claims graph by graph.  Reports are
 deterministic: reruns, and runs with different worker counts, produce
 byte-identical serializations.
 """
@@ -43,6 +46,7 @@ import math
 import multiprocessing
 import os
 import time
+import weakref
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -92,6 +96,7 @@ from .matrices import (
     as_kind,
     build,
     edge_stack_of,
+    spectrum_graphs,
     spectrum_of,
     spectrum_stack,
 )
@@ -124,6 +129,10 @@ CHECK_NAMES = ("equalities", "traces", "bounds")
 TRACE_REL_TOL = 1e-9
 TIE_TOL = 1e-9
 AUDIT_RETAIN_LIMIT = 1000
+# Matrix entries per stacked verify build.  An edge-count group of dense
+# graphs would otherwise stack whole incidence matrices: gnp:30,1.0,100
+# peaks at 66 MB uncapped, 36 MB at this cap and 35 MB graph by graph.
+VERIFY_STACK_ENTRIES = 1 << 16
 
 _ORIENTATION_LABELS = ("canonical", "random")
 
@@ -153,6 +162,7 @@ class GraphBundle:
     sweep touches the eigensolver once per matrix and normalizes each
     spectrum once, whatever the log base.  Passing an
     :class:`OrientedGraph` seats its orientation in the ``canonical`` slot.
+    Bundles made together by :meth:`stack` also share their solves.
     """
 
     def __init__(self, g: Graph | OrientedGraph, seed: int = 0):
@@ -166,6 +176,19 @@ class GraphBundle:
         self.descriptor = encode_graph6(self.graph).decode("ascii")
         self._spectra: dict[tuple[str, str | None], Spectrum] = {}
         self._probabilities: dict[tuple[str, str | None], ProbabilityVector] = {}
+        self._stack: list[weakref.ref[GraphBundle]] = []
+
+    @classmethod
+    def stack(cls, graphs: Sequence[Graph], seed: int = 0) -> list[GraphBundle]:
+        """Bundles for graphs of one order and edge count.  The first request
+        for a spectrum solves it for every bundle of the stack whose matrix
+        exists, in one stacked build and solve, bit for bit the per-graph
+        spectra; a stacked solve that raises leaves each graph to its own."""
+        bundles = [cls(g, seed) for g in graphs]
+        refs = [weakref.ref(bundle) for bundle in bundles]  # no cycle keeps a stack alive
+        for bundle in bundles:
+            bundle._stack = refs
+        return bundles
 
     def oriented(self, label: str) -> OrientedGraph:
         og = self._oriented.get(label)
@@ -188,11 +211,23 @@ class GraphBundle:
     def spectrum(self, kind: MatrixKind | str, orientation: str | None = None) -> Spectrum:
         kind = as_kind(kind)
         key = (str(kind), orientation)
-        spec = self._spectra.get(key)
-        if spec is None:
-            spec = spectrum_of(kind, self._target(kind, orientation))
-            self._spectra[key] = spec
-        return spec
+        if key not in self._spectra:
+            self._solve(kind, orientation, key)
+        return self._spectra[key]
+
+    def _solve(self, kind: MatrixKind, orientation: str | None, key: tuple) -> None:
+        rows = [b for b in (ref() for ref in self._stack)
+                if b is not None and key not in b._spectra and kind.spec.builds(b.graph)]
+        if self in rows:
+            try:
+                spectra = spectrum_graphs(kind, [b._target(kind, orientation) for b in rows])
+            except (NoConvergenceError, NegativeEigenvalueError):
+                pass  # each graph then solves, and reports, its own
+            else:
+                for b, values in zip(rows, spectra.values):
+                    b._spectra[key] = Spectrum(values, spectra.kind, spectra.source)
+                return
+        self._spectra[key] = spectrum_of(kind, self._target(kind, orientation))
 
     def closed(self, kind: MatrixKind | str, orientation: str | None = None) -> ClosedFormParts:
         """The closed-route ingredients, from the cached spectrum of the
@@ -230,10 +265,6 @@ def _beyond(gap: float, tol: float) -> bool:
     """gap > tol, failing closed: an infinite gap is beyond any tolerance,
     including the inf or NaN tolerance a non-finite side produces."""
     return gap == math.inf or gap > tol
-
-
-def _ensure_bundle(g: Graph | OrientedGraph, seed: int, bundle: GraphBundle | None) -> GraphBundle:
-    return bundle if bundle is not None else GraphBundle(g, seed)
 
 
 # Claim families: a family covers the kind of its name, but "normalized"
@@ -281,7 +312,7 @@ def check_equalities(
     where the closed form of one of its kinds does not apply
     (:meth:`graphent.matrices.KindSpec.has_closed_form`).
     """
-    bundle = _ensure_bundle(g, seed, bundle)
+    bundle = bundle or GraphBundle(g, seed)
     results: list[ClaimResult] = []
     for name, members in _claim_members(_IDENTITY_FAMILIES, tuple(betas)):
         claim_id = f"identity.{name}"
@@ -354,7 +385,7 @@ def check_traces(
     (:meth:`graphent.matrices.KindSpec.builds`).  Uses a tighter relative
     tolerance than the entropy comparisons since both sides are plain sums.
     """
-    bundle = _ensure_bundle(g, seed, bundle)
+    bundle = bundle or GraphBundle(g, seed)
     graph = bundle.graph
     q = MatrixKind("q")
     results = [_trace_claim(bundle, "trace.q.sum",
@@ -503,7 +534,7 @@ def check_bounds(
     graphs with the structural property must land inside the equality
     band, and graphs inside the band must have the property.
     """
-    bundle = _ensure_bundle(g, seed, bundle)
+    bundle = bundle or GraphBundle(g, seed)
     graph = bundle.graph
     results: list[ClaimResult] = []
     for bound in BOUNDS:
@@ -709,8 +740,8 @@ class CorpusSpec:
     def iterate(self, start: int, stop: int, seed: int = 0) -> Iterator[Graph]:
         """The graphs at corpus indices [start, stop), in corpus order.
 
-        Each graph is built from its stack row as it is reached, so a sweep
-        holds one graph, and the caches it fills, at a time.
+        Each graph is built from its stack row as it is reached, so a loop
+        over them holds one graph, and the caches it fills, at a time.
         """
         for groups in self.stacks(start, stop, seed):
             rows = sorted((index, group, row) for group, (_, positions, _) in enumerate(groups)
@@ -762,12 +793,12 @@ def parse_corpus(text: str) -> CorpusSpec:
     if not sep:
         raise ValueError(f"corpus {text!r} needs a family prefix like all: or trees:")
     if head == "all":
-        order = _parse_int(rest, "order")
+        order = _parse(rest, "order")
         if not 1 <= order <= 7:
             raise ValueError(f"all:<n> supports 1 <= n <= 7, got {order}")
         return CorpusSpec(text, "all", order)
     if head == "trees":
-        order = _parse_int(rest, "order")
+        order = _parse(rest, "order")
         if not 2 <= order <= 9:
             raise ValueError(f"trees:<n> supports 2 <= n <= 9, got {order}")
         return CorpusSpec(text, "trees", order)
@@ -775,12 +806,9 @@ def parse_corpus(text: str) -> CorpusSpec:
         fields = rest.split(",")
         if len(fields) != 3:
             raise ValueError(f"gnp corpus needs <n>,<p>,<count>, got {rest!r}")
-        order = _parse_int(fields[0], "order")
-        try:
-            prob = float(fields[1])
-        except ValueError:
-            raise ValueError(f"bad edge probability {fields[1]!r}") from None
-        count = _parse_int(fields[2], "count")
+        order = _parse(fields[0], "order")
+        prob = _parse(fields[1], "edge probability", float)
+        count = _parse(fields[2], "count")
         if order < 1:
             raise ValueError(f"gnp order must be positive, got {order}")
         if not 0.0 <= prob <= 1.0:
@@ -791,9 +819,9 @@ def parse_corpus(text: str) -> CorpusSpec:
     raise ValueError(f"unknown corpus family {head!r}")
 
 
-def _parse_int(text: str, what: str) -> int:
+def _parse(text: str, what: str, number: type = int):
     try:
-        return int(text.strip())
+        return number(text.strip())
     except ValueError:
         raise ValueError(f"bad {what} {text!r}") from None
 
@@ -829,22 +857,20 @@ class VerificationReport:
 
 
 def _evaluate_graph(
-    g: Graph,
+    bundle: GraphBundle,
     checks: Sequence[str],
     alphas: Sequence[float],
     betas: Sequence[float],
-    seed: int,
     log_base: float,
 ) -> list[ClaimResult]:
-    bundle = GraphBundle(g, seed)
+    g = bundle.graph
     out: list[ClaimResult] = []
     if "equalities" in checks:
-        out.extend(check_equalities(g, alphas, betas=betas, seed=seed,
-                                    log_base=log_base, bundle=bundle))
+        out.extend(check_equalities(g, alphas, betas=betas, log_base=log_base, bundle=bundle))
     if "traces" in checks:
-        out.extend(check_traces(g, betas=betas, seed=seed, bundle=bundle))
+        out.extend(check_traces(g, betas=betas, bundle=bundle))
     if "bounds" in checks:
-        out.extend(check_bounds(g, seed=seed, bundle=bundle))
+        out.extend(check_bounds(g, bundle=bundle))
     return out
 
 
@@ -854,13 +880,22 @@ def _verify_chunk(args: tuple) -> tuple[int, dict[str, dict[str, int]], list[Cla
     counts: dict[str, dict[str, int]] = {}
     retained: list[ClaimResult] = []
     graphs = 0
-    for g in spec.iterate(start, stop, seed):
-        graphs += 1
-        for res in _evaluate_graph(g, checks, alphas, betas, seed, log_base):
-            by_status = counts.setdefault(res.claim_id, {})
-            by_status[res.status] = by_status.get(res.status, 0) + 1
-            if res.status in (FAIL, EQUALITY):
-                retained.append(res)
+    for groups in spec.stacks(start, stop, seed):
+        kept = []  # (corpus index, record) of the chunk's retained records
+        for n, positions, edges in groups:
+            size = max(1, VERIFY_STACK_ENTRIES // (n * max(n, edges.shape[1])))
+            for lo in range(0, len(positions), size):
+                bundles = GraphBundle.stack(graphs_of_stack(n, edges[lo:lo + size]), seed)
+                for index in positions[lo:lo + size].tolist():
+                    bundle = bundles.pop(0)  # freed, with its caches, once its claims are counted
+                    graphs += 1
+                    for res in _evaluate_graph(bundle, checks, alphas, betas, log_base):
+                        by_status = counts.setdefault(res.claim_id, {})
+                        by_status[res.status] = by_status.get(res.status, 0) + 1
+                        if res.status in (FAIL, EQUALITY):
+                            kept.append((index, res))
+        kept.sort(key=lambda item: item[0])  # corpus order; stable within a graph
+        retained.extend(res for _, res in kept)
     return graphs, counts, retained
 
 
@@ -1135,10 +1170,10 @@ def _invariant_measure(text: str) -> Callable[[Graph], float] | None:
     if text == "hyper-wiener":
         return hyper_wiener_index
     if text.startswith("randic-index:"):
-        beta = _parse_float(text.split(":", 1)[1], "exponent")
+        beta = _parse(text.split(":", 1)[1], "exponent", float)
         return lambda g: general_randic_index(g, beta)
     if text.startswith("wk:"):
-        k = _parse_int(text.split(":", 1)[1], "moment order")
+        k = _parse(text.split(":", 1)[1], "moment order")
         return lambda g: distance_moment(g, k)
     return None
 
@@ -1190,7 +1225,7 @@ def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
                 if not sep:
                     raise ValueError(f"measure {text!r} needs an order, like {prefix}q:2")
                 kind = as_kind(kind_text)
-                alpha = _parse_float(alpha_text, "entropy order")
+                alpha = _parse(alpha_text, "entropy order", float)
                 functional = renyi_entropy if prefix == "renyi:" else daroczy_entropy
                 values = lambda n, edges: functional(_distribution(kind, n, edges, log_base),
                                                      alpha)
@@ -1220,10 +1255,3 @@ def resolve_measure(text: str, *, log_base: float = 2.0) -> Callable[[Graph | Or
 def _distribution(kind: MatrixKind, n: int, edges: np.ndarray,
                   log_base: float) -> ProbabilityVector:
     return probabilities_from_spectrum(spectrum_stack(kind, n, edges), log_base)
-
-
-def _parse_float(text: str, what: str) -> float:
-    try:
-        return float(text.strip())
-    except ValueError:
-        raise ValueError(f"bad {what} {text!r}") from None

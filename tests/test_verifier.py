@@ -38,6 +38,8 @@ from graphent import (
     verify_corpus,
 )
 from graphent import graphs as graphs_module
+from graphent.enumeration import graphs_of_stack
+from graphent.errors import NoConvergenceError
 from graphent import measures
 from graphent import verifier
 from graphent.report import audit_to_object, render_json, verification_to_object
@@ -591,6 +593,59 @@ def test_verify_corpus_worker_reports_are_byte_identical():
     assert solo.total_graphs == 600
     assert render_json(verification_to_object(solo)) == \
         render_json(verification_to_object(duo))
+
+
+@pytest.mark.parametrize("corpus", ["all:4", "gnp:7,0.5,40"])
+def test_stacked_bundles_equal_the_per_graph_checks(corpus):
+    """Bundles of one stack share their solves, and give each graph its
+    per-graph spectra bit for bit and its per-graph claims, residuals
+    included."""
+    spec = parse_corpus(corpus)
+    alphas, betas = (0.5, 2.0, 3.0), (-1.0, 1.0)
+    checked = 0
+    for groups in spec.stacks(0, spec.total, seed=2):
+        for n, _, edges in groups:
+            bundles = GraphBundle.stack(graphs_of_stack(n, edges), seed=2)
+            for bundle in bundles:
+                g = bundle.graph
+                claims = verifier._evaluate_graph(bundle, verifier.CHECK_NAMES, alphas, betas, 2.0)
+                assert claims == (check_equalities(g, alphas, betas=betas, seed=2)
+                                  + check_traces(g, betas=betas, seed=2)
+                                  + check_bounds(g, seed=2)), g.edges
+                alone = GraphBundle(g, 2)
+                for (tag, label), spectrum in bundle._spectra.items():
+                    assert np.array_equal(spectrum.values, alone.spectrum(tag, label).values)
+                checked += 1
+    assert checked == spec.total
+
+
+def test_sweep_leaves_a_failed_stacked_solve_to_the_per_graph_route(monkeypatch):
+    want = render_json(verification_to_object(verify_corpus("all:4", alphas=(2.0,))))
+
+    def refuse(*args, **kwargs):
+        raise NoConvergenceError("stacked solve refused")
+
+    monkeypatch.setattr(verifier, "spectrum_graphs", refuse)
+    assert render_json(verification_to_object(verify_corpus("all:4", alphas=(2.0,)))) == want
+
+
+@pytest.mark.parametrize("checks,unread", [
+    (("traces",), {"incidence"}),
+    (("bounds",), {"general-randic:-1", "general-randic:1"}),
+])
+def test_sweep_solves_only_the_spectra_its_checks_read(monkeypatch, checks, unread):
+    solved = set()
+
+    def spy(solve):
+        def recorded(kind, graphs):
+            solved.add(str(kind))
+            return solve(kind, graphs)
+        return recorded
+
+    monkeypatch.setattr(verifier, "spectrum_graphs", spy(verifier.spectrum_graphs))
+    monkeypatch.setattr(verifier, "spectrum_of", spy(verifier.spectrum_of))
+    verify_corpus("all:4", checks=checks, betas=(-1.0, 1.0))
+    assert "q" in solved and not solved & unread
 
 
 def test_worker_pool_is_capped_by_chunks_and_cpus(monkeypatch):
