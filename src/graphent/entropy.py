@@ -15,11 +15,11 @@ the incidence moments come from the signless Laplacian, never from the
 incidence matrix.  Where the row has neither, the closed Renyi and
 Daroczy values read the same spectrum as the direct route, through
 different arithmetic.  The verifier compares the two routes on every
-graph it sweeps.  The routes
-share inputs (the graph, its spectrum, and its distance matrix, computed
-once per graph as :attr:`Graph.distance_matrix`) but no intermediate
-result: no probability vector, entropy or closed-form term passes from
-one route to the other.
+graph it sweeps.  The routes share inputs (the graph, its spectrum, and
+its distance matrix) but no intermediate result.
+
+Both routes take stacks (:func:`closed_form_stack` reads the invariants of
+an :class:`graphent.matrices.EdgeStack`), and a graph is a stack of one.
 
 Logarithm base is 2 unless stated; Daroczy entropy is base-free.
 """
@@ -39,7 +39,7 @@ from .errors import (
     ZeroSpectrumError,
 )
 from .graphs import Graph, OrientedGraph
-from .matrices import MatrixKind, as_kind, require_orientation, spectrum_of
+from .matrices import EdgeStack, MatrixKind, as_kind, require_orientation, spectrum_of
 from .spectra import Spectrum, per_member, sqrt_spectrum
 
 
@@ -112,20 +112,32 @@ def quadratic_entropy(p: ProbabilityVector):
     return per_member(1.0 - (p.p * p.p).sum(axis=-1))
 
 
-def _log(x):
-    # math.log on each entry: numpy's vectorized log may differ from it in
-    # the last bit, and a stack must reproduce the single-vector values
+def _elementwise(fn, x):
+    # math.log or math.exp on each entry: numpy's may differ in the last bit,
+    # and a stack must reproduce the single-vector values
     if isinstance(x, np.ndarray):
-        return np.array([math.log(v) for v in x.tolist()])
-    return math.log(x)
+        return np.array([fn(v) for v in x.tolist()])
+    return fn(x)
+
+
+def _log_power_sum(p: np.ndarray, alpha: float):
+    """log of the alpha-power sum of p, or of each row of a stack; a sum that
+    underflows (at a large order) as a log-sum-exp of alpha * log p."""
+    power_sum = (p ** alpha).sum(axis=-1)
+    if power_sum.min() >= np.finfo(float).tiny:
+        return _elementwise(math.log, power_sum)
+    low = power_sum < np.finfo(float).tiny
+    with np.errstate(divide="ignore"):  # log 0 = -inf adds nothing to the sum
+        out = np.where(low, np.logaddexp.reduce(alpha * np.log(p), axis=-1),
+                       _elementwise(math.log, np.where(low, 1.0, power_sum)))
+    return out if p.ndim == 2 else float(out)
 
 
 def renyi_entropy(p: ProbabilityVector, alpha: float, log_base: float | None = None):
     """log of the alpha-power sum, scaled by 1/(1 - alpha)."""
     _check_alpha(alpha)
     base = p.log_base if log_base is None else log_base
-    power_sum = (p.p ** alpha).sum(axis=-1)
-    return per_member(_log(power_sum) / ((1.0 - alpha) * math.log(base)))
+    return per_member(_log_power_sum(p.p, alpha) / ((1.0 - alpha) * math.log(base)))
 
 
 def daroczy_entropy(p: ProbabilityVector, alpha: float):
@@ -155,38 +167,66 @@ class ClosedFormParts:
     kind's trace-sum invariant where it has one.  ``moment_spectrum``
     supplies the alpha-power sums; for the incidence kind it comes from
     square roots of signless Laplacian eigenvalues rather than from the
-    incidence matrix itself.
+    incidence matrix itself.  Values are floats, or (B,) arrays for a stack.
     """
 
     kind: MatrixKind
-    quadratic_value: float
-    trace_sum: float
+    quadratic_value: float | np.ndarray
+    trace_sum: float | np.ndarray
     moment_spectrum: Spectrum
 
-    def quadratic(self) -> float:
+    def quadratic(self):
         return self.quadratic_value
 
     @cached_property
-    def _log_terms(self) -> tuple[float, np.ndarray]:
-        # log(|v| / t) of the nonzero moments, as the largest and each one's
-        # excess over it; zeros add nothing to a power sum
-        v = np.abs(self.moment_spectrum.values)
-        logs = np.log(v[v > 0]) - math.log(self.trace_sum)
-        top = float(logs.max())
-        return top, logs - top
+    def _log_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # log(|v| / t) as each member's largest and each one's excess over
+        # it, and which moments are nonzero: zeros add nothing to a power sum
+        v = np.atleast_2d(np.abs(self.moment_spectrum.values))
+        with np.errstate(divide="ignore"):
+            logs = np.log(v) - np.reshape(_elementwise(math.log, self.trace_sum), (-1, 1))
+        top = logs.max(axis=-1, keepdims=True)
+        return top[:, 0], logs - top, v > 0
 
-    def _log_power_sum(self, alpha: float) -> float:
+    def _log_power_sum(self, alpha: float):
         """log of the sum of (|v| / t)^alpha, as a log-sum-exp: no order
         overflows or underflows it."""
         _check_alpha(alpha)
-        top, excess = self._log_terms
-        return alpha * top + math.log(float(np.exp(alpha * excess).sum()))
+        top, excess, nonzero = self._log_terms
+        out = alpha * top + _elementwise(math.log, _nonzero_sums(np.exp(alpha * excess), nonzero))
+        return out if self.moment_spectrum.values.ndim == 2 else float(out[0])
 
-    def renyi(self, alpha: float, log_base: float = 2.0) -> float:
+    def renyi(self, alpha: float, log_base: float = 2.0):
         return self._log_power_sum(alpha) / ((1.0 - alpha) * math.log(log_base))
 
-    def daroczy(self, alpha: float) -> float:
-        return (math.exp(self._log_power_sum(alpha)) - 1.0) / (2.0 ** (1.0 - alpha) - 1.0)
+    def daroczy(self, alpha: float):
+        return ((_elementwise(math.exp, self._log_power_sum(alpha)) - 1.0)
+                / (2.0 ** (1.0 - alpha) - 1.0))
+
+
+def _nonzero_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Each row's sum over its kept entries alone; rows are grouped by how
+    many they keep, so each sums the sequence it would sum by itself."""
+    if keep.all():
+        return terms.sum(axis=-1)
+    counts = keep.sum(axis=-1)
+    out = np.empty(len(terms))
+    for k in np.flatnonzero(np.bincount(counts)).tolist():
+        rows = counts == k
+        out[rows] = terms[rows][keep[rows]].reshape(-1, k).sum(axis=-1)
+    return out
+
+
+def closed_form_stack(kind: MatrixKind | str, stack: EdgeStack, spectrum: Spectrum,
+                      rows) -> ClosedFormParts:
+    """The closed-route ingredients of the members ``rows`` of a stack, under
+    the hypothesis, from their spectra of the kind or its moment source."""
+    kind = as_kind(kind)
+    row = kind.spec
+    moments = sqrt_spectrum(spectrum, source=str(kind)) if row.moment_source else spectrum
+    t = moments.abs_sum() if row.trace is None else row.trace(stack)
+    square_sum = np.broadcast_to(row.square_sum(stack, kind), (len(stack),))[rows]
+    return ClosedFormParts(kind, per_member(1.0 - square_sum / (t * t)), t, moments)
 
 
 def closed_form_parts(
@@ -194,32 +234,25 @@ def closed_form_parts(
     g: Graph | OrientedGraph,
     *,
     spectrum: Spectrum | None = None,
-    q_spectrum: Spectrum | None = None,
 ) -> ClosedFormParts:
-    """Assemble the closed-route ingredients for one matrix kind from its
-    row of :data:`graphent.matrices.KINDS`.
+    """The closed-route ingredients for one graph: a stack of one of
+    :func:`closed_form_stack`.
 
     ``spectrum`` lets callers reuse an already-computed spectrum for the
-    moment terms; ``q_spectrum`` likewise for the signless Laplacian
-    eigenvalues behind the incidence route.  Outside the row's hypothesis
-    raises the row's refusal (:class:`ZeroSpectrumError` where the
-    spectrum would be identically zero), so the closed route refuses
-    exactly where the direct route does.
+    moment terms.  Outside the row's hypothesis raises the row's refusal
+    (:class:`ZeroSpectrumError` where the spectrum would be identically
+    zero), so the closed route refuses exactly where the direct route does.
     """
     kind = as_kind(kind)
     row = kind.spec
-    plain = g.underlying if isinstance(g, OrientedGraph) else g
     require_orientation(kind, g)
-    if not row.hypothesis(plain):
+    stack = EdgeStack.of(g)
+    if not np.all(row.hypothesis(stack)):
         error, reason = row.refusal
         raise error(reason.format(kind=kind))
-    if row.moment_source is None:
-        ms = spectrum if spectrum is not None else spectrum_of(kind, g)
-    else:
-        qs = q_spectrum if q_spectrum is not None else spectrum_of(row.moment_source, plain)
-        ms = sqrt_spectrum(qs, source=str(kind))
-    t = ms.abs_sum() if row.trace is None else row.trace(plain)
-    return ClosedFormParts(kind, 1.0 - row.square_sum(plain, kind) / (t * t), t, ms)
+    if spectrum is None or row.moment_source:
+        spectrum = spectrum_of(row.moment_source or kind, g)
+    return closed_form_stack(kind, stack, spectrum, 0)
 
 
 def closed_form(

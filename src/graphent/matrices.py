@@ -21,33 +21,49 @@ Each tag has one :class:`KindSpec` row in :data:`KINDS`, the catalogue the
 rest of the package reads: the kind's domain (orientation, an edge column,
 connectivity, and the closed form's own hypothesis with the error it
 raises), its trace sum, its square-sum invariant, and the spectrum its
-closed-form moments come from.
+closed-form moments come from, as functions of an :class:`EdgeStack`.
 
 Matrices are built in stacks: :func:`build_stack` takes an order n and a
 ``(B, m, 2)`` stack of edges (arcs for the oriented kinds) and returns one
 matrix per row, and :func:`spectrum_stack` solves the whole stack at once.
-:func:`build_graphs` and :func:`spectrum_graphs` do the same for a list of
-graphs, and the per-graph :func:`build` and :func:`spectrum_of` are a
-batch of one of the same code, so a graph's matrix and spectrum equal its
-row in any stack.
+An :class:`EdgeStack` is such a stack of graphs with the invariants and
+spectra the claims read of it, each computed once.  The per-graph
+:func:`build` and :func:`spectrum_of` are a batch of one of the same code,
+so a graph's matrix and spectrum equal its row in any stack.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from . import measures
+from .enumeration import graphs_of_stack
 from .errors import (
     EmptyEdgeSetError,
     HypothesisNotMetError,
+    NegativeEigenvalueError,
+    NoConvergenceError,
     NotOrientedError,
     ZeroSpectrumError,
 )
-from .graphs import Graph, OrientedGraph, adjacency_stack, distance_stack
+from .formats import encode_graph6
+from .graphs import (
+    Graph,
+    OrientedGraph,
+    adjacency_stack,
+    connected_stack,
+    distance_stack,
+    random_orientation,
+)
 from .spectra import (
+    ABSOLUTE_EIGENVALUES,
+    EIGENVALUES,
+    SINGULAR_VALUES,
     Spectrum,
     singular_values,
     skew_absolute_eigenvalues,
@@ -86,8 +102,8 @@ class MatrixKind:
         return self.spec.oriented
 
 
-def _has_edge(g: Graph) -> bool:
-    return g.m >= 1
+def _has_edge(s: EdgeStack) -> bool:
+    return s.m >= 1
 
 
 @dataclass(frozen=True)
@@ -105,62 +121,62 @@ class KindSpec:
     trace sum is the spectrum's absolute sum; ``square_sum`` is the
     invariant sum of squared spectral values; the moments come from the
     kind's own spectrum, or, where ``moment_source`` names a kind, from the
-    square roots of that kind's eigenvalues.
+    square roots of that kind's eigenvalues.  ``hypothesis``, ``trace``
+    and ``square_sum`` give a value per member of an :class:`EdgeStack`.
     """
 
-    square_sum: Callable[[Graph, MatrixKind], float]
+    square_sum: Callable[[EdgeStack, MatrixKind], np.ndarray | float]
     oriented: bool = False
     edge_column: bool = False
     connected: bool = False
-    hypothesis: Callable[[Graph], bool] = _has_edge
+    hypothesis: Callable[[EdgeStack], np.ndarray | bool] = _has_edge
     refusal: tuple[type[Exception], str] = (
         ZeroSpectrumError, "spectrum of {kind} is identically zero without edges")
-    trace: Callable[[Graph], float] | None = None
+    trace: Callable[[EdgeStack], float] | None = None
     moment_source: str | None = None
 
-    def builds(self, g: Graph) -> bool:
-        """Whether the matrix of g (oriented, where the kind needs it) exists."""
-        return ((not self.edge_column or g.m >= 1)
-                and (not self.connected or g.is_connected))
+    def builds(self, s: EdgeStack) -> np.ndarray:
+        """Which members' matrices exist, as a (B,) bool array."""
+        exists = np.full(len(s), not self.edge_column or s.m >= 1)
+        return exists & s.connected if self.connected else exists
 
-    def has_closed_form(self, g: Graph) -> bool:
-        """Whether the closed form applies to g: the matrix exists and the
-        hypothesis holds."""
-        return self.builds(g) and self.hypothesis(g)
+    def has_closed_form(self, s: EdgeStack) -> np.ndarray:
+        """Which members have the matrix and meet the hypothesis."""
+        return self.builds(s) & self.hypothesis(s)
 
 
-def _randic_square_sum(g: Graph, kind: MatrixKind) -> float:
-    return 2.0 * measures.general_randic_index(g, -1.0)
+def _randic_square_sum(s: EdgeStack, kind: MatrixKind) -> np.ndarray:
+    return 2.0 * measures.general_randic_stack(s.degrees, s.edges, -1.0)
 
 
 _NORMALIZED = KindSpec(
-    lambda g, kind: g.non_isolated_count + 2.0 * measures.general_randic_index(g, -1.0),
-    hypothesis=lambda g: g.non_isolated_count == g.n,
+    lambda s, kind: s.non_isolated + 2.0 * measures.general_randic_stack(s.degrees, s.edges, -1.0),
+    hypothesis=lambda s: s.non_isolated == s.n,
     refusal=(HypothesisNotMetError, "normalized closed form needs every vertex non-isolated"),
-    trace=lambda g: float(g.n))
+    trace=lambda s: float(s.n))
 
 # In the audit's default order; standard_kinds lists general-randic, which
 # takes an exponent, last.
 KINDS: dict[str, KindSpec] = {
     "q": KindSpec(
-        lambda g, kind: measures.first_zagreb(g) + 2.0 * g.m,
+        lambda s, kind: measures.first_zagreb_stack(s.degrees) + 2.0 * s.m,
         refusal=(EmptyEdgeSetError, "closed form divides by 4m^2 and the graph has no edges"),
-        trace=lambda g: 2.0 * g.m),
+        trace=lambda s: 2.0 * s.m),
     "norm-l": _NORMALIZED,
     "norm-q": _NORMALIZED,
     "incidence": KindSpec(
-        lambda g, kind: 2.0 * g.m, edge_column=True,
+        lambda s, kind: 2.0 * s.m, edge_column=True,
         refusal=(EmptyEdgeSetError, "incidence closed form needs at least one edge"),
         moment_source="q"),
     "distance": KindSpec(
-        lambda g, kind: 4.0 * measures.distance_moment(g, 2), connected=True,
-        hypothesis=lambda g: g.n >= 2,
+        lambda s, kind: 4.0 * measures.distance_moment_stack(s.distances, 2), connected=True,
+        hypothesis=lambda s: s.n >= 2,
         refusal=(ZeroSpectrumError, "distance spectrum of a single vertex is zero")),
-    "skew": KindSpec(lambda g, kind: 2.0 * g.m, oriented=True),
+    "skew": KindSpec(lambda s, kind: 2.0 * s.m, oriented=True),
     "randic": KindSpec(_randic_square_sum),
-    "randic-incidence": KindSpec(lambda g, kind: float(g.non_isolated_count), edge_column=True),
+    "randic-incidence": KindSpec(lambda s, kind: s.non_isolated.astype(float), edge_column=True),
     "general-randic": KindSpec(
-        lambda g, kind: 2.0 * measures.general_randic_index(g, 2.0 * kind.beta)),
+        lambda s, kind: 2.0 * measures.general_randic_stack(s.degrees, s.edges, 2.0 * kind.beta)),
     "skew-randic": KindSpec(_randic_square_sum, oriented=True),
 }
 
@@ -270,29 +286,12 @@ def build_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> np.ndarray
     return out
 
 
-def build_graphs(kind: MatrixKind | str,
-                 graphs: Sequence[Graph | OrientedGraph]) -> np.ndarray:
-    """One matrix of the given kind per graph, for graphs of one order and
-    edge count: the stack :func:`build_stack` builds from their pairs.
-
-    Oriented kinds require each graph to be an :class:`OrientedGraph`; all
-    others accept either and use the underlying simple graphs.  The
-    distance kind stacks each graph's cached :attr:`Graph.distance_matrix`,
-    which the same kernel computes once per graph.
-    """
-    kind = as_kind(kind)
-    for g in graphs:
-        require_orientation(kind, g)
-    if kind.tag == "distance":
-        return np.stack([(g.underlying if isinstance(g, OrientedGraph) else g).distance_matrix
-                         for g in graphs]).astype(float)
-    return build_stack(kind, graphs[0].n, np.concatenate([edge_stack_of(g) for g in graphs]))
-
-
 def build(kind: MatrixKind | str, g: Graph | OrientedGraph) -> np.ndarray:
-    """Build the matrix of the given kind for a graph: a batch of one of
-    :func:`build_graphs`."""
-    return build_graphs(kind, [g])[0]
+    """The matrix of the given kind for a graph: a batch of one of
+    :func:`build_stack`; oriented kinds need an :class:`OrientedGraph`."""
+    kind = as_kind(kind)
+    require_orientation(kind, g)
+    return build_stack(kind, g.n, edge_stack_of(g))[0]
 
 
 def adjacency(g: Graph) -> np.ndarray:
@@ -328,9 +327,97 @@ def spectrum_of(kind: MatrixKind | str, g: Graph | OrientedGraph) -> Spectrum:
     return _solve(kind, build(kind, g))
 
 
-def spectrum_graphs(kind: MatrixKind | str, graphs: Sequence[Graph | OrientedGraph]) -> Spectrum:
-    """The spectra of graphs of one order and edge count, as one ``(B, n)``
-    Spectrum from one stacked build and solve; row i equals
-    :func:`spectrum_of` of ``graphs[i]`` bit for bit."""
-    kind = as_kind(kind)
-    return _solve(kind, build_graphs(kind, graphs))
+class EdgeStack:
+    """B graphs of one order n and edge count m as a ``(B, m, 2)`` sorted-edge
+    stack, with their degrees, connectivity, distance matrices, orientations,
+    spectra and graph6 descriptors, each computed once on first use.  The
+    ``canonical`` orientation is the edges or the ``arcs`` given, the
+    ``random`` one :func:`graphent.graphs.random_orientation` seeded by each
+    descriptor mixed with ``seed``.  A graph is a stack of one (:meth:`of`)."""
+
+    def __init__(self, n: int, edges: np.ndarray, *, arcs: np.ndarray | None = None,
+                 seed: int = 0):
+        self.n, self.edges, self.seed = n, np.asarray(edges, dtype=np.int64), seed
+        self.m = self.edges.shape[1]
+        self._arcs = {"canonical": self.edges if arcs is None else arcs}
+        self._spectra: dict[tuple[str, str | None], tuple[Spectrum, dict[int, Exception]]] = {}
+        self._descriptors: dict[int, str] = {}
+
+    @classmethod
+    def of(cls, g: Graph | OrientedGraph, seed: int = 0) -> EdgeStack:
+        oriented = isinstance(g, OrientedGraph)
+        return cls(g.n, (g.underlying if oriented else g).edge_array[None],
+                   arcs=edge_stack_of(g) if oriented else None, seed=seed)
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return _degrees(self.n, self.edges)
+
+    @cached_property
+    def non_isolated(self) -> np.ndarray:
+        return (self.degrees > 0).sum(axis=-1)
+
+    @cached_property
+    def connected(self) -> np.ndarray:
+        return connected_stack(self.n, self.edges)
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """``(B, n, n)`` shortest-path lengths of the connected members; zero elsewhere."""
+        out = np.zeros((len(self), self.n, self.n))
+        if self.connected.any():
+            out[self.connected] = distance_stack(self.n, self.edges[self.connected])
+        return out
+
+    def descriptor(self, row: int) -> str:
+        if row not in self._descriptors:
+            g = graphs_of_stack(self.n, self.edges[row:row + 1])[0]
+            self._descriptors[row] = encode_graph6(g).decode("ascii")
+        return self._descriptors[row]
+
+    def arcs(self, label: str) -> np.ndarray:
+        """The ``(B, m, 2)`` arcs of the ``canonical`` or ``random`` orientation."""
+        if label == "random" and label not in self._arcs:
+            graphs = graphs_of_stack(self.n, self.edges)
+            self._descriptors = dict(enumerate(encode_graph6(g).decode("ascii") for g in graphs))
+            seeds = [zlib.crc32(d.encode("ascii")) ^ (self.seed & 0xFFFFFFFF)
+                     for d in self._descriptors.values()]
+            self._arcs[label] = np.array([random_orientation(g, seed).arc_array for g, seed
+                                          in zip(graphs, seeds)]).reshape(self.edges.shape)
+        return self._arcs[label]
+
+    def spectrum(self, kind: MatrixKind | str, orientation: str | None = None) -> Spectrum:
+        """``(B, n)`` spectra of the members whose matrix exists, by one stacked
+        solve, else one per member; NaN rows elsewhere and for :meth:`errors`."""
+        return self._solved(as_kind(kind), orientation)[0]
+
+    def errors(self, kind: MatrixKind | str, orientation: str | None = None) -> dict:
+        return self._solved(as_kind(kind), orientation)[1]
+
+    def _solved(self, kind: MatrixKind, orientation: str | None):
+        label = (orientation or "canonical") if kind.needs_orientation else None
+        if (str(kind), label) not in self._spectra:
+            values = np.full((len(self), self.n), np.nan)
+            errors: dict[int, Exception] = {}
+            rows = np.flatnonzero(kind.spec.builds(self))
+            try:
+                values[rows] = self._values(kind, label, rows)
+            except (NoConvergenceError, NegativeEigenvalueError):
+                for row in rows.tolist():
+                    try:
+                        values[row] = self._values(kind, label, [row])[0]
+                    except (NoConvergenceError, NegativeEigenvalueError) as exc:
+                        errors[row] = exc
+            named = (SINGULAR_VALUES if kind.spec.edge_column  # as :func:`_solve` names them
+                     else ABSOLUTE_EIGENVALUES if kind.needs_orientation else EIGENVALUES)
+            self._spectra[str(kind), label] = Spectrum(values, named, str(kind)), errors
+        return self._spectra[str(kind), label]
+
+    def _values(self, kind: MatrixKind, label: str | None, rows) -> np.ndarray:
+        if not len(rows):
+            return np.empty((0, self.n))
+        return _solve(kind, self.distances[rows] if kind.tag == "distance"
+                      else build_stack(kind, self.n, self.arcs(label or "canonical")[rows])).values

@@ -17,34 +17,54 @@ from .graphs import Graph, OrientedGraph
 from .spectra import Spectrum, sqrt_spectrum
 
 
-def first_zagreb(g: Graph) -> float:
-    """Sum of squared vertex degrees."""
-    return float(sum(d * d for d in g.degrees))
+def first_zagreb_stack(degrees: np.ndarray) -> np.ndarray:
+    """Sum of squared vertex degrees, per row of a (B, n) degree stack."""
+    return (degrees * degrees).sum(axis=-1)
 
 
-def general_randic_index(g: Graph, beta: float) -> float:
-    """Sum of (d_u d_v)^beta over edges.
+def general_randic_stack(degrees: np.ndarray, edges: np.ndarray, beta: float) -> np.ndarray:
+    """Sum of (d_u d_v)^beta over the edges of each member, from its (B, n)
+    degrees and (B, m, 2) edges.
 
     beta = -1/2 gives the classic branching index; beta = -1 and
     beta = 1 appear in the closed entropy forms for the degree-weighted
     adjacency families.
     """
-    if g.m == 0:
-        return 0.0
-    d = np.asarray(g.degrees, dtype=float)
-    ea = g.edge_array
-    return float(np.sum((d[ea[:, 0]] * d[ea[:, 1]]) ** beta))
+    members = np.arange(len(edges))[:, None]
+    ends = degrees[members, edges[..., 0]] * degrees[members, edges[..., 1]]
+    return (ends ** beta).sum(axis=-1)
+
+
+def distance_moment_stack(distances: np.ndarray, k: int) -> np.ndarray:
+    """Half the sum of d(u,v)^k over unordered vertex pairs, per member of a
+    (B, n, n) distance stack."""
+    upper = np.triu(np.asarray(distances, dtype=float), 1) ** k
+    return 0.5 * upper.reshape(len(upper), -1).sum(axis=-1)
+
+
+def hyper_wiener_stack(distances: np.ndarray) -> np.ndarray:
+    return 0.5 * (distance_moment_stack(distances, 1) + distance_moment_stack(distances, 2))
+
+
+def first_zagreb(g: Graph) -> float:
+    """Sum of squared vertex degrees: a stack of one, as every per-graph index."""
+    return float(first_zagreb_stack(matrices.EdgeStack.of(g).degrees)[0])
+
+
+def general_randic_index(g: Graph, beta: float) -> float:
+    """Sum of (d_u d_v)^beta over edges; see :func:`general_randic_stack`."""
+    return float(general_randic_stack(matrices.EdgeStack.of(g).degrees, g.edge_array[None],
+                                      beta)[0])
 
 
 def distance_moment(g: Graph, k: int) -> float:
     """Half the sum of d(u,v)^k over unordered vertex pairs; connected only."""
-    return 0.5 * float(np.sum(np.triu(g.distance_matrix, 1).astype(float) ** k))
+    return float(distance_moment_stack(g.distance_matrix[None], k)[0])
 
 
 def distance_moments(g: Graph, ks: tuple[int, ...] = (1, 2)) -> tuple[float, ...]:
     """Several distance moments from the graph's one distance matrix."""
-    dm = np.triu(g.distance_matrix, 1).astype(float)
-    return tuple(0.5 * float(np.sum(dm ** k)) for k in ks)
+    return tuple(distance_moment(g, k) for k in ks)
 
 
 def wiener_index(g: Graph) -> float:
@@ -52,8 +72,7 @@ def wiener_index(g: Graph) -> float:
 
 
 def hyper_wiener_index(g: Graph) -> float:
-    w1, w2 = distance_moments(g, (1, 2))
-    return 0.5 * (w1 + w2)
+    return float(hyper_wiener_stack(g.distance_matrix[None])[0])
 
 
 def energy_from_spectrum(spectrum: Spectrum):

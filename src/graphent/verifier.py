@@ -16,50 +16,46 @@ an identity claim applies where its kinds' closed forms do, and a trace
 claim where their matrices exist; the trace and square-sum invariants are
 the row's.  Each bound shares the closed-form hypothesis of one kind.
 
+Claims are evaluated as tables over a stack of graphs of one order and
+edge count (:class:`graphent.matrices.EdgeStack`): :func:`claim_table`
+solves each spectrum once per stack and reduces values, residuals,
+witnesses, slacks and equality characterizations to a status code per
+member and claim, as arrays.  The ``check_*`` functions are a table of one.
+
 Every claim produces a :class:`ClaimResult` with status ``pass``, ``fail``,
 ``not-applicable`` (hypothesis unmet), or ``equality-attained`` (the bound
 is met within the equality band).  A NaN or infinite value on either side
-of a comparison fails closed: the status is ``fail`` and the witness holds
-both values.  The cross-entropy order inequalities are handled separately
-by :func:`audit_table`: they are audited and reported, never asserted,
-because desk evaluation produces explicit counterexamples to one of them
-as stated.  The audit is stacked: :func:`audit_corpus` solves each kind
-once per stack of graphs and evaluates the claims as arrays over every
-distribution and grid point, and :func:`audit_theorem10` is a stack of one.
+of a comparison fails closed, and so does a member whose own eigensolve
+raises, on every claim that reads that spectrum.  The cross-entropy order
+inequalities are audited by :func:`audit_table` and reported, never
+asserted, because desk evaluation produces explicit counterexamples to one
+of them as stated; :func:`audit_theorem10` is a stack of one.
 
 Corpora are described by compact strings: ``all:<n>`` sweeps every labeled
 graph on 1..n vertices, ``trees:<n>`` every labeled tree on exactly n, and
-``gnp:<n>,<p>,<count>`` draws seeded random graphs.  A corpus decodes a
-chunk at a time into sorted-edge stacks (:meth:`CorpusSpec.stacks`).  The
-verify loop cuts each edge-count group into stacks of at most
-:data:`VERIFY_STACK_ENTRIES` matrix entries (:meth:`GraphBundle.stack`),
-so each spectrum a claim reads is solved once per stack, and then checks
-the claims graph by graph.  Reports are
-deterministic: reruns, and runs with different worker counts, produce
-byte-identical serializations.
+``gnp:<n>,<p>,<count>`` draws seeded random graphs; verify and audit run
+one loop over their stacks (:func:`_sweep`).  Reports are deterministic:
+reruns, and runs with different worker counts, produce byte-identical
+serializations.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import multiprocessing
 import os
 import time
-import weakref
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import repeat
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .entropy import (
-    ClosedFormParts,
     ProbabilityVector,
-    closed_form_parts,
+    closed_form_stack,
     daroczy_entropy,
     probabilities_from_spectrum,
     quadratic_entropy,
@@ -76,42 +72,29 @@ from .enumeration import (
     stacks_by_edge_count,
     tree_edge_stack,
 )
-from .errors import (
-    AlphaNonPositiveError,
-    NegativeEigenvalueError,
-    NoConvergenceError,
-)
+from .errors import AlphaNonPositiveError, DisconnectedGraphError
 from .formats import encode_graph6
-from .graphs import (
-    Graph,
-    OrientedGraph,
-    canonical_orientation,
-    connected_stack,
-    random_gnp,
-    random_orientation,
-)
+from .graphs import Graph, OrientedGraph, random_gnp
 from .matrices import (
     KINDS,
+    EdgeStack,
+    KindSpec,
     MatrixKind,
     as_kind,
-    build,
-    edge_stack_of,
-    spectrum_graphs,
-    spectrum_of,
+    build_stack,
     spectrum_stack,
 )
 from .measures import (
-    distance_moment,
+    distance_moment_stack,
     energy_stack,
-    first_zagreb,
-    general_randic_index,
-    hyper_wiener_index,
-    wiener_index,
+    first_zagreb_stack,
+    general_randic_stack,
+    hyper_wiener_stack,
 )
 from .spectra import (
     EQUALITY_BAND,
-    Spectrum,
     comparison_tolerance,
+    Spectrum,
     determinant,
     spectral_moment,
 )
@@ -121,6 +104,7 @@ FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 EQUALITY = "equality-attained"
 STATUSES = (PASS, FAIL, NOT_APPLICABLE, EQUALITY)
+_PASS, _FAIL, _NOT_APPLICABLE, _EQUALITY, _UNCOUNTED = range(5)  # status codes; see ClaimTable
 
 DEFAULT_ALPHAS = (0.5, 2.0, 3.0)
 DEFAULT_AUDIT_GRID = (0.5, 1.5, 2.0, 3.0)
@@ -129,12 +113,8 @@ CHECK_NAMES = ("equalities", "traces", "bounds")
 TRACE_REL_TOL = 1e-9
 TIE_TOL = 1e-9
 AUDIT_RETAIN_LIMIT = 1000
-# Matrix entries per stacked verify build.  An edge-count group of dense
-# graphs would otherwise stack whole incidence matrices: gnp:30,1.0,100
-# peaks at 66 MB uncapped, 36 MB at this cap and 35 MB graph by graph.
-VERIFY_STACK_ENTRIES = 1 << 16
-
-_ORIENTATION_LABELS = ("canonical", "random")
+# Matrix entries per stack; uncapped, audit gnp:30,1.0,100 peaked at 56 MB (34 MB at p = 0.3).
+STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -154,117 +134,17 @@ class ClaimResult:
     witness: dict | None = None
 
 
-class GraphBundle:
-    """Per-graph cache shared by the claim checkers.
+class ClaimTable(NamedTuple):
+    """Claims over a stack: ``status[row, k]`` indexes :data:`STATUSES` (or is
+    ``len(STATUSES)``: not counted) for ``claim_ids[claims[k]]``, built by ``record``."""
 
-    Holds the graph6 descriptor, both orientations, and every spectrum and
-    probability vector computed so far, so a combined equality/trace/bound
-    sweep touches the eigensolver once per matrix and normalizes each
-    spectrum once, whatever the log base.  Passing an
-    :class:`OrientedGraph` seats its orientation in the ``canonical`` slot.
-    Bundles made together by :meth:`stack` also share their solves.
-    """
+    claim_ids: list[str]
+    claims: np.ndarray
+    status: np.ndarray
+    record: Callable[[int, int], ClaimResult]
 
-    def __init__(self, g: Graph | OrientedGraph, seed: int = 0):
-        self._oriented: dict[str, OrientedGraph] = {}
-        if isinstance(g, OrientedGraph):
-            self.graph = g.underlying
-            self._oriented["canonical"] = g
-        else:
-            self.graph = g
-        self.seed = seed
-        self.descriptor = encode_graph6(self.graph).decode("ascii")
-        self._spectra: dict[tuple[str, str | None], Spectrum] = {}
-        self._probabilities: dict[tuple[str, str | None], ProbabilityVector] = {}
-        self._stack: list[weakref.ref[GraphBundle]] = []
-
-    @classmethod
-    def stack(cls, graphs: Sequence[Graph], seed: int = 0) -> list[GraphBundle]:
-        """Bundles for graphs of one order and edge count.  The first request
-        for a spectrum solves it for every bundle of the stack whose matrix
-        exists, in one stacked build and solve, bit for bit the per-graph
-        spectra; a stacked solve that raises leaves each graph to its own."""
-        bundles = [cls(g, seed) for g in graphs]
-        refs = [weakref.ref(bundle) for bundle in bundles]  # no cycle keeps a stack alive
-        for bundle in bundles:
-            bundle._stack = refs
-        return bundles
-
-    def oriented(self, label: str) -> OrientedGraph:
-        og = self._oriented.get(label)
-        if og is None:
-            if label == "canonical":
-                og = canonical_orientation(self.graph)
-            elif label == "random":
-                mix = zlib.crc32(self.descriptor.encode("ascii")) ^ (self.seed & 0xFFFFFFFF)
-                og = random_orientation(self.graph, mix)
-            else:
-                raise ValueError(f"unknown orientation label {label!r}")
-            self._oriented[label] = og
-        return og
-
-    def _target(self, kind: MatrixKind, orientation: str | None) -> Graph | OrientedGraph:
-        if kind.needs_orientation:
-            return self.oriented(orientation if orientation is not None else "canonical")
-        return self.graph
-
-    def spectrum(self, kind: MatrixKind | str, orientation: str | None = None) -> Spectrum:
-        kind = as_kind(kind)
-        key = (str(kind), orientation)
-        if key not in self._spectra:
-            self._solve(kind, orientation, key)
-        return self._spectra[key]
-
-    def _solve(self, kind: MatrixKind, orientation: str | None, key: tuple) -> None:
-        rows = [b for b in (ref() for ref in self._stack)
-                if b is not None and key not in b._spectra and kind.spec.builds(b.graph)]
-        if self in rows:
-            try:
-                spectra = spectrum_graphs(kind, [b._target(kind, orientation) for b in rows])
-            except (NoConvergenceError, NegativeEigenvalueError):
-                pass  # each graph then solves, and reports, its own
-            else:
-                for b, values in zip(rows, spectra.values):
-                    b._spectra[key] = Spectrum(values, spectra.kind, spectra.source)
-                return
-        self._spectra[key] = spectrum_of(kind, self._target(kind, orientation))
-
-    def closed(self, kind: MatrixKind | str, orientation: str | None = None) -> ClosedFormParts:
-        """The closed-route ingredients, from the cached spectrum of the
-        kind's moment source (the kind itself unless its row names one)."""
-        kind = as_kind(kind)
-        target = self._target(kind, orientation)
-        source = kind.spec.moment_source
-        if source is None:
-            return closed_form_parts(kind, target, spectrum=self.spectrum(kind, orientation))
-        return closed_form_parts(kind, target, q_spectrum=self.spectrum(source))
-
-    def probabilities(self, kind: MatrixKind | str,
-                      orientation: str | None = None) -> ProbabilityVector:
-        """The spectrum's probability vector.  It carries the default base 2;
-        callers pass any other base to the functional that takes a log."""
-        kind = as_kind(kind)
-        key = (str(kind), orientation)
-        pv = self._probabilities.get(key)
-        if pv is None:
-            pv = probabilities_from_spectrum(self.spectrum(kind, orientation))
-            self._probabilities[key] = pv
-        return pv
-
-    def quadratic(self, kind: MatrixKind | str, orientation: str | None = None) -> float:
-        return quadratic_entropy(self.probabilities(kind, orientation))
-
-
-def _gap(a: float, b: float) -> float:
-    """|a - b|, or inf when either side is non-finite."""
-    gap = abs(a - b)
-    return gap if math.isfinite(gap) else math.inf
-
-
-def _beyond(gap: float, tol: float) -> bool:
-    """gap > tol, failing closed: an infinite gap is beyond any tolerance,
-    including the inf or NaN tolerance a non-finite side produces."""
-    return gap == math.inf or gap > tol
+    def row(self, row: int) -> list[ClaimResult]:
+        return [self.record(row, k) for k in range(len(self.claims))]
 
 
 # Claim families: a family covers the kind of its name, but "normalized"
@@ -275,6 +155,7 @@ _IDENTITY_FAMILIES = ("q", "normalized", "incidence", "distance", "skew", "randi
                      "randic-incidence", "general-randic", "skew-randic")
 _TRACE_FAMILIES = ("q", "normalized", "skew", "randic", "randic-incidence",
                   "general-randic", "distance")
+_ORIENTATION_LABELS = ("canonical", "random")
 
 
 @lru_cache(maxsize=None)
@@ -294,6 +175,284 @@ def _claim_members(families: tuple[str, ...], betas: tuple[float, ...]
     return tuple(claims)
 
 
+def _entropies(quadratic, renyi, daroczy, alphas: Sequence[float], log_base: float) -> np.ndarray:
+    """The quadratic, then the Renyi and Daroczy entropy at each order."""
+    columns = [quadratic]
+    for a in alphas:
+        columns += [renyi(a, log_base), daroczy(a)]
+    return np.stack(columns, axis=-1)
+
+
+def _closed_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
+                      applies: np.ndarray, alphas: Sequence[float], log_base: float) -> np.ndarray:
+    """:func:`_entropies` by the closed route, where it applies; NaN elsewhere."""
+    source = kind.spec.moment_source
+    moments = stack.spectrum(source or kind, None if source else label)
+    rows = np.flatnonzero(applies & ~np.isnan(moments.values[:, 0]))
+    out = np.full((len(stack), 1 + 2 * len(alphas)), np.nan)
+    if len(rows):
+        parts = closed_form_stack(kind, stack, replace(moments, values=moments.values[rows]), rows)
+        out[rows] = _entropies(parts.quadratic_value, parts.renyi, parts.daroczy, alphas, log_base)
+    return out
+
+
+def _agreement(a: np.ndarray, b: np.ndarray, tol: np.ndarray,
+               witness: Callable[[int, float, float], dict]):
+    """Residual: each member's largest gap between ``(B, K)`` a and b (infinite
+    for a non-finite side); it fails on the first largest one beyond ``tol``."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = np.abs(a - b)
+    gap[~np.isfinite(gap)] = math.inf
+    beyond = (gap == math.inf) | (gap > tol)
+    at = np.where(beyond, gap, -1.0).argmax(axis=1)
+    return (np.where(beyond.any(axis=1), _FAIL, _PASS), gap.max(axis=1),
+            lambda row: witness(int(at[row]), float(a[row, at[row]]), float(b[row, at[row]])))
+
+
+def _columns(values: list, size: int) -> np.ndarray:
+    """``(size, len(values))``: column j is ``values[j]``, per row or for all."""
+    out = np.empty((size, len(values)))
+    for j, value in enumerate(values):
+        out[:, j] = value
+    return out
+
+
+def _identity(stack: EdgeStack, direct, members, alphas: Sequence[float],
+              log_base: float, applies: np.ndarray):
+    a = np.concatenate([direct(kind, label, alphas) for kind, label in members], 1)
+    b = np.concatenate([_closed_entropies(stack, kind, label, applies, alphas, log_base)
+                        for kind, label in members], 1)
+    columns = [("quadratic", None)] + [(f, a) for a in alphas for f in ("renyi", "daroczy")]
+
+    def witness(k: int, direct_value: float, closed_value: float) -> dict:
+        (kind, label), (functional, alpha) = members[k // len(columns)], columns[k % len(columns)]
+        return {"matrix": str(kind), "orientation": label, "functional": functional,
+                "alpha": alpha, "direct": direct_value, "closed": closed_value}
+
+    reads = members + tuple((kind.spec.moment_source, None) for kind, _ in members
+                            if kind.spec.moment_source)
+    return *_agreement(a, b, comparison_tolerance(a, b), witness), reads
+
+
+def _trace(stack: EdgeStack, members, observe, expect, applies: np.ndarray):
+    """Each member's power sum ``observe(spectrum)`` against its invariant
+    ``expect(kind)``, to a tighter tolerance: both sides are plain sums."""
+    a = _columns([observe(stack.spectrum(kind, label)) for kind, label in members], len(stack))
+    b = _columns([expect(kind) for kind, _ in members], len(stack))
+    tol = TRACE_REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return *_agreement(a, b, tol, lambda k, x, y: {"observed": x, "expected": y}), members
+
+
+class BoundSpec(NamedTuple):
+    """One published bound, under the closed-form hypothesis of the kind
+    ``hypothesis``.  ``pairs`` gives its ``(value, rhs, direction)``
+    comparisons over a stack from the ``(orientation, quadratic entropies)``
+    of each member of claim family ``family``; ``equality`` is its equality
+    characterization as a mask of the stack, or None."""
+
+    claim_id: str
+    hypothesis: str
+    family: str | None
+    pairs: Callable[[EdgeStack, list[tuple[str | None, np.ndarray]]], list[tuple]]
+    equality: Callable[[EdgeStack], np.ndarray | bool] | None = None
+
+
+def _regular(s: EdgeStack) -> np.ndarray:
+    delta = s.degrees.min(axis=-1)
+    return (delta >= 1) & (delta == s.degrees.max(axis=-1))
+
+
+def _complete(s: EdgeStack) -> bool:
+    return s.n >= 2 and s.m == s.n * (s.n - 1) // 2
+
+
+def _bidegreed(s: EdgeStack) -> np.ndarray:
+    """Two degrees, delta < Delta, with delta * n / (delta + Delta) vertices at Delta."""
+    delta, big_delta = s.degrees.min(axis=-1, keepdims=True), s.degrees.max(axis=-1, keepdims=True)
+    two = ((s.degrees == delta) | (s.degrees == big_delta)).all(axis=-1) & (delta < big_delta)[:, 0]
+    at_big = (s.degrees == big_delta).sum(axis=-1, keepdims=True)
+    return two & (((delta * s.n) % (delta + big_delta) == 0)
+                  & (at_big == (delta * s.n) // (delta + big_delta)))[:, 0]
+
+
+def _near_matching(s: EdgeStack) -> np.ndarray:
+    """Every component is K2, but for one P3 when n is odd: every degree is
+    1, but for one 2 when n is odd."""
+    odd = s.n % 2
+    return ((s.degrees == 1).sum(axis=-1) == s.n - odd) & ((s.degrees == 2).sum(axis=-1) == odd)
+
+
+def _quadratics(direction: str, rhs: Callable[[EdgeStack], np.ndarray | float]):
+    """Pairs comparing the quadratic entropy of each member of the family with ``rhs``."""
+    return lambda s, values: [(value, rhs(s), direction) for _, value in values]
+
+
+def _skew_det_pairs(s: EdgeStack, values) -> list[tuple]:
+    pairs = []
+    for label, value in values:
+        det = np.abs(determinant(build_stack("skew", s.n, s.arcs(label))))
+        power = np.array([d ** (2.0 / s.n) for d in det.tolist()])  # Python's pow, not numpy's
+        pairs.append((value, 1.0 - 2.0 * s.m / (2.0 * s.m + s.n * (s.n - 1.0) * power), "lower"))
+    return pairs
+
+
+def _q_lower_rhs(s: EdgeStack) -> np.ndarray:
+    delta, big_delta = s.degrees.min(axis=-1), s.degrees.max(axis=-1)
+    return (1.0 - 1.0 / (2.0 * s.m) - 1.0 / (2.0 * s.n)
+            - (big_delta ** 2 + delta ** 2) / (4.0 * s.n * big_delta * delta))
+
+
+def _randic_incidence_upper_rhs(s: EdgeStack) -> np.ndarray:
+    n = s.n
+    denom = n * n - 3.0 * n + 4.0 + 2.0 * math.sqrt(2.0 * (n - 1.0) * (n - 2.0))
+    return 1.0 - s.non_isolated / denom
+
+
+# The bounds in claim order.  The incidence upper bound's equality case sits
+# outside the domain, so its characterization is the empty family.
+BOUNDS = (
+    BoundSpec("bound.q.upper", "q", "q", _quadratics(
+        "upper", lambda s: 1.0 - 1.0 / (2.0 * s.m) - 1.0 / s.n)),
+    BoundSpec("bound.q.lower", "norm-l", "q", _quadratics("lower", _q_lower_rhs),
+              lambda s: _regular(s) | _bidegreed(s)),
+    BoundSpec("bound.normalized.lower", "norm-l", "normalized", _quadratics(
+        "lower", lambda s: 1.0 - 2.0 / s.n + (1.0 / (s.n * s.n) if s.n % 2 else 0.0)),
+        _near_matching),
+    BoundSpec("bound.normalized.upper", "norm-l", "normalized", _quadratics(
+        "upper", lambda s: 1.0 - 1.0 / (s.n - 1.0)), _complete),
+    BoundSpec("bound.normalized.degree-lower", "norm-l", "normalized", _quadratics(
+        "lower", lambda s: 1.0 - 1.0 / s.n - 1.0 / (s.n * s.degrees.min(axis=-1))), _regular),
+    BoundSpec("bound.normalized.degree-upper", "norm-l", "normalized", _quadratics(
+        "upper", lambda s: 1.0 - 1.0 / s.n - 1.0 / (s.n * s.degrees.max(axis=-1))), _regular),
+    BoundSpec("bound.incidence.lower", "incidence", "incidence", _quadratics(
+        "lower", lambda s: 0.0), lambda s: s.m == 1),
+    BoundSpec("bound.incidence.upper", "incidence", "incidence", _quadratics(
+        "upper", lambda s: 1.0 - 1.0 / s.n), lambda s: False),
+    BoundSpec("bound.distance.lower", "distance", "distance", _quadratics(
+        "lower", lambda s: 0.0)),
+    BoundSpec("bound.distance.upper", "distance", "distance", _quadratics(
+        "upper", lambda s: 1.0 - 1.0 / s.n)),
+    BoundSpec("bound.skew.det-lower", "skew", "skew", _skew_det_pairs),
+    BoundSpec("bound.skew.upper", "skew", "skew", _quadratics(
+        "upper", lambda s: 1.0 - 1.0 / s.n)),
+    # the degree link between the two skew upper expressions
+    BoundSpec("bound.skew.degree-chain", "skew", None, lambda s, values: [
+        (1.0 - 2.0 * s.m / (s.n * s.n * s.degrees.max(axis=-1)), 1.0 - 1.0 / s.n, "lower")]),
+    BoundSpec("bound.randic.upper", "randic", "randic", _quadratics(
+        "upper", lambda s: 1.0 - 1.0 / s.n), lambda s: (s.degrees == 1).all(axis=-1)),
+    BoundSpec("bound.randic-incidence.lower", "norm-l", "randic-incidence", _quadratics(
+        "lower", lambda s: 1.0 - s.non_isolated / s.n), lambda s: s.n == 2 and s.m == 1),
+    BoundSpec("bound.randic-incidence.upper", "randic-incidence", "randic-incidence",
+              _quadratics("upper", _randic_incidence_upper_rhs), _complete),
+    BoundSpec("bound.skew-randic.upper", "skew-randic", "skew-randic", _quadratics(
+        "upper", lambda s: 1.0 - 1.0 / s.n)),
+)
+
+
+def _bound(stack: EdgeStack, direct, bound: BoundSpec, applies: np.ndarray):
+    """Residual: the first minimal slack, a violation below minus the tolerance;
+    the equality band must hold exactly where the characterization does."""
+    size = len(stack)
+    members = _claim_members((bound.family,), ())[0][1] if bound.family else ()
+    # members outside the hypothesis may divide by a zero degree; none is read
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pairs = bound.pairs(stack, [(label, direct(kind, label)[:, 0])
+                                    for kind, label in members])
+        value, rhs = _columns([p[0] for p in pairs], size), _columns([p[1] for p in pairs], size)
+        slack = np.where([p[2] == "lower" for p in pairs], value - rhs, rhs - value)
+        slack[~np.isfinite(slack)] = -math.inf  # a non-finite side fails closed
+        at = (np.arange(size), slack.argmin(axis=1))
+        min_slack, at_value, at_bound = slack[at], value[at], rhs[at]
+        beyond = (min_slack == -math.inf) | (-min_slack > comparison_tolerance(at_value, at_bound))
+        in_band = np.abs(min_slack) <= EQUALITY_BAND
+        condition = np.broadcast_to(in_band if bound.equality is None else bound.equality(stack),
+                                    (size,))
+
+    def witness(row: int) -> dict:
+        out = {"value": float(at_value[row]), "bound": float(at_bound[row])}
+        if not beyond[row]:
+            out["note"] = ("characterized graph misses equality" if condition[row]
+                           else "equality attained off the characterized family")
+        return out
+
+    status = np.where(beyond | (condition != in_band), _FAIL, np.where(in_band, _EQUALITY, _PASS))
+    return status, min_slack, witness, members
+
+
+def claim_table(
+    stack: EdgeStack,
+    checks: Sequence[str] = CHECK_NAMES,
+    alphas: Sequence[float] = DEFAULT_ALPHAS,
+    betas: Sequence[float] = (),
+    log_base: float = 2.0,
+) -> ClaimTable:
+    """Evaluate the selected claim families on every member of a stack, in
+    catalogue order: one identity per identity family (the normalized kinds
+    and a skew kind's orientations share one), the traces, then :data:`BOUNDS`;
+    not-applicable outside the domain of a kind's closed form (traces: matrix)."""
+    size, betas = len(stack), tuple(float(b) for b in betas)
+
+    @lru_cache(maxsize=None)  # one probability vector per spectrum
+    def vector(kind: MatrixKind, label: str | None) -> tuple[np.ndarray, ProbabilityVector]:
+        spectrum = stack.spectrum(kind, label)
+        rows = np.flatnonzero(np.abs(spectrum.values).sum(axis=-1) > 0)  # solved and nonzero
+        return rows, (probabilities_from_spectrum(replace(spectrum, values=spectrum.values[rows]),
+                                                  log_base) if len(rows) else None)
+
+    def direct(kind: MatrixKind, label: str | None, alphas: Sequence[float] = ()) -> np.ndarray:
+        rows, pv = vector(kind, label)
+        out = np.full((size, 1 + 2 * len(alphas)), np.nan)  # as :func:`_entropies`
+        if len(rows):
+            out[rows] = _entropies(quadratic_entropy(pv), partial(renyi_entropy, pv),
+                                   partial(daroczy_entropy, pv), alphas, log_base)
+        return out
+
+    claims = []  # (claim id, the kinds its domain needs, that domain, evaluate(applies))
+    if "equalities" in checks:
+        claims += [(f"identity.{name}", members, KindSpec.has_closed_form,
+                    partial(_identity, stack, direct, members, alphas, log_base))
+                   for name, members in _claim_members(_IDENTITY_FAMILIES, betas)]
+    if "traces" in checks:
+        q = ((MatrixKind("q"), None),)
+        claims += [("trace.q.sum", q, KindSpec.builds, partial(
+            _trace, stack, q, Spectrum.sum, lambda kind: kind.spec.trace(stack)))]
+        claims += [(f"trace.{name}.square", members, KindSpec.builds, partial(
+            _trace, stack, members, lambda spectrum: spectral_moment(spectrum, 2.0),
+            lambda kind: kind.spec.square_sum(stack, kind)))
+                   for name, members in _claim_members(_TRACE_FAMILIES, betas)]
+    if "bounds" in checks:
+        claims += [(bound.claim_id, ((MatrixKind(bound.hypothesis), None),),
+                    KindSpec.has_closed_form, partial(_bound, stack, direct, bound))
+                   for bound in BOUNDS]
+    columns = []
+    for claim_id, needs, domain, evaluate in claims:
+        applies = np.broadcast_to(np.logical_and.reduce(
+            [domain(kind.spec, stack) for kind, _ in needs]), (size,))
+        status, residual = np.full(size, _NOT_APPLICABLE), np.full(size, np.nan)
+        witness, errors = None, {}
+        if applies.any():
+            found, values, witness, reads = evaluate(applies)
+            status[applies], residual[applies] = found[applies], values[applies]
+            for kind, label in reversed(reads):  # the first spectrum read names the error
+                errors.update((row, exc) for row, exc in stack.errors(kind, label).items()
+                              if applies[row])
+            for row in errors:
+                status[row], residual[row] = _FAIL, np.nan
+        columns.append((claim_id, status, residual, witness, errors))
+
+    def record(row: int, k: int) -> ClaimResult:
+        claim_id, status, residual, witness, errors = columns[k]
+        value, why = float(residual[row]), None
+        if status[row] == _FAIL:
+            why = {"error": str(errors[row])} if row in errors else witness(row)
+        return ClaimResult(claim_id, stack.descriptor(row), STATUSES[status[row]],
+                           None if math.isnan(value) else value, why)
+
+    return ClaimTable([c[0] for c in columns], np.arange(len(columns)),
+                      np.array([c[1] for c in columns], dtype=np.int64).T.reshape(size, -1),
+                      record)
+
+
 def check_equalities(
     g: Graph | OrientedGraph,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
@@ -301,72 +460,10 @@ def check_equalities(
     betas: Sequence[float] = (),
     seed: int = 0,
     log_base: float = 2.0,
-    bundle: GraphBundle | None = None,
 ) -> list[ClaimResult]:
-    """Compare direct-route and closed-route entropies for every kind.
-
-    One claim per identity family: the two normalized kinds aggregate
-    into ``identity.normalized``, the two orientations of each skew kind
-    aggregate into their family, and each requested exponent adds an
-    ``identity.general-randic:<b>`` claim.  A claim is not-applicable
-    where the closed form of one of its kinds does not apply
-    (:meth:`graphent.matrices.KindSpec.has_closed_form`).
-    """
-    bundle = bundle or GraphBundle(g, seed)
-    results: list[ClaimResult] = []
-    for name, members in _claim_members(_IDENTITY_FAMILIES, tuple(betas)):
-        claim_id = f"identity.{name}"
-        if all(kind.spec.has_closed_form(bundle.graph) for kind, _ in members):
-            results.append(_equality_claim(bundle, claim_id, members, alphas, log_base))
-        else:
-            results.append(ClaimResult(claim_id, bundle.descriptor, NOT_APPLICABLE))
-    return results
-
-
-def _equality_claim(
-    bundle: GraphBundle,
-    claim_id: str,
-    members: Sequence[tuple[MatrixKind, str | None]],
-    alphas: Sequence[float],
-    log_base: float,
-) -> ClaimResult:
-    comparisons = []
-    try:
-        for kind, orientation in members:
-            closed = bundle.closed(kind, orientation)
-            pv = bundle.probabilities(kind, orientation)
-            rows: list[tuple[str, float | None, float, float]] = [
-                ("quadratic", None, quadratic_entropy(pv), closed.quadratic_value)
-            ]
-            for a in alphas:
-                rows.append(("renyi", a, renyi_entropy(pv, a, log_base), closed.renyi(a, log_base)))
-                rows.append(("daroczy", a, daroczy_entropy(pv, a), closed.daroczy(a)))
-            for functional, a, direct, closed_value in rows:
-                tol = comparison_tolerance(direct, closed_value)
-                comparisons.append((direct, closed_value, tol, (kind, orientation, functional, a)))
-    except (NoConvergenceError, NegativeEigenvalueError) as exc:
-        return ClaimResult(claim_id, bundle.descriptor, FAIL, None, {"error": str(exc)})
-    return _agreement_claim(bundle, claim_id, comparisons, lambda direct, closed, detail: {
-        "matrix": str(detail[0]), "orientation": detail[1], "functional": detail[2],
-        "alpha": detail[3], "direct": direct, "closed": closed})
-
-
-def _agreement_claim(bundle: GraphBundle, claim_id: str, comparisons: list[tuple],
-                     witness: Callable[[float, float, object], dict]) -> ClaimResult:
-    """The residual is the largest gap over ``(a, b, tolerance, detail)``
-    comparisons; the claim fails on the largest gap beyond its tolerance,
-    with ``witness(a, b, detail)`` of that comparison."""
-    worst = 0.0
-    fail_diff = -1.0
-    failing = None
-    for a, b, tol, detail in comparisons:
-        diff = _gap(a, b)
-        worst = max(worst, diff)
-        if _beyond(diff, tol) and diff > fail_diff:
-            fail_diff, failing = diff, (a, b, detail)
-    if failing is None:
-        return ClaimResult(claim_id, bundle.descriptor, PASS, worst)
-    return ClaimResult(claim_id, bundle.descriptor, FAIL, worst, witness(*failing))
+    """The ``identity.*`` claims of :func:`claim_table` on one graph; an
+    :class:`OrientedGraph` gives its orientation as the ``canonical`` one."""
+    return claim_table(EdgeStack.of(g, seed), ("equalities",), alphas, betas, log_base).row(0)
 
 
 def check_traces(
@@ -374,207 +471,22 @@ def check_traces(
     *,
     betas: Sequence[float] = (),
     seed: int = 0,
-    bundle: GraphBundle | None = None,
 ) -> list[ClaimResult]:
-    """Verify the power-sum identities behind the closed entropy forms.
-
-    ``trace.q.sum`` compares the signless Laplacian's eigenvalue sum with
-    its trace-sum invariant; each ``trace.<family>.square`` compares every
-    member's sum of squared spectral values with its square-sum invariant.
-    A claim is not-applicable where a member's matrix does not exist
-    (:meth:`graphent.matrices.KindSpec.builds`).  Uses a tighter relative
-    tolerance than the entropy comparisons since both sides are plain sums.
-    """
-    bundle = bundle or GraphBundle(g, seed)
-    graph = bundle.graph
-    q = MatrixKind("q")
-    results = [_trace_claim(bundle, "trace.q.sum",
-                            [(bundle.spectrum(q).sum(), q.spec.trace(graph))])]
-    for name, members in _claim_members(_TRACE_FAMILIES, tuple(betas)):
-        claim_id = f"trace.{name}.square"
-        if all(kind.spec.builds(graph) for kind, _ in members):
-            results.append(_trace_claim(bundle, claim_id, [
-                (spectral_moment(bundle.spectrum(kind, label), 2.0),
-                 kind.spec.square_sum(graph, kind)) for kind, label in members]))
-        else:
-            results.append(ClaimResult(claim_id, bundle.descriptor, NOT_APPLICABLE))
-    return results
-
-
-def _trace_claim(bundle: GraphBundle, claim_id: str,
-                 pairs: list[tuple[float, float]]) -> ClaimResult:
-    return _agreement_claim(
-        bundle, claim_id,
-        [(observed, expected, TRACE_REL_TOL * max(1.0, abs(observed), abs(expected)), None)
-         for observed, expected in pairs],
-        lambda observed, expected, _: {"observed": observed, "expected": expected})
-
-
-class BoundSpec(NamedTuple):
-    """One published bound.  Its hypothesis is the closed-form hypothesis
-    of the kind ``hypothesis`` names (:data:`graphent.matrices.KINDS`):
-    an edge, a connected pair for ``distance``, every degree positive for
-    the normalized kinds.  Only where it holds, ``pairs`` gives the bound's
-    ``(value, rhs, direction)`` comparisons and ``equality`` its equality
-    characterization (None where the source states none)."""
-
-    claim_id: str
-    hypothesis: str
-    pairs: Callable[[Graph, GraphBundle], list[tuple[float, float, str]]]
-    equality: Callable[[Graph], bool] | None = None
-
-
-def _regular(g: Graph) -> bool:
-    return g.min_degree >= 1 and g.min_degree == g.max_degree
-
-
-def _complete(g: Graph) -> bool:
-    return g.n >= 2 and g.m == g.n * (g.n - 1) // 2
-
-
-def _bidegreed(g: Graph) -> bool:
-    """Two degrees, delta < Delta, with delta * n / (delta + Delta) vertices at Delta."""
-    delta, big_delta = g.min_degree, g.max_degree
-    if len(set(g.degrees)) != 2:
-        return False
-    p_count = sum(1 for d in g.degrees if d == big_delta)
-    return ((delta * g.n) % (delta + big_delta) == 0
-            and p_count == delta * g.n // (delta + big_delta))
-
-
-def _near_matching(g: Graph) -> bool:
-    """Every component is K2, but for one P3 when n is odd."""
-    shapes = [(len(comp), g.edge_count_within(comp)) for comp in g.components]
-    return (all(shape in ((2, 1), (3, 2)) for shape in shapes)
-            and shapes.count((3, 2)) == g.n % 2)
-
-
-def _quadratics(family: str, direction: str, rhs: Callable[[Graph], float]):
-    """Pairs comparing the quadratic entropy of each member of a claim
-    family with ``rhs``."""
-    [(_, members)] = _claim_members((family,), ())
-    return lambda g, b: [(b.quadratic(kind, label), rhs(g), direction) for kind, label in members]
-
-
-def _skew_det_pairs(g: Graph, b: GraphBundle) -> list[tuple[float, float, str]]:
-    pairs = []
-    for label in _ORIENTATION_LABELS:
-        det = abs(determinant(build(MatrixKind("skew"), b.oriented(label))))
-        rhs = 1.0 - 2.0 * g.m / (2.0 * g.m + g.n * (g.n - 1.0) * det ** (2.0 / g.n))
-        pairs.append((b.quadratic("skew", label), rhs, "lower"))
-    return pairs
-
-
-def _q_lower_rhs(g: Graph) -> float:
-    delta, big_delta = g.min_degree, g.max_degree
-    return (1.0 - 1.0 / (2.0 * g.m) - 1.0 / (2.0 * g.n)
-            - (big_delta ** 2 + delta ** 2) / (4.0 * g.n * big_delta * delta))
-
-
-def _randic_incidence_upper_rhs(g: Graph) -> float:
-    n = g.n
-    denom = n * n - 3.0 * n + 4.0 + 2.0 * math.sqrt(2.0 * (n - 1.0) * (n - 2.0))
-    return 1.0 - g.non_isolated_count / denom
-
-
-# The bounds in claim order.  The incidence upper bound's equality case sits
-# outside the domain, so its characterization is the empty family.
-BOUNDS = (
-    BoundSpec("bound.q.upper", "q", _quadratics(
-        "q", "upper", lambda g: 1.0 - 1.0 / (2.0 * g.m) - 1.0 / g.n)),
-    BoundSpec("bound.q.lower", "norm-l", _quadratics(
-        "q", "lower", _q_lower_rhs), lambda g: _regular(g) or _bidegreed(g)),
-    BoundSpec("bound.normalized.lower", "norm-l", _quadratics(
-        "normalized", "lower", lambda g: 1.0 - 2.0 / g.n + (1.0 / (g.n * g.n) if g.n % 2 else 0.0)),
-        _near_matching),
-    BoundSpec("bound.normalized.upper", "norm-l", _quadratics(
-        "normalized", "upper", lambda g: 1.0 - 1.0 / (g.n - 1.0)), _complete),
-    BoundSpec("bound.normalized.degree-lower", "norm-l", _quadratics(
-        "normalized", "lower", lambda g: 1.0 - 1.0 / g.n - 1.0 / (g.n * g.min_degree)), _regular),
-    BoundSpec("bound.normalized.degree-upper", "norm-l", _quadratics(
-        "normalized", "upper", lambda g: 1.0 - 1.0 / g.n - 1.0 / (g.n * g.max_degree)), _regular),
-    BoundSpec("bound.incidence.lower", "incidence", _quadratics(
-        "incidence", "lower", lambda g: 0.0), lambda g: g.m == 1),
-    BoundSpec("bound.incidence.upper", "incidence", _quadratics(
-        "incidence", "upper", lambda g: 1.0 - 1.0 / g.n), lambda g: False),
-    BoundSpec("bound.distance.lower", "distance", _quadratics(
-        "distance", "lower", lambda g: 0.0)),
-    BoundSpec("bound.distance.upper", "distance", _quadratics(
-        "distance", "upper", lambda g: 1.0 - 1.0 / g.n)),
-    BoundSpec("bound.skew.det-lower", "skew", _skew_det_pairs),
-    BoundSpec("bound.skew.upper", "skew", _quadratics(
-        "skew", "upper", lambda g: 1.0 - 1.0 / g.n)),
-    # the degree link between the two skew upper expressions
-    BoundSpec("bound.skew.degree-chain", "skew", lambda g, b: [
-        (1.0 - 2.0 * g.m / (g.n * g.n * g.max_degree), 1.0 - 1.0 / g.n, "lower")]),
-    BoundSpec("bound.randic.upper", "randic", _quadratics(
-        "randic", "upper", lambda g: 1.0 - 1.0 / g.n), lambda g: all(d == 1 for d in g.degrees)),
-    BoundSpec("bound.randic-incidence.lower", "norm-l", _quadratics(
-        "randic-incidence", "lower", lambda g: 1.0 - g.non_isolated_count / g.n),
-        lambda g: g.n == 2 and g.m == 1),
-    BoundSpec("bound.randic-incidence.upper", "randic-incidence", _quadratics(
-        "randic-incidence", "upper", _randic_incidence_upper_rhs), _complete),
-    BoundSpec("bound.skew-randic.upper", "skew-randic", _quadratics(
-        "skew-randic", "upper", lambda g: 1.0 - 1.0 / g.n)),
-)
+    """The ``trace.*`` claims of :func:`claim_table` on one graph."""
+    return claim_table(EdgeStack.of(g, seed), ("traces",), (), betas).row(0)
 
 
 def check_bounds(
     g: Graph | OrientedGraph,
     *,
     seed: int = 0,
-    bundle: GraphBundle | None = None,
 ) -> list[ClaimResult]:
-    """Evaluate the published entropy bounds (:data:`BOUNDS`) under their
-    hypotheses.
-
-    Residual is the slack (distance into the feasible side); a slack below
-    minus the comparison tolerance is a violation.  Where the source
-    states an equality characterization, the check is bidirectional:
-    graphs with the structural property must land inside the equality
-    band, and graphs inside the band must have the property.
-    """
-    bundle = bundle or GraphBundle(g, seed)
-    graph = bundle.graph
-    results: list[ClaimResult] = []
-    for bound in BOUNDS:
-        if not KINDS[bound.hypothesis].has_closed_form(graph):
-            results.append(ClaimResult(bound.claim_id, bundle.descriptor, NOT_APPLICABLE))
-            continue
-        condition = bound.equality(graph) if bound.equality is not None else None
-        results.append(_bound_claim(bundle, bound.claim_id, bound.pairs(graph, bundle),
-                                    condition))
-    return results
-
-
-def _bound_claim(bundle: GraphBundle, claim_id: str,
-                 pairs: list[tuple[float, float, str]], condition: bool | None) -> ClaimResult:
-    min_slack = math.inf
-    at_value = at_bound = 0.0
-    for value, rhs, direction in pairs:
-        slack = value - rhs if direction == "lower" else rhs - value
-        if not math.isfinite(slack):
-            slack = -math.inf  # a non-finite side fails closed
-        if slack < min_slack:
-            min_slack, at_value, at_bound = slack, value, rhs
-    witness: dict | None = None
-    in_band = abs(min_slack) <= EQUALITY_BAND
-    if _beyond(-min_slack, comparison_tolerance(at_value, at_bound)):
-        status = FAIL
-        witness = {"value": at_value, "bound": at_bound}
-    elif condition is not None and condition != in_band:
-        status = FAIL
-        witness = {"value": at_value, "bound": at_bound,
-                   "note": "characterized graph misses equality" if condition
-                   else "equality attained off the characterized family"}
-    else:
-        status = EQUALITY if in_band else PASS
-    return ClaimResult(claim_id, bundle.descriptor, status, min_slack, witness)
+    """The ``bound.*`` claims of :func:`claim_table` on one graph."""
+    return claim_table(EdgeStack.of(g, seed), ("bounds",), ()).row(0)
 
 
 AUDIT_CLAIMS = ("inequality.renyi-daroczy", "inequality.daroczy-quadratic",
                 "inequality.renyi-quadratic")
-_PASS, _FAIL, _NOT_APPLICABLE, _EQUALITY = range(len(STATUSES))  # status codes
 
 
 def _audit_grid(alpha_grid: Sequence[float]) -> tuple[float, ...]:
@@ -602,9 +514,7 @@ class AuditTable(NamedTuple):
 
     def tally(self) -> np.ndarray:
         """Status counts, shape ``(3, len(STATUSES))``: one row per claim."""
-        size = len(AUDIT_CLAIMS) * len(STATUSES)
-        codes = np.arange(len(AUDIT_CLAIMS)) * len(STATUSES) + self.status
-        return np.bincount(codes.ravel(), minlength=size).reshape(len(AUDIT_CLAIMS), -1)
+        return _status_counts(self.status.reshape(-1, 3), np.arange(3))
 
     def records(self, row: int, graph: str) -> list[ClaimResult]:
         """Every claim record of one distribution, by grid point then claim."""
@@ -702,16 +612,6 @@ def audit_summary(tally: np.ndarray) -> dict[str, dict[str, int]]:
         return {}
     return {claim_id: dict(zip(STATUSES, row.tolist()))
             for claim_id, row in zip(AUDIT_CLAIMS, tally)}
-
-
-def _domain_mask(n: int, edges: np.ndarray, *, needs_edge: bool,
-                 needs_connected: bool) -> np.ndarray:
-    """Which members of a ``(B, m, 2)`` edge stack have an edge, where
-    ``needs_edge``, and are connected, where ``needs_connected``."""
-    keep = np.full(len(edges), edges.shape[1] >= 1 or not needs_edge)
-    if needs_connected and keep.any():
-        keep &= connected_stack(n, edges)
-    return keep
 
 
 @dataclass(frozen=True)
@@ -856,47 +756,50 @@ class VerificationReport:
         return self.failure_count == 0
 
 
-def _evaluate_graph(
-    bundle: GraphBundle,
-    checks: Sequence[str],
-    alphas: Sequence[float],
-    betas: Sequence[float],
-    log_base: float,
-) -> list[ClaimResult]:
-    g = bundle.graph
-    out: list[ClaimResult] = []
-    if "equalities" in checks:
-        out.extend(check_equalities(g, alphas, betas=betas, log_base=log_base, bundle=bundle))
-    if "traces" in checks:
-        out.extend(check_traces(g, betas=betas, bundle=bundle))
-    if "bounds" in checks:
-        out.extend(check_bounds(g, bundle=bundle))
-    return out
+def _status_counts(status: np.ndarray, claims: np.ndarray) -> np.ndarray:
+    """Status counts by claim of a ``(B, K)`` table whose column k is ``claims[k]``."""
+    size = len(STATUSES) + 1
+    codes = claims * size + status
+    return np.bincount(codes.ravel(), minlength=(claims.max() + 1) * size).reshape(-1, size)[:, :-1]
 
 
-def _verify_chunk(args: tuple) -> tuple[int, dict[str, dict[str, int]], list[ClaimResult]]:
-    text, start, stop, checks, alphas, betas, seed, log_base = args
-    spec = parse_corpus(text)
-    counts: dict[str, dict[str, int]] = {}
+def _sweep(spec: CorpusSpec, start: int, stop: int, seed: int,
+           table_of: Callable[[EdgeStack], ClaimTable], limit: int | None = None
+           ) -> tuple[int, dict[str, np.ndarray], list[ClaimResult]]:
+    """The corpus loop of verify and audit, in stacks of at most
+    :data:`STACK_ENTRIES` matrix entries: each table is tallied by claim id, and
+    failures and equalities are kept in corpus then column order, up to ``limit``."""
+    tally: dict[str, np.ndarray] = {}
     retained: list[ClaimResult] = []
     graphs = 0
     for groups in spec.stacks(start, stop, seed):
-        kept = []  # (corpus index, record) of the chunk's retained records
+        cells = []  # (corpus index, column, record) of the chunk's retainable cells
         for n, positions, edges in groups:
-            size = max(1, VERIFY_STACK_ENTRIES // (n * max(n, edges.shape[1])))
+            graphs += len(positions)
+            size = max(1, STACK_ENTRIES // (n * max(n, edges.shape[1])))
             for lo in range(0, len(positions), size):
-                bundles = GraphBundle.stack(graphs_of_stack(n, edges[lo:lo + size]), seed)
-                for index in positions[lo:lo + size].tolist():
-                    bundle = bundles.pop(0)  # freed, with its caches, once its claims are counted
-                    graphs += 1
-                    for res in _evaluate_graph(bundle, checks, alphas, betas, log_base):
-                        by_status = counts.setdefault(res.claim_id, {})
-                        by_status[res.status] = by_status.get(res.status, 0) + 1
-                        if res.status in (FAIL, EQUALITY):
-                            kept.append((index, res))
-        kept.sort(key=lambda item: item[0])  # corpus order; stable within a graph
-        retained.extend(res for _, res in kept)
-    return graphs, counts, retained
+                table = table_of(EdgeStack(n, edges[lo:lo + size], seed=seed))
+                for claim_id, counts in zip(table.claim_ids,
+                                            _status_counts(table.status, table.claims)):
+                    tally[claim_id] = tally.get(claim_id, 0) + counts
+                rows, ks = np.nonzero((table.status == _FAIL) | (table.status == _EQUALITY))
+                found = zip(positions[lo + rows].tolist(), ks.tolist(), rows.tolist())
+                if limit is None:  # every such cell is kept: build its record, free the table
+                    cells.extend((index, k, table.record(row, k)) for index, k, row in found)
+                elif len(retained) < limit:
+                    cells.extend((index, k, partial(table.record, row, k))
+                                 for index, k, row in found)
+        cells.sort(key=lambda cell: cell[:2])
+        if limit is not None:
+            cells = [(index, k, record()) for index, k, record in cells[:limit - len(retained)]]
+        retained.extend(record for _, _, record in cells)
+    return graphs, tally, retained
+
+
+def _verify_chunk(args: tuple) -> tuple[int, dict[str, np.ndarray], list[ClaimResult]]:
+    text, start, stop, checks, alphas, betas, seed, log_base = args
+    return _sweep(parse_corpus(text), start, stop, seed,
+                  lambda stack: claim_table(stack, checks, alphas, betas, log_base))
 
 
 def verify_corpus(
@@ -928,7 +831,7 @@ def verify_corpus(
                            tuple(checks), tuple(float(a) for a in alphas),
                            tuple(float(b) for b in betas), seed, float(log_base)))
 
-    merged_counts: dict[str, dict[str, int]] = {}
+    merged: dict[str, np.ndarray] = {}
     retained: list[ClaimResult] = []
     graphs = 0
     pool_size = _pool_size(workers, len(chunk_args))
@@ -939,16 +842,12 @@ def verify_corpus(
         with ProcessPoolExecutor(max_workers=pool_size,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
             chunk_results = list(pool.map(_verify_chunk, chunk_args))
-    for chunk_graphs, counts, chunk_retained in chunk_results:
+    for chunk_graphs, tally, chunk_retained in chunk_results:
         graphs += chunk_graphs
-        for claim_id, by_status in counts.items():
-            into = merged_counts.setdefault(claim_id, {})
-            for status, k in by_status.items():
-                into[status] = into.get(status, 0) + k
+        for claim_id, counts in tally.items():
+            merged[claim_id] = merged.get(claim_id, 0) + counts
         retained.extend(chunk_retained)
 
-    summary = {claim_id: {status: by_status.get(status, 0) for status in STATUSES}
-               for claim_id, by_status in merged_counts.items()}
     return VerificationReport(
         corpus=spec.text,
         checks=tuple(checks),
@@ -958,7 +857,8 @@ def verify_corpus(
         log_base=float(log_base),
         total_graphs=graphs,
         claims=tuple(retained),
-        summary=summary,
+        summary={claim_id: dict(zip(STATUSES, counts.tolist()))
+                 for claim_id, counts in merged.items()},
         runtime_seconds=time.perf_counter() - started,
     )
 
@@ -990,6 +890,35 @@ def default_audit_kinds() -> tuple[MatrixKind, ...]:
     return tuple(MatrixKind(tag, 1.0 if tag == "general-randic" else None) for tag in KINDS)
 
 
+def _audit_stack(stack: EdgeStack, kinds: Sequence[MatrixKind], alphas: tuple[float, ...],
+                 log_base: float) -> ClaimTable:
+    """One :func:`audit_table` per kind over its domain; columns: kind, alpha, claim."""
+    status = np.full((len(stack), len(kinds), len(alphas), len(AUDIT_CLAIMS)), _UNCOUNTED)
+    kept = {}  # kind index: the rows owning a failure or equality, and their audit values
+    for k, kind in enumerate(kinds):
+        rows = np.flatnonzero(kind.spec.builds(stack) & (stack.m >= 1))
+        if not len(rows):
+            continue
+        for exc in stack.errors(kind).values():
+            raise exc  # the audit has no record for a failed solve
+        spectrum = stack.spectrum(kind)
+        pv = probabilities_from_spectrum(replace(spectrum, values=spectrum.values[rows]), log_base)
+        table = audit_table(pv, alphas, log_base)
+        status[rows, k] = table.status
+        owners = ((table.status == _FAIL) | (table.status == _EQUALITY)).any(axis=(1, 2))
+        kept[k] = rows[owners], [x[owners] for x in table[1:]]
+
+    def record(row: int, column: int) -> ClaimResult:
+        k, a, c = column // (len(alphas) * 3), column // 3 % len(alphas), column % 3
+        rows, (codes, *values) = kept[k]
+        at = (int(np.searchsorted(rows, row)), a, c)
+        return _audit_record(c, stack.descriptor(row), alphas[a], int(codes[at]),
+                             *(float(x[at]) for x in values), str(kinds[k]))
+
+    return ClaimTable(list(AUDIT_CLAIMS), np.tile(np.arange(3), len(kinds) * len(alphas)),
+                      status.reshape(len(stack), -1), record)
+
+
 def audit_corpus(
     corpus: str | CorpusSpec,
     *,
@@ -1003,8 +932,8 @@ def audit_corpus(
     Kinds whose hypotheses a graph fails are skipped silently (the audit
     is about distributions, not graph coverage): every kind needs an edge,
     and ``distance`` a connected graph.  Skew kinds use the canonical
-    orientation.  The corpus is decoded a chunk at a time into edge stacks,
-    and each stack gets one stacked solve per kind and one
+    orientation.  The corpus runs through the same loop as verify
+    (:func:`_sweep`): each stack gets one stacked solve per kind and one
     :func:`audit_table`.  Retains at most :data:`AUDIT_RETAIN_LIMIT`
     violation/equality records in corpus order (graph, kind, grid point,
     claim) and keeps counting past it; only graphs that own a retained
@@ -1014,39 +943,10 @@ def audit_corpus(
     use_kinds = tuple(as_kind(k) for k in (kinds if kinds is not None else default_audit_kinds()))
     alphas = _audit_grid(alpha_grid)
     started = time.perf_counter()
-    tally = np.zeros((len(AUDIT_CLAIMS), len(STATUSES)), dtype=np.int64)
-    retained: list[ClaimResult] = []
-    graphs = 0
-    for groups in spec.stacks(0, spec.total, seed):
-        # retainable cells of this chunk: graph index, kind, alpha and claim
-        # (their corpus order), the cell's (status, margin, lhs, rhs), and
-        # where the graph sits: its group and row
-        cells: list[tuple] = []
-        for group, (n, positions, edges) in enumerate(groups):
-            graphs += len(positions)
-            for k, kind in enumerate(use_kinds):
-                rows = np.flatnonzero(_domain_mask(n, edges, needs_edge=True,
-                                                   needs_connected=kind.spec.connected))
-                if not len(rows):
-                    continue
-                pv = probabilities_from_spectrum(spectrum_stack(kind, n, edges[rows]), log_base)
-                table = audit_table(pv, alphas, log_base)
-                tally += table.tally()
-                if len(retained) < AUDIT_RETAIN_LIMIT:
-                    b, a, c = np.nonzero((table.status == _FAIL) | (table.status == _EQUALITY))
-                    values = zip(*(x[b, a, c].tolist() for x in
-                                   (table.status, table.margin, table.lhs, table.rhs)))
-                    cells.extend(zip(positions[rows[b]].tolist(), repeat(k), a.tolist(),
-                                     c.tolist(), values, repeat(group), rows[b].tolist()))
-        descriptors: dict[int, str] = {}
-        for index, k, a, c, values, group, row in heapq.nsmallest(
-                AUDIT_RETAIN_LIMIT - len(retained), cells):
-            if index not in descriptors:
-                n, _, edges = groups[group]
-                g = graphs_of_stack(n, edges[row:row + 1])[0]
-                descriptors[index] = encode_graph6(g).decode("ascii")
-            retained.append(_audit_record(c, descriptors[index], alphas[a], *values,
-                                          str(use_kinds[k])))
+    graphs, tally, retained = _sweep(
+        spec, 0, spec.total, seed,
+        lambda stack: _audit_stack(stack, use_kinds, alphas, log_base), AUDIT_RETAIN_LIMIT)
+    counts = np.array([tally[claim_id] for claim_id in AUDIT_CLAIMS])  # every corpus has a graph
     return AuditReport(
         corpus=spec.text,
         kinds=tuple(str(k) for k in use_kinds),
@@ -1054,9 +954,9 @@ def audit_corpus(
         seed=seed,
         log_base=float(log_base),
         total_graphs=graphs,
-        total_claims=int(tally.sum()),
+        total_claims=int(counts.sum()),
         claims=tuple(retained),
-        summary=audit_summary(tally),
+        summary=audit_summary(counts),
         runtime_seconds=time.perf_counter() - started,
     )
 
@@ -1079,19 +979,6 @@ class ExtremalScan:
 SCAN_FAMILIES = ("trees", "oriented-trees", "all-graphs")
 
 
-def _family_stacks(family: str, order: int,
-                   indices: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Decode family members into ``(positions, edges)`` stacks of one shape.
-
-    Trees decode into one stack; their sorted edges are also the canonical
-    arcs of ``oriented-trees``.  ``all-graphs`` decodes into one stack per
-    edge count.
-    """
-    if family == "all-graphs":
-        return graph_edge_stacks(order, indices)
-    return [(np.arange(len(indices)), tree_edge_stack(order, indices))]
-
-
 def _family_graphs(family: str, order: int, indices: np.ndarray) -> list[Graph]:
     if family == "all-graphs":
         return labeled_graphs_from_masks(order, indices)
@@ -1108,8 +995,8 @@ def scan_extremal(
 ) -> ExtremalScan:
     """Evaluate a measure on every member of a family and find its extremes.
 
-    Members are decoded, built, solved and measured as stacks,
-    :data:`graphent.enumeration.STACK_CHUNK` at a time.  Members outside
+    Members are decoded, built, solved and measured as the stacks of a
+    corpus (:meth:`CorpusSpec.stacks`).  Members outside
     the measure's domain, where its per-graph form (:func:`resolve_measure`)
     raises for want of an edge or of connectivity, are skipped; ``count``
     is the number measured, and a family with none in the domain is an
@@ -1120,23 +1007,20 @@ def scan_extremal(
     sorted by descending value then descriptor, so every member is encoded.
     """
     stacked = _measure_stack(measure, log_base=log_base)
-    if family == "all-graphs":
-        total = labeled_graph_count(order)
-    elif family in ("trees", "oriented-trees"):
-        total = labeled_tree_count(order)
-    else:
+    if family not in SCAN_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {SCAN_FAMILIES}")
-
-    values = np.empty(total)
-    measured = np.zeros(total, dtype=bool)
-    for chunk in index_chunks(0, total):
-        indices = np.arange(chunk.start, chunk.stop)
-        for positions, edges in _family_stacks(family, order, indices):
-            rows = np.flatnonzero(_domain_mask(order, edges, needs_edge=stacked.needs_edge,
-                                               needs_connected=stacked.needs_connected))
+    # the members are those of trees:<order>, or the last order of all:<order>
+    spec = parse_corpus(f"{'all' if family == 'all-graphs' else 'trees'}:{order}")
+    first = spec.total - labeled_graph_count(order) if family == "all-graphs" else 0
+    values = np.empty(spec.total - first)
+    measured = np.zeros(len(values), dtype=bool)
+    for groups in spec.stacks(first, spec.total):
+        for n, positions, edges in groups:
+            rows = np.flatnonzero(np.broadcast_to(stacked.domain(EdgeStack(n, edges)),
+                                                  (len(edges),)))
             if len(rows):
-                members = indices[positions[rows]]
-                values[members] = stacked.values(order, edges[rows])
+                members = positions[rows] - first
+                values[members] = stacked.values(EdgeStack(n, edges[rows]))
                 measured[members] = True
     members = np.flatnonzero(measured)
     if not len(members):
@@ -1162,74 +1046,58 @@ def scan_extremal(
                         tuple(min_witnesses), tuple(max_witnesses), ranking)
 
 
-def _invariant_measure(text: str) -> Callable[[Graph], float] | None:
-    if text == "m1":
-        return first_zagreb
-    if text == "wiener":
-        return wiener_index
-    if text == "hyper-wiener":
-        return hyper_wiener_index
-    if text.startswith("randic-index:"):
-        beta = _parse(text.split(":", 1)[1], "exponent", float)
-        return lambda g: general_randic_index(g, beta)
-    if text.startswith("wk:"):
-        k = _parse(text.split(":", 1)[1], "moment order")
-        return lambda g: distance_moment(g, k)
-    return None
-
-
 class _StackedMeasure(NamedTuple):
-    """A measure as a function of an order and a pair stack, with its domain.
+    """A measure over an :class:`EdgeStack` and the mask of its domain."""
 
-    ``values`` maps ``(n, edges)``, a ``(B, m, 2)`` stack of sorted edges
-    (the canonical arcs for the oriented kinds), to a (B,) array.  The
-    members it can measure have an edge where ``needs_edge`` and are
-    connected where ``needs_connected``; elsewhere it raises.
-    """
-
-    values: Callable[[int, np.ndarray], np.ndarray]
-    needs_edge: bool = False
-    needs_connected: bool = False
+    values: Callable[[EdgeStack], np.ndarray]
+    domain: Callable[[EdgeStack], np.ndarray | bool]
 
 
-_DISTANCE_INVARIANTS = ("wiener", "hyper-wiener", "wk:")
+def _connected_distances(s: EdgeStack) -> np.ndarray:
+    if not s.connected.all():
+        raise DisconnectedGraphError("distance matrix requires a connected graph")
+    return s.distances
 
 
 def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
-    """Turn a measure id into a stacked measure.
+    """Turn a measure id (see :func:`resolve_measure`) into a stacked measure.
 
-    Spectral measures take one stacked build and solve; invariant measures
-    map their per-graph function over the stack's graphs.  Entropies need a
-    nonzero spectrum, so an edge, and the matrix's domain; energies need
-    the domain of the matrix they solve; distance-based measures need a
-    connected graph.  See :func:`resolve_measure` for the grammar.
+    Invariant measures read the stacked invariants the closed forms read;
+    spectral measures take one stacked solve.  Distance-based measures need
+    a connected graph, energies the matrix they solve, entropies also an edge.
     """
-    invariant = _invariant_measure(text)
-    if invariant is not None:
-        return _StackedMeasure(
-            lambda n, edges: np.array([invariant(g) for g in graphs_of_stack(n, edges)]),
-            needs_connected=text.startswith(_DISTANCE_INVARIANTS))
-    if text.startswith("energy:"):
-        kind = as_kind(text.split(":", 1)[1])
+    head, _, rest = text.partition(":")
+    if text == "m1":
+        return _StackedMeasure(lambda s: first_zagreb_stack(s.degrees), lambda s: True)
+    if head == "randic-index":
+        beta = _parse(rest, "exponent", float)
+        return _StackedMeasure(lambda s: general_randic_stack(s.degrees, s.edges, beta),
+                               lambda s: True)
+    if text == "hyper-wiener":
+        return _StackedMeasure(lambda s: hyper_wiener_stack(_connected_distances(s)),
+                               lambda s: s.connected)
+    if text == "wiener" or head == "wk":
+        k = 1 if text == "wiener" else _parse(rest, "moment order")
+        return _StackedMeasure(lambda s: distance_moment_stack(_connected_distances(s), k),
+                               lambda s: s.connected)
+    if head == "energy":
+        kind = as_kind(rest)
         solved = as_kind(kind.spec.moment_source or kind).spec  # the matrix energy_stack solves
-        return _StackedMeasure(lambda n, edges: energy_stack(kind, n, edges),
-                               needs_edge=solved.edge_column, needs_connected=solved.connected)
-    for prefix in ("quadratic:", "renyi:", "daroczy:"):
-        if text.startswith(prefix):
-            rest = text[len(prefix):]
-            if prefix == "quadratic:":
-                kind = as_kind(rest)
-                values = lambda n, edges: quadratic_entropy(_distribution(kind, n, edges, log_base))
-            else:
-                kind_text, sep, alpha_text = rest.rpartition(":")
-                if not sep:
-                    raise ValueError(f"measure {text!r} needs an order, like {prefix}q:2")
-                kind = as_kind(kind_text)
-                alpha = _parse(alpha_text, "entropy order", float)
-                functional = renyi_entropy if prefix == "renyi:" else daroczy_entropy
-                values = lambda n, edges: functional(_distribution(kind, n, edges, log_base),
-                                                     alpha)
-            return _StackedMeasure(values, needs_edge=True, needs_connected=kind.spec.connected)
+        return _StackedMeasure(lambda s: energy_stack(kind, s.n, s.arcs("canonical")),
+                               solved.builds)
+    if head in ("quadratic", "renyi", "daroczy"):
+        if head == "quadratic":
+            kind = as_kind(rest)
+            values = lambda s: quadratic_entropy(_distribution(kind, s, log_base))
+        else:
+            kind_text, sep, alpha_text = rest.rpartition(":")
+            if not sep:
+                raise ValueError(f"measure {text!r} needs an order, like {head}:q:2")
+            kind = as_kind(kind_text)
+            alpha = _parse(alpha_text, "entropy order", float)
+            functional = renyi_entropy if head == "renyi" else daroczy_entropy
+            values = lambda s: functional(_distribution(kind, s, log_base), alpha)
+        return _StackedMeasure(values, lambda s: kind.spec.builds(s) & (s.m >= 1))
     raise ValueError(f"unknown measure {text!r}")
 
 
@@ -1240,18 +1108,11 @@ def resolve_measure(text: str, *, log_base: float = 2.0) -> Callable[[Graph | Or
     ``wk:<k>``, ``energy:<kind>``, ``quadratic:<kind>``,
     ``renyi:<kind>:<a>``, ``daroczy:<kind>:<a>``.  Orientation-requiring
     kinds applied to a plain graph use the smaller-to-larger orientation.
-    Spectral measures are a batch of one of the stacked code the scan runs.
+    Every measure is a stack of one of the stacked code the scan runs.
     """
-    def plain(g: Graph | OrientedGraph) -> Graph:
-        return g.underlying if isinstance(g, OrientedGraph) else g
-
-    invariant = _invariant_measure(text)
-    if invariant is not None:
-        return lambda g: invariant(plain(g))
-    values_of = _measure_stack(text, log_base=log_base).values
-    return lambda g: float(values_of(g.n, edge_stack_of(g))[0])
+    values = _measure_stack(text, log_base=log_base).values
+    return lambda g: float(values(EdgeStack.of(g))[0])
 
 
-def _distribution(kind: MatrixKind, n: int, edges: np.ndarray,
-                  log_base: float) -> ProbabilityVector:
-    return probabilities_from_spectrum(spectrum_stack(kind, n, edges), log_base)
+def _distribution(kind: MatrixKind, s: EdgeStack, log_base: float) -> ProbabilityVector:
+    return probabilities_from_spectrum(spectrum_stack(kind, s.n, s.arcs("canonical")), log_base)

@@ -227,6 +227,24 @@ def test_verify_overflow_is_one_line_error(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--corpus", "all:4", "--alpha", "1000"],
+    ["audit", "--corpus", "all:3", "--alpha", "2000"],
+])
+def test_large_orders_give_a_verdict(argv, capsys):
+    """Every p^alpha underflows at these orders; the direct Renyi entropy
+    takes its power sum in the log domain instead of failing on log 0."""
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert captured.err == ""
+    if argv[0] == "verify":
+        assert doc["failures"] == 0 and doc["total_graphs"] == 75
+    else:
+        assert doc["total_claims"] > 0
+        assert doc["summary"]["inequality.renyi-quadratic"]["fail"] == 0
+
+
 @pytest.mark.parametrize("command", ["verify", "compute"])
 def test_space_separated_negative_beta_matches_equals_form(command, k3_file, capsys):
     source = ["--corpus", "all:3"] if command == "verify" else ["--input", k3_file]

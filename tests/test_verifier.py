@@ -1,14 +1,17 @@
 import dataclasses
 import math
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphent import (
     AlphaNonPositiveError,
     ClaimResult,
     Graph,
-    GraphBundle,
     ProbabilityVector,
     as_kind,
     audit_corpus,
@@ -20,6 +23,7 @@ from graphent import (
     check_traces,
     closed_form_parts,
     comparison_tolerance,
+    encode_graph6,
     complete_graph,
     daroczy_entropy,
     matching_graph,
@@ -37,11 +41,10 @@ from graphent import (
     star_graph,
     verify_corpus,
 )
-from graphent import graphs as graphs_module
+from graphent import matrices, measures, verifier
 from graphent.enumeration import graphs_of_stack
 from graphent.errors import NoConvergenceError
-from graphent import measures
-from graphent import verifier
+from graphent.matrices import EdgeStack
 from graphent.report import audit_to_object, render_json, verification_to_object
 
 
@@ -195,13 +198,37 @@ def test_skew_determinant_bound_attained_by_oriented_edge():
     assert claim.residual == pytest.approx(0.0, abs=1e-12)
 
 
-def test_bundle_caches_spectra():
-    bundle = GraphBundle(complete_graph(4))
-    first = bundle.spectrum("q")
-    again = bundle.spectrum("q")
-    assert first is again
-    check_equalities(complete_graph(4), alphas=(2.0,), bundle=bundle)
-    check_bounds(complete_graph(4), bundle=bundle)
+def _spy_solves(monkeypatch) -> list:
+    """Record (kind, matrix stack shape) of every stacked solve."""
+    solved = []
+    solve = matrices._solve
+
+    def recorded(kind, stack):
+        solved.append((str(kind), stack.shape))
+        return solve(kind, stack)
+
+    monkeypatch.setattr(matrices, "_solve", recorded)
+    return solved
+
+
+def test_each_spectrum_is_solved_once_per_stack(monkeypatch):
+    solved = _spy_solves(monkeypatch)
+    spec = parse_corpus("all:4")
+    for groups in spec.stacks(0, spec.total):
+        for n, _, edges in groups:
+            solved.clear()
+            verifier.claim_table(EdgeStack(n, edges), verifier.CHECK_NAMES, (0.5, 2.0), (-1.0,))
+            counts = Counter(kind for kind, _ in solved)
+            for kind, count in counts.items():  # one solve per kind and orientation
+                assert count == (2 if as_kind(kind).needs_orientation else 1), (n, edges[0], kind)
+            assert all(shape[0] == len(edges) or kind == "distance" for kind, shape in solved)
+    # K4: every kind is read, the skew kinds under both orientations
+    stack = EdgeStack.of(complete_graph(4))
+    solved.clear()
+    verifier.claim_table(stack, verifier.CHECK_NAMES, (0.5, 2.0), (-1.0,))
+    assert Counter(kind for kind, _ in solved) == {
+        "q": 1, "norm-l": 1, "norm-q": 1, "incidence": 1, "distance": 1, "skew": 2, "randic": 1,
+        "randic-incidence": 1, "general-randic:-1": 1, "skew-randic": 2}
 
 
 def _count_probability_vectors(monkeypatch) -> list[int]:
@@ -209,22 +236,19 @@ def _count_probability_vectors(monkeypatch) -> list[int]:
     build = verifier.probabilities_from_spectrum
 
     def counting(spectrum, log_base=2.0):
-        calls.append(id(spectrum))
+        calls.append(spectrum.source)
         return build(spectrum, log_base)
 
     monkeypatch.setattr(verifier, "probabilities_from_spectrum", counting)
     return calls
 
 
-def test_bundle_builds_one_probability_vector_per_spectrum(monkeypatch):
+def test_table_builds_one_probability_vector_per_spectrum(monkeypatch):
     calls = _count_probability_vectors(monkeypatch)
     g = random_gnp(9, 0.5, seed=4)
-    bundle = GraphBundle(g)
-    check_equalities(g, alphas=(0.5, 2.0), betas=(-1.0,), bundle=bundle)
-    check_bounds(g, bundle=bundle)
-    assert len(calls) == len(set(calls)) == len(bundle._spectra) == 12
-    assert bundle.probabilities("q") is bundle.probabilities("q")
-    assert len(calls) == 12
+    verifier.claim_table(EdgeStack.of(g), ("equalities", "bounds"), (0.5, 2.0), (-1.0,))
+    # ten kinds, the two skew kinds under both orientations
+    assert len(calls) == 12 and len(set(calls)) == 10
 
 
 def test_one_probability_vector_per_spectrum_at_base_e(monkeypatch):
@@ -232,30 +256,35 @@ def test_one_probability_vector_per_spectrum_at_base_e(monkeypatch):
     calls = _count_probability_vectors(monkeypatch)
     g = random_gnp(10, 0.6, seed=1)
     assert g.is_connected and g.min_degree >= 1
-    bundle = GraphBundle(g)
-    check_equalities(g, log_base=math.e, bundle=bundle)
-    check_bounds(g, bundle=bundle)
-    assert len(calls) == len(set(calls)) == len(bundle._spectra) == 11
+    verifier.claim_table(EdgeStack.of(g), ("equalities", "bounds"), log_base=math.e)
+    assert len(calls) == 11
 
 
 def test_sweep_computes_each_distance_matrix_once(monkeypatch):
-    calls = []
-    kernel = graphs_module.distances
+    rows = []
+    kernel = matrices.distance_stack
 
-    def counting(g):
-        calls.append(g)
-        return kernel(g)
+    def counting(n, edges):
+        rows.extend(map(bytes, edges))
+        return kernel(n, edges)
 
-    monkeypatch.setattr(graphs_module, "distances", counting)
-    report = verify_corpus("gnp:12,0.5,6", alphas=(2.0,), seed=1)
+    monkeypatch.setattr(matrices, "distance_stack", counting)
+    report = verify_corpus("all:4", alphas=(2.0,), seed=1)
     assert report.ok
-    assert report.summary["trace.distance.square"]["pass"] == len(calls) == 6
+    by_status = report.summary["trace.distance.square"]
+    connected = by_status["pass"] + by_status["fail"]  # the distance matrix exists
+    assert len(rows) == connected == 1 + 1 + 4 + 38  # connected labeled graphs on 1..4 vertices
+    rows.clear()
+    report = verify_corpus("gnp:12,0.5,6", alphas=(2.0,), seed=1)
+    assert report.summary["trace.distance.square"]["pass"] == len(rows) == 6
 
 
 def test_oriented_input_is_respected():
-    og = canonical_orientation(path_graph(4))
-    bundle = GraphBundle(og)
-    assert bundle.oriented("canonical") is og
+    og = random_orientation(complete_graph(4), 0)
+    assert og.arcs != canonical_orientation(complete_graph(4)).arcs
+    stack = EdgeStack.of(og)
+    assert np.array_equal(stack.arcs("canonical")[0], og.arc_array)
+    assert np.array_equal(stack.spectrum("skew").values[0], spectrum_of("skew", og).values)
 
 
 # non-finite values fail closed
@@ -263,20 +292,20 @@ def test_oriented_input_is_respected():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_equality_claims_fail_on_non_finite_closed_form(monkeypatch, bad):
-    parts = verifier.closed_form_parts
-    monkeypatch.setattr(verifier, "closed_form_parts", lambda *a, **k: dataclasses.replace(
-        parts(*a, **k), quadratic_value=bad))
+    parts = verifier.closed_form_stack
+    monkeypatch.setattr(verifier, "closed_form_stack", lambda *a, **k: dataclasses.replace(
+        parts(*a, **k), quadratic_value=np.full(1, bad)))
     res = _by_id(check_equalities(complete_graph(3), alphas=(2.0,)))
     claim = res["identity.q"]
     assert claim.status == "fail" and claim.residual == math.inf
     assert claim.witness["functional"] == "quadratic"
     assert claim.witness["direct"] == pytest.approx(0.5)
-    assert claim.witness["closed"] is bad
+    assert claim.witness["closed"] == bad or math.isnan(claim.witness["closed"])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_trace_claims_fail_on_non_finite_sides(monkeypatch, bad):
-    monkeypatch.setattr(measures, "first_zagreb", lambda g: bad)
+    monkeypatch.setattr(measures, "first_zagreb_stack", lambda degrees: np.full(len(degrees), bad))
     res = _by_id(check_traces(path_graph(4)))
     claim = res["trace.q.square"]
     assert claim.status == "fail" and claim.residual == math.inf
@@ -292,14 +321,14 @@ def test_trace_claims_fail_on_non_finite_sides(monkeypatch, bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_bound_claims_fail_on_non_finite_values(monkeypatch, bad):
-    monkeypatch.setattr(GraphBundle, "quadratic", lambda self, kind, orientation=None: bad)
+    monkeypatch.setattr(verifier, "quadratic_entropy", lambda p: np.full(len(p.p), bad))
     res = _by_id(check_bounds(path_graph(4)))
     for claim_id in ("bound.q.upper", "bound.q.lower", "bound.normalized.lower",
                      "bound.distance.lower", "bound.distance.upper", "bound.randic.upper"):
         claim = res[claim_id]
         assert claim.status == "fail", claim_id
         assert claim.residual == -math.inf
-        assert claim.witness["value"] is bad
+        assert claim.witness["value"] == bad or math.isnan(claim.witness["value"])
         assert math.isfinite(claim.witness["bound"])
     # the degree chain compares two invariants and stays finite
     assert res["bound.skew.degree-chain"].status == "pass"
@@ -365,7 +394,7 @@ def test_audit_corpus_validates_the_grid_before_any_work(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the grid was checked")
 
-    monkeypatch.setattr(verifier, "spectrum_stack", no_solve)
+    monkeypatch.setattr(matrices, "_solve", no_solve)
     for corpus in ("all:1", "all:3"):
         with pytest.raises(AlphaNonPositiveError):
             audit_corpus(corpus, alpha_grid=(0.5, -1.0))
@@ -422,20 +451,20 @@ def _reference_audit_theorem10(p, alpha_grid, log_base):
 
 def _reference_audit_corpus(corpus, kinds=None, alpha_grid=verifier.DEFAULT_AUDIT_GRID,
                             seed=0, log_base=2.0):
-    """Reference: the per-graph loop, one bundle and one solve per graph and kind."""
+    """Reference: the per-graph loop, one solve per graph and kind."""
     spec = parse_corpus(corpus)
     use_kinds = [as_kind(k) for k in (kinds or verifier.default_audit_kinds())]
     counts, retained, graphs, total = {}, [], 0, 0
     for g in spec.iterate(0, spec.total, seed):
         graphs += 1
-        bundle = GraphBundle(g, seed)
+        descriptor = encode_graph6(g).decode("ascii")
         for kind in use_kinds:
             if kind.tag == "distance" and not (g.is_connected and g.n >= 2):
                 continue
             if kind.tag != "distance" and g.m == 0:
                 continue
-            spec_ = bundle.spectrum(kind, "canonical" if kind.needs_orientation else None)
-            p = probabilities_from_spectrum(spec_, log_base)
+            spectrum = spectrum_of(kind, canonical_orientation(g) if kind.needs_orientation else g)
+            p = probabilities_from_spectrum(spectrum, log_base)
             for res in _reference_audit_theorem10(p, alpha_grid, log_base):
                 witness = dict(res.witness)
                 witness["matrix"] = str(kind)
@@ -444,7 +473,7 @@ def _reference_audit_corpus(corpus, kinds=None, alpha_grid=verifier.DEFAULT_AUDI
                 by_status[res.status] = by_status.get(res.status, 0) + 1
                 if (res.status in ("fail", "equality-attained")
                         and len(retained) < verifier.AUDIT_RETAIN_LIMIT):
-                    retained.append(ClaimResult(res.claim_id, bundle.descriptor, res.status,
+                    retained.append(ClaimResult(res.claim_id, descriptor, res.status,
                                                 res.residual, witness))
     summary = {cid: {st: by.get(st, 0) for st in verifier.STATUSES}
                for cid, by in counts.items()}
@@ -483,13 +512,13 @@ def test_stacked_audit_retains_the_first_records_in_corpus_order(monkeypatch):
 
 def test_stacked_audit_encodes_only_graphs_owning_a_retained_record(monkeypatch):
     calls = []
-    encode = verifier.encode_graph6
+    encode = matrices.encode_graph6
 
     def counting(g):
         calls.append(g)
         return encode(g)
 
-    monkeypatch.setattr(verifier, "encode_graph6", counting)
+    monkeypatch.setattr(matrices, "encode_graph6", counting)
     report = audit_corpus("all:4")
     owners = {c.graph for c in report.claims}
     assert len(calls) == len(owners) < report.total_graphs
@@ -595,38 +624,98 @@ def test_verify_corpus_worker_reports_are_byte_identical():
         render_json(verification_to_object(duo))
 
 
+def _checks_of_one(g, alphas, betas, seed, log_base=2.0):
+    return (check_equalities(g, alphas, betas=betas, seed=seed, log_base=log_base)
+            + check_traces(g, betas=betas, seed=seed) + check_bounds(g, seed=seed))
+
+
 @pytest.mark.parametrize("corpus", ["all:4", "gnp:7,0.5,40"])
-def test_stacked_bundles_equal_the_per_graph_checks(corpus):
-    """Bundles of one stack share their solves, and give each graph its
-    per-graph spectra bit for bit and its per-graph claims, residuals
-    included."""
+def test_stacked_tables_equal_the_per_graph_checks(corpus):
+    """Each row of a stack's table is its graph's table of one, residuals
+    included, and the stack's spectra are the per-graph spectra bit for bit."""
     spec = parse_corpus(corpus)
     alphas, betas = (0.5, 2.0, 3.0), (-1.0, 1.0)
     checked = 0
     for groups in spec.stacks(0, spec.total, seed=2):
         for n, _, edges in groups:
-            bundles = GraphBundle.stack(graphs_of_stack(n, edges), seed=2)
-            for bundle in bundles:
-                g = bundle.graph
-                claims = verifier._evaluate_graph(bundle, verifier.CHECK_NAMES, alphas, betas, 2.0)
-                assert claims == (check_equalities(g, alphas, betas=betas, seed=2)
-                                  + check_traces(g, betas=betas, seed=2)
-                                  + check_bounds(g, seed=2)), g.edges
-                alone = GraphBundle(g, 2)
-                for (tag, label), spectrum in bundle._spectra.items():
-                    assert np.array_equal(spectrum.values, alone.spectrum(tag, label).values)
+            stack = EdgeStack(n, edges, seed=2)
+            table = verifier.claim_table(stack, verifier.CHECK_NAMES, alphas, betas)
+            for row, g in enumerate(graphs_of_stack(n, edges)):
+                assert table.row(row) == _checks_of_one(g, alphas, betas, 2), g.edges
+                alone = EdgeStack.of(g, 2)
+                for (tag, label), (spectrum, _) in stack._spectra.items():
+                    assert np.array_equal(spectrum.values[row], alone.spectrum(tag, label).values[0],
+                                          equal_nan=True)
                 checked += 1
     assert checked == spec.total
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_every_table_row_equals_the_table_of_one(data):
+    """On random stacks, with every trace claim forced to fail half the time
+    so that rows carry witnesses, the table's rows are the tables of one."""
+    n = data.draw(st.integers(1, 7), label="n")
+    pairs = list(combinations(range(n), 2))
+    m = data.draw(st.integers(0, len(pairs)), label="m")
+    picks = data.draw(st.lists(st.permutations(range(len(pairs))), min_size=1, max_size=6))
+    edges = np.array([[pairs[i] for i in sorted(pick[:m])] for pick in picks],
+                     dtype=np.int64).reshape(len(picks), m, 2)
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    log_base = data.draw(st.sampled_from([2.0, math.e]), label="log_base")
+    alphas, betas = (0.5, 3.0), (-0.5,)
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans(), label="failing traces"):
+            mp.setattr(verifier, "TRACE_REL_TOL", -1.0)
+        table = verifier.claim_table(EdgeStack(n, edges, seed=seed), verifier.CHECK_NAMES,
+                                     alphas, betas, log_base)
+        for row, g in enumerate(graphs_of_stack(n, edges)):
+            assert table.row(row) == _checks_of_one(g, alphas, betas, seed, log_base)
+
+
 def test_sweep_leaves_a_failed_stacked_solve_to_the_per_graph_route(monkeypatch):
     want = render_json(verification_to_object(verify_corpus("all:4", alphas=(2.0,))))
+    solve = matrices._solve
 
-    def refuse(*args, **kwargs):
-        raise NoConvergenceError("stacked solve refused")
+    def refuse(kind, stack):
+        if len(stack) > 1:
+            raise NoConvergenceError("stacked solve refused")
+        return solve(kind, stack)
 
-    monkeypatch.setattr(verifier, "spectrum_graphs", refuse)
+    monkeypatch.setattr(matrices, "_solve", refuse)
     assert render_json(verification_to_object(verify_corpus("all:4", alphas=(2.0,)))) == want
+
+
+NORMALIZED_READERS = {"identity.normalized", "trace.normalized.square", "bound.normalized.lower",
+                      "bound.normalized.upper", "bound.normalized.degree-lower",
+                      "bound.normalized.degree-upper"}
+
+
+def test_a_member_whose_own_solve_raises_fails_every_claim_reading_that_spectrum(monkeypatch):
+    p3 = path_graph(3)  # one of three graphs in its stack of all:3
+    refused = build("norm-l", p3)
+    solve = matrices._solve
+
+    def refuse(kind, stack):
+        if str(kind) == "norm-l" and any(np.array_equal(m, refused) for m in stack):
+            raise NoConvergenceError("norm-l solve refused")
+        return solve(kind, stack)
+
+    want = verify_corpus("all:3", alphas=(2.0,))
+    monkeypatch.setattr(matrices, "_solve", refuse)
+    report = verify_corpus("all:3", alphas=(2.0,))
+    failed = [c for c in report.claims if c.status == "fail"]
+    assert {c.claim_id for c in failed} == NORMALIZED_READERS
+    assert {(c.graph, c.residual) for c in failed} == {(encode_graph6(p3).decode(), None)}
+    assert all(c.witness == {"error": "norm-l solve refused"} for c in failed)
+    for claim_id, by_status in report.summary.items():
+        moved = {status: by_status[status] - k for status, k in want.summary[claim_id].items()}
+        assert moved["fail"] == (claim_id in NORMALIZED_READERS), claim_id
+        assert sum(moved.values()) == 0
+    # the per-graph checks give the same records
+    res = _by_id(check_traces(p3) + check_bounds(p3))
+    assert {c for c, r in res.items() if r.status == "fail"} == NORMALIZED_READERS - {
+        "identity.normalized"}
 
 
 @pytest.mark.parametrize("checks,unread", [
@@ -634,18 +723,18 @@ def test_sweep_leaves_a_failed_stacked_solve_to_the_per_graph_route(monkeypatch)
     (("bounds",), {"general-randic:-1", "general-randic:1"}),
 ])
 def test_sweep_solves_only_the_spectra_its_checks_read(monkeypatch, checks, unread):
-    solved = set()
-
-    def spy(solve):
-        def recorded(kind, graphs):
-            solved.add(str(kind))
-            return solve(kind, graphs)
-        return recorded
-
-    monkeypatch.setattr(verifier, "spectrum_graphs", spy(verifier.spectrum_graphs))
-    monkeypatch.setattr(verifier, "spectrum_of", spy(verifier.spectrum_of))
+    solved = _spy_solves(monkeypatch)
     verify_corpus("all:4", checks=checks, betas=(-1.0, 1.0))
-    assert "q" in solved and not solved & unread
+    kinds = {kind for kind, _ in solved}
+    assert "q" in kinds and not kinds & unread
+
+
+def test_dense_audit_stacks_stay_under_the_entry_cap(monkeypatch):
+    solved = _spy_solves(monkeypatch)
+    report = audit_corpus("gnp:30,1.0,20")  # twenty copies of K30, 435 edges each
+    assert report.total_graphs == 20
+    assert max(np.prod(shape) for _, shape in solved) <= verifier.STACK_ENTRIES
+    assert [shape[0] for kind, shape in solved if kind == "incidence"] == [5, 5, 5, 5]
 
 
 def test_worker_pool_is_capped_by_chunks_and_cpus(monkeypatch):
