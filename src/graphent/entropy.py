@@ -224,7 +224,8 @@ def closed_form_stack(kind: MatrixKind | str, stack: EdgeStack, spectrum: Spectr
     kind = as_kind(kind)
     row = kind.spec
     moments = sqrt_spectrum(spectrum, source=str(kind)) if row.moment_source else spectrum
-    t = moments.abs_sum() if row.trace is None else row.trace(stack)
+    t = (moments.abs_sum() if row.trace is None
+         else np.broadcast_to(row.trace(stack), (len(stack),))[rows])
     square_sum = np.broadcast_to(row.square_sum(stack, kind), (len(stack),))[rows]
     return ClosedFormParts(kind, per_member(1.0 - square_sum / (t * t)), t, moments)
 

@@ -6,12 +6,13 @@ vertex sequences.  The supported ranges (n <= 7 for all graphs, n <= 9 for
 trees) keep full sweeps at desk scale.
 
 Decoding works on stacks.  :func:`tree_edge_stack` turns a batch of B tree
-indices into a ``(B, n - 1, 2)`` int64 array, and :func:`graph_edge_stacks`
-turns a batch of masks into one ``(B_m, m, 2)`` array per edge count m; each
-row holds one member's edges, sorted, with ``u < v``.  The single-member
+indices into a ``(B, n - 1, 2)`` int64 array, and :func:`graph_edge_stack`
+turns a batch of masks into one ``(B, m_max, 2)`` array whose rows hold
+different edge counts, each padded with (n, n) after its edges; each row
+holds one member's edges, sorted, with ``u < v``.  The single-member
 functions (:func:`labeled_tree_from_index`, :func:`labeled_graph_from_mask`)
-and the streams are a batch of one, or of :data:`STACK_CHUNK`, of the same
-decoders, so there is one decoding path.
+and the tree stream are a batch of one, or of :data:`STACK_CHUNK`, of the
+same decoders, so there is one decoding path.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, edge_counts
 
 # Members per decoded stack, here and in the extremal scan.  Small stacks
 # keep a sweep's peak memory at the level of a graph-by-graph loop, and at
@@ -50,17 +51,29 @@ def labeled_tree_count(n: int) -> int:
 
 
 def graphs_of_stack(n: int, edges: np.ndarray) -> list[Graph]:
-    """One :class:`Graph` per row of a ``(B, m, 2)`` sorted-edge stack."""
-    return [Graph(n, tuple(map(tuple, rows))) for rows in np.asarray(edges).tolist()]
+    """One :class:`Graph` per row of a ``(B, m, 2)`` sorted-edge stack, ragged
+    or not (see :func:`graphent.graphs.edge_counts`)."""
+    return [Graph(n, tuple(map(tuple, rows[:k]))) for rows, k in
+            zip(np.asarray(edges).tolist(), edge_counts(n, edges).tolist())]
 
 
-def graph_edge_stacks(n: int, masks: Iterable[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Decode edge bitmasks into one sorted-edge stack per edge count.
+def pad_edge_stack(n: int, edge_arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack ``(m, 2)`` sorted-edge arrays of graphs on n vertices into one
+    ``(B, m_max, 2)`` stack, each row padded with (n, n) after its edges."""
+    out = np.full((len(edge_arrays), max(map(len, edge_arrays), default=0), 2), n,
+                  dtype=np.int64)
+    for row, edges in zip(out, edge_arrays):
+        row[:len(edges)] = edges
+    return out
+
+
+def graph_edge_stack(n: int, masks: Iterable[int]) -> np.ndarray:
+    """Decode edge bitmasks into one sorted-edge stack, a row per mask in the
+    order given.
 
     Bit k of a mask toggles the k-th vertex pair in lexicographic order.
-    Returns ``(positions, edges)`` pairs in increasing edge count m, where
-    ``edges`` has shape ``(len(positions), m, 2)`` and ``positions`` are the
-    indices of those members in ``masks``.
+    Members with fewer edges than the most in the batch are padded with
+    (n, n), as :func:`pad_edge_stack` pads them.
     """
     total = labeled_graph_count(n)
     masks = np.asarray(masks, dtype=np.int64).reshape(-1)
@@ -69,54 +82,22 @@ def graph_edge_stacks(n: int, masks: Iterable[int]) -> list[tuple[np.ndarray, np
         raise ValueError(f"mask {int(bad[0])} out of range for order {n}")
     pairs = np.array(list(combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2)
     bits = (masks[:, None] >> np.arange(len(pairs))) & 1
-    groups = []
-    for m, positions in _by_edge_count(bits.sum(axis=1)):
-        cols = np.nonzero(bits[positions])[1]
-        groups.append((positions, pairs[cols].reshape(len(positions), m, 2)))
-    return groups
-
-
-def stacks_by_edge_count(edge_arrays: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Group ``(m, 2)`` sorted-edge arrays into one stack per edge count m.
-
-    Returns ``(positions, edges)`` pairs as :func:`graph_edge_stacks` does,
-    with ``positions`` indexing ``edge_arrays``.
-    """
-    counts = np.array([len(e) for e in edge_arrays], dtype=np.int64)
-    return [(positions,
-             np.array([edge_arrays[i] for i in positions.tolist()],
-                      dtype=np.int64).reshape(len(positions), m, 2))
-            for m, positions in _by_edge_count(counts)]
-
-
-def _by_edge_count(counts: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """``(m, positions)`` for each edge count m present, in increasing m."""
-    for m in np.flatnonzero(np.bincount(counts, minlength=1)):
-        yield int(m), np.flatnonzero(counts == m)
+    counts = bits.sum(axis=1)
+    # each row's pairs in order, its set bits first
+    cols = np.argsort(1 - bits, axis=1, kind="stable")[:, :counts.max(initial=0)]
+    edges = pairs[cols]
+    edges[np.arange(cols.shape[1]) >= counts[:, None]] = n
+    return edges
 
 
 def labeled_graphs_from_masks(n: int, masks: Iterable[int]) -> list[Graph]:
     """The graphs at several bitmask positions, in the order given."""
-    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-    out: list[Graph] = [None] * len(masks)  # type: ignore[list-item]
-    for positions, edges in graph_edge_stacks(n, masks):
-        for pos, g in zip(positions.tolist(), graphs_of_stack(n, edges)):
-            out[pos] = g
-    return out
+    return graphs_of_stack(n, graph_edge_stack(n, masks))
 
 
 def labeled_graph_from_mask(n: int, mask: int) -> Graph:
     """The graph at one bitmask position of the enumeration order."""
     return labeled_graphs_from_masks(n, [mask])[0]
-
-
-def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled graph on n vertices, one per edge-subset bitmask.
-
-    Masks run from 0 (edgeless) to 2^C(n,2) - 1 (complete).
-    """
-    for masks in index_chunks(0, labeled_graph_count(n)):
-        yield from labeled_graphs_from_masks(n, masks)
 
 
 def tree_edge_stack(n: int, indices: Iterable[int]) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import (
     ByteOutOfRangeError,
     ContradictoryArcsError,
@@ -10,7 +12,7 @@ from .errors import (
     TrailingBytesError,
     TruncatedStreamError,
 )
-from .graphs import Edge, Graph, OrientedGraph
+from .graphs import Edge, Graph, OrientedGraph, edge_entries
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -124,6 +126,23 @@ def encode_graph6(g: Graph) -> bytes:
             value = (value << 1) | b
         out.append(value + 63)
     return bytes(out)
+
+
+def encode_graph6_stack(n: int, edges: np.ndarray) -> list[bytes]:
+    """:func:`encode_graph6` of every row of a ``(B, m, 2)`` sorted-edge stack
+    (ragged or not, see :func:`graphent.graphs.edge_counts`), by array
+    operations on the stack instead of one graph at a time."""
+    if n >= 63:
+        raise ValueError("multi-byte graph6 orders (n >= 63) are not supported")
+    edges = np.asarray(edges, dtype=np.int64)
+    members, tails, heads = edge_entries(n, edges)
+    width = -(-(n * (n - 1) // 2) // 6)  # bytes after the order byte
+    bits = np.zeros((len(edges), 6 * width), dtype=np.int64)
+    bits[members, heads * (heads - 1) // 2 + tails] = 1  # column by column of the upper triangle
+    body = bits.reshape(len(edges), width, 6) @ (1 << np.arange(5, -1, -1))
+    rows = np.concatenate([np.full((len(edges), 1), n), body], axis=1) + 63
+    raw = rows.astype(np.uint8).tobytes()
+    return [raw[at:at + 1 + width] for at in range(0, len(raw), 1 + width)]
 
 
 def _parse_pair_lines(text: str) -> tuple[int | None, list[Edge]]:

@@ -254,13 +254,51 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
+def edge_counts(n: int, edges: np.ndarray) -> np.ndarray:
+    """The edge count of each member of a (B, m, 2) edge stack, as a (B,) array.
+
+    A stack of members with different edge counts is ragged: each row lists
+    its member's edges, then pads them with the pair (n, n) up to the
+    longest row.  A pad names no vertex, so a reader that forgets it fails
+    on an index instead of reading a wrong edge.
+    """
+    return (np.asarray(edges)[..., 0] < n).sum(axis=-1)
+
+
+def edge_entries(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(members, tails, heads)`` of every edge of a (B, m, 2) stack, pads left out."""
+    members = np.broadcast_to(np.arange(len(edges))[:, None], edges.shape[:2])
+    real = edges[..., 0] < n
+    if real.all():
+        return members, edges[..., 0], edges[..., 1]
+    return members[real], edges[..., 0][real], edges[..., 1][real]
+
+
+def by_edge_count(n: int, edges: np.ndarray) -> list[tuple[slice | np.ndarray, np.ndarray]]:
+    """``(rows, edges[rows])`` for each edge count k of a stack, in increasing
+    k, with the rows' pads cut off: a ``(B_k, k, 2)`` stack.  ``rows`` is a
+    slice over the whole stack when it has one edge count.
+
+    Float sums along the edge axis run on these parts, so each member's sum
+    is the one it has alone: padding would regroup numpy's pairwise sums.
+    """
+    counts = edge_counts(n, edges)
+    if (counts[1:] == counts[:1]).all():  # one edge count, or no member
+        return [(slice(None), edges[:, :counts.max(initial=0)])]
+    parts = []
+    for k in np.flatnonzero(np.bincount(counts)).tolist():
+        rows = np.flatnonzero(counts == k)
+        parts.append((rows, edges[rows, :k]))
+    return parts
+
+
 def adjacency_stack(n: int, edges: np.ndarray) -> np.ndarray:
     """0/1 adjacency matrices, shape (B, n, n), of a (B, m, 2) edge stack."""
     edges = np.asarray(edges, dtype=np.int64)
     out = np.zeros((len(edges), n, n))
-    members = np.arange(len(edges))[:, None]
-    out[members, edges[..., 0], edges[..., 1]] = 1.0
-    out[members, edges[..., 1], edges[..., 0]] = 1.0
+    members, tails, heads = edge_entries(n, edges)
+    out[members, tails, heads] = 1.0
+    out[members, heads, tails] = 1.0
     return out
 
 

@@ -26,7 +26,10 @@ closed-form moments come from, as functions of an :class:`EdgeStack`.
 Matrices are built in stacks: :func:`build_stack` takes an order n and a
 ``(B, m, 2)`` stack of edges (arcs for the oriented kinds) and returns one
 matrix per row, and :func:`spectrum_stack` solves the whole stack at once.
-An :class:`EdgeStack` is such a stack of graphs with the invariants and
+A stack may mix edge counts: shorter rows are padded (see
+:func:`graphent.graphs.edge_counts`), and the incidence kinds, whose columns
+are edges, are built and solved an edge count at a time.  An
+:class:`EdgeStack` is such a stack of graphs with the invariants and
 spectra the claims read of it, each computed once.  The per-graph
 :func:`build` and :func:`spectrum_of` are a batch of one of the same code,
 so a graph's matrix and spectrum equal its row in any stack.
@@ -34,6 +37,7 @@ so a graph's matrix and spectrum equal its row in any stack.
 
 from __future__ import annotations
 
+import random
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,7 +46,6 @@ from typing import Callable
 import numpy as np
 
 from . import measures
-from .enumeration import graphs_of_stack
 from .errors import (
     EmptyEdgeSetError,
     HypothesisNotMetError,
@@ -51,14 +54,16 @@ from .errors import (
     NotOrientedError,
     ZeroSpectrumError,
 )
-from .formats import encode_graph6
+from .formats import encode_graph6_stack
 from .graphs import (
     Graph,
     OrientedGraph,
     adjacency_stack,
+    by_edge_count,
     connected_stack,
     distance_stack,
-    random_orientation,
+    edge_counts,
+    edge_entries,
 )
 from .spectra import (
     ABSOLUTE_EIGENVALUES,
@@ -137,7 +142,7 @@ class KindSpec:
 
     def builds(self, s: EdgeStack) -> np.ndarray:
         """Which members' matrices exist, as a (B,) bool array."""
-        exists = np.full(len(s), not self.edge_column or s.m >= 1)
+        exists = s.m >= 1 if self.edge_column else np.ones(len(s), dtype=bool)
         return exists & s.connected if self.connected else exists
 
     def has_closed_form(self, s: EdgeStack) -> np.ndarray:
@@ -222,9 +227,9 @@ def require_orientation(kind: MatrixKind, g: Graph | OrientedGraph) -> None:
 
 
 def _degrees(n: int, edges: np.ndarray) -> np.ndarray:
-    members = np.arange(len(edges))[:, None, None]
-    counts = np.bincount((members * n + edges).ravel(), minlength=len(edges) * n)
-    return counts.reshape(len(edges), n).astype(float)
+    members, tails, heads = edge_entries(n, edges)
+    ends = np.concatenate([(members * n + tails).ravel(), (members * n + heads).ravel()])
+    return np.bincount(ends, minlength=len(edges) * n).reshape(len(edges), n).astype(float)
 
 
 def _inv_sqrt(d: np.ndarray) -> np.ndarray:
@@ -241,25 +246,28 @@ def build_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> np.ndarray
     Rows hold each member's sorted edges; for the oriented kinds they hold
     the arcs (tail, head), one per edge in sorted edge order.  Returns a
     ``(B, n, n)`` stack, or ``(B, n, m)`` for the incidence kinds, whose
-    columns follow the edge order.
+    columns follow the edge order.  The square kinds take a ragged stack
+    (see :func:`graphent.graphs.edge_counts`); the incidence kinds, whose
+    columns are the edges, one edge count.
     """
     kind = as_kind(kind)
     edges = np.asarray(edges, dtype=np.int64)
     if kind.tag == "distance":
         return distance_stack(n, edges)
     size, m = edges.shape[:2]
-    members = np.arange(size)[:, None]
-    tail, head = edges[..., 0], edges[..., 1]
     if kind.spec.edge_column:
         if m == 0:
             raise EmptyEdgeSetError("incidence matrix needs at least one edge column")
+        if (edges[..., 0] >= n).any():
+            raise ValueError("incidence matrices need a stack of one edge count")
         out = np.zeros((size, n, m))
-        cols = np.arange(m)
-        out[members, tail, cols] = 1.0
-        out[members, head, cols] = 1.0
+        members, cols = np.arange(size)[:, None], np.arange(m)
+        out[members, edges[..., 0], cols] = 1.0
+        out[members, edges[..., 1], cols] = 1.0
         if kind.tag == "incidence":
             return out
         return _inv_sqrt(_degrees(n, edges))[:, :, None] * out
+    members, tail, head = edge_entries(n, edges)
     out = np.zeros((size, n, n))
     if kind.tag == "skew":
         out[members, tail, head] = 1.0
@@ -311,9 +319,21 @@ def spectrum_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> Spectru
     """The spectra of every row of a pair stack, as one ``(B, n)`` Spectrum.
 
     One stacked matrix build and one stacked solve; see :func:`spectrum_of`.
+    The incidence kinds of a ragged stack take one per edge count
+    (:func:`graphent.graphs.by_edge_count`), so each member's Gram product
+    is the one it has alone.
     """
     kind = as_kind(kind)
-    return _solve(kind, build_stack(kind, n, edges))
+    edges = np.asarray(edges, dtype=np.int64)
+    if not kind.spec.edge_column:
+        return _solve(kind, build_stack(kind, n, edges))
+    parts = by_edge_count(n, edges)
+    if len(parts) == 1:
+        return _solve(kind, build_stack(kind, n, parts[0][1]))
+    values = np.empty((len(edges), n))
+    for rows, part in parts:
+        values[rows] = _solve(kind, build_stack(kind, n, part)).values
+    return Spectrum(values, SINGULAR_VALUES, str(kind))
 
 
 def spectrum_of(kind: MatrixKind | str, g: Graph | OrientedGraph) -> Spectrum:
@@ -328,17 +348,20 @@ def spectrum_of(kind: MatrixKind | str, g: Graph | OrientedGraph) -> Spectrum:
 
 
 class EdgeStack:
-    """B graphs of one order n and edge count m as a ``(B, m, 2)`` sorted-edge
-    stack, with their degrees, connectivity, distance matrices, orientations,
-    spectra and graph6 descriptors, each computed once on first use.  The
-    ``canonical`` orientation is the edges or the ``arcs`` given, the
-    ``random`` one :func:`graphent.graphs.random_orientation` seeded by each
-    descriptor mixed with ``seed``.  A graph is a stack of one (:meth:`of`)."""
+    """B graphs of one order n as a ``(B, m, 2)`` sorted-edge stack, with their
+    edge counts ``m`` (a (B,) array: a stack may be ragged, see
+    :func:`graphent.graphs.edge_counts`), degrees, connectivity, distance
+    matrices, orientations, spectra and graph6 descriptors, each computed
+    once on first use.  The ``canonical`` orientation is the edges or the
+    ``arcs`` given, the ``random`` one draws each member's coins as
+    :func:`graphent.graphs.random_orientation` does, seeded by its
+    descriptor mixed with ``seed``.  A graph is a stack of one (:meth:`of`),
+    and ``stack[rows]`` is the stack of some members."""
 
     def __init__(self, n: int, edges: np.ndarray, *, arcs: np.ndarray | None = None,
                  seed: int = 0):
         self.n, self.edges, self.seed = n, np.asarray(edges, dtype=np.int64), seed
-        self.m = self.edges.shape[1]
+        self.m = edge_counts(n, self.edges)
         self._arcs = {"canonical": self.edges if arcs is None else arcs}
         self._spectra: dict[tuple[str, str | None], tuple[Spectrum, dict[int, Exception]]] = {}
         self._descriptors: dict[int, str] = {}
@@ -351,6 +374,11 @@ class EdgeStack:
 
     def __len__(self) -> int:
         return len(self.edges)
+
+    def __getitem__(self, rows: slice | np.ndarray) -> EdgeStack:
+        arcs = self._arcs["canonical"]
+        return EdgeStack(self.n, self.edges[rows], seed=self.seed,
+                         arcs=None if arcs is self.edges else arcs[rows])
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -367,6 +395,8 @@ class EdgeStack:
     @cached_property
     def distances(self) -> np.ndarray:
         """``(B, n, n)`` shortest-path lengths of the connected members; zero elsewhere."""
+        if self.connected.all():
+            return distance_stack(self.n, self.edges)
         out = np.zeros((len(self), self.n, self.n))
         if self.connected.any():
             out[self.connected] = distance_stack(self.n, self.edges[self.connected])
@@ -374,19 +404,19 @@ class EdgeStack:
 
     def descriptor(self, row: int) -> str:
         if row not in self._descriptors:
-            g = graphs_of_stack(self.n, self.edges[row:row + 1])[0]
-            self._descriptors[row] = encode_graph6(g).decode("ascii")
+            self._descriptors[row] = encode_graph6_stack(self.n, self.edges[[row]])[0].decode()
         return self._descriptors[row]
 
     def arcs(self, label: str) -> np.ndarray:
         """The ``(B, m, 2)`` arcs of the ``canonical`` or ``random`` orientation."""
         if label == "random" and label not in self._arcs:
-            graphs = graphs_of_stack(self.n, self.edges)
-            self._descriptors = dict(enumerate(encode_graph6(g).decode("ascii") for g in graphs))
-            seeds = [zlib.crc32(d.encode("ascii")) ^ (self.seed & 0xFFFFFFFF)
-                     for d in self._descriptors.values()]
-            self._arcs[label] = np.array([random_orientation(g, seed).arc_array for g, seed
-                                          in zip(graphs, seeds)]).reshape(self.edges.shape)
+            encoded = encode_graph6_stack(self.n, self.edges)
+            self._descriptors = {row: d.decode() for row, d in enumerate(encoded)}
+            flips = np.zeros(self.edges.shape[:2], dtype=bool)
+            for row, (descriptor, m) in enumerate(zip(encoded, self.m.tolist())):
+                coins = random.Random(zlib.crc32(descriptor) ^ (self.seed & 0xFFFFFFFF))
+                flips[row, :m] = [coins.random() >= 0.5 for _ in range(m)]  # as random_orientation
+            self._arcs[label] = np.where(flips[..., None], self.edges[..., ::-1], self.edges)
         return self._arcs[label]
 
     def spectrum(self, kind: MatrixKind | str, orientation: str | None = None) -> Spectrum:
@@ -400,13 +430,18 @@ class EdgeStack:
     def _solved(self, kind: MatrixKind, orientation: str | None):
         label = (orientation or "canonical") if kind.needs_orientation else None
         if (str(kind), label) not in self._spectra:
-            values = np.full((len(self), self.n), np.nan)
             errors: dict[int, Exception] = {}
-            rows = np.flatnonzero(kind.spec.builds(self))
+            builds = kind.spec.builds(self)
             try:
-                values[rows] = self._values(kind, label, rows)
+                if builds.all():  # the stack as it is: no gather, no scatter
+                    values = self._values(kind, label, slice(None))
+                else:
+                    values = np.full((len(self), self.n), np.nan)
+                    if builds.any():
+                        values[builds] = self._values(kind, label, builds)
             except (NoConvergenceError, NegativeEigenvalueError):
-                for row in rows.tolist():
+                values = np.full((len(self), self.n), np.nan)
+                for row in np.flatnonzero(builds).tolist():
                     try:
                         values[row] = self._values(kind, label, [row])[0]
                     except (NoConvergenceError, NegativeEigenvalueError) as exc:
@@ -417,7 +452,6 @@ class EdgeStack:
         return self._spectra[str(kind), label]
 
     def _values(self, kind: MatrixKind, label: str | None, rows) -> np.ndarray:
-        if not len(rows):
-            return np.empty((0, self.n))
-        return _solve(kind, self.distances[rows] if kind.tag == "distance"
-                      else build_stack(kind, self.n, self.arcs(label or "canonical")[rows])).values
+        if kind.tag == "distance":
+            return _solve(kind, self.distances[rows]).values
+        return spectrum_stack(kind, self.n, self.arcs(label or "canonical")[rows]).values

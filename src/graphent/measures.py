@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import matrices  # a module import: the kind catalogue in matrices reads this module
-from .graphs import Graph, OrientedGraph
+from .graphs import Graph, OrientedGraph, by_edge_count
 from .spectra import Spectrum, sqrt_spectrum
 
 
@@ -28,11 +28,14 @@ def general_randic_stack(degrees: np.ndarray, edges: np.ndarray, beta: float) ->
 
     beta = -1/2 gives the classic branching index; beta = -1 and
     beta = 1 appear in the closed entropy forms for the degree-weighted
-    adjacency families.
+    adjacency families.  A ragged stack is summed an edge count at a time
+    (:func:`graphent.graphs.by_edge_count`), so each member's sum is its own.
     """
-    members = np.arange(len(edges))[:, None]
-    ends = degrees[members, edges[..., 0]] * degrees[members, edges[..., 1]]
-    return (ends ** beta).sum(axis=-1)
+    out = np.empty(len(edges))
+    for rows, part in by_edge_count(degrees.shape[-1], np.asarray(edges)):
+        d, members = degrees[rows], np.arange(len(part))[:, None]
+        out[rows] = ((d[members, part[..., 0]] * d[members, part[..., 1]]) ** beta).sum(axis=-1)
+    return out
 
 
 def distance_moment_stack(distances: np.ndarray, k: int) -> np.ndarray:

@@ -19,7 +19,7 @@ the package live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,6 +84,11 @@ class Spectrum:
 
     def abs_sum(self):
         return per_member(np.abs(self.values).sum(axis=-1))
+
+    def take(self, rows: np.ndarray) -> Spectrum:
+        """The members ``rows`` (ascending, distinct) of a stacked spectrum;
+        the spectrum itself when they are all of its members."""
+        return self if len(rows) == len(self.values) else replace(self, values=self.values[rows])
 
 
 def symmetric_eigenvalues(matrix, source: str = "custom") -> Spectrum:

@@ -16,8 +16,8 @@ an identity claim applies where its kinds' closed forms do, and a trace
 claim where their matrices exist; the trace and square-sum invariants are
 the row's.  Each bound shares the closed-form hypothesis of one kind.
 
-Claims are evaluated as tables over a stack of graphs of one order and
-edge count (:class:`graphent.matrices.EdgeStack`): :func:`claim_table`
+Claims are evaluated as tables over a stack of graphs of one order, whose
+edge counts may differ (:class:`graphent.matrices.EdgeStack`): :func:`claim_table`
 solves each spectrum once per stack and reduces values, residuals,
 witnesses, slacks and equality characterizations to a status code per
 member and claim, as arrays.  The ``check_*`` functions are a table of one.
@@ -47,7 +47,7 @@ import os
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -62,14 +62,14 @@ from .entropy import (
     renyi_entropy,
 )
 from .enumeration import (
-    graph_edge_stacks,
+    graph_edge_stack,
     graphs_of_stack,
     index_chunks,
     labeled_graph_count,
     labeled_graphs_from_masks,
     labeled_tree_count,
     labeled_trees_from_indices,
-    stacks_by_edge_count,
+    pad_edge_stack,
     tree_edge_stack,
 )
 from .errors import AlphaNonPositiveError, DisconnectedGraphError
@@ -191,7 +191,7 @@ def _closed_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
     rows = np.flatnonzero(applies & ~np.isnan(moments.values[:, 0]))
     out = np.full((len(stack), 1 + 2 * len(alphas)), np.nan)
     if len(rows):
-        parts = closed_form_stack(kind, stack, replace(moments, values=moments.values[rows]), rows)
+        parts = closed_form_stack(kind, stack, moments.take(rows), rows)
         out[rows] = _entropies(parts.quadratic_value, parts.renyi, parts.daroczy, alphas, log_base)
     return out
 
@@ -205,8 +205,10 @@ def _agreement(a: np.ndarray, b: np.ndarray, tol: np.ndarray,
     gap[~np.isfinite(gap)] = math.inf
     beyond = (gap == math.inf) | (gap > tol)
     at = np.where(beyond, gap, -1.0).argmax(axis=1)
+    rows = np.arange(len(gap))
+    a_at, b_at = a[rows, at], b[rows, at]  # the witness keeps these, not the whole table
     return (np.where(beyond.any(axis=1), _FAIL, _PASS), gap.max(axis=1),
-            lambda row: witness(int(at[row]), float(a[row, at[row]]), float(b[row, at[row]])))
+            lambda row: witness(int(at[row]), float(a_at[row]), float(b_at[row])))
 
 
 def _columns(values: list, size: int) -> np.ndarray:
@@ -219,7 +221,7 @@ def _columns(values: list, size: int) -> np.ndarray:
 
 def _identity(stack: EdgeStack, direct, members, alphas: Sequence[float],
               log_base: float, applies: np.ndarray):
-    a = np.concatenate([direct(kind, label, alphas) for kind, label in members], 1)
+    a = np.concatenate([direct(kind, label) for kind, label in members], 1)
     b = np.concatenate([_closed_entropies(stack, kind, label, applies, alphas, log_base)
                         for kind, label in members], 1)
     columns = [("quadratic", None)] + [(f, a) for a in alphas for f in ("renyi", "daroczy")]
@@ -262,8 +264,8 @@ def _regular(s: EdgeStack) -> np.ndarray:
     return (delta >= 1) & (delta == s.degrees.max(axis=-1))
 
 
-def _complete(s: EdgeStack) -> bool:
-    return s.n >= 2 and s.m == s.n * (s.n - 1) // 2
+def _complete(s: EdgeStack) -> np.ndarray:
+    return (s.n >= 2) & (s.m == s.n * (s.n - 1) // 2)
 
 
 def _bidegreed(s: EdgeStack) -> np.ndarray:
@@ -341,7 +343,7 @@ BOUNDS = (
     BoundSpec("bound.randic.upper", "randic", "randic", _quadratics(
         "upper", lambda s: 1.0 - 1.0 / s.n), lambda s: (s.degrees == 1).all(axis=-1)),
     BoundSpec("bound.randic-incidence.lower", "norm-l", "randic-incidence", _quadratics(
-        "lower", lambda s: 1.0 - s.non_isolated / s.n), lambda s: s.n == 2 and s.m == 1),
+        "lower", lambda s: 1.0 - s.non_isolated / s.n), lambda s: (s.n == 2) & (s.m == 1)),
     BoundSpec("bound.randic-incidence.upper", "randic-incidence", "randic-incidence",
               _quadratics("upper", _randic_incidence_upper_rhs), _complete),
     BoundSpec("bound.skew-randic.upper", "skew-randic", "skew-randic", _quadratics(
@@ -392,19 +394,17 @@ def claim_table(
     not-applicable outside the domain of a kind's closed form (traces: matrix)."""
     size, betas = len(stack), tuple(float(b) for b in betas)
 
-    @lru_cache(maxsize=None)  # one probability vector per spectrum
-    def vector(kind: MatrixKind, label: str | None) -> tuple[np.ndarray, ProbabilityVector]:
+    orders = alphas if "equalities" in checks else ()  # the bounds read the quadratic alone
+
+    @lru_cache(maxsize=None)  # one probability vector and one set of entropies per spectrum
+    def direct(kind: MatrixKind, label: str | None) -> np.ndarray:
         spectrum = stack.spectrum(kind, label)
         rows = np.flatnonzero(np.abs(spectrum.values).sum(axis=-1) > 0)  # solved and nonzero
-        return rows, (probabilities_from_spectrum(replace(spectrum, values=spectrum.values[rows]),
-                                                  log_base) if len(rows) else None)
-
-    def direct(kind: MatrixKind, label: str | None, alphas: Sequence[float] = ()) -> np.ndarray:
-        rows, pv = vector(kind, label)
-        out = np.full((size, 1 + 2 * len(alphas)), np.nan)  # as :func:`_entropies`
+        out = np.full((size, 1 + 2 * len(orders)), np.nan)  # as :func:`_entropies`
         if len(rows):
+            pv = probabilities_from_spectrum(spectrum.take(rows), log_base)
             out[rows] = _entropies(quadratic_entropy(pv), partial(renyi_entropy, pv),
-                                   partial(daroczy_entropy, pv), alphas, log_base)
+                                   partial(daroczy_entropy, pv), orders, log_base)
         return out
 
     claims = []  # (claim id, the kinds its domain needs, that domain, evaluate(applies))
@@ -643,23 +643,19 @@ class CorpusSpec:
         Each graph is built from its stack row as it is reached, so a loop
         over them holds one graph, and the caches it fills, at a time.
         """
-        for groups in self.stacks(start, stop, seed):
-            rows = sorted((index, group, row) for group, (_, positions, _) in enumerate(groups)
-                          for row, index in enumerate(positions.tolist()))
-            for _, group, row in rows:
-                n, _, edges = groups[group]
-                yield graphs_of_stack(n, edges[row:row + 1])[0]
+        for stack in self.stacks(start, stop, seed):
+            for row in range(len(stack)):
+                yield graphs_of_stack(stack.n, stack.edges[row:row + 1])[0]
 
-    def stacks(self, start: int, stop: int,
-               seed: int = 0) -> Iterator[list[tuple[int, np.ndarray, np.ndarray]]]:
-        """The members at corpus indices [start, stop), decoded a chunk at a time.
+    def stacks(self, start: int, stop: int, seed: int = 0) -> Iterator[EdgeStack]:
+        """The members at corpus indices [start, stop), in corpus order, decoded
+        a chunk at a time.
 
         Each chunk of at most :data:`graphent.enumeration.STACK_CHUNK`
-        consecutive members is a list of ``(order, positions, edges)``
-        groups: ``edges`` is a ``(B, m, 2)`` sorted-edge stack and
-        ``positions`` holds the corpus indices of its rows.  ``all`` groups
-        a chunk by edge count within one order, ``trees`` gives one group
-        per chunk, and ``gnp`` groups its seeded samples by edge count.
+        consecutive members of one order is one :class:`EdgeStack`, seeded
+        with ``seed``, whose rows hold different edge counts: ``all``
+        decodes a chunk of masks, ``trees`` a chunk of tree indices (one
+        edge count) and ``gnp`` a chunk of seeded samples.
         """
         start, stop = max(start, 0), min(stop, self.total)
         if self.family == "all":
@@ -667,21 +663,17 @@ class CorpusSpec:
             for k in range(1, self.order + 1):
                 cnt = labeled_graph_count(k)
                 for masks in index_chunks(max(start - base, 0), min(stop - base, cnt)):
-                    yield [(k, base + masks.start + positions, edges)
-                           for positions, edges in graph_edge_stacks(k, masks)]
+                    yield EdgeStack(k, graph_edge_stack(k, masks), seed=seed)
                 base += cnt
         elif self.family == "trees":
             for indices in index_chunks(start, stop):
-                yield [(self.order, np.arange(indices.start, indices.stop),
-                        tree_edge_stack(self.order, indices))]
+                yield EdgeStack(self.order, tree_edge_stack(self.order, indices), seed=seed)
         else:
             for indices in index_chunks(start, stop):
-                stacks = stacks_by_edge_count([
+                yield EdgeStack(self.order, pad_edge_stack(self.order, [
                     random_gnp(self.order, self.edge_probability,
                                self._sample_seed(seed, index)).edge_array
-                    for index in indices])
-                yield [(self.order, indices.start + positions, edges)
-                       for positions, edges in stacks]
+                    for index in indices]), seed=seed)
 
     def _sample_seed(self, seed: int, index: int) -> int:
         return zlib.crc32(f"{self.text}#{index}".encode("ascii")) ^ (seed & 0xFFFFFFFF)
@@ -772,27 +764,18 @@ def _sweep(spec: CorpusSpec, start: int, stop: int, seed: int,
     tally: dict[str, np.ndarray] = {}
     retained: list[ClaimResult] = []
     graphs = 0
-    for groups in spec.stacks(start, stop, seed):
-        cells = []  # (corpus index, column, record) of the chunk's retainable cells
-        for n, positions, edges in groups:
-            graphs += len(positions)
-            size = max(1, STACK_ENTRIES // (n * max(n, edges.shape[1])))
-            for lo in range(0, len(positions), size):
-                table = table_of(EdgeStack(n, edges[lo:lo + size], seed=seed))
-                for claim_id, counts in zip(table.claim_ids,
-                                            _status_counts(table.status, table.claims)):
-                    tally[claim_id] = tally.get(claim_id, 0) + counts
-                rows, ks = np.nonzero((table.status == _FAIL) | (table.status == _EQUALITY))
-                found = zip(positions[lo + rows].tolist(), ks.tolist(), rows.tolist())
-                if limit is None:  # every such cell is kept: build its record, free the table
-                    cells.extend((index, k, table.record(row, k)) for index, k, row in found)
-                elif len(retained) < limit:
-                    cells.extend((index, k, partial(table.record, row, k))
-                                 for index, k, row in found)
-        cells.sort(key=lambda cell: cell[:2])
-        if limit is not None:
-            cells = [(index, k, record()) for index, k, record in cells[:limit - len(retained)]]
-        retained.extend(record for _, _, record in cells)
+    for chunk in spec.stacks(start, stop, seed):
+        graphs += len(chunk)
+        size = max(1, STACK_ENTRIES // (chunk.n * max(chunk.n, chunk.edges.shape[1])))
+        for lo in range(0, len(chunk), size):
+            table = table_of(chunk[lo:lo + size])
+            for claim_id, counts in zip(table.claim_ids,
+                                        _status_counts(table.status, table.claims)):
+                tally[claim_id] = tally.get(claim_id, 0) + counts
+            rows, ks = np.nonzero((table.status == _FAIL) | (table.status == _EQUALITY))
+            keep = len(rows) if limit is None else max(limit - len(retained), 0)
+            retained.extend(map(table.record, rows[:keep].tolist(), ks[:keep].tolist()))
+            del table  # before the next table is built
     return graphs, tally, retained
 
 
@@ -901,8 +884,7 @@ def _audit_stack(stack: EdgeStack, kinds: Sequence[MatrixKind], alphas: tuple[fl
             continue
         for exc in stack.errors(kind).values():
             raise exc  # the audit has no record for a failed solve
-        spectrum = stack.spectrum(kind)
-        pv = probabilities_from_spectrum(replace(spectrum, values=spectrum.values[rows]), log_base)
+        pv = probabilities_from_spectrum(stack.spectrum(kind).take(rows), log_base)
         table = audit_table(pv, alphas, log_base)
         status[rows, k] = table.status
         owners = ((table.status == _FAIL) | (table.status == _EQUALITY)).any(axis=(1, 2))
@@ -1014,14 +996,14 @@ def scan_extremal(
     first = spec.total - labeled_graph_count(order) if family == "all-graphs" else 0
     values = np.empty(spec.total - first)
     measured = np.zeros(len(values), dtype=bool)
-    for groups in spec.stacks(first, spec.total):
-        for n, positions, edges in groups:
-            rows = np.flatnonzero(np.broadcast_to(stacked.domain(EdgeStack(n, edges)),
-                                                  (len(edges),)))
-            if len(rows):
-                members = positions[rows] - first
-                values[members] = stacked.values(EdgeStack(n, edges[rows]))
-                measured[members] = True
+    offset = 0
+    for stack in spec.stacks(first, spec.total):
+        rows = np.flatnonzero(np.broadcast_to(stacked.domain(stack), (len(stack),)))
+        if len(rows):
+            values[offset + rows] = stacked.values(stack if len(rows) == len(stack)
+                                                   else stack[rows])
+            measured[offset + rows] = True
+        offset += len(stack)
     members = np.flatnonzero(measured)
     if not len(members):
         raise ValueError(f"no member of {family}:{order} lies in the domain of {measure}")

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from graphent import (
-    enumerate_labeled_graphs,
     enumerate_labeled_trees,
     labeled_graph_count,
     labeled_graph_from_mask,
     labeled_tree_count,
     labeled_tree_from_index,
 )
-from graphent.enumeration import graph_edge_stacks, tree_edge_stack
-from graphent.graphs import Graph
+from graphent.enumeration import graph_edge_stack, labeled_graphs_from_masks, tree_edge_stack
+from graphent.enumeration import graphs_of_stack
+from graphent.graphs import Graph, edge_counts
 
 
 def _tree_edges_from_sequence(seq, n):
@@ -54,7 +54,7 @@ def test_graph_counts():
 
 
 def test_enumeration_matches_count_and_is_duplicate_free():
-    seen = {g.edges for g in enumerate_labeled_graphs(4)}
+    seen = {g.edges for g in labeled_graphs_from_masks(4, range(labeled_graph_count(4)))}
     assert len(seen) == 64
 
 
@@ -93,7 +93,7 @@ def test_every_enumerated_tree_is_connected_and_acyclic():
 
 
 def test_graph_random_access_agrees_with_stream():
-    stream = [g.edges for g in enumerate_labeled_graphs(5)]
+    stream = [g.edges for g in labeled_graphs_from_masks(5, range(1024))]
     direct = [labeled_graph_from_mask(5, i).edges for i in range(1024)]
     assert stream == direct
 
@@ -122,15 +122,15 @@ def test_tree_edge_stack_matches_streaming_decoder(n):
         assert [tuple(e) for e in rows] == _tree_edges_from_sequence(seq, n)
 
 
-def test_graph_edge_stacks_group_by_edge_count_and_keep_positions():
+def test_graph_edge_stack_keeps_mask_order_and_pads_each_row_after_its_edges():
     masks = [63, 0, 5, 1, 6, 2]
-    groups = graph_edge_stacks(4, masks)
-    assert [edges.shape for _, edges in groups] == [(1, 0, 2), (2, 1, 2), (2, 2, 2), (1, 6, 2)]
-    seen = {}
-    for positions, edges in groups:
-        for pos, rows in zip(positions.tolist(), edges.tolist()):
-            seen[pos] = tuple(map(tuple, rows))
-    assert [seen[i] for i in range(len(masks))] == [
-        labeled_graph_from_mask(4, mask).edges for mask in masks
-    ]
-    assert seen[2] == ((0, 1), (0, 3))  # bits 0 and 2: pairs (0,1) and (0,3)
+    stack = graph_edge_stack(4, masks)
+    assert stack.shape == (6, 6, 2) and stack.dtype == np.int64
+    assert edge_counts(4, stack).tolist() == [6, 0, 2, 1, 2, 1]
+    pairs = list(itertools.combinations(range(4), 2))
+    for mask, rows in zip(masks, stack.tolist()):
+        edges = [list(pair) for k, pair in enumerate(pairs) if mask >> k & 1]
+        assert rows == edges + [[4, 4]] * (6 - len(edges)), mask
+    assert stack[2, :2].tolist() == [[0, 1], [0, 3]]  # bits 0 and 2: pairs (0,1) and (0,3)
+    assert [g.edges for g in graphs_of_stack(4, stack)] == [
+        labeled_graph_from_mask(4, mask).edges for mask in masks]

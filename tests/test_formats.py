@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from graphent import (
@@ -6,11 +7,11 @@ from graphent import (
     TrailingBytesError,
     TruncatedStreamError,
     encode_graph6,
-    enumerate_labeled_graphs,
     parse_arc_list,
     parse_edge_list,
     parse_graph6,
 )
+from graphent.enumeration import labeled_graph_count, labeled_graphs_from_masks
 from graphent.errors import ByteOutOfRangeError, LoopEdgeError
 
 
@@ -104,7 +105,7 @@ def test_graph6_byte_range_checked():
 
 def test_graph6_round_trip_all_graphs_up_to_five():
     for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs_from_masks(n, range(labeled_graph_count(n))):
             back = parse_graph6(encode_graph6(g))
             assert back.n == g.n and back.edges == g.edges
 
@@ -119,7 +120,7 @@ def test_encode_rejects_large_orders():
 def test_graph6_matches_networkx_on_every_graph_up_to_five():
     nx = pytest.importorskip("networkx")
     for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs_from_masks(n, range(labeled_graph_count(n))):
             h = nx.Graph()
             h.add_nodes_from(range(n))
             h.add_edges_from(g.edges)
@@ -128,3 +129,40 @@ def test_graph6_matches_networkx_on_every_graph_up_to_five():
             back = nx.from_graph6_bytes(data)
             assert sorted(back.nodes) == list(range(n))
             assert sorted(tuple(sorted(e)) for e in back.edges) == list(g.edges)
+
+
+def _corpus_stacks():
+    """The stacks of all:5, every edge count mixed, and of gnp:40,0.3 samples."""
+    from graphent import parse_corpus
+
+    for corpus in ("all:5", "gnp:40,0.3,24"):
+        spec = parse_corpus(corpus)
+        yield from spec.stacks(0, spec.total, seed=4)
+
+
+def test_graph6_stack_encoding_equals_the_per_graph_encoding():
+    from graphent.enumeration import graphs_of_stack
+    from graphent.formats import encode_graph6_stack
+
+    encoded = 0
+    for stack in _corpus_stacks():
+        graphs = graphs_of_stack(stack.n, stack.edges)
+        assert encode_graph6_stack(stack.n, stack.edges) == [encode_graph6(g) for g in graphs]
+        encoded += len(graphs)
+    assert encoded == 1099 + 24
+    with pytest.raises(ValueError):
+        encode_graph6_stack(63, np.zeros((1, 0, 2), dtype=np.int64))
+
+
+def test_graph6_stack_encoding_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    from graphent.enumeration import graphs_of_stack
+    from graphent.formats import encode_graph6_stack
+
+    for stack in _corpus_stacks():
+        for g, data in zip(graphs_of_stack(stack.n, stack.edges),
+                           encode_graph6_stack(stack.n, stack.edges)):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges)
+            assert nx.to_graph6_bytes(h, nodes=range(g.n), header=False) == data + b"\n"

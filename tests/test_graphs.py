@@ -21,7 +21,7 @@ from graphent import (
     wiener_index,
 )
 from graphent import graphs as graphs_module
-from graphent.enumeration import stacks_by_edge_count
+from graphent.enumeration import pad_edge_stack
 
 
 def test_from_edges_normalizes_and_deduplicates():
@@ -121,23 +121,20 @@ def test_distances_match_bfs_reference():
 
 
 def test_distance_stack_rows_match_bfs_across_recursion_depths():
-    from graphent.enumeration import graph_edge_stacks
+    from graphent.enumeration import graph_edge_stack, graphs_of_stack
     from graphent.graphs import distance_stack
 
     for n in (5, 6):
-        for _, edges in graph_edge_stacks(n, range(labeled_graph_count(n))):
-            graphs = [Graph(n, tuple(map(tuple, rows))) for rows in edges.tolist()]
-            keep = [g.is_connected for g in graphs]
-            if not any(keep):
-                continue
-            # one stack mixes diameters 1 to n - 1, so members leave the
-            # recursion at different levels
-            stack = distance_stack(n, edges[keep])
-            for g, got in zip([g for g, k in zip(graphs, keep) if k], stack):
-                assert np.array_equal(got, _bfs_distances(g)), g.edges
-            if not all(keep):
-                with pytest.raises(DisconnectedGraphError):
-                    distance_stack(n, edges)
+        edges = graph_edge_stack(n, range(labeled_graph_count(n)))
+        graphs = graphs_of_stack(n, edges)
+        keep = [g.is_connected for g in graphs]
+        # one stack mixes edge counts and diameters 1 to n - 1, so members
+        # leave the recursion at different levels
+        stack = distance_stack(n, edges[keep])
+        for g, got in zip([g for g, k in zip(graphs, keep) if k], stack):
+            assert np.array_equal(got, _bfs_distances(g)), g.edges
+        with pytest.raises(DisconnectedGraphError):
+            distance_stack(n, edges)
 
 
 def _nx_graph(nx, g):
@@ -183,13 +180,10 @@ def test_distances_match_networkx_on_random_graphs(p):
 
 
 def _connected_by_stack(graphs):
-    """connected_stack over graphs of one order, one stack per edge count."""
-    out = [None] * len(graphs)
-    for positions, edges in stacks_by_edge_count([g.edge_array for g in graphs]):
-        verdicts = graphs_module.connected_stack(graphs[0].n, edges)
-        for pos, verdict in zip(positions.tolist(), verdicts.tolist()):
-            out[pos] = verdict
-    return out
+    """connected_stack over graphs of one order, in one stack of mixed edge counts."""
+    n = graphs[0].n
+    edges = pad_edge_stack(n, [g.edge_array for g in graphs])
+    return graphs_module.connected_stack(n, edges).tolist()
 
 
 def test_connected_stack_matches_components_on_every_small_graph():

@@ -18,7 +18,7 @@ from graphent import (
     standard_kinds,
     star_graph,
 )
-from graphent.matrices import build
+from graphent.matrices import build, build_stack
 
 
 def test_kind_parsing_round_trip():
@@ -168,10 +168,11 @@ def test_spectrum_source_labels_follow_kind():
 
 
 def test_build_stack_rows_equal_per_graph_builds():
-    from graphent import OrientedGraph, enumerate_labeled_graphs, random_orientation
+    from graphent import OrientedGraph, random_orientation
+    from graphent.enumeration import labeled_graphs_from_masks
     from graphent.matrices import build_stack, edge_stack_of
 
-    graphs = [g for g in enumerate_labeled_graphs(4) if g.m == 4]
+    graphs = [g for g in labeled_graphs_from_masks(4, range(64)) if g.m == 4]
     for kind in standard_kinds((-0.5, 1.0)):
         if kind.tag == "distance":
             members = [g for g in graphs if g.is_connected]
@@ -192,9 +193,9 @@ def test_build_stack_rows_equal_per_graph_builds():
 def test_normalized_laplacian_spectrum_matches_networkx():
     nx = pytest.importorskip("networkx")
     pytest.importorskip("scipy")
-    from graphent import enumerate_labeled_graphs
+    from graphent.enumeration import labeled_graphs_from_masks
 
-    for g in enumerate_labeled_graphs(5):
+    for g in labeled_graphs_from_masks(5, range(1024)):
         h = nx.Graph()
         h.add_nodes_from(range(g.n))
         h.add_edges_from(g.edges)
@@ -232,3 +233,57 @@ def test_relabeling_leaves_spectra_and_quadratic_entropies_unchanged(pair):
         except ZeroSpectrumError:
             continue
         assert qa == pytest.approx(quadratic_entropy(probabilities_from_spectrum(b)), abs=1e-9)
+
+
+def _mixed_stack():
+    """gnp:12 samples from sparse to dense, and the edgeless graph, in one stack."""
+    from graphent import random_gnp
+    from graphent.enumeration import pad_edge_stack
+    from graphent.matrices import EdgeStack
+
+    graphs = [random_gnp(12, p, seed) for p in (0.1, 0.3, 0.7) for seed in range(5)]
+    graphs.insert(3, Graph(12))
+    stack = EdgeStack(12, pad_edge_stack(12, [g.edge_array for g in graphs]), seed=6)
+    assert len(set(stack.m.tolist())) > 10 and 0 in stack.m
+    return graphs, stack
+
+
+def test_mixed_stack_edge_sums_and_incidence_spectra_are_each_members_own_bits():
+    """Sums along the edge axis run an edge count at a time, so a stack of
+    mixed edge counts gives every member the bits it has alone."""
+    from graphent.matrices import EdgeStack, spectrum_stack
+    from graphent.measures import general_randic_stack
+
+    graphs, stack = _mixed_stack()
+    for beta in (-1.0, -0.5, 1.0, 2.0):
+        sums = general_randic_stack(stack.degrees, stack.edges, beta)
+        for g, got in zip(graphs, sums):
+            alone = general_randic_stack(EdgeStack.of(g).degrees, g.edge_array[None], beta)
+            assert got.tobytes() == alone[0].tobytes(), (beta, g.edges)
+    with_edges = [row for row, g in enumerate(graphs) if g.m]
+    for kind in ("incidence", "randic-incidence"):
+        mixed = spectrum_stack(kind, 12, stack.edges[with_edges]).values
+        solved = stack.spectrum(kind).values
+        assert np.isnan(solved[3]).all()  # the edgeless member has no incidence matrix
+        for row, values in zip(with_edges, mixed):
+            alone = spectrum_of(kind, graphs[row]).values
+            assert values.tobytes() == alone.tobytes() == solved[row].tobytes(), (kind, row)
+        with pytest.raises(ValueError, match="one edge count"):
+            build_stack(kind, 12, stack.edges[with_edges])
+
+
+def test_random_arcs_are_the_per_graph_random_orientations():
+    import zlib
+
+    from graphent import encode_graph6, parse_corpus, random_orientation
+    from graphent.enumeration import graphs_of_stack
+
+    graphs, stack = _mixed_stack()
+    stacks = [stack, *parse_corpus("all:5").stacks(0, 1099, seed=6)]
+    for stack in stacks:
+        arcs = stack.arcs("random")
+        for row, g in enumerate(graphs_of_stack(stack.n, stack.edges)):
+            seed = zlib.crc32(encode_graph6(g)) ^ 6
+            assert np.array_equal(arcs[row, :g.m], random_orientation(g, seed).arc_array)
+            assert (arcs[row, g.m:] == stack.n).all()  # pads stay pads
+            assert stack.descriptor(row) == encode_graph6(g).decode()

@@ -166,10 +166,10 @@ def test_stacked_solvers_equal_their_batches_of_one_bitwise():
 
 def test_stacked_eigenvalues_match_scipy():
     linalg = pytest.importorskip("scipy.linalg")
-    from graphent.enumeration import graph_edge_stacks, tree_edge_stack
+    from graphent.enumeration import graph_edge_stack, tree_edge_stack
     from graphent.matrices import build_stack
 
-    graphs = [edges for _, edges in graph_edge_stacks(5, range(1024))]
+    graphs = [graph_edge_stack(5, range(1024))]  # one stack of every edge count
     trees = [tree_edge_stack(5, range(125))]  # connected, for the distance kind
     for kind in ("q", "norm-l", "randic", "general-randic:1", "distance"):
         for edges in trees if kind == "distance" else graphs:

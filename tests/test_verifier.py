@@ -42,7 +42,7 @@ from graphent import (
     verify_corpus,
 )
 from graphent import matrices, measures, verifier
-from graphent.enumeration import graphs_of_stack
+from graphent.enumeration import graphs_of_stack, pad_edge_stack
 from graphent.errors import NoConvergenceError
 from graphent.matrices import EdgeStack
 from graphent.report import audit_to_object, render_json, verification_to_object
@@ -212,16 +212,21 @@ def _spy_solves(monkeypatch) -> list:
 
 
 def test_each_spectrum_is_solved_once_per_stack(monkeypatch):
+    """One solve per kind and orientation; the incidence kinds, whose matrices
+    have a column per edge, one per edge count the stack holds."""
     solved = _spy_solves(monkeypatch)
     spec = parse_corpus("all:4")
-    for groups in spec.stacks(0, spec.total):
-        for n, _, edges in groups:
-            solved.clear()
-            verifier.claim_table(EdgeStack(n, edges), verifier.CHECK_NAMES, (0.5, 2.0), (-1.0,))
-            counts = Counter(kind for kind, _ in solved)
-            for kind, count in counts.items():  # one solve per kind and orientation
-                assert count == (2 if as_kind(kind).needs_orientation else 1), (n, edges[0], kind)
-            assert all(shape[0] == len(edges) or kind == "distance" for kind, shape in solved)
+    for stack in spec.stacks(0, spec.total):
+        solved.clear()
+        verifier.claim_table(stack, verifier.CHECK_NAMES, (0.5, 2.0), (-1.0,))
+        edge_counts = set(stack.m.tolist()) - {0}
+        for kind, count in Counter(kind for kind, _ in solved).items():
+            kind = as_kind(kind)
+            want = len(edge_counts) if kind.spec.edge_column else 1
+            assert count == want * (2 if kind.needs_orientation else 1), (stack.n, kind)
+        assert sum(shape[0] for kind, shape in solved if kind == "incidence") == sum(stack.m > 0)
+        assert all(shape[0] == len(stack) for kind, shape in solved
+                   if not as_kind(kind).spec.edge_column and kind != "distance")
     # K4: every kind is read, the skew kinds under both orientations
     stack = EdgeStack.of(complete_graph(4))
     solved.clear()
@@ -512,13 +517,13 @@ def test_stacked_audit_retains_the_first_records_in_corpus_order(monkeypatch):
 
 def test_stacked_audit_encodes_only_graphs_owning_a_retained_record(monkeypatch):
     calls = []
-    encode = matrices.encode_graph6
+    encode = matrices.encode_graph6_stack
 
-    def counting(g):
-        calls.append(g)
-        return encode(g)
+    def counting(n, edges):
+        calls.extend(map(bytes, edges))
+        return encode(n, edges)
 
-    monkeypatch.setattr(matrices, "encode_graph6", counting)
+    monkeypatch.setattr(matrices, "encode_graph6_stack", counting)
     report = audit_corpus("all:4")
     owners = {c.graph for c in report.claims}
     assert len(calls) == len(owners) < report.total_graphs
@@ -588,9 +593,8 @@ def test_corpus_stacks_decode_every_family_in_corpus_order():
     spec = parse_corpus("gnp:7,0.4,600")
     assert [g.edges for g in spec.iterate(0, 600, seed=5)] == [
         random_gnp(7, 0.4, spec._sample_seed(5, i)).edges for i in range(600)]
-    chunks = [np.sort(np.concatenate([positions for _, positions, _ in groups])).tolist()
-              for groups in spec.stacks(0, 600, seed=5)]
-    assert chunks == [list(range(512)), list(range(512, 600))]  # STACK_CHUNK members each
+    chunks = [len(stack) for stack in spec.stacks(0, 600, seed=5)]
+    assert chunks == [512, 88]  # STACK_CHUNK members each
 
 
 def test_gnp_corpus_seed_changes_samples():
@@ -636,31 +640,30 @@ def test_stacked_tables_equal_the_per_graph_checks(corpus):
     spec = parse_corpus(corpus)
     alphas, betas = (0.5, 2.0, 3.0), (-1.0, 1.0)
     checked = 0
-    for groups in spec.stacks(0, spec.total, seed=2):
-        for n, _, edges in groups:
-            stack = EdgeStack(n, edges, seed=2)
-            table = verifier.claim_table(stack, verifier.CHECK_NAMES, alphas, betas)
-            for row, g in enumerate(graphs_of_stack(n, edges)):
-                assert table.row(row) == _checks_of_one(g, alphas, betas, 2), g.edges
-                alone = EdgeStack.of(g, 2)
-                for (tag, label), (spectrum, _) in stack._spectra.items():
-                    assert np.array_equal(spectrum.values[row], alone.spectrum(tag, label).values[0],
-                                          equal_nan=True)
-                checked += 1
+    for stack in spec.stacks(0, spec.total, seed=2):
+        table = verifier.claim_table(stack, verifier.CHECK_NAMES, alphas, betas)
+        for row, g in enumerate(graphs_of_stack(stack.n, stack.edges)):
+            assert table.row(row) == _checks_of_one(g, alphas, betas, 2), g.edges
+            alone = EdgeStack.of(g, 2)
+            for (tag, label), (spectrum, _) in stack._spectra.items():
+                assert np.array_equal(spectrum.values[row], alone.spectrum(tag, label).values[0],
+                                      equal_nan=True)
+            checked += 1
     assert checked == spec.total
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_every_table_row_equals_the_table_of_one(data):
-    """On random stacks, with every trace claim forced to fail half the time
-    so that rows carry witnesses, the table's rows are the tables of one."""
+    """On random stacks whose rows each draw their own edge count, with every
+    trace claim forced to fail half the time so that rows carry witnesses,
+    the table's rows are the tables of one."""
     n = data.draw(st.integers(1, 7), label="n")
     pairs = list(combinations(range(n), 2))
-    m = data.draw(st.integers(0, len(pairs)), label="m")
-    picks = data.draw(st.lists(st.permutations(range(len(pairs))), min_size=1, max_size=6))
-    edges = np.array([[pairs[i] for i in sorted(pick[:m])] for pick in picks],
-                     dtype=np.int64).reshape(len(picks), m, 2)
+    picks = data.draw(st.lists(st.tuples(st.permutations(range(len(pairs))),
+                                         st.integers(0, len(pairs))), min_size=1, max_size=6))
+    edges = pad_edge_stack(n, [np.array([pairs[i] for i in sorted(pick[:m])],
+                                        dtype=np.int64).reshape(m, 2) for pick, m in picks])
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
     log_base = data.draw(st.sampled_from([2.0, math.e]), label="log_base")
     alphas, betas = (0.5, 3.0), (-0.5,)
@@ -671,6 +674,24 @@ def test_every_table_row_equals_the_table_of_one(data):
                                      alphas, betas, log_base)
         for row, g in enumerate(graphs_of_stack(n, edges)):
             assert table.row(row) == _checks_of_one(g, alphas, betas, seed, log_base)
+
+
+def test_one_table_per_order_and_chunk_until_the_entry_cap(monkeypatch):
+    """A chunk's edge counts share one claim table; only the matrix-entry
+    cap, read at the chunk's largest edge count, cuts it."""
+    tables = []
+    table_of = verifier.claim_table
+
+    def counting(stack, *args):
+        tables.append(len(stack))
+        return table_of(stack, *args)
+
+    monkeypatch.setattr(verifier, "claim_table", counting)
+    verify_corpus("all:5", betas=(-1.0, -0.5, 1.0))
+    assert tables == [1, 2, 8, 64, 512, 512]
+    tables.clear()
+    verify_corpus("gnp:40,0.3,200", seed=7)
+    assert len(tables) == 34 and sum(tables) == 200
 
 
 def test_sweep_leaves_a_failed_stacked_solve_to_the_per_graph_route(monkeypatch):
@@ -852,10 +873,11 @@ def _scan_values(family, order, measure, log_base=2.0):
 
 
 def _members(family, order):
-    from graphent import enumerate_labeled_graphs, enumerate_labeled_trees
+    from graphent import enumerate_labeled_trees, labeled_graph_count
+    from graphent.enumeration import labeled_graphs_from_masks
 
     if family == "all-graphs":
-        return list(enumerate_labeled_graphs(order))
+        return labeled_graphs_from_masks(order, range(labeled_graph_count(order)))
     return list(enumerate_labeled_trees(order))
 
 
