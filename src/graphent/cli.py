@@ -32,6 +32,8 @@ from .entropy import (
     renyi_entropy,
 )
 from .errors import (
+    AlphaNonPositiveError,
+    AlphaOneError,
     GraphInputError,
     NegativeEigenvalueError,
     NoConvergenceError,
@@ -255,6 +257,8 @@ def _run_compute(args) -> int:
     for kind in kinds:
         try:
             entry = _compute_kind(kind, loaded, plain, alphas, base)
+        except (AlphaNonPositiveError, AlphaOneError):
+            raise  # no kind takes such an order: the input is at fault
         except ValueError as exc:
             if strict:
                 raise

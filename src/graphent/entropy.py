@@ -98,8 +98,8 @@ def probabilities_from_spectrum(spectrum: Spectrum, log_base: float = 2.0) -> Pr
 
 
 def _check_alpha(alpha: float) -> None:
-    if alpha <= 0:
-        raise AlphaNonPositiveError(f"entropy order must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise AlphaNonPositiveError(f"entropy order must be positive and finite, got {alpha}")
     if alpha == 1.0:
         raise AlphaOneError("entropy order 1 is the Shannon limit; use shannon_entropy")
 
@@ -115,7 +115,7 @@ def quadratic_entropy(p: ProbabilityVector):
 def _elementwise(fn, x):
     # math.log or math.exp on each entry: numpy's may differ in the last bit,
     # and a stack must reproduce the single-vector values
-    if isinstance(x, np.ndarray):
+    if isinstance(x, np.ndarray) and x.ndim:
         return np.array([fn(v) for v in x.tolist()])
     return fn(x)
 

@@ -66,7 +66,7 @@ class AlphaOneError(ValueError):
 
 
 class AlphaNonPositiveError(ValueError):
-    """The entropy order alpha must be positive."""
+    """The entropy order alpha must be positive and finite."""
 
 
 class AllZeroWeightsError(ValueError):

@@ -52,8 +52,14 @@ def parse_arc_list(text: str) -> OrientedGraph:
     return OrientedGraph(Graph(n, edges), arcs)
 
 
+# graph6 writes an order below 63 as one byte, and one up to this as the byte
+# 126 and three 6-bit groups, the first below 63 so that it is not 126 itself;
+# larger orders take eight bytes, unsupported here.
+GRAPH6_MAX_ORDER = 258047
+
+
 def parse_graph6(data: bytes | str) -> Graph:
-    """Decode a single graph6 record (single-byte order, so n < 63).
+    """Decode a single graph6 record (order up to :data:`GRAPH6_MAX_ORDER`).
 
     One trailing newline is tolerated; any other surplus byte, or a nonzero
     padding bit after the last adjacency bit, raises TrailingBytesError, a
@@ -76,14 +82,18 @@ def parse_graph6(data: bytes | str) -> Graph:
     for b in raw:
         if not 63 <= b <= 126:
             raise ByteOutOfRangeError(f"byte {b} outside the graph6 range 63..126")
-    n = raw[0] - 63
-    if n == 63:
-        raise ValueError("multi-byte graph6 orders (n >= 63) are not supported")
+    if raw[0] != 126:
+        n, body = raw[0] - 63, raw[1:]
+    elif raw[1:2] == b"~":
+        raise ValueError(f"graph6 orders above {GRAPH6_MAX_ORDER} are not supported")
+    elif len(raw) < 4:
+        raise TruncatedStreamError("graph6 order header needs 4 bytes")
+    else:
+        n, body = ((raw[1] - 63) << 12) | ((raw[2] - 63) << 6) | (raw[3] - 63), raw[4:]
     if n == 0:
         raise ValueError("graph6 order 0 is not supported")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    body = raw[1:]
     if len(body) < nbytes:
         raise TruncatedStreamError(
             f"graph6 payload for n={n} needs {nbytes} bytes, got {len(body)}"
@@ -109,40 +119,28 @@ def parse_graph6(data: bytes | str) -> Graph:
 
 
 def encode_graph6(g: Graph) -> bytes:
-    """Encode a graph (n < 63) as graph6 bytes, without a trailing newline."""
-    if g.n >= 63:
-        raise ValueError("multi-byte graph6 orders (n >= 63) are not supported")
-    present = set(g.edges)
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if (i, j) in present else 0)
-    out = [g.n + 63]
-    for pos in range(0, len(bits), 6):
-        group = bits[pos:pos + 6]
-        group += [0] * (6 - len(group))
-        value = 0
-        for b in group:
-            value = (value << 1) | b
-        out.append(value + 63)
-    return bytes(out)
+    """Encode a graph as graph6 bytes, without a trailing newline: a stack
+    of one of :func:`encode_graph6_stack`."""
+    return encode_graph6_stack(g.n, g.edge_array[None])[0]
 
 
 def encode_graph6_stack(n: int, edges: np.ndarray) -> list[bytes]:
-    """:func:`encode_graph6` of every row of a ``(B, m, 2)`` sorted-edge stack
+    """The graph6 bytes of every row of a ``(B, m, 2)`` sorted-edge stack
     (ragged or not, see :func:`graphent.graphs.edge_counts`), by array
     operations on the stack instead of one graph at a time."""
-    if n >= 63:
-        raise ValueError("multi-byte graph6 orders (n >= 63) are not supported")
+    if n > GRAPH6_MAX_ORDER:
+        raise ValueError(f"graph6 orders above {GRAPH6_MAX_ORDER} are not supported")
+    header = [n] if n < 63 else [63, n >> 12, (n >> 6) & 63, n & 63]  # less the 63 added below
     edges = np.asarray(edges, dtype=np.int64)
     members, tails, heads = edge_entries(n, edges)
-    width = -(-(n * (n - 1) // 2) // 6)  # bytes after the order byte
+    width = -(-(n * (n - 1) // 2) // 6)  # bytes after the order header
     bits = np.zeros((len(edges), 6 * width), dtype=np.int64)
     bits[members, heads * (heads - 1) // 2 + tails] = 1  # column by column of the upper triangle
     body = bits.reshape(len(edges), width, 6) @ (1 << np.arange(5, -1, -1))
-    rows = np.concatenate([np.full((len(edges), 1), n), body], axis=1) + 63
+    rows = np.concatenate([np.tile(header, (len(edges), 1)), body], axis=1) + 63
     raw = rows.astype(np.uint8).tobytes()
-    return [raw[at:at + 1 + width] for at in range(0, len(raw), 1 + width)]
+    size = len(header) + width
+    return [raw[at:at + size] for at in range(0, len(raw), size)]
 
 
 def _parse_pair_lines(text: str) -> tuple[int | None, list[Edge]]:

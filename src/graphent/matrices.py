@@ -37,6 +37,7 @@ so a graph's matrix and spectrum equal its row in any stack.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from dataclasses import dataclass
@@ -75,6 +76,12 @@ from .spectra import (
     symmetric_eigenvalues,
 )
 
+# Matrix entries per stacked array: claim tables hold at most this many in
+# each (B, n, n) stack, and incidence solves at most this many per batch.
+# Uncapped, audit gnp:30,1.0,100 peaked at 56 MB (34 MB at p = 0.3); 1 << 16
+# ran verify gnp:40,0.3,200 faster than this, but at a higher peak RSS.
+STACK_ENTRIES = 1 << 15
+
 
 @dataclass(frozen=True)
 class MatrixKind:
@@ -89,6 +96,8 @@ class MatrixKind:
         if self.tag == "general-randic":
             if self.beta is None:
                 raise ValueError("general-randic requires an exponent")
+            if not math.isfinite(self.beta):
+                raise ValueError(f"general-randic exponent must be finite, got {self.beta}")
         elif self.beta is not None:
             raise ValueError(f"{self.tag} does not take an exponent")
 
@@ -319,20 +328,22 @@ def spectrum_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> Spectru
     """The spectra of every row of a pair stack, as one ``(B, n)`` Spectrum.
 
     One stacked matrix build and one stacked solve; see :func:`spectrum_of`.
-    The incidence kinds of a ragged stack take one per edge count
-    (:func:`graphent.graphs.by_edge_count`), so each member's Gram product
-    is the one it has alone.
+    The incidence kinds, whose ``(B, n, k)`` matrices grow with the edge
+    count k, take one per edge count (:func:`graphent.graphs.by_edge_count`),
+    so each member's Gram product is the one it has alone, in batches of at
+    most :data:`STACK_ENTRIES` matrix entries.
     """
     kind = as_kind(kind)
     edges = np.asarray(edges, dtype=np.int64)
     if not kind.spec.edge_column:
         return _solve(kind, build_stack(kind, n, edges))
-    parts = by_edge_count(n, edges)
-    if len(parts) == 1:
-        return _solve(kind, build_stack(kind, n, parts[0][1]))
     values = np.empty((len(edges), n))
-    for rows, part in parts:
-        values[rows] = _solve(kind, build_stack(kind, n, part)).values
+    members = np.arange(len(edges))
+    for rows, part in by_edge_count(n, edges):
+        rows, size = members[rows], max(1, STACK_ENTRIES // (n * max(part.shape[1], 1)))
+        for lo in range(0, len(part), size):
+            matrices = build_stack(kind, n, part[lo:lo + size])
+            values[rows[lo:lo + size]] = _solve(kind, matrices).values
     return Spectrum(values, SINGULAR_VALUES, str(kind))
 
 

@@ -42,11 +42,9 @@ serializations.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -66,17 +64,16 @@ from .enumeration import (
     graphs_of_stack,
     index_chunks,
     labeled_graph_count,
-    labeled_graphs_from_masks,
     labeled_tree_count,
-    labeled_trees_from_indices,
     pad_edge_stack,
     tree_edge_stack,
 )
 from .errors import AlphaNonPositiveError, DisconnectedGraphError
-from .formats import encode_graph6
+from .formats import encode_graph6_stack
 from .graphs import Graph, OrientedGraph, random_gnp
 from .matrices import (
     KINDS,
+    STACK_ENTRIES,
     EdgeStack,
     KindSpec,
     MatrixKind,
@@ -113,8 +110,6 @@ CHECK_NAMES = ("equalities", "traces", "bounds")
 TRACE_REL_TOL = 1e-9
 TIE_TOL = 1e-9
 AUDIT_RETAIN_LIMIT = 1000
-# Matrix entries per stack; uncapped, audit gnp:30,1.0,100 peaked at 56 MB (34 MB at p = 0.3).
-STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -492,8 +487,8 @@ AUDIT_CLAIMS = ("inequality.renyi-daroczy", "inequality.daroczy-quadratic",
 def _audit_grid(alpha_grid: Sequence[float]) -> tuple[float, ...]:
     alphas = tuple(float(a) for a in alpha_grid)
     for alpha in alphas:
-        if alpha <= 0:
-            raise AlphaNonPositiveError(f"audit grid must be positive, got {alpha}")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise AlphaNonPositiveError(f"audit grid must be positive and finite, got {alpha}")
     return alphas
 
 
@@ -758,15 +753,17 @@ def _status_counts(status: np.ndarray, claims: np.ndarray) -> np.ndarray:
 def _sweep(spec: CorpusSpec, start: int, stop: int, seed: int,
            table_of: Callable[[EdgeStack], ClaimTable], limit: int | None = None
            ) -> tuple[int, dict[str, np.ndarray], list[ClaimResult]]:
-    """The corpus loop of verify and audit, in stacks of at most
-    :data:`STACK_ENTRIES` matrix entries: each table is tallied by claim id, and
-    failures and equalities are kept in corpus then column order, up to ``limit``."""
+    """The corpus loop of verify and audit, in tables whose ``(B, n, n)``
+    stacks hold at most :data:`graphent.matrices.STACK_ENTRIES` entries (the
+    incidence solves cut their own batches): each table is tallied by claim id,
+    and failures and equalities are kept in corpus then column order, up to
+    ``limit``."""
     tally: dict[str, np.ndarray] = {}
     retained: list[ClaimResult] = []
     graphs = 0
     for chunk in spec.stacks(start, stop, seed):
         graphs += len(chunk)
-        size = max(1, STACK_ENTRIES // (chunk.n * max(chunk.n, chunk.edges.shape[1])))
+        size = max(1, STACK_ENTRIES // (chunk.n * chunk.n))
         for lo in range(0, len(chunk), size):
             table = table_of(chunk[lo:lo + size])
             for claim_id, counts in zip(table.claim_ids,
@@ -821,6 +818,11 @@ def verify_corpus(
     if pool_size <= 1:
         chunk_results = map(_verify_chunk, chunk_args)
     else:
+        # imported here: they load socket, logging and subprocess, which a
+        # single-process run never uses
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # spawned, not forked: the parent may hold BLAS threads
         with ProcessPoolExecutor(max_workers=pool_size,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
@@ -961,10 +963,10 @@ class ExtremalScan:
 SCAN_FAMILIES = ("trees", "oriented-trees", "all-graphs")
 
 
-def _family_graphs(family: str, order: int, indices: np.ndarray) -> list[Graph]:
+def _family_edge_stack(family: str, order: int, indices: np.ndarray) -> np.ndarray:
     if family == "all-graphs":
-        return labeled_graphs_from_masks(order, indices)
-    return labeled_trees_from_indices(order, indices)
+        return graph_edge_stack(order, indices)
+    return tree_edge_stack(order, indices)
 
 
 def scan_extremal(
@@ -1012,8 +1014,8 @@ def scan_extremal(
     def descriptors(indices: np.ndarray) -> list[str]:
         out: list[str] = []
         for chunk in index_chunks(0, len(indices)):
-            members = _family_graphs(family, order, indices[chunk.start:chunk.stop])
-            out.extend(encode_graph6(g).decode("ascii") for g in members)
+            edges = _family_edge_stack(family, order, indices[chunk.start:chunk.stop])
+            out.extend(data.decode("ascii") for data in encode_graph6_stack(order, edges))
         return out
 
     min_value = float(values.min())

@@ -167,7 +167,59 @@ def test_audit_rejects_a_non_positive_order_whatever_the_source(source, tmp_path
     out = tmp_path / "audit.json"
     assert main(["audit", *source, "--alpha=-1", "--out", str(out)]) == 2
     assert not out.exists()
-    assert capsys.readouterr().err == "error: audit grid must be positive, got -1.0\n"
+    assert capsys.readouterr().err == "error: audit grid must be positive and finite, got -1.0\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--corpus", "all:3", "--alpha=nan"], "entropy order must be positive and finite"),
+    (["verify", "--corpus", "all:3", "--alpha=inf"], "entropy order must be positive and finite"),
+    (["verify", "--corpus", "all:3", "--beta=inf"], "general-randic exponent must be finite"),
+    (["verify", "--corpus", "all:3", "--beta=nan"], "general-randic exponent must be finite"),
+    (["audit", "--corpus", "all:3", "--alpha=nan"], "audit grid must be positive and finite"),
+    (["audit", "--p", "0.5,0.5", "--alpha=inf"], "audit grid must be positive and finite"),
+    (["compute", "--input", "K3", "--alpha=nan"], "entropy order must be positive and finite"),
+])
+def test_non_finite_orders_and_exponents_are_usage_errors(argv, message, k3_file, capsys):
+    assert main([k3_file if arg == "K3" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}, got ") and captured.err.count("\n") == 1
+
+
+def test_compute_at_an_underflowing_order(tmp_path, capsys):
+    path = tmp_path / "k4.g6"
+    path.write_bytes(b"C~")
+    assert main(["compute", "--input", str(path), "--alpha", "1000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["skipped"] == [] and len(doc["matrices"]) == 12
+
+
+def test_verify_orders_past_62_vertices(capsys):
+    """gnp orders of 63 and more take graph6's four-byte order header."""
+    assert main(["verify", "--corpus", "gnp:80,0.1,4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["total_graphs"] == 4 and doc["failures"] == 0
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    """Only a run with more than one worker imports the pool."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import graphent
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(graphent.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    probe = ("import sys, graphent.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout == "[]\n"
 
 
 def test_scan_cli(capsys):

@@ -93,9 +93,21 @@ def test_alpha_taxonomy():
     for fn in (lambda: renyi_entropy(pv, 1.0), lambda: daroczy_entropy(pv, 1.0)):
         with pytest.raises(AlphaOneError):
             fn()
-    for fn in (lambda: renyi_entropy(pv, 0.0), lambda: daroczy_entropy(pv, -2.0)):
+    for fn in (lambda: renyi_entropy(pv, 0.0), lambda: daroczy_entropy(pv, -2.0),
+               lambda: renyi_entropy(pv, math.nan), lambda: daroczy_entropy(pv, math.inf)):
         with pytest.raises(AlphaNonPositiveError):
             fn()
+
+
+def test_underflowing_renyi_of_one_vector_is_its_stack_of_one():
+    """At alpha = 1000 every p^alpha underflows, so the power sum is taken in
+    the log domain; a single vector takes it as a stack of one does."""
+    p = probabilities_from_spectrum(spectrum_of("norm-l", complete_graph(4))).p
+    assert (p ** 1000.0).sum() < np.finfo(float).tiny
+    one = renyi_entropy(ProbabilityVector(p), 1000.0)
+    stacked = renyi_entropy(ProbabilityVector(p[None]), 1000.0)
+    assert isinstance(one, float) and math.isfinite(one)
+    assert np.float64(one).tobytes() == stacked[0].tobytes()
 
 
 def test_shannon_entropy_known():

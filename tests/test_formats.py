@@ -112,9 +112,33 @@ def test_graph6_round_trip_all_graphs_up_to_five():
 
 def test_encode_rejects_large_orders():
     from graphent import Graph
+    from graphent.formats import GRAPH6_MAX_ORDER
 
-    with pytest.raises(ValueError):
-        encode_graph6(Graph.from_edges(63, []))
+    with pytest.raises(ValueError, match="above 258047"):
+        encode_graph6(Graph.from_edges(GRAPH6_MAX_ORDER + 1, []))
+    with pytest.raises(ValueError, match="above 258047"):
+        parse_graph6(b"~~??????")  # the eight-byte order header
+
+
+def test_graph6_orders_past_62_take_the_four_byte_header():
+    """n >= 63 is written as 126 and n in three 6-bit groups, as networkx writes it."""
+    nx = pytest.importorskip("networkx")
+    from graphent import random_gnp
+
+    for n in (62, 63, 80, 130):
+        g = random_gnp(n, 0.1, n)
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges)
+        data = encode_graph6(g)
+        assert data[:1] == (b"~" if n >= 63 else bytes([n + 63]))
+        assert nx.to_graph6_bytes(h, nodes=range(n), header=False) == data + b"\n"
+        back = nx.from_graph6_bytes(data)
+        assert sorted(tuple(sorted(e)) for e in back.edges) == list(g.edges)
+        assert parse_graph6(data).edges == g.edges
+        assert parse_graph6(nx.to_graph6_bytes(h, nodes=range(n), header=False)).n == n
+    with pytest.raises(TruncatedStreamError):
+        parse_graph6(b"~?A")
 
 
 def test_graph6_matches_networkx_on_every_graph_up_to_five():
@@ -151,7 +175,7 @@ def test_graph6_stack_encoding_equals_the_per_graph_encoding():
         encoded += len(graphs)
     assert encoded == 1099 + 24
     with pytest.raises(ValueError):
-        encode_graph6_stack(63, np.zeros((1, 0, 2), dtype=np.int64))
+        encode_graph6_stack(258048, np.zeros((1, 0, 2), dtype=np.int64))
 
 
 def test_graph6_stack_encoding_matches_networkx():

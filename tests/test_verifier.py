@@ -676,9 +676,13 @@ def test_every_table_row_equals_the_table_of_one(data):
             assert table.row(row) == _checks_of_one(g, alphas, betas, seed, log_base)
 
 
+def _cut(total: int, size: int) -> list[int]:
+    return [min(size, total - lo) for lo in range(0, total, size)]
+
+
 def test_one_table_per_order_and_chunk_until_the_entry_cap(monkeypatch):
     """A chunk's edge counts share one claim table; only the matrix-entry
-    cap, read at the chunk's largest edge count, cuts it."""
+    cap, read at the (n, n) matrices every table holds, cuts it."""
     tables = []
     table_of = verifier.claim_table
 
@@ -691,7 +695,7 @@ def test_one_table_per_order_and_chunk_until_the_entry_cap(monkeypatch):
     assert tables == [1, 2, 8, 64, 512, 512]
     tables.clear()
     verify_corpus("gnp:40,0.3,200", seed=7)
-    assert len(tables) == 34 and sum(tables) == 200
+    assert tables == _cut(200, matrices.STACK_ENTRIES // (40 * 40))
 
 
 def test_sweep_leaves_a_failed_stacked_solve_to_the_per_graph_route(monkeypatch):
@@ -754,8 +758,29 @@ def test_dense_audit_stacks_stay_under_the_entry_cap(monkeypatch):
     solved = _spy_solves(monkeypatch)
     report = audit_corpus("gnp:30,1.0,20")  # twenty copies of K30, 435 edges each
     assert report.total_graphs == 20
-    assert max(np.prod(shape) for _, shape in solved) <= verifier.STACK_ENTRIES
-    assert [shape[0] for kind, shape in solved if kind == "incidence"] == [5, 5, 5, 5]
+    assert max(np.prod(shape) for _, shape in solved) <= matrices.STACK_ENTRIES
+    incidence = [shape[0] for kind, shape in solved if kind == "incidence"]
+    assert incidence == _cut(20, matrices.STACK_ENTRIES // (30 * 435))
+
+
+def test_incidence_batches_under_a_small_cap_keep_each_members_bits(monkeypatch):
+    """Cut into batches of a few rows, the incidence solves of a ragged table
+    still give every member the spectrum it has alone."""
+    from graphent import random_gnp
+
+    graphs = [random_gnp(12, 0.3, seed) for seed in range(40)]
+    stack = EdgeStack(12, pad_edge_stack(12, [g.edge_array for g in graphs]))
+    monkeypatch.setattr(matrices, "STACK_ENTRIES", 12 * 40)
+    solved = _spy_solves(monkeypatch)
+    for kind in ("incidence", "randic-incidence"):
+        solved.clear()
+        spectra = stack.spectrum(kind).values
+        assert sum(shape[0] for _, shape in solved) == len(graphs)
+        assert max(np.prod(shape) for _, shape in solved) <= 12 * 40
+        widths = Counter(shape[2] for _, shape in solved)
+        assert len(widths) < len(solved)  # some edge counts take several batches
+        for row, g in enumerate(graphs):
+            assert spectra[row].tobytes() == spectrum_of(kind, g).values.tobytes(), (kind, row)
 
 
 def test_worker_pool_is_capped_by_chunks_and_cpus(monkeypatch):
@@ -972,12 +997,12 @@ def test_scan_with_no_member_in_the_domain_is_an_error():
 
 def test_scan_encodes_only_witnesses(monkeypatch):
     calls = []
-    encode = verifier.encode_graph6
+    encode = verifier.encode_graph6_stack
 
-    def counting(g):
-        calls.append(g)
-        return encode(g)
+    def counting(n, edges):
+        calls.extend(edges)  # one per member encoded
+        return encode(n, edges)
 
-    monkeypatch.setattr(verifier, "encode_graph6", counting)
+    monkeypatch.setattr(verifier, "encode_graph6_stack", counting)
     scan = scan_extremal("trees", 5, "quadratic:incidence")
     assert len(calls) == len(scan.min_witnesses) + len(scan.max_witnesses) == 65
