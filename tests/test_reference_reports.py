@@ -36,6 +36,26 @@ REFERENCE_REPORTS = {
     "verify-all4-csv": (
         ["verify", "--corpus", "all:4", "--format", "csv", "--beta=-1,-0.5,1", "--seed", "0"],
         "f5209c6ecca048a89b741d06cc31942d195b04b90e8d734de771923478d6dc7a"),
+    # the incidence energy of every graph on five vertices, ranked
+    "scan-all5-energy-incidence": (
+        ["scan", "--family", "all-graphs", "--order", "5", "--measure", "energy:incidence",
+         "--ranking"],
+        "a2cb8cb97858d82cc32f19fa9118351d31cdb1be7c81b7c36e7eb2b7af447618"),
+}
+
+# compute --alpha 0.5,2,3 --log-base e on one input each, named as
+# (file name, contents).  The report carries the input path, so each runs
+# from the input's directory under its bare file name.
+COMPUTE_REPORTS = {
+    # incidence, distance and the skew kinds on a cubic graph
+    "compute-petersen": (("petersen.g6", "IheA@GUAo\n"),
+        "1cbcadd3248d337f3acae1faf90f9488b42944f6943bf56ca590616d98a2a641"),
+    # an isolated vertex: the distance and normalized kinds are skipped
+    "compute-isolated-vertex": (("isolated.edges", "n 5\n0 1\n1 2\n0 2\n2 3\n"),
+        "50d20693caead34892d93488f087ab0b2d6dfcf0a2c680a493fb34b55f73e315"),
+    # the skew kinds under the input's own arcs
+    "compute-oriented-p4": (("p4.arcs", "1 0\n1 2\n3 2\n"),
+        "f7cd1fdddc1b5f2358c36874ec49c770ba33539d39ea14022e6986623e7f75db"),
 }
 
 
@@ -45,3 +65,13 @@ def test_reference_report_hash(name, tmp_path):
     out = tmp_path / "report"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("name", COMPUTE_REPORTS)
+def test_compute_report_hash(name, tmp_path, monkeypatch):
+    (file_name, contents), sha256 = COMPUTE_REPORTS[name]
+    (tmp_path / file_name).write_text(contents)
+    monkeypatch.chdir(tmp_path)
+    assert main(["compute", "--input", file_name, "--alpha", "0.5,2,3",
+                 "--log-base", "2.718281828459045", "--out", "report"]) == 0
+    assert hashlib.sha256((tmp_path / "report").read_bytes()).hexdigest() == sha256
