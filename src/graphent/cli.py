@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .entropy import (
+    check_log_base,
     closed_form_parts,
     daroczy_entropy,
     functional_entropy,
@@ -44,7 +45,6 @@ from .graphs import Graph, OrientedGraph, canonical_orientation
 from .matrices import MatrixKind, as_kind, spectrum_of, standard_kinds
 from .measures import (
     distance_moment,
-    energy,
     first_zagreb,
     general_randic_index,
     hyper_wiener_index,
@@ -149,6 +149,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE
     try:
+        check_log_base(args.log_base)  # before any work, whatever the command reads
         if args.command == "compute":
             return _run_compute(args)
         if args.command == "verify":
@@ -245,26 +246,20 @@ def _run_compute(args) -> int:
     betas = _parse_floats(args.beta, "beta")
     base = args.log_base
 
-    if args.matrix == "all":
-        kinds = list(standard_kinds(betas))
-        strict = False
-    else:
-        kinds = [as_kind(args.matrix)]
-        strict = True
+    strict = args.matrix != "all"  # a kind named alone fails rather than skips
+    kinds = [as_kind(args.matrix)] if strict else standard_kinds(betas)
 
     matrices = []
     skipped = []
     for kind in kinds:
         try:
-            entry = _compute_kind(kind, loaded, plain, alphas, base)
+            matrices.append(_compute_kind(kind, loaded, plain, alphas, base))
         except (AlphaNonPositiveError, AlphaOneError):
             raise  # no kind takes such an order: the input is at fault
         except ValueError as exc:
             if strict:
                 raise
             skipped.append({"kind": str(kind), "reason": str(exc)})
-            continue
-        matrices.append(entry)
 
     indices: dict[str, float] = {
         "m1": float(first_zagreb(plain)),
@@ -301,35 +296,27 @@ def _run_compute(args) -> int:
 
 def _compute_kind(kind: MatrixKind, loaded: Graph | OrientedGraph, plain: Graph,
                   alphas: tuple[float, ...], base: float) -> dict:
+    target: Graph | OrientedGraph = plain
+    orientation = None
     if kind.needs_orientation:
-        target: Graph | OrientedGraph = (
-            loaded if isinstance(loaded, OrientedGraph) else canonical_orientation(plain)
-        )
-        orientation = "input" if isinstance(loaded, OrientedGraph) else "canonical"
-    else:
-        target = plain
-        orientation = None
+        oriented = isinstance(loaded, OrientedGraph)
+        target = loaded if oriented else canonical_orientation(plain)
+        orientation = "input" if oriented else "canonical"
     spectrum = spectrum_of(kind, target)
     pv = probabilities_from_spectrum(spectrum, base)
-    closed = closed_form_parts(kind, target,
-                               spectrum=None if kind.spec.moment_source else spectrum)
-    renyi_rows = []
-    daroczy_rows = []
-    for a in alphas:
-        renyi_rows.append({"alpha": a, "direct": renyi_entropy(pv, a),
-                           "closed": closed.renyi(a, base)})
-        daroczy_rows.append({"alpha": a, "direct": daroczy_entropy(pv, a),
-                             "closed": closed.daroczy(a)})
+    closed = closed_form_parts(kind, target, spectrum=spectrum)
     return {
         "kind": str(kind),
         "orientation": orientation,
         "spectrum": [float(v) for v in spectrum.values],
         "spectrum_kind": spectrum.kind,
-        "energy": energy(kind, target),
+        "energy": closed.moment_spectrum.abs_sum(),
         "entropy": {
             "quadratic": {"direct": quadratic_entropy(pv), "closed": closed.quadratic_value},
-            "renyi": renyi_rows,
-            "daroczy": daroczy_rows,
+            "renyi": [{"alpha": a, "direct": renyi_entropy(pv, a), "closed": closed.renyi(a, base)}
+                      for a in alphas],
+            "daroczy": [{"alpha": a, "direct": daroczy_entropy(pv, a), "closed": closed.daroczy(a)}
+                        for a in alphas],
         },
     }
 

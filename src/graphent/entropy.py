@@ -39,8 +39,21 @@ from .errors import (
     ZeroSpectrumError,
 )
 from .graphs import Graph, OrientedGraph
-from .matrices import EdgeStack, MatrixKind, as_kind, require_orientation, spectrum_of
-from .spectra import Spectrum, per_member, sqrt_spectrum
+from .matrices import (
+    EdgeStack,
+    MatrixKind,
+    as_kind,
+    moment_spectrum,
+    require_orientation,
+    spectrum_of,
+)
+from .spectra import Spectrum, per_member
+
+
+def check_log_base(base: float) -> None:
+    """A logarithm base must be finite, greater than 0 and not 1."""
+    if not (math.isfinite(base) and base > 0 and base != 1.0):
+        raise ValueError(f"log base must be finite, positive and not 1, got {base}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +79,7 @@ class ProbabilityVector:
             raise ValueError("probability vector has negative entries")
         if (abs(arr.sum(axis=-1) - 1.0) > 1e-12).any():
             raise ValueError("probability vector does not sum to 1")
-        if self.log_base <= 0 or self.log_base == 1.0:
-            raise ValueError(f"invalid log base {self.log_base}")
+        check_log_base(self.log_base)
         object.__setattr__(self, "p", arr)
 
     @property
@@ -165,9 +177,11 @@ class ClosedFormParts:
 
     ``trace_sum`` is the total absolute spectral mass, taken from the
     kind's trace-sum invariant where it has one.  ``moment_spectrum``
-    supplies the alpha-power sums; for the incidence kind it comes from
-    square roots of signless Laplacian eigenvalues rather than from the
-    incidence matrix itself.  Values are floats, or (B,) arrays for a stack.
+    (:func:`graphent.matrices.moment_spectrum`) supplies the alpha-power
+    sums, and its absolute sum is the energy; for the incidence kind it
+    comes from square roots of signless Laplacian eigenvalues rather than
+    from the incidence matrix itself.  Values are floats, or (B,) arrays
+    for a stack.
     """
 
     kind: MatrixKind
@@ -217,13 +231,12 @@ def _nonzero_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def closed_form_stack(kind: MatrixKind | str, stack: EdgeStack, spectrum: Spectrum,
+def closed_form_stack(kind: MatrixKind | str, stack: EdgeStack, moments: Spectrum,
                       rows) -> ClosedFormParts:
     """The closed-route ingredients of the members ``rows`` of a stack, under
-    the hypothesis, from their spectra of the kind or its moment source."""
+    the hypothesis, from their moment spectra (:func:`moment_spectrum`)."""
     kind = as_kind(kind)
     row = kind.spec
-    moments = sqrt_spectrum(spectrum, source=str(kind)) if row.moment_source else spectrum
     t = (moments.abs_sum() if row.trace is None
          else np.broadcast_to(row.trace(stack), (len(stack),))[rows])
     square_sum = np.broadcast_to(row.square_sum(stack, kind), (len(stack),))[rows]
@@ -239,8 +252,9 @@ def closed_form_parts(
     """The closed-route ingredients for one graph: a stack of one of
     :func:`closed_form_stack`.
 
-    ``spectrum`` lets callers reuse an already-computed spectrum for the
-    moment terms.  Outside the row's hypothesis raises the row's refusal
+    ``spectrum`` lets callers reuse the kind's already-computed spectrum;
+    :func:`moment_spectrum` solves any other.  Outside the row's hypothesis
+    raises the row's refusal
     (:class:`ZeroSpectrumError` where the spectrum would be identically
     zero), so the closed route refuses exactly where the direct route does.
     """
@@ -251,9 +265,9 @@ def closed_form_parts(
     if not np.all(row.hypothesis(stack)):
         error, reason = row.refusal
         raise error(reason.format(kind=kind))
-    if spectrum is None or row.moment_source:
-        spectrum = spectrum_of(row.moment_source or kind, g)
-    return closed_form_stack(kind, stack, spectrum, 0)
+    moments = moment_spectrum(kind, lambda k: spectrum if spectrum is not None and k == kind
+                              else spectrum_of(k, g))
+    return closed_form_stack(kind, stack, moments, 0)
 
 
 def closed_form(

@@ -21,7 +21,8 @@ Each tag has one :class:`KindSpec` row in :data:`KINDS`, the catalogue the
 rest of the package reads: the kind's domain (orientation, an edge column,
 connectivity, and the closed form's own hypothesis with the error it
 raises), its trace sum, its square-sum invariant, and the spectrum its
-closed-form moments come from, as functions of an :class:`EdgeStack`.
+closed-form moments and its energy come from (:func:`moment_spectrum`),
+as functions of an :class:`EdgeStack`.
 
 Matrices are built in stacks: :func:`build_stack` takes an order n and a
 ``(B, m, 2)`` stack of edges (arcs for the oriented kinds) and returns one
@@ -73,6 +74,7 @@ from .spectra import (
     Spectrum,
     singular_values,
     skew_absolute_eigenvalues,
+    sqrt_spectrum,
     symmetric_eigenvalues,
 )
 
@@ -133,10 +135,11 @@ class KindSpec:
 
     Closed route: ``trace`` is the trace-sum invariant, or None where the
     trace sum is the spectrum's absolute sum; ``square_sum`` is the
-    invariant sum of squared spectral values; the moments come from the
-    kind's own spectrum, or, where ``moment_source`` names a kind, from the
-    square roots of that kind's eigenvalues.  ``hypothesis``, ``trace``
-    and ``square_sum`` give a value per member of an :class:`EdgeStack`.
+    invariant sum of squared spectral values; the moments, and the energy,
+    come from the kind's own spectrum, or, where ``moment_source`` names a
+    kind, from the square roots of that kind's eigenvalues, as
+    :func:`moment_spectrum` alone reads it.  ``hypothesis``, ``trace`` and
+    ``square_sum`` give a value per member of an :class:`EdgeStack`.
     """
 
     square_sum: Callable[[EdgeStack, MatrixKind], np.ndarray | float]
@@ -356,6 +359,19 @@ def spectrum_of(kind: MatrixKind | str, g: Graph | OrientedGraph) -> Spectrum:
     """
     kind = as_kind(kind)
     return _solve(kind, build(kind, g))
+
+
+def moment_spectrum(kind: MatrixKind | str, solve: Callable[[MatrixKind], Spectrum]) -> Spectrum:
+    """The spectrum a kind's closed-form moments and its energy read: the
+    square roots of the eigenvalues of the kind its row names as
+    ``moment_source``, else the kind's own spectrum.  ``solve`` gives a
+    kind's spectrum: an :class:`EdgeStack`'s, :func:`spectrum_stack` or
+    :func:`spectrum_of` of the graphs at hand."""
+    kind = as_kind(kind)
+    source = kind.spec.moment_source
+    if source is None:
+        return solve(kind)
+    return sqrt_spectrum(solve(as_kind(source)), source=str(kind))
 
 
 class EdgeStack:

@@ -1,5 +1,9 @@
 """Degree-based and distance-based graph indices, and matrix energies.
 
+A kind's energy is the absolute sum of the spectrum its closed entropy
+forms read (:func:`graphent.matrices.moment_spectrum`): compute, the
+scan's ``energy:`` measures and :func:`energy` read it by that one rule.
+
 Distance-sum convention: the k-th distance moment here is HALF the sum
 of d(u, v)^k over unordered pairs (a quarter of the ordered sum).  This
 is half the textbook Wiener normalization; the closed entropy forms and
@@ -14,7 +18,6 @@ import numpy as np
 
 from . import matrices  # a module import: the kind catalogue in matrices reads this module
 from .graphs import Graph, OrientedGraph, by_edge_count
-from .spectra import Spectrum, sqrt_spectrum
 
 
 def first_zagreb_stack(degrees: np.ndarray) -> np.ndarray:
@@ -78,39 +81,10 @@ def hyper_wiener_index(g: Graph) -> float:
     return float(hyper_wiener_stack(g.distance_matrix[None])[0])
 
 
-def energy_from_spectrum(spectrum: Spectrum):
-    """Sum of absolute spectral values (one per member of a stacked spectrum)."""
-    return spectrum.abs_sum()
-
-
-def energy_stack(kind: matrices.MatrixKind | str, n: int, edges: np.ndarray) -> np.ndarray:
-    """The energies of every row of a pair stack (see
-    :func:`graphent.matrices.build_stack`), as a (B,) array.
-
-    A kind with a moment source (the plain incidence kind) takes that
-    kind's route: the sum of square roots of its eigenvalues; every other
-    kind sums the absolute values of the spectrum from
-    :func:`graphent.matrices.spectrum_stack`.
-    """
-    kind = matrices.as_kind(kind)
-    source = kind.spec.moment_source
-    if source is not None:
-        return sqrt_spectrum(matrices.spectrum_stack(source, n, edges), source=str(kind)).sum()
-    return energy_from_spectrum(matrices.spectrum_stack(kind, n, edges))
-
-
 def energy(kind: matrices.MatrixKind | str, g: Graph | OrientedGraph) -> float:
-    """The energy of a graph with respect to a matrix kind: a batch of one
-    of :func:`energy_stack`."""
-    kind = matrices.as_kind(kind)
-    matrices.require_orientation(kind, g)
-    return float(energy_stack(kind, g.n, matrices.edge_stack_of(g))[0])
-
-
-def incidence_energy(g: Graph) -> float:
-    """Sum of incidence singular values, via the signless Laplacian.
-
-    The direct route (singular values of the incidence matrix) is kept
-    separate in the verifier so the two computations stay independent.
-    """
-    return energy("incidence", g)
+    """The energy of a graph with respect to a matrix kind: the absolute sum
+    of its moment spectrum (:func:`graphent.matrices.moment_spectrum`), the
+    spectrum its closed forms read.  The plain incidence kind's is the sum of
+    square roots of the signless Laplacian eigenvalues; the verifier keeps
+    the incidence singular values apart, so the two routes stay independent."""
+    return float(matrices.moment_spectrum(kind, lambda k: matrices.spectrum_of(k, g)).abs_sum())

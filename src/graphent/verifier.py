@@ -60,6 +60,7 @@ from .entropy import (
     renyi_entropy,
 )
 from .enumeration import (
+    STACK_CHUNK,
     graph_edge_stack,
     graphs_of_stack,
     index_chunks,
@@ -79,16 +80,17 @@ from .matrices import (
     MatrixKind,
     as_kind,
     build_stack,
+    moment_spectrum,
     spectrum_stack,
 )
 from .measures import (
     distance_moment_stack,
-    energy_stack,
     first_zagreb_stack,
     general_randic_stack,
     hyper_wiener_stack,
 )
 from .spectra import (
+    EIGENVALUES,
     EQUALITY_BAND,
     comparison_tolerance,
     Spectrum,
@@ -179,10 +181,15 @@ def _entropies(quadratic, renyi, daroczy, alphas: Sequence[float], log_base: flo
 
 
 def _closed_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
-                      applies: np.ndarray, alphas: Sequence[float], log_base: float) -> np.ndarray:
-    """:func:`_entropies` by the closed route, where it applies; NaN elsewhere."""
-    source = kind.spec.moment_source
-    moments = stack.spectrum(source or kind, None if source else label)
+                      applies: np.ndarray, alphas: Sequence[float], log_base: float,
+                      reads: list) -> np.ndarray:
+    """:func:`_entropies` by the closed route, where it applies; NaN elsewhere.
+    Appends to ``reads`` each ``(kind, orientation)`` whose spectrum it reads."""
+    def solve(solved: MatrixKind) -> Spectrum:
+        reads.append((solved, label))
+        return stack.spectrum(solved, label)
+
+    moments = moment_spectrum(kind, solve)
     rows = np.flatnonzero(applies & ~np.isnan(moments.values[:, 0]))
     out = np.full((len(stack), 1 + 2 * len(alphas)), np.nan)
     if len(rows):
@@ -217,7 +224,8 @@ def _columns(values: list, size: int) -> np.ndarray:
 def _identity(stack: EdgeStack, direct, members, alphas: Sequence[float],
               log_base: float, applies: np.ndarray):
     a = np.concatenate([direct(kind, label) for kind, label in members], 1)
-    b = np.concatenate([_closed_entropies(stack, kind, label, applies, alphas, log_base)
+    reads = list(members)  # the direct route's spectra first: the first read names an error
+    b = np.concatenate([_closed_entropies(stack, kind, label, applies, alphas, log_base, reads)
                         for kind, label in members], 1)
     columns = [("quadratic", None)] + [(f, a) for a in alphas for f in ("renyi", "daroczy")]
 
@@ -226,9 +234,7 @@ def _identity(stack: EdgeStack, direct, members, alphas: Sequence[float],
         return {"matrix": str(kind), "orientation": label, "functional": functional,
                 "alpha": alpha, "direct": direct_value, "closed": closed_value}
 
-    reads = members + tuple((kind.spec.moment_source, None) for kind, _ in members
-                            if kind.spec.moment_source)
-    return *_agreement(a, b, comparison_tolerance(a, b), witness), reads
+    return *_agreement(a, b, comparison_tolerance(a, b), witness), tuple(dict.fromkeys(reads))
 
 
 def _trace(stack: EdgeStack, members, observe, expect, applies: np.ndarray):
@@ -805,7 +811,7 @@ def verify_corpus(
     started = time.perf_counter()
     total = spec.total
     chunk_args = []
-    chunk = total if workers <= 1 else max(512, -(-total // (workers * 4)))
+    chunk = total if workers <= 1 else max(STACK_CHUNK, -(-total // (workers * 4)))
     for start in range(0, total, chunk):
         chunk_args.append((spec.text, start, min(start + chunk, total),
                            tuple(checks), tuple(float(a) for a in alphas),
@@ -1055,6 +1061,8 @@ def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
         return _StackedMeasure(lambda s: first_zagreb_stack(s.degrees), lambda s: True)
     if head == "randic-index":
         beta = _parse(rest, "exponent", float)
+        if not math.isfinite(beta):
+            raise ValueError(f"randic-index exponent must be finite, got {beta}")
         return _StackedMeasure(lambda s: general_randic_stack(s.degrees, s.edges, beta),
                                lambda s: True)
     if text == "hyper-wiener":
@@ -1066,9 +1074,13 @@ def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
                                lambda s: s.connected)
     if head == "energy":
         kind = as_kind(rest)
-        solved = as_kind(kind.spec.moment_source or kind).spec  # the matrix energy_stack solves
-        return _StackedMeasure(lambda s: energy_stack(kind, s.n, s.arcs("canonical")),
-                               solved.builds)
+        solve = lambda s: lambda solved: spectrum_stack(solved, s.n, s.arcs("canonical"))
+        # the domain, where every matrix the rule solves exists: the rule read
+        # over a stand-in spectrum per solved kind, 0 where built, NaN elsewhere
+        built = lambda s: lambda solved: Spectrum(
+            np.where(solved.spec.builds(s), 0.0, np.nan)[:, None], EIGENVALUES)
+        return _StackedMeasure(lambda s: moment_spectrum(kind, solve(s)).abs_sum(),
+                               lambda s: moment_spectrum(kind, built(s)).values[:, 0] == 0.0)
     if head in ("quadratic", "renyi", "daroczy"):
         if head == "quadratic":
             kind = as_kind(rest)

@@ -71,6 +71,45 @@ def test_compute_graph6_input(tmp_path, capsys):
     assert doc["graph"]["vertices"] == 2
 
 
+def test_compute_solves_each_spectrum_once(k3_file, capsys, monkeypatch):
+    """Twelve kinds on K3 and the signless Laplacian the incidence moments
+    read: each energy is its closed forms' moment spectrum, not a new solve."""
+    import graphent.matrices as matrices
+
+    calls = []
+    for name in ("symmetric_eigenvalues", "singular_values", "skew_absolute_eigenvalues"):
+        solver = getattr(matrices, name)
+        monkeypatch.setattr(matrices, name,
+                            lambda *a, solver=solver, **k: calls.append(1) or solver(*a, **k))
+    assert main(["compute", "--input", k3_file, "--matrix", "all", "--alpha", "2"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["matrices"]) == 12
+    assert len(calls) <= 13
+
+
+@pytest.mark.parametrize("name, contents", [
+    ("k3.edges", "0 1\n0 2\n1 2\n"),
+    ("petersen.g6", "IheA@GUAo\n"),
+    ("p4.arcs", "1 0\n1 2\n3 2\n"),
+])
+def test_compute_energy_is_the_per_graph_energy_bitwise(name, contents, tmp_path, monkeypatch):
+    from graphent import OrientedGraph, canonical_orientation, energy
+    from graphent.cli import _load_graph
+
+    path = tmp_path / name
+    path.write_text(contents)
+    docs = []  # the report before rendering, which rounds its floats
+    monkeypatch.setattr("graphent.cli._write_report", lambda doc, args: docs.append(doc))
+    assert main(["compute", "--input", str(path), "--alpha", "2"]) == 0
+    doc, = docs
+    assert doc["skipped"] == [] and len(doc["matrices"]) == 12
+    loaded = _load_graph(str(path), "auto")
+    plain = loaded.underlying if isinstance(loaded, OrientedGraph) else loaded
+    targets = {None: plain, "input": loaded, "canonical": canonical_orientation(plain)}
+    for entry in doc["matrices"]:
+        want = energy(entry["kind"], targets[entry["orientation"]])
+        assert entry["energy"].hex() == want.hex(), entry["kind"]
+
+
 def test_missing_input_file_is_usage_error(capsys):
     assert main(["compute", "--input", "/nonexistent.edges"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -170,6 +209,9 @@ def test_audit_rejects_a_non_positive_order_whatever_the_source(source, tmp_path
     assert capsys.readouterr().err == "error: audit grid must be positive and finite, got -1.0\n"
 
 
+_LOG_BASE = "log base must be finite, positive and not 1"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["verify", "--corpus", "all:3", "--alpha=nan"], "entropy order must be positive and finite"),
     (["verify", "--corpus", "all:3", "--alpha=inf"], "entropy order must be positive and finite"),
@@ -178,6 +220,20 @@ def test_audit_rejects_a_non_positive_order_whatever_the_source(source, tmp_path
     (["audit", "--corpus", "all:3", "--alpha=nan"], "audit grid must be positive and finite"),
     (["audit", "--p", "0.5,0.5", "--alpha=inf"], "audit grid must be positive and finite"),
     (["compute", "--input", "K3", "--alpha=nan"], "entropy order must be positive and finite"),
+    (["scan", "--family", "trees", "--order", "5", "--measure", "randic-index:nan"],
+     "randic-index exponent must be finite"),
+    (["scan", "--family", "trees", "--order", "5", "--measure", "randic-index:inf"],
+     "randic-index exponent must be finite"),
+    # the log base is checked before any work: whatever the checks, the
+    # measure, or the kinds compute would otherwise skip
+    (["verify", "--corpus", "all:3", "--log-base", "nan"], _LOG_BASE),
+    (["verify", "--corpus", "all:3", "--checks", "traces", "--log-base", "inf"],
+     _LOG_BASE),
+    (["audit", "--p", "0.9,0.1", "--log-base", "inf"], _LOG_BASE),
+    (["audit", "--corpus", "all:3", "--log-base", "1"], _LOG_BASE),
+    (["compute", "--input", "K3", "--log-base", "nan"], _LOG_BASE),
+    (["scan", "--family", "trees", "--order", "5", "--measure", "m1", "--log-base=-inf"],
+     _LOG_BASE),
 ])
 def test_non_finite_orders_and_exponents_are_usage_errors(argv, message, k3_file, capsys):
     assert main([k3_file if arg == "K3" else arg for arg in argv]) == 2

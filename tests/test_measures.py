@@ -13,7 +13,6 @@ from graphent import (
     first_zagreb,
     general_randic_index,
     hyper_wiener_index,
-    incidence_energy,
     path_graph,
     random_orientation,
     spectrum_of,
@@ -66,7 +65,6 @@ def test_hyper_wiener_identity():
 
 
 def test_incidence_energy_of_single_edge():
-    assert incidence_energy(complete_graph(2)) == pytest.approx(math.sqrt(2))
     assert energy("incidence", complete_graph(2)) == pytest.approx(math.sqrt(2))
 
 
@@ -109,4 +107,4 @@ def test_skew_square_sum_is_twice_edge_count_for_any_orientation(n, seed):
 def test_incidence_energy_two_routes_agree():
     for g in (path_graph(4), star_graph(5), complete_graph(4)):
         direct = spectrum_of("incidence", g).sum()
-        assert incidence_energy(g) == pytest.approx(direct, abs=1e-9)
+        assert energy("incidence", g) == pytest.approx(direct, abs=1e-9)

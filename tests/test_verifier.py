@@ -716,31 +716,41 @@ NORMALIZED_READERS = {"identity.normalized", "trace.normalized.square", "bound.n
                       "bound.normalized.degree-upper"}
 
 
-def test_a_member_whose_own_solve_raises_fails_every_claim_reading_that_spectrum(monkeypatch):
+def _assert_a_refused_solve_fails_its_readers(monkeypatch, tag: str, readers: set[str]):
     p3 = path_graph(3)  # one of three graphs in its stack of all:3
-    refused = build("norm-l", p3)
+    refused = build(tag, p3)
     solve = matrices._solve
 
     def refuse(kind, stack):
-        if str(kind) == "norm-l" and any(np.array_equal(m, refused) for m in stack):
-            raise NoConvergenceError("norm-l solve refused")
+        if str(kind) == tag and any(np.array_equal(m, refused) for m in stack):
+            raise NoConvergenceError(f"{tag} solve refused")
         return solve(kind, stack)
 
     want = verify_corpus("all:3", alphas=(2.0,))
     monkeypatch.setattr(matrices, "_solve", refuse)
     report = verify_corpus("all:3", alphas=(2.0,))
     failed = [c for c in report.claims if c.status == "fail"]
-    assert {c.claim_id for c in failed} == NORMALIZED_READERS
+    assert {c.claim_id for c in failed} == readers
     assert {(c.graph, c.residual) for c in failed} == {(encode_graph6(p3).decode(), None)}
-    assert all(c.witness == {"error": "norm-l solve refused"} for c in failed)
+    assert all(c.witness == {"error": f"{tag} solve refused"} for c in failed)
     for claim_id, by_status in report.summary.items():
         moved = {status: by_status[status] - k for status, k in want.summary[claim_id].items()}
-        assert moved["fail"] == (claim_id in NORMALIZED_READERS), claim_id
+        assert moved["fail"] == (claim_id in readers), claim_id
         assert sum(moved.values()) == 0
     # the per-graph checks give the same records
     res = _by_id(check_traces(p3) + check_bounds(p3))
-    assert {c for c, r in res.items() if r.status == "fail"} == NORMALIZED_READERS - {
-        "identity.normalized"}
+    assert {c for c, r in res.items() if r.status == "fail"} == {
+        c for c in readers if not c.startswith("identity.")}
+
+
+def test_a_member_whose_own_solve_raises_fails_every_claim_reading_that_spectrum(monkeypatch):
+    _assert_a_refused_solve_fails_its_readers(monkeypatch, "norm-l", NORMALIZED_READERS)
+
+
+def test_a_failed_q_solve_fails_the_incidence_identity_whose_moments_it_gives(monkeypatch):
+    _assert_a_refused_solve_fails_its_readers(monkeypatch, "q", {
+        "identity.q", "identity.incidence", "trace.q.sum", "trace.q.square", "bound.q.upper",
+        "bound.q.lower"})
 
 
 @pytest.mark.parametrize("checks,unread", [
