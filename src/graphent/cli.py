@@ -70,10 +70,11 @@ from .verifier import (
 
 _EXIT_USAGE = 2
 
-# Comma-separated number lists may start with a minus sign; argparse would
-# take "--beta -1,-0.5,1" for a flag, so such a value is joined to its option.
-_NUMBER_LIST_OPTIONS = ("--alpha", "--beta")
-_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+# Number values and comma-separated number lists may start with a minus sign;
+# argparse would take "--beta -1,-0.5,1" or "--log-base -inf" for a flag, so
+# such a value is joined to its option.
+_NUMBER_OPTIONS = ("--alpha", "--beta", "--log-base", "--p")
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,13 +84,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, alpha_default: str) -> None:
-        p.add_argument("--alpha", default=alpha_default,
-                       help="comma-separated entropy orders (default %(default)s)")
+    def common(p: argparse.ArgumentParser, alpha: str | None = None, seed: bool = False) -> None:
+        # a scan's orders live in its measure, and neither compute nor scan
+        # draws anything at random
+        if alpha is not None:
+            p.add_argument("--alpha", default=alpha,
+                           help="comma-separated entropy orders (default %(default)s)")
         p.add_argument("--log-base", type=float, default=2.0,
                        help="logarithm base for entropies (default 2)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed mixed into random orientations and corpora")
+        if seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed mixed into random orientations and corpora")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default json)")
         p.add_argument("--out", default=None,
@@ -114,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="exponents for the general degree-product claims")
     p_verify.add_argument("--workers", type=int, default=None,
                           help="worker processes (default: GRAPHENT_WORKERS or 1)")
-    common(p_verify, "0.5,2,3")
+    common(p_verify, "0.5,2,3", seed=True)
 
     p_audit = sub.add_parser(
         "audit",
@@ -126,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="audit one explicit distribution, e.g. 0.9,0.1")
     p_audit.add_argument("--matrix", default="all",
                          help="matrix kind tag, or 'all' (corpus mode)")
-    common(p_audit, "0.5,1.5,2,3")
+    common(p_audit, "0.5,1.5,2,3", seed=True)
 
     p_scan = sub.add_parser("scan", help="extremal graphs of a family for a measure")
     p_scan.add_argument("--family", required=True, choices=SCAN_FAMILIES)
@@ -137,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "daroczy:<kind>:<a>")
     p_scan.add_argument("--ranking", action="store_true",
                         help="retain the full value ranking in the report")
-    common(p_scan, "2")
+    common(p_scan)
 
     return parser
 
@@ -169,12 +174,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _join_negative_lists(argv: Sequence[str]) -> list[str]:
-    """Rewrite ``--beta -1,-0.5,1`` as ``--beta=-1,-0.5,1``."""
+    """Rewrite ``--beta -1,-0.5,1`` as ``--beta=-1,-0.5,1``, ``--p -0.5`` as ``--p=-0.5``."""
     out: list[str] = []
     i = 0
     while i < len(argv):
         token = argv[i]
-        if (token in _NUMBER_LIST_OPTIONS and i + 1 < len(argv)
+        if (token in _NUMBER_OPTIONS and i + 1 < len(argv)
                 and _NEGATIVE_NUMBER.match(argv[i + 1])):
             out.append(f"{token}={argv[i + 1]}")
             i += 2

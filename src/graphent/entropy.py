@@ -93,7 +93,7 @@ def probability_vector(weights, origin: str = "custom", log_base: float = 2.0) -
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must form a nonempty 1-D array")
     if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+        raise ValueError(f"weights must be nonnegative, got {float(w.min())}")
     total = float(np.sum(w))
     if total <= 0:
         raise AllZeroWeightsError("weights sum to zero; no distribution exists")

@@ -1,9 +1,12 @@
-"""Simple undirected graphs, orientations, deterministic generators, distances.
+"""Simple undirected graphs, orientations, deterministic generators, and the
+stacked kernels of the graph invariants.
 
-Vertices are always 0-based integers.  Graphs are immutable after
-construction; derived data (degrees, adjacency, edge array, components,
-distance matrix) is computed at most once per graph, on first access, and
-shared by every caller that reads it.  Cached arrays are read-only.
+Vertices are always 0-based integers.  A :class:`Graph` is an immutable,
+validated edge list.  Its invariants are computed over ``(B, m, 2)`` edge
+stacks, one kernel per invariant: :func:`degree_stack`,
+:func:`adjacency_stack`, :func:`connected_stack` and :func:`distance_stack`.
+A graph's degrees, connectivity and distances (:func:`distances`) are a
+stack of one of the same kernels, so they equal its row in any stack.
 """
 
 from __future__ import annotations
@@ -70,32 +73,8 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.degrees)
-
-    @property
-    def min_degree(self) -> int:
-        return min(self.degrees)
-
-    @cached_property
-    def non_isolated_count(self) -> int:
-        """Number of vertices of degree at least one."""
-        return sum(1 for d in self.degrees if d > 0)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        neigh: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            neigh[u].append(v)
-            neigh[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in neigh)
+        """Vertex degrees: a stack of one of :func:`degree_stack`."""
+        return tuple(degree_stack(self.n, self.edge_array[None])[0].astype(int).tolist())
 
     @cached_property
     def edge_array(self) -> np.ndarray:
@@ -105,44 +84,9 @@ class Graph:
         return np.array(self.edges, dtype=np.int64)
 
     @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Vertex sets of the connected components, each sorted."""
-        seen = [False] * self.n
-        comps: list[tuple[int, ...]] = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            stack = [start]
-            comp = []
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in self.adjacency[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
-
-    @cached_property
     def is_connected(self) -> bool:
-        return len(self.components) == 1
-
-    @cached_property
-    def distance_matrix(self) -> np.ndarray:
-        """All-pairs shortest-path lengths as a read-only (n, n) int64 array.
-
-        Computed once by :func:`distances`; raises DisconnectedGraphError
-        on every access when the graph is disconnected.
-        """
-        dm = distances(self)
-        dm.setflags(write=False)
-        return dm
-
-    def edge_count_within(self, vertices: Sequence[int]) -> int:
-        vs = set(vertices)
-        return sum(1 for u, v in self.edges if u in vs and v in vs)
+        """A stack of one of :func:`connected_stack`."""
+        return bool(connected_stack(self.n, self.edge_array[None])[0])
 
 
 @dataclass(frozen=True)
@@ -292,6 +236,13 @@ def by_edge_count(n: int, edges: np.ndarray) -> list[tuple[slice | np.ndarray, n
     return parts
 
 
+def degree_stack(n: int, edges: np.ndarray) -> np.ndarray:
+    """Vertex degrees, shape (B, n) float, of a (B, m, 2) edge stack."""
+    members, tails, heads = edge_entries(n, edges)
+    ends = np.concatenate([(members * n + tails).ravel(), (members * n + heads).ravel()])
+    return np.bincount(ends, minlength=len(edges) * n).reshape(len(edges), n).astype(float)
+
+
 def adjacency_stack(n: int, edges: np.ndarray) -> np.ndarray:
     """0/1 adjacency matrices, shape (B, n, n), of a (B, m, 2) edge stack."""
     edges = np.asarray(edges, dtype=np.int64)
@@ -329,8 +280,7 @@ def distances(g: Graph) -> np.ndarray:
     :func:`distance_stack`.
 
     Returns a fresh (n, n) int64 array; raises DisconnectedGraphError if any
-    pair is unreachable.  Prefer :attr:`Graph.distance_matrix`, which runs
-    this once per graph.
+    pair is unreachable.
     """
     return distance_stack(g.n, g.edge_array[None]).astype(np.int64)[0]
 

@@ -60,9 +60,9 @@ from .formats import encode_graph6_stack
 from .graphs import (
     Graph,
     OrientedGraph,
-    adjacency_stack,
     by_edge_count,
     connected_stack,
+    degree_stack,
     distance_stack,
     edge_counts,
     edge_entries,
@@ -238,12 +238,6 @@ def require_orientation(kind: MatrixKind, g: Graph | OrientedGraph) -> None:
         raise NotOrientedError(f"{kind} requires an oriented graph")
 
 
-def _degrees(n: int, edges: np.ndarray) -> np.ndarray:
-    members, tails, heads = edge_entries(n, edges)
-    ends = np.concatenate([(members * n + tails).ravel(), (members * n + heads).ravel()])
-    return np.bincount(ends, minlength=len(edges) * n).reshape(len(edges), n).astype(float)
-
-
 def _inv_sqrt(d: np.ndarray) -> np.ndarray:
     # zero-row convention: isolated vertices scale to 0, not 1/sqrt(0)
     s = np.zeros_like(d)
@@ -278,14 +272,14 @@ def build_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> np.ndarray
         out[members, edges[..., 1], cols] = 1.0
         if kind.tag == "incidence":
             return out
-        return _inv_sqrt(_degrees(n, edges))[:, :, None] * out
+        return _inv_sqrt(degree_stack(n, edges))[:, :, None] * out
     members, tail, head = edge_entries(n, edges)
     out = np.zeros((size, n, n))
     if kind.tag == "skew":
         out[members, tail, head] = 1.0
         out[members, head, tail] = -1.0
         return out
-    d = _degrees(n, edges)
+    d = degree_stack(n, edges)
     if kind.tag in ("q", "norm-l", "norm-q"):
         diagonal = np.arange(n)
         out[:, diagonal, diagonal] = d
@@ -312,10 +306,6 @@ def build(kind: MatrixKind | str, g: Graph | OrientedGraph) -> np.ndarray:
     kind = as_kind(kind)
     require_orientation(kind, g)
     return build_stack(kind, g.n, edge_stack_of(g))[0]
-
-
-def adjacency(g: Graph) -> np.ndarray:
-    return adjacency_stack(g.n, g.edge_array[None])[0]
 
 
 def _solve(kind: MatrixKind, matrices: np.ndarray) -> Spectrum:
@@ -409,7 +399,7 @@ class EdgeStack:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return _degrees(self.n, self.edges)
+        return degree_stack(self.n, self.edges)
 
     @cached_property
     def non_isolated(self) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import matrices  # a module import: the kind catalogue in matrices reads this module
-from .graphs import Graph, OrientedGraph, by_edge_count
+from .graphs import Graph, OrientedGraph, by_edge_count, distances
 
 
 def first_zagreb_stack(degrees: np.ndarray) -> np.ndarray:
@@ -65,12 +65,13 @@ def general_randic_index(g: Graph, beta: float) -> float:
 
 def distance_moment(g: Graph, k: int) -> float:
     """Half the sum of d(u,v)^k over unordered vertex pairs; connected only."""
-    return float(distance_moment_stack(g.distance_matrix[None], k)[0])
+    return distance_moments(g, (k,))[0]
 
 
 def distance_moments(g: Graph, ks: tuple[int, ...] = (1, 2)) -> tuple[float, ...]:
-    """Several distance moments from the graph's one distance matrix."""
-    return tuple(distance_moment(g, k) for k in ks)
+    """Several distance moments from one run of the distance kernel."""
+    d = distances(g)[None]
+    return tuple(float(distance_moment_stack(d, k)[0]) for k in ks)
 
 
 def wiener_index(g: Graph) -> float:
@@ -78,7 +79,7 @@ def wiener_index(g: Graph) -> float:
 
 
 def hyper_wiener_index(g: Graph) -> float:
-    return float(hyper_wiener_stack(g.distance_matrix[None])[0])
+    return float(hyper_wiener_stack(distances(g)[None])[0])
 
 
 def energy(kind: matrices.MatrixKind | str, g: Graph | OrientedGraph) -> float:

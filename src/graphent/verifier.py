@@ -653,12 +653,18 @@ class CorpusSpec:
         a chunk at a time.
 
         Each chunk of at most :data:`graphent.enumeration.STACK_CHUNK`
-        consecutive members of one order is one :class:`EdgeStack`, seeded
-        with ``seed``, whose rows hold different edge counts: ``all``
-        decodes a chunk of masks, ``trees`` a chunk of tree indices (one
-        edge count) and ``gnp`` a chunk of seeded samples.
+        consecutive members of one order, whose rows hold different edge
+        counts, is decoded at once: ``all`` a chunk of masks, ``trees`` of tree
+        indices (one edge count) and ``gnp`` of seeded samples.  It is yielded
+        as :class:`EdgeStack` parts seeded with ``seed``, whose ``(B, n, n)``
+        matrices hold at most :data:`graphent.matrices.STACK_ENTRIES` entries.
         """
-        start, stop = max(start, 0), min(stop, self.total)
+        for chunk in self._chunks(max(start, 0), min(stop, self.total), seed):
+            size = max(1, STACK_ENTRIES // (chunk.n * chunk.n))
+            for lo in range(0, len(chunk), size):
+                yield chunk[lo:lo + size]
+
+    def _chunks(self, start: int, stop: int, seed: int) -> Iterator[EdgeStack]:
         if self.family == "all":
             base = 0
             for k in range(1, self.order + 1):
@@ -759,26 +765,22 @@ def _status_counts(status: np.ndarray, claims: np.ndarray) -> np.ndarray:
 def _sweep(spec: CorpusSpec, start: int, stop: int, seed: int,
            table_of: Callable[[EdgeStack], ClaimTable], limit: int | None = None
            ) -> tuple[int, dict[str, np.ndarray], list[ClaimResult]]:
-    """The corpus loop of verify and audit, in tables whose ``(B, n, n)``
-    stacks hold at most :data:`graphent.matrices.STACK_ENTRIES` entries (the
-    incidence solves cut their own batches): each table is tallied by claim id,
-    and failures and equalities are kept in corpus then column order, up to
-    ``limit``."""
+    """The corpus loop of verify and audit, one table per stack of
+    :meth:`CorpusSpec.stacks`: each table is tallied by claim id, and failures
+    and equalities are kept in corpus then column order, up to ``limit``."""
     tally: dict[str, np.ndarray] = {}
     retained: list[ClaimResult] = []
     graphs = 0
-    for chunk in spec.stacks(start, stop, seed):
-        graphs += len(chunk)
-        size = max(1, STACK_ENTRIES // (chunk.n * chunk.n))
-        for lo in range(0, len(chunk), size):
-            table = table_of(chunk[lo:lo + size])
-            for claim_id, counts in zip(table.claim_ids,
-                                        _status_counts(table.status, table.claims)):
-                tally[claim_id] = tally.get(claim_id, 0) + counts
-            rows, ks = np.nonzero((table.status == _FAIL) | (table.status == _EQUALITY))
-            keep = len(rows) if limit is None else max(limit - len(retained), 0)
-            retained.extend(map(table.record, rows[:keep].tolist(), ks[:keep].tolist()))
-            del table  # before the next table is built
+    for stack in spec.stacks(start, stop, seed):
+        graphs += len(stack)
+        table = table_of(stack)
+        for claim_id, counts in zip(table.claim_ids,
+                                    _status_counts(table.status, table.claims)):
+            tally[claim_id] = tally.get(claim_id, 0) + counts
+        rows, ks = np.nonzero((table.status == _FAIL) | (table.status == _EQUALITY))
+        keep = len(rows) if limit is None else max(limit - len(retained), 0)
+        retained.extend(map(table.record, rows[:keep].tolist(), ks[:keep].tolist()))
+        del table  # before the next table is built
     return graphs, tally, retained
 
 

@@ -121,6 +121,17 @@ def test_bad_flags_are_usage_errors(capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--input", "K3", "--seed", "3"],
+    ["scan", "--family", "trees", "--order", "5", "--measure", "m1", "--seed", "3"],
+    ["scan", "--family", "trees", "--order", "5", "--measure", "renyi:q:2", "--alpha", "3"],
+])
+def test_options_a_command_would_ignore_are_usage_errors(argv, k3_file, capsys):
+    """compute and scan draw nothing at random, and a scan's order is in its measure."""
+    assert main([k3_file if arg == "K3" else arg for arg in argv]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_small_corpus_exits_zero(capsys):
     assert main(["verify", "--corpus", "all:3", "--alpha", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -234,6 +245,11 @@ _LOG_BASE = "log base must be finite, positive and not 1"
     (["compute", "--input", "K3", "--log-base", "nan"], _LOG_BASE),
     (["scan", "--family", "trees", "--order", "5", "--measure", "m1", "--log-base=-inf"],
      _LOG_BASE),
+    # a value starting "-inf", "-nan" or "-<digit>" is joined to its option,
+    # so it reaches the checks instead of argparse's usage block
+    (["scan", "--family", "trees", "--order", "5", "--measure", "m1", "--log-base", "-inf"],
+     _LOG_BASE),
+    (["audit", "--p", "-0.5,1.5"], "weights must be nonnegative"),
 ])
 def test_non_finite_orders_and_exponents_are_usage_errors(argv, message, k3_file, capsys):
     assert main([k3_file if arg == "K3" else arg for arg in argv]) == 2

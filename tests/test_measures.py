@@ -86,10 +86,10 @@ def test_incidence_energy_bounded_by_edge_vertex_product():
 
 def test_general_randic_energy_at_zero_is_adjacency_energy():
     from graphent import symmetric_eigenvalues
-    from graphent.matrices import adjacency
+    from graphent.graphs import adjacency_stack
 
     for g in (path_graph(5), star_graph(5), complete_graph(4)):
-        adj_energy = symmetric_eigenvalues(adjacency(g)).abs_sum()
+        adj_energy = symmetric_eigenvalues(adjacency_stack(g.n, g.edge_array[None])[0]).abs_sum()
         assert energy("general-randic:0", g) == pytest.approx(adj_energy, abs=1e-12)
 
 

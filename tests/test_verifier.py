@@ -42,7 +42,7 @@ from graphent import (
     verify_corpus,
 )
 from graphent import matrices, measures, verifier
-from graphent.enumeration import graphs_of_stack, pad_edge_stack
+from graphent.enumeration import graphs_of_stack, pad_edge_stack, tree_edge_stack
 from graphent.errors import NoConvergenceError
 from graphent.matrices import EdgeStack
 from graphent.report import audit_to_object, render_json, verification_to_object
@@ -260,7 +260,7 @@ def test_one_probability_vector_per_spectrum_at_base_e(monkeypatch):
     """The bounds read the vectors the base-e identities built: 11, not 22."""
     calls = _count_probability_vectors(monkeypatch)
     g = random_gnp(10, 0.6, seed=1)
-    assert g.is_connected and g.min_degree >= 1
+    assert g.is_connected and min(g.degrees) >= 1
     verifier.claim_table(EdgeStack.of(g), ("equalities", "bounds"), log_base=math.e)
     assert len(calls) == 11
 
@@ -595,6 +595,18 @@ def test_corpus_stacks_decode_every_family_in_corpus_order():
         random_gnp(7, 0.4, spec._sample_seed(5, i)).edges for i in range(600)]
     chunks = [len(stack) for stack in spec.stacks(0, 600, seed=5)]
     assert chunks == [512, 88]  # STACK_CHUNK members each
+
+
+def test_corpus_stacks_hold_at_most_the_entry_cap():
+    """A chunk of 512 trees on nine vertices would hold 512 * 81 matrix
+    entries; the stacks, which verify, audit and scan all read, are cut under
+    the cap, in corpus order."""
+    spec = parse_corpus("trees:9")
+    stacks = list(spec.stacks(0, 1100))
+    assert [len(stack) for stack in stacks] == [404, 108, 404, 108, 76]
+    assert all(len(stack) * 81 <= matrices.STACK_ENTRIES for stack in stacks)
+    assert np.array_equal(np.concatenate([stack.edges for stack in stacks]),
+                          tree_edge_stack(9, range(1100)))
 
 
 def test_gnp_corpus_seed_changes_samples():
