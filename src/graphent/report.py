@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 
 from .spectra import ABS_TOL, EQUALITY_BAND, REL_TOL
 from .verifier import AuditReport, ClaimResult, ExtremalScan, VerificationReport
@@ -135,7 +136,12 @@ def _emit(value, pieces: list[str], depth: int | None) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+_PLAIN = re.compile(r'[^\x00-\x1f"\\]*')  # text that needs no escape
+
+
 def _escape(text: str) -> str:
+    if _PLAIN.fullmatch(text):
+        return f'"{text}"'
     out = ['"']
     for ch in text:
         if ch == '"':

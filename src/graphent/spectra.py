@@ -57,7 +57,7 @@ def within_tolerance(a: float, b: float) -> bool:
 
 def per_member(values):
     """A reduction over the last axis: a float for one member, else the array."""
-    return values if isinstance(values, np.ndarray) else float(values)
+    return values if np.ndim(values) else float(values)
 
 
 @dataclass(frozen=True, eq=False)

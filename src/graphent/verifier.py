@@ -293,8 +293,7 @@ def _quadratics(direction: str, rhs: Callable[[EdgeStack], np.ndarray | float]):
 def _skew_det_pairs(s: EdgeStack, values) -> list[tuple]:
     pairs = []
     for label, value in values:
-        det = np.abs(determinant(build_stack("skew", s.n, s.arcs(label))))
-        power = np.array([d ** (2.0 / s.n) for d in det.tolist()])  # Python's pow, not numpy's
+        power = np.abs(determinant(build_stack("skew", s.n, s.arcs(label)))) ** (2.0 / s.n)
         pairs.append((value, 1.0 - 2.0 * s.m / (2.0 * s.m + s.n * (s.n - 1.0) * power), "lower"))
     return pairs
 

@@ -250,6 +250,9 @@ _LOG_BASE = "log base must be finite, positive and not 1"
     (["scan", "--family", "trees", "--order", "5", "--measure", "m1", "--log-base", "-inf"],
      _LOG_BASE),
     (["audit", "--p", "-0.5,1.5"], "weights must be nonnegative"),
+    # rejected before the division that would warn
+    (["audit", "--p", "inf,1"], "weights must be finite"),
+    (["audit", "--p", "nan,1"], "weights must be finite"),
 ])
 def test_non_finite_orders_and_exponents_are_usage_errors(argv, message, k3_file, capsys):
     assert main([k3_file if arg == "K3" else arg for arg in argv]) == 2

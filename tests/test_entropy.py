@@ -243,3 +243,39 @@ def test_renyi_uniform_closed_equals_log_base_n():
     pv = probability_vector([1] * 6, log_base=6.0)
     for a in (0.5, 2.0, 3.0):
         assert renyi_entropy(pv, a) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind,zero_counts", [
+    # a normalized Laplacian's zero eigenvalue is solved exactly 0 only at times
+    ("q", {0, 1, 2, 3, 4}), ("norm-l", {0, 1}), ("incidence", {0, 1, 2, 3, 4}), ("skew", {1, 3}),
+])
+def test_stack_rows_with_zero_moments_are_each_graphs_own_bits(kind, zero_counts):
+    """The closed-form rows at n = 5 hold each count ``zero_counts`` of
+    exactly-zero moments, and each row's closed and direct Renyi and Daroczy
+    values equal, byte for byte, those of its graph or vector alone."""
+    from graphent import parse_corpus
+    from graphent.enumeration import graphs_of_stack
+    from graphent.entropy import closed_form_stack
+    from graphent.matrices import KINDS, moment_spectrum
+
+    label = "canonical" if KINDS[kind].oriented else None
+    seen = set()
+    for stack in parse_corpus("all:5").stacks(0, 1099):
+        if stack.n != 5:
+            continue
+        moments = moment_spectrum(kind, lambda k: stack.spectrum(k, label))
+        rows = np.flatnonzero(KINDS[kind].has_closed_form(stack))
+        parts = closed_form_stack(kind, stack, moments.take(rows), rows)
+        pv = probabilities_from_spectrum(stack.spectrum(kind, label).take(rows))
+        graphs = graphs_of_stack(5, stack.edges[rows])
+        seen |= set((moments.values[rows] == 0).sum(axis=-1).tolist())
+        for alpha in (0.5, 2.0, 3.0, 1000.0):
+            stacked = (parts.renyi(alpha), parts.daroczy(alpha),
+                       renyi_entropy(pv, alpha), daroczy_entropy(pv, alpha))
+            for i, g in enumerate(graphs):
+                alone = ProbabilityVector(pv.p[i])
+                want = (*closed_form(kind, canonical_orientation(g) if label else g, alpha)[1:],
+                        renyi_entropy(alone, alpha), daroczy_entropy(alone, alpha))
+                got = [column[i] for column in stacked]
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (alpha, g.edges)
+    assert seen == zero_counts
