@@ -191,11 +191,11 @@ class ClosedFormParts:
     def _log_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # log(|v| / t) as each member's largest and each one's excess over
         # it, and which moments are nonzero: zeros add nothing to a power sum
-        v = np.atleast_2d(np.abs(self.moment_spectrum.values))
+        v = np.abs(self.moment_spectrum.values)
         with np.errstate(divide="ignore"):
-            logs = np.log(v) - np.reshape(np.log(self.trace_sum), (-1, 1))
-        top = logs.max(axis=-1, keepdims=True)
-        return top[:, 0], logs - top, v > 0
+            logs = np.log(v) - np.log(self.trace_sum)[..., None]
+        top = logs.max(axis=-1)
+        return top, logs - top[..., None], v > 0
 
     def _log_power_sum(self, alpha: float) -> np.ndarray:
         """log of each member's sum of (|v| / t)^alpha, as a log-sum-exp: no
@@ -204,18 +204,18 @@ class ClosedFormParts:
         top, excess, nonzero = self._log_terms
         return alpha * top + np.log(np.where(nonzero, np.exp(alpha * excess), 0.0).sum(axis=-1))
 
-    def _per_member(self, values: np.ndarray):
-        return values if self.moment_spectrum.values.ndim == 2 else float(values[0])
-
     def renyi(self, alpha: float, log_base: float = 2.0):
-        return self._per_member(self._log_power_sum(alpha) / ((1.0 - alpha) * math.log(log_base)))
+        return per_member(self._log_power_sum(alpha) / ((1.0 - alpha) * math.log(log_base)))
 
     def daroczy(self, alpha: float):
-        # libm's exp, not numpy's: numpy's AVX-512 exp is an ulp off for about
-        # one value in twenty, and the closed values compute prints would
-        # then depend on the CPU
-        power_sums = np.array([math.exp(v) for v in self._log_power_sum(alpha).tolist()])
-        return self._per_member((power_sums - 1.0) / (2.0 ** (1.0 - alpha) - 1.0))
+        # math.exp, not np.exp: numpy's AVX-512 exp differs from its fallback
+        # kernel (and libm) in the last bit for about one value in twenty,
+        # and here that moved compute-oriented-p4's pinned report.  This keeps
+        # that pin equal on both kernels; the other log/exp calls stay SIMD.
+        log_sums = self._log_power_sum(alpha)
+        power_sums = np.reshape([math.exp(v) for v in np.ravel(log_sums).tolist()],
+                                np.shape(log_sums))
+        return per_member((power_sums - 1.0) / (2.0 ** (1.0 - alpha) - 1.0))
 
 
 def closed_form_stack(kind: MatrixKind | str, stack: EdgeStack, moments: Spectrum,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 
 from .spectra import ABS_TOL, EQUALITY_BAND, REL_TOL
 from .verifier import AuditReport, ClaimResult, ExtremalScan, VerificationReport
@@ -136,30 +135,13 @@ def _emit(value, pieces: list[str], depth: int | None) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-_PLAIN = re.compile(r'[^\x00-\x1f"\\]*')  # text that needs no escape
+# each character a JSON string escapes, and its escape
+_ESCAPES = ({c: "\\u%04x" % c for c in range(0x20)}
+            | str.maketrans({'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}))
 
 
 def _escape(text: str) -> str:
-    if _PLAIN.fullmatch(text):
-        return f'"{text}"'
-    out = ['"']
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + text.translate(_ESCAPES) + '"'
 
 
 def _csv_cell(value) -> str:

@@ -246,13 +246,17 @@ def test_renyi_uniform_closed_equals_log_base_n():
 
 
 @pytest.mark.parametrize("kind,zero_counts", [
-    # a normalized Laplacian's zero eigenvalue is solved exactly 0 only at times
-    ("q", {0, 1, 2, 3, 4}), ("norm-l", {0, 1}), ("incidence", {0, 1, 2, 3, 4}), ("skew", {1, 3}),
+    # q and norm-l moments are plain eigenvalues: which of their zero
+    # eigenvalues come out exactly 0 rests on LAPACK's rounding, so only the
+    # counts of the snapped square-root spectra (one zero per bipartite
+    # component, one per odd order's kernel) are pinned
+    ("q", None), ("norm-l", None), ("incidence", {0, 1, 2, 3, 4}), ("skew", {1, 3}),
 ])
 def test_stack_rows_with_zero_moments_are_each_graphs_own_bits(kind, zero_counts):
-    """The closed-form rows at n = 5 hold each count ``zero_counts`` of
-    exactly-zero moments, and each row's closed and direct Renyi and Daroczy
-    values equal, byte for byte, those of its graph or vector alone."""
+    """Each closed-form row's closed and direct Renyi and Daroczy values at
+    n = 5 equal, byte for byte, those of its graph or vector alone; the rows'
+    counts of exactly-zero moments are ``zero_counts`` where those are
+    snapped to 0."""
     from graphent import parse_corpus
     from graphent.enumeration import graphs_of_stack
     from graphent.entropy import closed_form_stack
@@ -278,4 +282,5 @@ def test_stack_rows_with_zero_moments_are_each_graphs_own_bits(kind, zero_counts
                         renyi_entropy(alone, alpha), daroczy_entropy(alone, alpha))
                 got = [column[i] for column in stacked]
                 assert np.array(got).tobytes() == np.array(want).tobytes(), (alpha, g.edges)
-    assert seen == zero_counts
+    if zero_counts is not None:
+        assert seen == zero_counts
