@@ -17,12 +17,11 @@ same decoders, so there is one decoding path.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, edge_counts
+from .graphs import Graph, edge_counts, pair_stack
 
 # Members per decoded stack, here and in the extremal scan.  Small stacks
 # keep a sweep's peak memory at the level of a graph-by-graph loop, and at
@@ -30,10 +29,10 @@ from .graphs import Graph, edge_counts
 STACK_CHUNK = 512
 
 
-def index_chunks(start: int, stop: int) -> Iterator[range]:
-    """Consecutive ranges of at most :data:`STACK_CHUNK` indices covering [start, stop)."""
-    for lo in range(start, stop, STACK_CHUNK):
-        yield range(lo, min(lo + STACK_CHUNK, stop))
+def index_chunks(start: int, stop: int, size: int = STACK_CHUNK) -> Iterator[range]:
+    """Consecutive ranges of at most ``size`` indices covering [start, stop)."""
+    for lo in range(start, stop, size):
+        yield range(lo, min(lo + size, stop))
 
 
 def labeled_graph_count(n: int) -> int:
@@ -57,37 +56,15 @@ def graphs_of_stack(n: int, edges: np.ndarray) -> list[Graph]:
             zip(np.asarray(edges).tolist(), edge_counts(n, edges).tolist())]
 
 
-def pad_edge_stack(n: int, edge_arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack ``(m, 2)`` sorted-edge arrays of graphs on n vertices into one
-    ``(B, m_max, 2)`` stack, each row padded with (n, n) after its edges."""
-    out = np.full((len(edge_arrays), max(map(len, edge_arrays), default=0), 2), n,
-                  dtype=np.int64)
-    for row, edges in zip(out, edge_arrays):
-        row[:len(edges)] = edges
-    return out
-
-
 def graph_edge_stack(n: int, masks: Iterable[int]) -> np.ndarray:
-    """Decode edge bitmasks into one sorted-edge stack, a row per mask in the
-    order given.
-
-    Bit k of a mask toggles the k-th vertex pair in lexicographic order.
-    Members with fewer edges than the most in the batch are padded with
-    (n, n), as :func:`pad_edge_stack` pads them.
-    """
+    """Decode edge bitmasks into one :func:`graphent.graphs.pair_stack`, a row
+    per mask in the order given: bit k picks the k-th vertex pair."""
     total = labeled_graph_count(n)
     masks = np.asarray(masks, dtype=np.int64).reshape(-1)
     bad = masks[(masks < 0) | (masks >= total)]
     if bad.size:
         raise ValueError(f"mask {int(bad[0])} out of range for order {n}")
-    pairs = np.array(list(combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2)
-    bits = (masks[:, None] >> np.arange(len(pairs))) & 1
-    counts = bits.sum(axis=1)
-    # each row's pairs in order, its set bits first
-    cols = np.argsort(1 - bits, axis=1, kind="stable")[:, :counts.max(initial=0)]
-    edges = pairs[cols]
-    edges[np.arange(cols.shape[1]) >= counts[:, None]] = n
-    return edges
+    return pair_stack(n, ((masks[:, None] >> np.arange(n * (n - 1) // 2)) & 1).astype(bool))
 
 
 def labeled_graphs_from_masks(n: int, masks: Iterable[int]) -> list[Graph]:

@@ -129,9 +129,17 @@ def canonical_orientation(g: Graph) -> OrientedGraph:
 
 def random_orientation(g: Graph, seed: int) -> OrientedGraph:
     """Orient each edge by an independent fair coin from ``seed``."""
-    rng = random.Random(seed)
-    arcs = tuple((u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges)
-    return OrientedGraph(g, arcs)
+    flips = (uniform_draws([seed], [g.m]) >= 0.5).tolist()
+    return OrientedGraph(g, tuple((v, u) if f else (u, v) for (u, v), f in zip(g.edges, flips)))
+
+
+def uniform_draws(seeds: Sequence, counts: Sequence[int]) -> np.ndarray:
+    """The first ``counts[i]`` doubles of ``random.Random(seeds[i]).random()`` for
+    each i in turn: ``getrandbits(64 * k)`` returns the 2k words k calls take, first
+    lowest, and ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, exact."""
+    words = np.frombuffer(b"".join(random.Random(seed).getrandbits(64 * k).to_bytes(8 * k, "little")
+                                   for seed, k in zip(seeds, counts)), dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
 def complete_graph(n: int) -> Graph:
@@ -185,17 +193,26 @@ def make_family(kind: str, n: int) -> Graph:
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p), deterministic for a fixed seed.
-
-    Pairs are examined in lexicographic order so the result depends only on
-    (n, p, seed).
-    """
+    """Erdos-Renyi G(n, p): the i-th vertex pair in lexicographic order is an edge
+    where the i-th ``random.Random(seed).random()`` is below p."""
     _check_order(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    rng = random.Random(seed)
-    edges = tuple(pair for pair in combinations(range(n), 2) if rng.random() < p)
-    return Graph(n, edges)
+    return Graph(n, tuple(map(tuple, gnp_edge_stack(n, p, [seed])[0].tolist())))  # a stack of one
+
+
+def gnp_edge_stack(n: int, p: float, seeds: Sequence) -> np.ndarray:
+    """One :func:`random_gnp` sample per seed, as a :func:`pair_stack`."""
+    draws = uniform_draws(seeds, [n * (n - 1) // 2] * len(seeds))
+    return pair_stack(n, (draws < p).reshape(len(seeds), n * (n - 1) // 2))
+
+
+def pair_stack(n: int, chosen: np.ndarray) -> np.ndarray:
+    """The ragged edge stack of the vertex pairs, in lexicographic order, ``chosen`` picks."""
+    counts, (_, picked) = chosen.sum(axis=1), np.nonzero(chosen)
+    out = np.full((len(chosen), counts.max(initial=0), 2), n, dtype=np.int64)
+    out[np.arange(out.shape[1]) < counts[:, None]] = np.transpose(np.triu_indices(n, 1))[picked]
+    return out
 
 
 def edge_counts(n: int, edges: np.ndarray) -> np.ndarray:

@@ -28,10 +28,10 @@ Matrices are built in stacks: :func:`build_stack` takes an order n and a
 ``(B, m, 2)`` stack of edges (arcs for the oriented kinds) and returns one
 matrix per row, and :func:`spectrum_stack` solves the whole stack at once.
 A stack may mix edge counts: shorter rows are padded (see
-:func:`graphent.graphs.edge_counts`), and the incidence kinds, whose columns
-are edges, are built and solved an edge count at a time.  An
+:func:`graphent.graphs.edge_counts`); only members with m < n build their
+incidence matrices, an edge count at a time (:attr:`KindSpec.gram`).  An
 :class:`EdgeStack` is such a stack of graphs with the invariants and
-spectra the claims read of it, each computed once.  The per-graph
+spectra the claims read of it, each matrix solved once.  The per-graph
 :func:`build` and :func:`spectrum_of` are a batch of one of the same code,
 so a graph's matrix and spectrum equal its row in any stack.
 """
@@ -39,9 +39,8 @@ so a graph's matrix and spectrum equal its row in any stack.
 from __future__ import annotations
 
 import math
-import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -66,6 +65,7 @@ from .graphs import (
     distance_stack,
     edge_counts,
     edge_entries,
+    uniform_draws,
 )
 from .spectra import (
     ABSOLUTE_EIGENVALUES,
@@ -117,6 +117,11 @@ class MatrixKind:
     def needs_orientation(self) -> bool:
         return self.spec.oriented
 
+    @property
+    def matrix(self) -> MatrixKind:
+        """The kind of the same matrix: ``randic`` for ``general-randic:-0.5``."""
+        return MatrixKind("randic") if self.tag == "general-randic" and self.beta == -0.5 else self
+
 
 def _has_edge(s: EdgeStack) -> bool:
     return s.m >= 1
@@ -139,7 +144,8 @@ class KindSpec:
     come from the kind's own spectrum, or, where ``moment_source`` names a
     kind, from the square roots of that kind's eigenvalues, as
     :func:`moment_spectrum` alone reads it.  ``hypothesis``, ``trace`` and
-    ``square_sum`` give a value per member of an :class:`EdgeStack`.
+    ``square_sum`` give a value per member of an :class:`EdgeStack`.  An
+    incidence kind's ``gram`` is the kind of B Bt (:func:`spectrum_stack`).
     """
 
     square_sum: Callable[[EdgeStack, MatrixKind], np.ndarray | float]
@@ -151,6 +157,7 @@ class KindSpec:
         ZeroSpectrumError, "spectrum of {kind} is identically zero without edges")
     trace: Callable[[EdgeStack], float] | None = None
     moment_source: str | None = None
+    gram: str | None = None
 
     def builds(self, s: EdgeStack) -> np.ndarray:
         """Which members' matrices exist, as a (B,) bool array."""
@@ -184,14 +191,15 @@ KINDS: dict[str, KindSpec] = {
     "incidence": KindSpec(
         lambda s, kind: 2.0 * s.m, edge_column=True,
         refusal=(EmptyEdgeSetError, "incidence closed form needs at least one edge"),
-        moment_source="q"),
+        moment_source="q", gram="q"),
     "distance": KindSpec(
         lambda s, kind: 4.0 * measures.distance_moment_stack(s.distances, 2), connected=True,
         hypothesis=lambda s: s.n >= 2,
         refusal=(ZeroSpectrumError, "distance spectrum of a single vertex is zero")),
     "skew": KindSpec(lambda s, kind: 2.0 * s.m, oriented=True),
     "randic": KindSpec(_randic_square_sum),
-    "randic-incidence": KindSpec(lambda s, kind: s.non_isolated.astype(float), edge_column=True),
+    "randic-incidence": KindSpec(lambda s, kind: s.non_isolated.astype(float), edge_column=True,
+                                 gram="norm-q"),  # B Bt = S Q S with S = D^(-1/2)
     "general-randic": KindSpec(
         lambda s, kind: 2.0 * measures.general_randic_stack(s.degrees, s.edges, 2.0 * kind.beta)),
     "skew-randic": KindSpec(_randic_square_sum, oriented=True),
@@ -321,17 +329,20 @@ def spectrum_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> Spectru
     """The spectra of every row of a pair stack, as one ``(B, n)`` Spectrum.
 
     One stacked matrix build and one stacked solve; see :func:`spectrum_of`.
-    The incidence kinds, whose ``(B, n, k)`` matrices grow with the edge
-    count k, take one per edge count (:func:`graphent.graphs.by_edge_count`),
-    so each member's Gram product is the one it has alone, in batches of at
-    most :data:`STACK_ENTRIES` matrix entries.
+    The incidence kinds solve their ``gram`` kind where m >= n, else one per
+    edge count (:func:`graphent.graphs.by_edge_count`), so each member's Gram
+    product is the one it has alone, in batches of at most
+    :data:`STACK_ENTRIES` matrix entries.
     """
     kind = as_kind(kind)
     edges = np.asarray(edges, dtype=np.int64)
     if not kind.spec.edge_column:
         return _solve(kind, build_stack(kind, n, edges))
-    values = np.empty((len(edges), n))
-    members = np.arange(len(edges))
+    values, members = np.empty((len(edges), n)), np.arange(len(edges))
+    # a stack under n edges wide, such as a stack of trees, has no member with m >= n
+    if edges.shape[1] >= n and (wide := edge_counts(n, edges) >= n).any():
+        values[wide] = sqrt_spectrum(spectrum_stack(kind.spec.gram, n, edges[wide])).values
+        members, edges = np.flatnonzero(~wide), edges[~wide]
     for rows, part in by_edge_count(n, edges):
         rows, size = members[rows], max(1, STACK_ENTRIES // (n * max(part.shape[1], 1)))
         for lo in range(0, len(part), size):
@@ -348,7 +359,9 @@ def spectrum_of(kind: MatrixKind | str, g: Graph | OrientedGraph) -> Spectrum:
     report absolute eigenvalues.  A batch of one of :func:`spectrum_stack`.
     """
     kind = as_kind(kind)
-    return _solve(kind, build(kind, g))
+    require_orientation(kind, g)
+    spectrum = spectrum_stack(kind, g.n, edge_stack_of(g))
+    return replace(spectrum, values=spectrum.values[0])
 
 
 def moment_spectrum(kind: MatrixKind | str, solve: Callable[[MatrixKind], Spectrum]) -> Spectrum:
@@ -430,19 +443,20 @@ class EdgeStack:
             encoded = encode_graph6_stack(self.n, self.edges)
             self._descriptors = {row: d.decode() for row, d in enumerate(encoded)}
             flips = np.zeros(self.edges.shape[:2], dtype=bool)
-            for row, (descriptor, m) in enumerate(zip(encoded, self.m.tolist())):
-                coins = random.Random(zlib.crc32(descriptor) ^ (self.seed & 0xFFFFFFFF))
-                flips[row, :m] = [coins.random() >= 0.5 for _ in range(m)]  # as random_orientation
+            seeds = [zlib.crc32(d) ^ (self.seed & 0xFFFFFFFF) for d in encoded]
+            flips[self.edges[..., 0] < self.n] = uniform_draws(seeds, self.m.tolist()) >= 0.5
             self._arcs[label] = np.where(flips[..., None], self.edges[..., ::-1], self.edges)
         return self._arcs[label]
 
     def spectrum(self, kind: MatrixKind | str, orientation: str | None = None) -> Spectrum:
         """``(B, n)`` spectra of the members whose matrix exists, by one stacked
-        solve, else one per member; NaN rows elsewhere and for :meth:`errors`."""
-        return self._solved(as_kind(kind), orientation)[0]
+        solve of each :attr:`MatrixKind.matrix`, else one per member; NaN rows
+        elsewhere and for :meth:`errors`."""
+        kind = as_kind(kind)
+        return replace(self._solved(kind.matrix, orientation)[0], source=str(kind))
 
     def errors(self, kind: MatrixKind | str, orientation: str | None = None) -> dict:
-        return self._solved(as_kind(kind), orientation)[1]
+        return self._solved(as_kind(kind).matrix, orientation)[1]
 
     def _solved(self, kind: MatrixKind, orientation: str | None):
         label = (orientation or "canonical") if kind.needs_orientation else None
@@ -471,4 +485,14 @@ class EdgeStack:
     def _values(self, kind: MatrixKind, label: str | None, rows) -> np.ndarray:
         if kind.tag == "distance":
             return _solve(kind, self.distances[rows]).values
-        return spectrum_stack(kind, self.n, self.arcs(label or "canonical")[rows]).values
+        arcs = self.arcs(label or "canonical")[rows]
+        if not kind.spec.edge_column:
+            return spectrum_stack(kind, self.n, arcs).values
+        members = np.arange(len(self))[rows]
+        wide, values = self.m[members] >= self.n, np.empty((len(members), self.n))
+        if wide.any():  # as spectrum_stack, from this stack's solve of the gram kind
+            for row in self.errors(kind.spec.gram).keys() & set(members[wide].tolist()):
+                raise self.errors(kind.spec.gram)[row]  # its failure is this kind's
+            values[wide] = sqrt_spectrum(self.spectrum(kind.spec.gram).take(members[wide])).values
+        values[~wide] = spectrum_stack(kind, self.n, arcs[~wide]).values
+        return values

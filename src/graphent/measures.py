@@ -86,6 +86,6 @@ def energy(kind: matrices.MatrixKind | str, g: Graph | OrientedGraph) -> float:
     """The energy of a graph with respect to a matrix kind: the absolute sum
     of its moment spectrum (:func:`graphent.matrices.moment_spectrum`), the
     spectrum its closed forms read.  The plain incidence kind's is the sum of
-    square roots of the signless Laplacian eigenvalues; the verifier keeps
-    the incidence singular values apart, so the two routes stay independent."""
+    square roots of the signless Laplacian eigenvalues: with m >= n edges its
+    singular values by the same solve (B Bt = Q), with m < n not (Bt B)."""
     return float(matrices.moment_spectrum(kind, lambda k: matrices.spectrum_of(k, g)).abs_sum())

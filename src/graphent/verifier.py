@@ -66,12 +66,11 @@ from .enumeration import (
     index_chunks,
     labeled_graph_count,
     labeled_tree_count,
-    pad_edge_stack,
     tree_edge_stack,
 )
 from .errors import AlphaNonPositiveError, DisconnectedGraphError
 from .formats import encode_graph6_stack
-from .graphs import Graph, OrientedGraph, random_gnp
+from .graphs import Graph, OrientedGraph, gnp_edge_stack
 from .matrices import (
     KINDS,
     STACK_ENTRIES,
@@ -654,9 +653,9 @@ class CorpusSpec:
         Each chunk of at most :data:`graphent.enumeration.STACK_CHUNK`
         consecutive members of one order, whose rows hold different edge
         counts, is decoded at once: ``all`` a chunk of masks, ``trees`` of tree
-        indices (one edge count) and ``gnp`` of seeded samples.  It is yielded
-        as :class:`EdgeStack` parts seeded with ``seed``, whose ``(B, n, n)``
-        matrices hold at most :data:`graphent.matrices.STACK_ENTRIES` entries.
+        indices (one edge count); ``gnp`` decodes its samples a part at a time.
+        It is yielded as :class:`EdgeStack` parts seeded with ``seed``, whose
+        ``(B, n, n)`` matrices hold at most :data:`graphent.matrices.STACK_ENTRIES`.
         """
         for chunk in self._chunks(max(start, 0), min(stop, self.total), seed):
             size = max(1, STACK_ENTRIES // (chunk.n * chunk.n))
@@ -674,12 +673,11 @@ class CorpusSpec:
         elif self.family == "trees":
             for indices in index_chunks(start, stop):
                 yield EdgeStack(self.order, tree_edge_stack(self.order, indices), seed=seed)
-        else:
-            for indices in index_chunks(start, stop):
-                yield EdgeStack(self.order, pad_edge_stack(self.order, [
-                    random_gnp(self.order, self.edge_probability,
-                               self._sample_seed(seed, index)).edge_array
-                    for index in indices]), seed=seed)
+        else:  # cut before decoding: a member's C(n, 2) draws outweigh its n x n matrices
+            size = min(STACK_CHUNK, max(1, STACK_ENTRIES // (self.order * self.order)))
+            for indices in index_chunks(start, stop, size):
+                yield EdgeStack(self.order, gnp_edge_stack(self.order, self.edge_probability, [
+                    self._sample_seed(seed, index) for index in indices]), seed=seed)
 
     def _sample_seed(self, seed: int, index: int) -> int:
         return zlib.crc32(f"{self.text}#{index}".encode("ascii")) ^ (seed & 0xFFFFFFFF)

@@ -21,8 +21,8 @@ from graphent import (
     wiener_index,
 )
 from graphent import graphs as graphs_module
-from graphent.enumeration import pad_edge_stack
 from graphent.matrices import EdgeStack
+from reference_loops import loop_draws, loop_random_gnp, loop_random_orientation, pad_edge_stack
 
 
 def test_from_edges_normalizes_and_deduplicates():
@@ -222,3 +222,26 @@ def test_random_gnp_determinism_and_extremes():
     assert g.edges == random_gnp(6, 0.5, seed=42).edges
     assert random_gnp(5, 0.0, seed=1).m == 0
     assert random_gnp(5, 1.0, seed=1).m == 10
+
+
+_DRAW_SEEDS = [*range(300), 2**32 - 1, 2**40 + 3, 2**97 + 12345]
+
+
+def test_uniform_draws_are_the_doubles_of_random():
+    varied = [seed % 9 for seed in _DRAW_SEEDS]  # each seed its own count, one after another
+    for counts in [[k] * len(_DRAW_SEEDS) for k in (0, 1, 2, 7, 100)] + [varied]:
+        got = graphs_module.uniform_draws(_DRAW_SEEDS, counts)
+        want = np.array(loop_draws(_DRAW_SEEDS, counts), dtype=float)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), counts[:3]
+
+
+def test_random_generators_match_their_loops():
+    for seed in [*range(0, 300, 30), *_DRAW_SEEDS[300:]]:
+        for n, p in ((1, 0.5), (2, 1.0), (7, 0.4), (12, 0.0), (15, 0.3)):
+            g = random_gnp(n, p, seed)
+            assert g == loop_random_gnp(n, p, seed), (n, p, seed)
+            assert random_orientation(g, seed).arcs == loop_random_orientation(g, seed)
+    seeds = [3, 2**40 + 3, 17, 0]
+    stack = graphs_module.gnp_edge_stack(9, 0.35, seeds)
+    assert np.array_equal(stack, pad_edge_stack(9, [loop_random_gnp(9, 0.35, s).edge_array
+                                                    for s in seeds]))

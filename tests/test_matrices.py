@@ -13,6 +13,7 @@ from graphent import (
     canonical_orientation,
     complete_graph,
     kind_from_string,
+    parse_corpus,
     path_graph,
     spectrum_of,
     standard_kinds,
@@ -236,8 +237,8 @@ def test_relabeling_leaves_spectra_and_quadratic_entropies_unchanged(pair):
 def _mixed_stack():
     """gnp:12 samples from sparse to dense, and the edgeless graph, in one stack."""
     from graphent import random_gnp
-    from graphent.enumeration import pad_edge_stack
     from graphent.matrices import EdgeStack
+    from reference_loops import pad_edge_stack
 
     graphs = [random_gnp(12, p, seed) for p in (0.1, 0.3, 0.7) for seed in range(5)]
     graphs.insert(3, Graph(12))
@@ -273,15 +274,50 @@ def test_mixed_stack_edge_sums_and_incidence_spectra_are_each_members_own_bits()
 def test_random_arcs_are_the_per_graph_random_orientations():
     import zlib
 
-    from graphent import encode_graph6, parse_corpus, random_orientation
+    from graphent import encode_graph6
     from graphent.enumeration import graphs_of_stack
+    from reference_loops import loop_random_orientation
 
     graphs, stack = _mixed_stack()
+    assert stack.m.max() > 8  # more coins than one member's draws of a short row
     stacks = [stack, *parse_corpus("all:5").stacks(0, 1099, seed=6)]
     for stack in stacks:
         arcs = stack.arcs("random")
         for row, g in enumerate(graphs_of_stack(stack.n, stack.edges)):
             seed = zlib.crc32(encode_graph6(g)) ^ 6
-            assert np.array_equal(arcs[row, :g.m], random_orientation(g, seed).arc_array)
+            assert tuple(map(tuple, arcs[row, :g.m].tolist())) == loop_random_orientation(g, seed)
             assert (arcs[row, g.m:] == stack.n).all()  # pads stay pads
             assert stack.descriptor(row) == encode_graph6(g).decode()
+
+
+def _explicit_incidence(g: Graph, scaled: bool) -> np.ndarray:
+    """The n x m incidence matrix, rows scaled by 1/sqrt(d) where ``scaled``."""
+    b = np.zeros((g.n, g.m))
+    for col, (u, v) in enumerate(g.edges):
+        b[u, col] = b[v, col] = 1.0
+    if scaled:
+        d = b.sum(axis=1)
+        b[d > 0] /= np.sqrt(d[d > 0])[:, None]
+    return b
+
+
+def test_incidence_spectra_with_m_at_least_n_are_the_singular_values_of_b():
+    """Members with m >= n take the square roots of q's and norm-q's
+    eigenvalues; numpy's SVD of the explicit matrix is the oracle."""
+    from graphent.enumeration import graphs_of_stack
+    from graphent.matrices import spectrum_stack
+
+    checked = 0
+    for corpus in ("all:5", "gnp:12,0.5,60"):
+        for stack in parse_corpus(corpus).stacks(0, 10_000, seed=3):
+            wide = np.flatnonzero(stack.m >= stack.n)
+            for kind, scaled in (("incidence", False), ("randic-incidence", True)):
+                solved = stack.spectrum(kind).values[wide]
+                alone = spectrum_stack(kind, stack.n, stack.edges[wide]).values
+                for row, g, a, b in zip(wide, graphs_of_stack(stack.n, stack.edges[wide]),
+                                        solved, alone):
+                    want = np.linalg.svd(_explicit_incidence(g, scaled), compute_uv=False)
+                    assert np.allclose(a, want, rtol=0, atol=1e-9), (kind, g.edges)
+                    assert a.tobytes() == b.tobytes(), (kind, g.edges)
+                    checked += 1
+    assert checked > 2 * 60

@@ -42,10 +42,11 @@ from graphent import (
     verify_corpus,
 )
 from graphent import matrices, measures, verifier
-from graphent.enumeration import graphs_of_stack, pad_edge_stack, tree_edge_stack
+from graphent.enumeration import graphs_of_stack, tree_edge_stack
 from graphent.errors import NoConvergenceError
 from graphent.matrices import EdgeStack
 from graphent.report import audit_to_object, render_json, verification_to_object
+from reference_loops import loop_random_gnp, pad_edge_stack
 
 
 def _by_id(results):
@@ -212,28 +213,43 @@ def _spy_solves(monkeypatch) -> list:
 
 
 def test_each_spectrum_is_solved_once_per_stack(monkeypatch):
-    """One solve per kind and orientation; the incidence kinds, whose matrices
-    have a column per edge, one per edge count the stack holds."""
+    """One solve per matrix and orientation: general-randic:-0.5 reads the
+    randic solve, and the incidence kinds solve only their members with
+    m < n, one solve per such edge count; the rest read the q and norm-q
+    solves."""
     solved = _spy_solves(monkeypatch)
     spec = parse_corpus("all:4")
     for stack in spec.stacks(0, spec.total):
         solved.clear()
-        verifier.claim_table(stack, verifier.CHECK_NAMES, (0.5, 2.0), (-1.0,))
-        edge_counts = set(stack.m.tolist()) - {0}
-        for kind, count in Counter(kind for kind, _ in solved).items():
+        verifier.claim_table(stack, verifier.CHECK_NAMES, (0.5, 2.0), (-1.0, -0.5))
+        narrow = (stack.m > 0) & (stack.m < stack.n)
+        edge_counts = set(stack.m[narrow].tolist())
+        counts = Counter(kind for kind, _ in solved)
+        assert "general-randic:-0.5" not in counts and counts["randic"] == 1
+        for kind, count in counts.items():
             kind = as_kind(kind)
             want = len(edge_counts) if kind.spec.edge_column else 1
             assert count == want * (2 if kind.needs_orientation else 1), (stack.n, kind)
-        assert sum(shape[0] for kind, shape in solved if kind == "incidence") == sum(stack.m > 0)
+        assert sum(shape[0] for kind, shape in solved if kind == "incidence") == narrow.sum()
         assert all(shape[0] == len(stack) for kind, shape in solved
                    if not as_kind(kind).spec.edge_column and kind != "distance")
-    # K4: every kind is read, the skew kinds under both orientations
+        alias, randic = stack.spectrum("general-randic:-0.5"), stack.spectrum("randic")
+        assert alias.source == "general-randic:-0.5" and alias.values is randic.values
+    # K4: every matrix is read, the skew kinds under both orientations; with
+    # m = 6 >= 4 the incidence kinds read q and norm-q
     stack = EdgeStack.of(complete_graph(4))
     solved.clear()
     verifier.claim_table(stack, verifier.CHECK_NAMES, (0.5, 2.0), (-1.0,))
     assert Counter(kind for kind, _ in solved) == {
-        "q": 1, "norm-l": 1, "norm-q": 1, "incidence": 1, "distance": 1, "skew": 2, "randic": 1,
-        "randic-incidence": 1, "general-randic:-1": 1, "skew-randic": 2}
+        "q": 1, "norm-l": 1, "norm-q": 1, "distance": 1, "skew": 2, "randic": 1,
+        "general-randic:-1": 1, "skew-randic": 2}
+    # every table of gnp:40,0.3,200 (no member has fewer than 40 edges) makes 11 solves
+    for stack in parse_corpus("gnp:40,0.3,200").stacks(0, 200, seed=7):
+        solved.clear()
+        verifier.claim_table(stack, verifier.CHECK_NAMES, (0.5, 2.0), (-1.0, -0.5, 1.0))
+        assert Counter(kind for kind, _ in solved) == {
+            "q": 1, "norm-l": 1, "norm-q": 1, "distance": 1, "randic": 1,
+            "general-randic:-1": 1, "general-randic:1": 1, "skew": 2, "skew-randic": 2}
 
 
 def _count_probability_vectors(monkeypatch) -> list[int]:
@@ -592,9 +608,15 @@ def test_corpus_stacks_decode_every_family_in_corpus_order():
         labeled_tree_from_index(6, i).edges for i in range(500, 1296)]
     spec = parse_corpus("gnp:7,0.4,600")
     assert [g.edges for g in spec.iterate(0, 600, seed=5)] == [
-        random_gnp(7, 0.4, spec._sample_seed(5, i)).edges for i in range(600)]
+        loop_random_gnp(7, 0.4, spec._sample_seed(5, i)).edges for i in range(600)]
     chunks = [len(stack) for stack in spec.stacks(0, 600, seed=5)]
     assert chunks == [512, 88]  # STACK_CHUNK members each
+    spec = parse_corpus("gnp:40,0.3,30")  # decoded a stack of at most 20 at a time
+    want = [loop_random_gnp(40, 0.3, spec._sample_seed(7, i)).edge_array for i in range(30)]
+    stacks = list(spec.stacks(0, 30, seed=7))
+    assert [len(stack) for stack in stacks] == [20, 10]
+    for stack, lo in zip(stacks, (0, 20)):
+        assert np.array_equal(stack.edges, pad_edge_stack(40, want[lo:lo + len(stack)]))
 
 
 def test_corpus_stacks_hold_at_most_the_entry_cap():
@@ -728,9 +750,10 @@ NORMALIZED_READERS = {"identity.normalized", "trace.normalized.square", "bound.n
                       "bound.normalized.degree-upper"}
 
 
-def _assert_a_refused_solve_fails_its_readers(monkeypatch, tag: str, readers: set[str]):
-    p3 = path_graph(3)  # one of three graphs in its stack of all:3
-    refused = build(tag, p3)
+def _assert_a_refused_solve_fails_its_readers(monkeypatch, tag: str, readers: set[str],
+                                              g: Graph = path_graph(3)):
+    # g is one of the graphs of all:3; P3 is one of three in its stack
+    refused = build(tag, g)
     solve = matrices._solve
 
     def refuse(kind, stack):
@@ -743,14 +766,14 @@ def _assert_a_refused_solve_fails_its_readers(monkeypatch, tag: str, readers: se
     report = verify_corpus("all:3", alphas=(2.0,))
     failed = [c for c in report.claims if c.status == "fail"]
     assert {c.claim_id for c in failed} == readers
-    assert {(c.graph, c.residual) for c in failed} == {(encode_graph6(p3).decode(), None)}
+    assert {(c.graph, c.residual) for c in failed} == {(encode_graph6(g).decode(), None)}
     assert all(c.witness == {"error": f"{tag} solve refused"} for c in failed)
     for claim_id, by_status in report.summary.items():
         moved = {status: by_status[status] - k for status, k in want.summary[claim_id].items()}
         assert moved["fail"] == (claim_id in readers), claim_id
         assert sum(moved.values()) == 0
     # the per-graph checks give the same records
-    res = _by_id(check_traces(p3) + check_bounds(p3))
+    res = _by_id(check_traces(g) + check_bounds(g))
     assert {c for c, r in res.items() if r.status == "fail"} == {
         c for c in readers if not c.startswith("identity.")}
 
@@ -765,6 +788,20 @@ def test_a_failed_q_solve_fails_the_incidence_identity_whose_moments_it_gives(mo
         "bound.q.lower"})
 
 
+@pytest.mark.parametrize("gram,readers", [
+    ("q", {"identity.q", "trace.q.sum", "trace.q.square", "bound.q.upper", "bound.q.lower",
+           "identity.incidence", "bound.incidence.lower", "bound.incidence.upper"}),
+    ("norm-q", NORMALIZED_READERS | {"identity.randic-incidence", "trace.randic-incidence.square",
+                                     "bound.randic-incidence.lower",
+                                     "bound.randic-incidence.upper"}),
+])
+def test_a_failed_gram_solve_fails_every_incidence_claim_of_its_m_at_least_n_members(
+        monkeypatch, gram, readers):
+    """K3 (m = n = 3) takes its incidence singular values from its q or
+    norm-q solve, so that solve's error fails each incidence claim too."""
+    _assert_a_refused_solve_fails_its_readers(monkeypatch, gram, readers, complete_graph(3))
+
+
 @pytest.mark.parametrize("checks,unread", [
     (("traces",), {"incidence"}),
     (("bounds",), {"general-randic:-1", "general-randic:1"}),
@@ -777,30 +814,40 @@ def test_sweep_solves_only_the_spectra_its_checks_read(monkeypatch, checks, unre
 
 
 def test_dense_audit_stacks_stay_under_the_entry_cap(monkeypatch):
+    """Twenty copies of K30, 435 edges each: every stacked solve stays under
+    the cap, and the incidence kinds (m >= n) read the q and norm-q solves
+    instead of building 30 x 435 matrices."""
     solved = _spy_solves(monkeypatch)
-    report = audit_corpus("gnp:30,1.0,20")  # twenty copies of K30, 435 edges each
+    report = audit_corpus("gnp:30,1.0,20")
     assert report.total_graphs == 20
     assert max(np.prod(shape) for _, shape in solved) <= matrices.STACK_ENTRIES
-    incidence = [shape[0] for kind, shape in solved if kind == "incidence"]
-    assert incidence == _cut(20, matrices.STACK_ENTRIES // (30 * 435))
+    tables = len(_cut(20, matrices.STACK_ENTRIES // (30 * 30)))
+    kinds = Counter(kind for kind, _ in solved)
+    assert kinds["q"] == kinds["norm-q"] == tables
+    assert not kinds.keys() & {"incidence", "randic-incidence"}
 
 
 def test_incidence_batches_under_a_small_cap_keep_each_members_bits(monkeypatch):
     """Cut into batches of a few rows, the incidence solves of a ragged table
-    still give every member the spectrum it has alone."""
+    still give every member the spectrum it has alone; only the members with
+    m < n build their incidence matrices."""
     from graphent import random_gnp
 
-    graphs = [random_gnp(12, 0.3, seed) for seed in range(40)]
+    graphs = [random_gnp(12, 0.15, seed) for seed in range(40)]  # 5 to 17 edges
     stack = EdgeStack(12, pad_edge_stack(12, [g.edge_array for g in graphs]))
+    narrow = [row for row, g in enumerate(graphs) if g.m < 12]
+    assert 0 < len(narrow) < len(graphs)
     monkeypatch.setattr(matrices, "STACK_ENTRIES", 12 * 40)
     solved = _spy_solves(monkeypatch)
     for kind in ("incidence", "randic-incidence"):
         solved.clear()
         spectra = stack.spectrum(kind).values
-        assert sum(shape[0] for _, shape in solved) == len(graphs)
-        assert max(np.prod(shape) for _, shape in solved) <= 12 * 40
-        widths = Counter(shape[2] for _, shape in solved)
-        assert len(widths) < len(solved)  # some edge counts take several batches
+        mine = [shape for solved_kind, shape in solved if solved_kind == kind]
+        assert sum(shape[0] for shape in mine) == len(narrow)
+        assert max(np.prod(shape) for shape in mine) <= 12 * 40
+        widths = Counter(shape[2] for shape in mine)
+        assert set(widths) == {graphs[row].m for row in narrow}
+        assert len(widths) < len(mine)  # some edge counts take several batches
         for row, g in enumerate(graphs):
             assert spectra[row].tobytes() == spectrum_of(kind, g).values.tobytes(), (kind, row)
 
