@@ -9,209 +9,42 @@ also a closed expression in classical graph quantities (edge count,
 degree power sums, distance moments, energies); the verifier checks the
 two routes against each other over exhaustive and random corpora, along
 with the published bounds and their equality characterizations.
+
+The package root exports the names the README and the demos use; every
+other name is imported from its module (``graphent.matrices``,
+``graphent.verifier``, ...).
 """
 
 from .entropy import (
-    ClosedFormParts,
-    ProbabilityVector,
     closed_form,
-    closed_form_parts,
     daroczy_entropy,
-    functional_entropy,
     probabilities_from_spectrum,
     probability_vector,
     quadratic_entropy,
     renyi_entropy,
-    shannon_entropy,
 )
-from .enumeration import (
-    enumerate_labeled_trees,
-    labeled_graph_count,
-    labeled_graph_from_mask,
-    labeled_tree_count,
-    labeled_tree_from_index,
-)
-from .errors import (
-    AllZeroWeightsError,
-    AlphaNonPositiveError,
-    AlphaOneError,
-    ByteOutOfRangeError,
-    ContradictoryArcsError,
-    DisconnectedGraphError,
-    EmptyEdgeSetError,
-    GraphInputError,
-    HypothesisNotMetError,
-    LoopEdgeError,
-    MalformedTokenError,
-    NegativeEigenvalueError,
-    NoConvergenceError,
-    NonSkewError,
-    NonSymmetricError,
-    NotOrientedError,
-    TrailingBytesError,
-    TruncatedStreamError,
-    ZeroSpectrumError,
-)
-from .formats import encode_graph6, parse_arc_list, parse_edge_list, parse_graph6
-from .graphs import (
-    FAMILY_NAMES,
-    Graph,
-    OrientedGraph,
-    canonical_orientation,
-    complete_graph,
-    cycle_graph,
-    distances,
-    make_family,
-    matching_graph,
-    path_graph,
-    random_gnp,
-    random_orientation,
-    star_graph,
-)
-from .matrices import (
-    MatrixKind,
-    as_kind,
-    build,
-    kind_from_string,
-    spectrum_of,
-    standard_kinds,
-)
-from .measures import (
-    distance_moment,
-    distance_moments,
-    energy,
-    first_zagreb,
-    general_randic_index,
-    hyper_wiener_index,
-    wiener_index,
-)
-from .spectra import (
-    ABS_TOL,
-    EQUALITY_BAND,
-    REL_TOL,
-    Spectrum,
-    comparison_tolerance,
-    determinant,
-    singular_values,
-    skew_absolute_eigenvalues,
-    spectral_moment,
-    sqrt_spectrum,
-    symmetric_eigenvalues,
-    within_tolerance,
-)
-from .verifier import (
-    AuditReport,
-    AuditTable,
-    ClaimResult,
-    CorpusSpec,
-    ExtremalScan,
-    VerificationReport,
-    audit_corpus,
-    audit_table,
-    audit_theorem10,
-    check_bounds,
-    check_equalities,
-    check_traces,
-    parse_corpus,
-    resolve_measure,
-    scan_extremal,
-    verify_corpus,
-)
+from .formats import parse_graph6
+from .graphs import complete_graph, path_graph, star_graph
+from .matrices import spectrum_of
+from .verifier import audit_corpus, audit_theorem10, scan_extremal, verify_corpus
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABS_TOL",
-    "AllZeroWeightsError",
-    "AlphaNonPositiveError",
-    "AlphaOneError",
-    "AuditReport",
-    "AuditTable",
-    "ByteOutOfRangeError",
-    "ClaimResult",
-    "ClosedFormParts",
-    "ContradictoryArcsError",
-    "CorpusSpec",
-    "DisconnectedGraphError",
-    "EQUALITY_BAND",
-    "EmptyEdgeSetError",
-    "ExtremalScan",
-    "FAMILY_NAMES",
-    "Graph",
-    "GraphInputError",
-    "HypothesisNotMetError",
-    "LoopEdgeError",
-    "MalformedTokenError",
-    "MatrixKind",
-    "NegativeEigenvalueError",
-    "NoConvergenceError",
-    "NonSkewError",
-    "NonSymmetricError",
-    "NotOrientedError",
-    "OrientedGraph",
-    "ProbabilityVector",
-    "REL_TOL",
-    "Spectrum",
-    "TrailingBytesError",
-    "TruncatedStreamError",
-    "VerificationReport",
-    "ZeroSpectrumError",
-    "as_kind",
     "audit_corpus",
-    "audit_table",
     "audit_theorem10",
-    "build",
-    "canonical_orientation",
-    "check_bounds",
-    "check_equalities",
-    "check_traces",
     "closed_form",
-    "closed_form_parts",
-    "comparison_tolerance",
     "complete_graph",
-    "cycle_graph",
     "daroczy_entropy",
-    "determinant",
-    "distance_moment",
-    "distance_moments",
-    "distances",
-    "encode_graph6",
-    "energy",
-    "enumerate_labeled_trees",
-    "first_zagreb",
-    "functional_entropy",
-    "general_randic_index",
-    "hyper_wiener_index",
-    "kind_from_string",
-    "labeled_graph_count",
-    "labeled_graph_from_mask",
-    "labeled_tree_count",
-    "labeled_tree_from_index",
-    "make_family",
-    "matching_graph",
-    "parse_arc_list",
-    "parse_corpus",
-    "parse_edge_list",
     "parse_graph6",
     "path_graph",
     "probabilities_from_spectrum",
     "probability_vector",
     "quadratic_entropy",
-    "random_gnp",
-    "random_orientation",
     "renyi_entropy",
-    "resolve_measure",
     "scan_extremal",
-    "shannon_entropy",
-    "singular_values",
-    "skew_absolute_eigenvalues",
-    "spectral_moment",
     "spectrum_of",
-    "sqrt_spectrum",
-    "standard_kinds",
     "star_graph",
-    "symmetric_eigenvalues",
     "verify_corpus",
-    "within_tolerance",
     "__version__",
 ]

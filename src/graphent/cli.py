@@ -24,13 +24,11 @@ from typing import Sequence
 
 from .entropy import (
     check_log_base,
-    closed_form_parts,
-    daroczy_entropy,
+    closed_entropies,
+    direct_entropies,
     functional_entropy,
-    probabilities_from_spectrum,
     probability_vector,
-    quadratic_entropy,
-    renyi_entropy,
+    require_distribution,
 )
 from .errors import (
     AlphaNonPositiveError,
@@ -41,14 +39,13 @@ from .errors import (
     NotOrientedError,
 )
 from .formats import parse_arc_list, parse_edge_list, parse_graph6
-from .graphs import Graph, OrientedGraph, canonical_orientation
-from .matrices import MatrixKind, as_kind, spectrum_of, standard_kinds
+from .graphs import Graph, OrientedGraph
+from .matrices import EdgeStack, MatrixKind, as_kind, moment_spectrum, standard_kinds
 from .measures import (
-    distance_moment,
-    first_zagreb,
-    general_randic_index,
-    hyper_wiener_index,
-    wiener_index,
+    distance_moment_stack,
+    first_zagreb_stack,
+    general_randic_stack,
+    hyper_wiener_stack,
 )
 from .report import (
     audit_to_object,
@@ -246,7 +243,7 @@ def _resolve_workers(args) -> int:
 
 def _run_compute(args) -> int:
     loaded = _load_graph(args.input, args.input_format)
-    plain = loaded.underlying if isinstance(loaded, OrientedGraph) else loaded
+    oriented = isinstance(loaded, OrientedGraph)
     alphas = _parse_floats(args.alpha, "alpha")
     betas = _parse_floats(args.beta, "beta")
     base = args.log_base
@@ -254,11 +251,12 @@ def _run_compute(args) -> int:
     strict = args.matrix != "all"  # a kind named alone fails rather than skips
     kinds = [as_kind(args.matrix)] if strict else standard_kinds(betas)
 
+    stack = EdgeStack.of(loaded)  # a table of one: every value below reads it
     matrices = []
     skipped = []
     for kind in kinds:
         try:
-            matrices.append(_compute_kind(kind, loaded, plain, alphas, base))
+            matrices.append(_compute_kind(kind, stack, oriented, alphas, base))
         except (AlphaNonPositiveError, AlphaOneError):
             raise  # no kind takes such an order: the input is at fault
         except ValueError as exc:
@@ -267,27 +265,26 @@ def _run_compute(args) -> int:
             skipped.append({"kind": str(kind), "reason": str(exc)})
 
     indices: dict[str, float] = {
-        "m1": float(first_zagreb(plain)),
-        "randic-index:-1": general_randic_index(plain, -1.0),
-        "randic-index:-0.5": general_randic_index(plain, -0.5),
+        "m1": float(first_zagreb_stack(stack.degrees)[0]),
+        "randic-index:-1": float(general_randic_stack(stack.degrees, stack.edges, -1.0)[0]),
+        "randic-index:-0.5": float(general_randic_stack(stack.degrees, stack.edges, -0.5)[0]),
     }
-    if plain.is_connected and plain.n >= 1:
-        indices["wiener"] = wiener_index(plain)
-        indices["hyper-wiener"] = hyper_wiener_index(plain)
-        indices["w2"] = distance_moment(plain, 2)
-    if plain.m >= 1:
-        indices["functional-degree-entropy"] = functional_entropy(
-            plain.degrees, log_base=base)
+    if stack.connected[0]:
+        indices["wiener"] = float(distance_moment_stack(stack.distances, 1)[0])
+        indices["hyper-wiener"] = float(hyper_wiener_stack(stack.distances)[0])
+        indices["w2"] = float(distance_moment_stack(stack.distances, 2)[0])
+    if stack.m[0] >= 1:
+        indices["functional-degree-entropy"] = functional_entropy(stack.degrees[0], log_base=base)
 
     doc = {
         "report": "compute",
         "input": args.input,
         "graph": {
-            "vertices": plain.n,
-            "edges": plain.m,
-            "connected": plain.is_connected,
-            "degrees": list(plain.degrees),
-            "oriented_input": isinstance(loaded, OrientedGraph),
+            "vertices": stack.n,
+            "edges": int(stack.m[0]),
+            "connected": bool(stack.connected[0]),
+            "degrees": stack.degrees[0].astype(int).tolist(),
+            "oriented_input": oriented,
         },
         "alphas": list(alphas),
         "log_base": float(base),
@@ -299,31 +296,38 @@ def _run_compute(args) -> int:
     return 0
 
 
-def _compute_kind(kind: MatrixKind, loaded: Graph | OrientedGraph, plain: Graph,
+def _compute_kind(kind: MatrixKind, stack: EdgeStack, oriented: bool,
                   alphas: tuple[float, ...], base: float) -> dict:
-    target: Graph | OrientedGraph = plain
-    orientation = None
-    if kind.needs_orientation:
-        oriented = isinstance(loaded, OrientedGraph)
-        target = loaded if oriented else canonical_orientation(plain)
-        orientation = "input" if oriented else "canonical"
-    spectrum = spectrum_of(kind, target)
-    pv = probabilities_from_spectrum(spectrum, base)
-    closed = closed_form_parts(kind, target, spectrum=spectrum)
-    return {
+    """One kind's row of a stack of one, as :func:`graphent.verifier.claim_table`
+    reads it; raises why the kind has no spectral distribution.  Outside the
+    closed form's hypothesis the closed values are None, with the refusal."""
+    spectrum = stack.spectrum(kind)
+    applies = kind.spec.has_closed_form(stack)
+    reads = [(kind, None)]  # the direct route's spectrum first: it names the error
+    closed = closed_entropies(stack, kind, None, applies, alphas, base, reads)[0].tolist()
+    for read in reads:
+        require_distribution(stack, *read)
+    direct = direct_entropies(stack, kind, None, alphas, base)[0].tolist()
+    refusal = None if applies[0] else kind.spec.refusal[1].format(kind=kind)
+    if refusal:
+        closed = [None] * len(closed)
+    entry = {
         "kind": str(kind),
-        "orientation": orientation,
-        "spectrum": [float(v) for v in spectrum.values],
+        "orientation": ("input" if oriented else "canonical") if kind.needs_orientation else None,
+        "spectrum": spectrum.values[0].tolist(),
         "spectrum_kind": spectrum.kind,
-        "energy": closed.moment_spectrum.abs_sum(),
+        "energy": float(moment_spectrum(kind, stack.spectrum).abs_sum()[0]),
         "entropy": {
-            "quadratic": {"direct": quadratic_entropy(pv), "closed": closed.quadratic_value},
-            "renyi": [{"alpha": a, "direct": renyi_entropy(pv, a), "closed": closed.renyi(a, base)}
-                      for a in alphas],
-            "daroczy": [{"alpha": a, "direct": daroczy_entropy(pv, a), "closed": closed.daroczy(a)}
-                        for a in alphas],
+            "quadratic": {"direct": direct[0], "closed": closed[0]},
+            "renyi": [{"alpha": a, "direct": direct[1 + 2 * j], "closed": closed[1 + 2 * j]}
+                      for j, a in enumerate(alphas)],
+            "daroczy": [{"alpha": a, "direct": direct[2 + 2 * j], "closed": closed[2 + 2 * j]}
+                        for j, a in enumerate(alphas)],
         },
     }
+    if refusal:
+        entry["closed_refusal"] = refusal
+    return entry
 
 
 def _run_verify(args) -> int:

@@ -18,10 +18,12 @@ different arithmetic.  The verifier compares the two routes on every
 graph it sweeps.  The routes share inputs (the graph, its spectrum, and
 its distance matrix) but no intermediate result.
 
-Both routes take stacks (:func:`closed_form_stack` reads the invariants of
-an :class:`graphent.matrices.EdgeStack`), and a graph is a stack of one:
-the same code runs along each row, so a member's values are, bit for bit,
-those it has alone.
+Both routes take stacks: :func:`direct_entropies` and
+:func:`closed_entropies` give every member of an
+:class:`graphent.matrices.EdgeStack` its entropies by each route, and the
+verifier's claim tables and ``compute`` both read them.  A graph is a
+stack of one (:func:`closed_form`): the same code runs along each row, so
+a member's values are, bit for bit, those it has alone.
 
 Logarithm base is 2 unless stated; Daroczy entropy is base-free.
 """
@@ -30,7 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Sequence
 
 import numpy as np
 
@@ -45,9 +48,9 @@ from .matrices import (
     EdgeStack,
     MatrixKind,
     as_kind,
+    build_stack,
     moment_spectrum,
     require_orientation,
-    spectrum_of,
 )
 from .spectra import Spectrum, per_member
 
@@ -175,17 +178,14 @@ class ClosedFormParts:
     (:func:`graphent.matrices.moment_spectrum`) supplies the alpha-power
     sums, and its absolute sum is the energy; for the incidence kind it
     comes from square roots of signless Laplacian eigenvalues rather than
-    from the incidence matrix itself.  Values are floats, or (B,) arrays
-    for a stack.
+    from the incidence matrix itself.  Values are (B,) arrays, one per
+    member of a stack.
     """
 
     kind: MatrixKind
-    quadratic_value: float | np.ndarray
-    trace_sum: float | np.ndarray
+    quadratic_value: np.ndarray
+    trace_sum: np.ndarray
     moment_spectrum: Spectrum
-
-    def quadratic(self):
-        return self.quadratic_value
 
     @cached_property
     def _log_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,17 +205,15 @@ class ClosedFormParts:
         return alpha * top + np.log(np.where(nonzero, np.exp(alpha * excess), 0.0).sum(axis=-1))
 
     def renyi(self, alpha: float, log_base: float = 2.0):
-        return per_member(self._log_power_sum(alpha) / ((1.0 - alpha) * math.log(log_base)))
+        return self._log_power_sum(alpha) / ((1.0 - alpha) * math.log(log_base))
 
     def daroczy(self, alpha: float):
         # math.exp, not np.exp: numpy's AVX-512 exp differs from its fallback
         # kernel (and libm) in the last bit for about one value in twenty,
         # and here that moved compute-oriented-p4's pinned report.  This keeps
         # that pin equal on both kernels; the other log/exp calls stay SIMD.
-        log_sums = self._log_power_sum(alpha)
-        power_sums = np.reshape([math.exp(v) for v in np.ravel(log_sums).tolist()],
-                                np.shape(log_sums))
-        return per_member((power_sums - 1.0) / (2.0 ** (1.0 - alpha) - 1.0))
+        power_sums = np.array([math.exp(v) for v in self._log_power_sum(alpha).tolist()])
+        return (power_sums - 1.0) / (2.0 ** (1.0 - alpha) - 1.0)
 
 
 def closed_form_stack(kind: MatrixKind | str, stack: EdgeStack, moments: Spectrum,
@@ -227,34 +225,62 @@ def closed_form_stack(kind: MatrixKind | str, stack: EdgeStack, moments: Spectru
     t = (moments.abs_sum() if row.trace is None
          else np.broadcast_to(row.trace(stack), (len(stack),))[rows])
     square_sum = np.broadcast_to(row.square_sum(stack, kind), (len(stack),))[rows]
-    return ClosedFormParts(kind, per_member(1.0 - square_sum / (t * t)), t, moments)
+    return ClosedFormParts(kind, 1.0 - square_sum / (t * t), t, moments)
 
 
-def closed_form_parts(
-    kind: MatrixKind | str,
-    g: Graph | OrientedGraph,
-    *,
-    spectrum: Spectrum | None = None,
-) -> ClosedFormParts:
-    """The closed-route ingredients for one graph: a stack of one of
-    :func:`closed_form_stack`.
+def _entropies(quadratic, renyi, daroczy, alphas: Sequence[float], log_base: float) -> np.ndarray:
+    """The quadratic, then the Renyi and Daroczy entropy at each order."""
+    columns = [quadratic]
+    for a in alphas:
+        columns += [renyi(a, log_base), daroczy(a)]
+    return np.stack(columns, axis=-1)
 
-    ``spectrum`` lets callers reuse the kind's already-computed spectrum;
-    :func:`moment_spectrum` solves any other.  Outside the row's hypothesis
-    raises the row's refusal
-    (:class:`ZeroSpectrumError` where the spectrum would be identically
-    zero), so the closed route refuses exactly where the direct route does.
-    """
-    kind = as_kind(kind)
-    row = kind.spec
-    require_orientation(kind, g)
-    stack = EdgeStack.of(g)
-    if not np.all(row.hypothesis(stack)):
-        error, reason = row.refusal
-        raise error(reason.format(kind=kind))
-    moments = moment_spectrum(kind, lambda k: spectrum if spectrum is not None and k == kind
-                              else spectrum_of(k, g))
-    return closed_form_stack(kind, stack, moments, 0)
+
+def direct_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
+                     alphas: Sequence[float], log_base: float) -> np.ndarray:
+    """``(B, 1 + 2 * len(alphas))``: each member's quadratic, then Renyi and
+    Daroczy entropy at each order, by the direct route from its spectrum under
+    orientation ``label``; NaN where that spectrum is unsolved or zero
+    (:func:`require_distribution` raises why)."""
+    spectrum = stack.spectrum(kind, label)
+    rows = np.flatnonzero(np.abs(spectrum.values).sum(axis=-1) > 0)  # solved and nonzero
+    out = np.full((len(stack), 1 + 2 * len(alphas)), np.nan)
+    if len(rows):
+        pv = probabilities_from_spectrum(spectrum.take(rows), log_base)
+        out[rows] = _entropies(quadratic_entropy(pv), partial(renyi_entropy, pv),
+                               partial(daroczy_entropy, pv), alphas, log_base)
+    return out
+
+
+def closed_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
+                     applies: np.ndarray, alphas: Sequence[float], log_base: float,
+                     reads: list) -> np.ndarray:
+    """The columns of :func:`direct_entropies` by the closed route, for the
+    members where ``applies`` and every spectrum it reads was solved; NaN
+    elsewhere.  Appends to ``reads`` each ``(kind, orientation)`` whose
+    spectrum it reads."""
+    def solve(solved: MatrixKind) -> Spectrum:
+        reads.append((solved, label))
+        return stack.spectrum(solved, label)
+
+    moments = moment_spectrum(kind, solve)
+    rows = np.flatnonzero(applies & ~np.isnan(moments.values[:, 0]))
+    out = np.full((len(stack), 1 + 2 * len(alphas)), np.nan)
+    if len(rows):
+        parts = closed_form_stack(kind, stack, moments.take(rows), rows)
+        out[rows] = _entropies(parts.quadratic_value, parts.renyi, parts.daroczy, alphas, log_base)
+    return out
+
+
+def require_distribution(stack: EdgeStack, kind: MatrixKind, label: str | None = None) -> None:
+    """Raise why a stack of one has no spectral distribution of ``kind`` (a NaN
+    row of :func:`direct_entropies`): the error of its matrix's domain, as
+    :func:`build_stack` raises it, that of its solve, or ZeroSpectrumError."""
+    if not kind.spec.builds(stack)[0]:
+        build_stack(kind, stack.n, stack.edges)  # outside the domain: raises its error
+    for exc in stack.errors(kind, label).values():
+        raise exc
+    probabilities_from_spectrum(stack.spectrum(kind, label))  # a zero spectrum raises
 
 
 def closed_form(
@@ -263,6 +289,24 @@ def closed_form(
     alpha: float,
     log_base: float = 2.0,
 ) -> tuple[float, float, float]:
-    """The (quadratic, Renyi, Daroczy) closed-route entropies for one kind."""
-    parts = closed_form_parts(kind, g)
-    return parts.quadratic(), parts.renyi(alpha, log_base), parts.daroczy(alpha)
+    """The (quadratic, Renyi, Daroczy) closed-route entropies for one kind: a
+    stack of one of :func:`closed_entropies`.
+
+    Outside the row's hypothesis raises the row's refusal
+    (:class:`ZeroSpectrumError` where the spectrum would be identically
+    zero), so the closed route refuses exactly where the direct route does;
+    outside the matrix's domain, or where a solve fails, raises that error.
+    """
+    kind = as_kind(kind)
+    row = kind.spec
+    require_orientation(kind, g)
+    stack = EdgeStack.of(g)
+    if not np.all(row.hypothesis(stack)):
+        error, reason = row.refusal
+        raise error(reason.format(kind=kind))
+    reads: list = []
+    values = closed_entropies(stack, kind, None, row.has_closed_form(stack), (alpha,), log_base,
+                              reads)
+    for read in reads:
+        require_distribution(stack, *read)
+    return tuple(values[0].tolist())

@@ -31,9 +31,10 @@ A stack may mix edge counts: shorter rows are padded (see
 :func:`graphent.graphs.edge_counts`); only members with m < n build their
 incidence matrices, an edge count at a time (:attr:`KindSpec.gram`).  An
 :class:`EdgeStack` is such a stack of graphs with the invariants and
-spectra the claims read of it, each matrix solved once.  The per-graph
-:func:`build` and :func:`spectrum_of` are a batch of one of the same code,
-so a graph's matrix and spectrum equal its row in any stack.
+spectra the claims and ``compute`` read of it, each matrix solved once; a
+graph is a stack of one (:meth:`EdgeStack.of`).  :func:`spectrum_of` is a
+batch of one of :func:`spectrum_stack`, so a graph's spectrum equals its
+row in any stack.
 """
 
 from __future__ import annotations
@@ -306,14 +307,6 @@ def build_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> np.ndarray
     out[members, tail, head] = w
     out[members, head, tail] = -w if kind.needs_orientation else w
     return out
-
-
-def build(kind: MatrixKind | str, g: Graph | OrientedGraph) -> np.ndarray:
-    """The matrix of the given kind for a graph: a batch of one of
-    :func:`build_stack`; oriented kinds need an :class:`OrientedGraph`."""
-    kind = as_kind(kind)
-    require_orientation(kind, g)
-    return build_stack(kind, g.n, edge_stack_of(g))[0]
 
 
 def _solve(kind: MatrixKind, matrices: np.ndarray) -> Spectrum:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import matrices  # a module import: the kind catalogue in matrices reads this module
-from .graphs import Graph, OrientedGraph, by_edge_count, distances
+from .graphs import Graph, OrientedGraph, by_edge_count
 
 
 def first_zagreb_stack(degrees: np.ndarray) -> np.ndarray:
@@ -50,36 +50,6 @@ def distance_moment_stack(distances: np.ndarray, k: int) -> np.ndarray:
 
 def hyper_wiener_stack(distances: np.ndarray) -> np.ndarray:
     return 0.5 * (distance_moment_stack(distances, 1) + distance_moment_stack(distances, 2))
-
-
-def first_zagreb(g: Graph) -> float:
-    """Sum of squared vertex degrees: a stack of one, as every per-graph index."""
-    return float(first_zagreb_stack(matrices.EdgeStack.of(g).degrees)[0])
-
-
-def general_randic_index(g: Graph, beta: float) -> float:
-    """Sum of (d_u d_v)^beta over edges; see :func:`general_randic_stack`."""
-    return float(general_randic_stack(matrices.EdgeStack.of(g).degrees, g.edge_array[None],
-                                      beta)[0])
-
-
-def distance_moment(g: Graph, k: int) -> float:
-    """Half the sum of d(u,v)^k over unordered vertex pairs; connected only."""
-    return distance_moments(g, (k,))[0]
-
-
-def distance_moments(g: Graph, ks: tuple[int, ...] = (1, 2)) -> tuple[float, ...]:
-    """Several distance moments from one run of the distance kernel."""
-    d = distances(g)[None]
-    return tuple(float(distance_moment_stack(d, k)[0]) for k in ks)
-
-
-def wiener_index(g: Graph) -> float:
-    return distance_moment(g, 1)
-
-
-def hyper_wiener_index(g: Graph) -> float:
-    return float(hyper_wiener_stack(distances(g)[None])[0])
 
 
 def energy(kind: matrices.MatrixKind | str, g: Graph | OrientedGraph) -> float:

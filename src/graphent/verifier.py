@@ -53,8 +53,9 @@ import numpy as np
 
 from .entropy import (
     ProbabilityVector,
-    closed_form_stack,
+    closed_entropies,
     daroczy_entropy,
+    direct_entropies,
     probabilities_from_spectrum,
     quadratic_entropy,
     renyi_entropy,
@@ -171,32 +172,6 @@ def _claim_members(families: tuple[str, ...], betas: tuple[float, ...]
     return tuple(claims)
 
 
-def _entropies(quadratic, renyi, daroczy, alphas: Sequence[float], log_base: float) -> np.ndarray:
-    """The quadratic, then the Renyi and Daroczy entropy at each order."""
-    columns = [quadratic]
-    for a in alphas:
-        columns += [renyi(a, log_base), daroczy(a)]
-    return np.stack(columns, axis=-1)
-
-
-def _closed_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
-                      applies: np.ndarray, alphas: Sequence[float], log_base: float,
-                      reads: list) -> np.ndarray:
-    """:func:`_entropies` by the closed route, where it applies; NaN elsewhere.
-    Appends to ``reads`` each ``(kind, orientation)`` whose spectrum it reads."""
-    def solve(solved: MatrixKind) -> Spectrum:
-        reads.append((solved, label))
-        return stack.spectrum(solved, label)
-
-    moments = moment_spectrum(kind, solve)
-    rows = np.flatnonzero(applies & ~np.isnan(moments.values[:, 0]))
-    out = np.full((len(stack), 1 + 2 * len(alphas)), np.nan)
-    if len(rows):
-        parts = closed_form_stack(kind, stack, moments.take(rows), rows)
-        out[rows] = _entropies(parts.quadratic_value, parts.renyi, parts.daroczy, alphas, log_base)
-    return out
-
-
 def _agreement(a: np.ndarray, b: np.ndarray, tol: np.ndarray,
                witness: Callable[[int, float, float], dict]):
     """Residual: each member's largest gap between ``(B, K)`` a and b (infinite
@@ -224,7 +199,7 @@ def _identity(stack: EdgeStack, direct, members, alphas: Sequence[float],
               log_base: float, applies: np.ndarray):
     a = np.concatenate([direct(kind, label) for kind, label in members], 1)
     reads = list(members)  # the direct route's spectra first: the first read names an error
-    b = np.concatenate([_closed_entropies(stack, kind, label, applies, alphas, log_base, reads)
+    b = np.concatenate([closed_entropies(stack, kind, label, applies, alphas, log_base, reads)
                         for kind, label in members], 1)
     columns = [("quadratic", None)] + [(f, a) for a in alphas for f in ("renyi", "daroczy")]
 
@@ -397,14 +372,7 @@ def claim_table(
 
     @lru_cache(maxsize=None)  # one probability vector and one set of entropies per spectrum
     def direct(kind: MatrixKind, label: str | None) -> np.ndarray:
-        spectrum = stack.spectrum(kind, label)
-        rows = np.flatnonzero(np.abs(spectrum.values).sum(axis=-1) > 0)  # solved and nonzero
-        out = np.full((size, 1 + 2 * len(orders)), np.nan)  # as :func:`_entropies`
-        if len(rows):
-            pv = probabilities_from_spectrum(spectrum.take(rows), log_base)
-            out[rows] = _entropies(quadratic_entropy(pv), partial(renyi_entropy, pv),
-                                   partial(daroczy_entropy, pv), orders, log_base)
-        return out
+        return direct_entropies(stack, kind, label, orders, log_base)
 
     claims = []  # (claim id, the kinds its domain needs, that domain, evaluate(applies))
     if "equalities" in checks:
@@ -648,36 +616,30 @@ class CorpusSpec:
 
     def stacks(self, start: int, stop: int, seed: int = 0) -> Iterator[EdgeStack]:
         """The members at corpus indices [start, stop), in corpus order, decoded
-        a chunk at a time.
+        a stack at a time.
 
-        Each chunk of at most :data:`graphent.enumeration.STACK_CHUNK`
-        consecutive members of one order, whose rows hold different edge
-        counts, is decoded at once: ``all`` a chunk of masks, ``trees`` of tree
-        indices (one edge count); ``gnp`` decodes its samples a part at a time.
-        It is yielded as :class:`EdgeStack` parts seeded with ``seed``, whose
-        ``(B, n, n)`` matrices hold at most :data:`graphent.matrices.STACK_ENTRIES`.
+        Each stack holds consecutive members of one order n, whose rows hold
+        different edge counts: at most :data:`graphent.enumeration.STACK_CHUNK`
+        of them, and at most ``STACK_ENTRIES // n^2``, so that its ``(B, n, n)``
+        matrices hold at most :data:`graphent.matrices.STACK_ENTRIES` entries.
+        ``all`` decodes a stack of masks, ``trees`` of tree indices (one edge
+        count), ``gnp`` of samples; each is an :class:`EdgeStack` seeded with
+        ``seed``.
         """
-        for chunk in self._chunks(max(start, 0), min(stop, self.total), seed):
-            size = max(1, STACK_ENTRIES // (chunk.n * chunk.n))
-            for lo in range(0, len(chunk), size):
-                yield chunk[lo:lo + size]
-
-    def _chunks(self, start: int, stop: int, seed: int) -> Iterator[EdgeStack]:
-        if self.family == "all":
-            base = 0
-            for k in range(1, self.order + 1):
-                cnt = labeled_graph_count(k)
-                for masks in index_chunks(max(start - base, 0), min(stop - base, cnt)):
-                    yield EdgeStack(k, graph_edge_stack(k, masks), seed=seed)
-                base += cnt
-        elif self.family == "trees":
-            for indices in index_chunks(start, stop):
-                yield EdgeStack(self.order, tree_edge_stack(self.order, indices), seed=seed)
-        else:  # cut before decoding: a member's C(n, 2) draws outweigh its n x n matrices
-            size = min(STACK_CHUNK, max(1, STACK_ENTRIES // (self.order * self.order)))
-            for indices in index_chunks(start, stop, size):
-                yield EdgeStack(self.order, gnp_edge_stack(self.order, self.edge_probability, [
-                    self._sample_seed(seed, index) for index in indices]), seed=seed)
+        start, stop, base = max(start, 0), min(stop, self.total), 0
+        for n in range(1, self.order + 1) if self.family == "all" else (self.order,):
+            count = labeled_graph_count(n) if self.family == "all" else self.total
+            size = min(STACK_CHUNK, max(1, STACK_ENTRIES // (n * n)))
+            for indices in index_chunks(max(start - base, 0), min(stop - base, count), size):
+                if self.family == "all":
+                    edges = graph_edge_stack(n, indices)
+                elif self.family == "trees":
+                    edges = tree_edge_stack(n, indices)
+                else:
+                    edges = gnp_edge_stack(n, self.edge_probability, [
+                        self._sample_seed(seed, index) for index in indices])
+                yield EdgeStack(n, edges, seed=seed)
+            base += count
 
     def _sample_seed(self, seed: int, index: int) -> int:
         return zlib.crc32(f"{self.text}#{index}".encode("ascii")) ^ (seed & 0xFFFFFFFF)

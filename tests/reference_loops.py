@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from graphent import Graph
+from graphent.graphs import Graph
 
 
 def loop_draws(seeds, counts) -> list[float]:

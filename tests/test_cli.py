@@ -72,8 +72,9 @@ def test_compute_graph6_input(tmp_path, capsys):
 
 
 def test_compute_solves_each_spectrum_once(k3_file, capsys, monkeypatch):
-    """Twelve kinds on K3 and the signless Laplacian the incidence moments
-    read: each energy is its closed forms' moment spectrum, not a new solve."""
+    """Twelve kinds on K3 take nine solves: each energy is its closed forms'
+    moment spectrum, not a new solve; incidence and randic-incidence read the
+    q and norm-q solves (m >= n), and general-randic:-0.5 the randic one."""
     import graphent.matrices as matrices
 
     calls = []
@@ -83,7 +84,7 @@ def test_compute_solves_each_spectrum_once(k3_file, capsys, monkeypatch):
                             lambda *a, solver=solver, **k: calls.append(1) or solver(*a, **k))
     assert main(["compute", "--input", k3_file, "--matrix", "all", "--alpha", "2"]) == 0
     assert len(json.loads(capsys.readouterr().out)["matrices"]) == 12
-    assert len(calls) <= 13
+    assert len(calls) == 9
 
 
 @pytest.mark.parametrize("name, contents", [
@@ -92,8 +93,9 @@ def test_compute_solves_each_spectrum_once(k3_file, capsys, monkeypatch):
     ("p4.arcs", "1 0\n1 2\n3 2\n"),
 ])
 def test_compute_energy_is_the_per_graph_energy_bitwise(name, contents, tmp_path, monkeypatch):
-    from graphent import OrientedGraph, canonical_orientation, energy
     from graphent.cli import _load_graph
+    from graphent.graphs import OrientedGraph, canonical_orientation
+    from graphent.measures import energy
 
     path = tmp_path / name
     path.write_text(contents)
@@ -108,6 +110,62 @@ def test_compute_energy_is_the_per_graph_energy_bitwise(name, contents, tmp_path
     for entry in doc["matrices"]:
         want = energy(entry["kind"], targets[entry["orientation"]])
         assert entry["energy"].hex() == want.hex(), entry["kind"]
+
+
+def test_compute_reports_the_direct_route_where_only_the_closed_form_refuses(tmp_path,
+                                                                            monkeypatch):
+    """An isolated vertex: the normalized kinds have a spectrum, an energy and
+    direct entropies, each those of the per-graph route; only their closed
+    values are None, with the closed form's refusal."""
+    from graphent import (
+        daroczy_entropy,
+        probabilities_from_spectrum,
+        quadratic_entropy,
+        renyi_entropy,
+        spectrum_of,
+    )
+    from graphent.cli import _load_graph
+    from graphent.measures import energy
+
+    path = tmp_path / "isolated.edges"
+    path.write_text("n 5\n0 1\n1 2\n0 2\n2 3\n")
+    docs = []
+    monkeypatch.setattr("graphent.cli._write_report", lambda doc, args: docs.append(doc))
+    assert main(["compute", "--input", str(path), "--alpha", "0.5,2"]) == 0
+    doc, = docs
+    assert doc["skipped"] == [{"kind": "distance",
+                               "reason": "distance matrix requires a connected graph"}]
+    g = _load_graph(str(path), "auto")
+    entries = {entry["kind"]: entry for entry in doc["matrices"]}
+    for kind in ("norm-l", "norm-q"):
+        entry = entries[kind]
+        spectrum = spectrum_of(kind, g)
+        pv = probabilities_from_spectrum(spectrum)
+        want = [quadratic_entropy(pv)] + [f(pv, a) for a in (0.5, 2.0)
+                                          for f in (renyi_entropy, daroczy_entropy)]
+        entropy = entry["entropy"]
+        got = [entropy["quadratic"]["direct"]] + [
+            entropy[f][j]["direct"] for j in range(2) for f in ("renyi", "daroczy")]
+        assert [v.hex() for v in entry["spectrum"]] == [v.hex() for v in spectrum.values]
+        assert entry["energy"].hex() == energy(kind, g).hex()
+        assert [v.hex() for v in got] == [float(v).hex() for v in want]
+        assert entropy["quadratic"]["closed"] is None
+        assert all(e["closed"] is None for f in ("renyi", "daroczy") for e in entropy[f])
+        assert entry["closed_refusal"] == "normalized closed form needs every vertex non-isolated"
+    assert not any("closed_refusal" in entry for kind, entry in entries.items()
+                   if kind not in ("norm-l", "norm-q"))
+
+
+def test_compute_names_a_kind_whose_closed_form_alone_refuses(tmp_path, capsys):
+    path = tmp_path / "isolated.edges"
+    path.write_text("n 5\n0 1\n1 2\n0 2\n2 3\n")
+    assert main(["compute", "--input", str(path), "--matrix", "norm-l"]) == 0
+    entry, = json.loads(capsys.readouterr().out)["matrices"]
+    assert entry["kind"] == "norm-l" and entry["entropy"]["quadratic"]["closed"] is None
+    assert main(["compute", "--input", str(path), "--matrix", "distance"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: distance matrix requires a connected graph\n"
 
 
 def test_missing_input_file_is_usage_error(capsys):
@@ -336,7 +394,7 @@ def test_compute_overflow_is_one_line_error(tmp_path, capsys, monkeypatch):
     argv = ["compute", "--matrix", "q", "--alpha", "400", "--input", str(path)]
     assert main(argv) == 0  # the closed forms take power sums of terms at most 1
     assert json.loads(capsys.readouterr().out)["matrices"][0]["kind"] == "q"
-    monkeypatch.setattr("graphent.cli.closed_form_parts", _overflow)
+    monkeypatch.setattr("graphent.cli.closed_entropies", _overflow)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

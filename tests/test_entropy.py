@@ -5,30 +5,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphent import (
-    AllZeroWeightsError,
-    AlphaNonPositiveError,
-    AlphaOneError,
-    DisconnectedGraphError,
-    EmptyEdgeSetError,
-    Graph,
-    HypothesisNotMetError,
-    ProbabilityVector,
-    ZeroSpectrumError,
-    canonical_orientation,
     closed_form,
-    closed_form_parts,
     complete_graph,
     daroczy_entropy,
-    functional_entropy,
     path_graph,
     probabilities_from_spectrum,
     probability_vector,
     quadratic_entropy,
     renyi_entropy,
-    shannon_entropy,
     spectrum_of,
     star_graph,
 )
+from graphent.entropy import (
+    ProbabilityVector,
+    closed_entropies,
+    functional_entropy,
+    shannon_entropy,
+)
+from graphent.errors import (
+    AllZeroWeightsError,
+    AlphaNonPositiveError,
+    AlphaOneError,
+    DisconnectedGraphError,
+    EmptyEdgeSetError,
+    HypothesisNotMetError,
+    ZeroSpectrumError,
+)
+from graphent.graphs import Graph, canonical_orientation
+from graphent.matrices import EdgeStack, MatrixKind, moment_spectrum
 
 
 def test_probability_vector_normalizes():
@@ -229,11 +233,14 @@ def test_closed_form_error_taxonomy():
 def test_closed_form_incidence_moments_do_not_touch_incidence_matrix():
     """The closed incidence route runs off the signless Laplacian alone."""
     g = star_graph(5)
-    parts = closed_form_parts("incidence", g)
-    assert parts.moment_spectrum is not None
+    stack = EdgeStack.of(g)
+    reads = []
+    closed_entropies(stack, MatrixKind("incidence"), None, np.ones(1, dtype=bool), (2.0,), 2.0,
+                     reads)
+    assert reads == [(MatrixKind("q"), None)]
+    moments = moment_spectrum("incidence", stack.spectrum)
     direct = spectrum_of("incidence", g)
-    assert np.allclose(np.sort(parts.moment_spectrum.values),
-                       np.sort(direct.values), atol=1e-9)
+    assert np.allclose(np.sort(moments.values[0]), np.sort(direct.values), atol=1e-9)
 
 
 def test_renyi_uniform_closed_equals_log_base_n():
@@ -257,10 +264,10 @@ def test_stack_rows_with_zero_moments_are_each_graphs_own_bits(kind, zero_counts
     n = 5 equal, byte for byte, those of its graph or vector alone; the rows'
     counts of exactly-zero moments are ``zero_counts`` where those are
     snapped to 0."""
-    from graphent import parse_corpus
-    from graphent.enumeration import graphs_of_stack
     from graphent.entropy import closed_form_stack
-    from graphent.matrices import KINDS, moment_spectrum
+    from graphent.enumeration import graphs_of_stack
+    from graphent.matrices import KINDS
+    from graphent.verifier import parse_corpus
 
     label = "canonical" if KINDS[kind].oriented else None
     seen = set()

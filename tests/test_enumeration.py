@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from graphent import (
+from graphent.enumeration import (
     enumerate_labeled_trees,
     labeled_graph_count,
     labeled_graph_from_mask,

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from graphent import (
+from graphent import parse_graph6
+from graphent.errors import (
     ContradictoryArcsError,
     MalformedTokenError,
     TrailingBytesError,
     TruncatedStreamError,
-    encode_graph6,
-    parse_arc_list,
-    parse_edge_list,
-    parse_graph6,
 )
+from graphent.formats import encode_graph6, parse_arc_list, parse_edge_list
 from graphent.enumeration import labeled_graph_count, labeled_graphs_from_masks
 from graphent.errors import ByteOutOfRangeError, LoopEdgeError
 
@@ -64,7 +62,7 @@ def test_graph6_accepts_str_and_one_newline():
 
 
 def test_graph6_trailing_bytes_rejected():
-    from graphent import GraphInputError
+    from graphent.errors import GraphInputError
 
     with pytest.raises(TrailingBytesError):
         parse_graph6(b"A_X")
@@ -111,7 +109,7 @@ def test_graph6_round_trip_all_graphs_up_to_five():
 
 
 def test_encode_rejects_large_orders():
-    from graphent import Graph
+    from graphent.graphs import Graph
     from graphent.formats import GRAPH6_MAX_ORDER
 
     with pytest.raises(ValueError, match="above 258047"):
@@ -123,7 +121,7 @@ def test_encode_rejects_large_orders():
 def test_graph6_orders_past_62_take_the_four_byte_header():
     """n >= 63 is written as 126 and n in three 6-bit groups, as networkx writes it."""
     nx = pytest.importorskip("networkx")
-    from graphent import random_gnp
+    from graphent.graphs import random_gnp
 
     for n in (62, 63, 80, 130):
         g = random_gnp(n, 0.1, n)
@@ -157,7 +155,7 @@ def test_graph6_matches_networkx_on_every_graph_up_to_five():
 
 def _corpus_stacks():
     """The stacks of all:5, every edge count mixed, and of gnp:40,0.3 samples."""
-    from graphent import parse_corpus
+    from graphent.verifier import parse_corpus
 
     for corpus in ("all:5", "gnp:40,0.3,24"):
         spec = parse_corpus(corpus)

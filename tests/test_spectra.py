@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphent import (
-    AlphaNonPositiveError,
-    NonSkewError,
-    NonSymmetricError,
+from graphent.errors import AlphaNonPositiveError, NonSkewError, NonSymmetricError
+from graphent.spectra import (
     Spectrum,
     comparison_tolerance,
     determinant,
@@ -181,7 +179,7 @@ def test_stacked_eigenvalues_match_scipy():
 
 
 def test_stack_with_a_negative_gram_eigenvalue_is_rejected():
-    from graphent import NegativeEigenvalueError
+    from graphent.errors import NegativeEigenvalueError
     from graphent.spectra import _sqrt_of_gram_eigenvalues
 
     ok = np.array([0.0, 1.0, 4.0])

@@ -9,43 +9,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphent import (
-    AlphaNonPositiveError,
-    ClaimResult,
-    Graph,
-    ProbabilityVector,
-    as_kind,
     audit_corpus,
     audit_theorem10,
-    build,
-    canonical_orientation,
-    check_bounds,
-    check_equalities,
-    check_traces,
-    closed_form_parts,
-    comparison_tolerance,
-    encode_graph6,
+    closed_form,
     complete_graph,
     daroczy_entropy,
-    matching_graph,
-    parse_corpus,
     path_graph,
     probabilities_from_spectrum,
     probability_vector,
     quadratic_entropy,
-    random_gnp,
-    random_orientation,
     renyi_entropy,
-    resolve_measure,
     scan_extremal,
     spectrum_of,
     star_graph,
     verify_corpus,
 )
-from graphent import matrices, measures, verifier
+from graphent import entropy, matrices, measures, verifier
+from graphent.entropy import ProbabilityVector
 from graphent.enumeration import graphs_of_stack, tree_edge_stack
-from graphent.errors import NoConvergenceError
-from graphent.matrices import EdgeStack
+from graphent.errors import AlphaNonPositiveError, NoConvergenceError
+from graphent.formats import encode_graph6
+from graphent.graphs import (
+    Graph,
+    canonical_orientation,
+    matching_graph,
+    random_gnp,
+    random_orientation,
+)
+from graphent.matrices import EdgeStack, as_kind, build_stack, edge_stack_of
 from graphent.report import audit_to_object, render_json, verification_to_object
+from graphent.spectra import comparison_tolerance
+from graphent.verifier import (
+    ClaimResult,
+    check_bounds,
+    check_equalities,
+    check_traces,
+    parse_corpus,
+    resolve_measure,
+)
 from reference_loops import loop_random_gnp, pad_edge_stack
 
 
@@ -135,12 +136,13 @@ def _route_raises(route, kind, g) -> bool:
 
 @pytest.mark.parametrize("corpus", ["all:4", "trees:5"])
 def test_claims_are_not_applicable_exactly_where_their_route_raises(corpus):
-    """identity.* against closed_form_parts, trace.* against build."""
+    """identity.* against closed_form, trace.* against a stack of one of build_stack."""
     spec = parse_corpus(corpus)
+    closed = lambda kind, g: closed_form(kind, g, 2.0)
+    build = lambda kind, g: build_stack(kind, g.n, edge_stack_of(g))
     for g in spec.iterate(0, spec.total):
         for claims, kinds_of, route in (
-                (check_equalities(g, alphas=(2.0,), betas=_BETAS), IDENTITY_KINDS,
-                 closed_form_parts),
+                (check_equalities(g, alphas=(2.0,), betas=_BETAS), IDENTITY_KINDS, closed),
                 (check_traces(g, betas=_BETAS), TRACE_KINDS, build)):
             assert [r.claim_id for r in claims] == list(kinds_of)
             for claim in claims:
@@ -254,13 +256,13 @@ def test_each_spectrum_is_solved_once_per_stack(monkeypatch):
 
 def _count_probability_vectors(monkeypatch) -> list[int]:
     calls = []
-    build = verifier.probabilities_from_spectrum
+    build = entropy.probabilities_from_spectrum
 
     def counting(spectrum, log_base=2.0):
         calls.append(spectrum.source)
         return build(spectrum, log_base)
 
-    monkeypatch.setattr(verifier, "probabilities_from_spectrum", counting)
+    monkeypatch.setattr(entropy, "probabilities_from_spectrum", counting)
     return calls
 
 
@@ -313,8 +315,8 @@ def test_oriented_input_is_respected():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_equality_claims_fail_on_non_finite_closed_form(monkeypatch, bad):
-    parts = verifier.closed_form_stack
-    monkeypatch.setattr(verifier, "closed_form_stack", lambda *a, **k: dataclasses.replace(
+    parts = entropy.closed_form_stack
+    monkeypatch.setattr(entropy, "closed_form_stack", lambda *a, **k: dataclasses.replace(
         parts(*a, **k), quadratic_value=np.full(1, bad)))
     res = _by_id(check_equalities(complete_graph(3), alphas=(2.0,)))
     claim = res["identity.q"]
@@ -342,7 +344,7 @@ def test_trace_claims_fail_on_non_finite_sides(monkeypatch, bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_bound_claims_fail_on_non_finite_values(monkeypatch, bad):
-    monkeypatch.setattr(verifier, "quadratic_entropy", lambda p: np.full(len(p.p), bad))
+    monkeypatch.setattr(entropy, "quadratic_entropy", lambda p: np.full(len(p.p), bad))
     res = _by_id(check_bounds(path_graph(4)))
     for claim_id in ("bound.q.upper", "bound.q.lower", "bound.normalized.lower",
                      "bound.distance.lower", "bound.distance.upper", "bound.randic.upper"):
@@ -597,7 +599,7 @@ def test_corpus_random_access_matches_iteration():
 
 
 def test_corpus_stacks_decode_every_family_in_corpus_order():
-    from graphent import labeled_graph_from_mask, labeled_tree_from_index
+    from graphent.enumeration import labeled_graph_from_mask, labeled_tree_from_index
 
     spec = parse_corpus("all:5")
     want = [labeled_graph_from_mask(n, mask).edges
@@ -621,11 +623,11 @@ def test_corpus_stacks_decode_every_family_in_corpus_order():
 
 def test_corpus_stacks_hold_at_most_the_entry_cap():
     """A chunk of 512 trees on nine vertices would hold 512 * 81 matrix
-    entries; the stacks, which verify, audit and scan all read, are cut under
-    the cap, in corpus order."""
+    entries; the stacks, which verify, audit and scan all read, are decoded
+    under the cap, in corpus order."""
     spec = parse_corpus("trees:9")
     stacks = list(spec.stacks(0, 1100))
-    assert [len(stack) for stack in stacks] == [404, 108, 404, 108, 76]
+    assert [len(stack) for stack in stacks] == [404, 404, 292]
     assert all(len(stack) * 81 <= matrices.STACK_ENTRIES for stack in stacks)
     assert np.array_equal(np.concatenate([stack.edges for stack in stacks]),
                           tree_edge_stack(9, range(1100)))
@@ -753,7 +755,7 @@ NORMALIZED_READERS = {"identity.normalized", "trace.normalized.square", "bound.n
 def _assert_a_refused_solve_fails_its_readers(monkeypatch, tag: str, readers: set[str],
                                               g: Graph = path_graph(3)):
     # g is one of the graphs of all:3; P3 is one of three in its stack
-    refused = build(tag, g)
+    refused = build_stack(tag, g.n, g.edge_array[None])[0]
     solve = matrices._solve
 
     def refuse(kind, stack):
@@ -831,8 +833,6 @@ def test_incidence_batches_under_a_small_cap_keep_each_members_bits(monkeypatch)
     """Cut into batches of a few rows, the incidence solves of a ragged table
     still give every member the spectrum it has alone; only the members with
     m < n build their incidence matrices."""
-    from graphent import random_gnp
-
     graphs = [random_gnp(12, 0.15, seed) for seed in range(40)]  # 5 to 17 edges
     stack = EdgeStack(12, pad_edge_stack(12, [g.edge_array for g in graphs]))
     narrow = [row for row, g in enumerate(graphs) if g.m < 12]
@@ -895,7 +895,7 @@ def test_tree_skew_entropy_ignores_orientation():
 
 
 def test_scan_tree_zagreb_extremes():
-    from graphent import encode_graph6
+    from graphent.formats import encode_graph6
 
     scan = scan_extremal("trees", 5, "m1")
     # among trees the star maximizes and the path minimizes the degree square sum
@@ -967,8 +967,11 @@ def _scan_values(family, order, measure, log_base=2.0):
 
 
 def _members(family, order):
-    from graphent import enumerate_labeled_trees, labeled_graph_count
-    from graphent.enumeration import labeled_graphs_from_masks
+    from graphent.enumeration import (
+        enumerate_labeled_trees,
+        labeled_graph_count,
+        labeled_graphs_from_masks,
+    )
 
     if family == "all-graphs":
         return labeled_graphs_from_masks(order, range(labeled_graph_count(order)))
@@ -976,16 +979,13 @@ def _members(family, order):
 
 
 def _scalar_spectrum(kind, g):
-    from graphent import as_kind
-
     target = canonical_orientation(g) if as_kind(kind).needs_orientation else g
     return spectrum_of(kind, target)
 
 
 def _scalar_value(measure, g, log_base=2.0):
     """The measure by the per-graph route: one spectrum_of per member."""
-    from graphent import (daroczy_entropy, probabilities_from_spectrum, quadratic_entropy,
-                          renyi_entropy, sqrt_spectrum)
+    from graphent.spectra import sqrt_spectrum
 
     functional, _, rest = measure.partition(":")
     if functional == "energy":
@@ -1002,7 +1002,7 @@ def _scalar_value(measure, g, log_base=2.0):
 
 
 def _assert_scan_matches_scalar(family, order, measures, log_base=2.0):
-    from graphent import encode_graph6
+    from graphent.formats import encode_graph6
 
     members = _members(family, order)
     descriptors = [encode_graph6(g).decode() for g in members]
@@ -1044,8 +1044,8 @@ DOMAIN_MEASURES = ["quadratic:distance", "quadratic:q", "renyi:incidence:0.5", "
 
 @pytest.mark.parametrize("measure", DOMAIN_MEASURES)
 def test_all_graph_scan_skips_exactly_the_members_where_the_measure_raises(measure):
-    from graphent import (DisconnectedGraphError, EmptyEdgeSetError, ZeroSpectrumError,
-                          encode_graph6)
+    from graphent.errors import DisconnectedGraphError, EmptyEdgeSetError, ZeroSpectrumError
+    from graphent.formats import encode_graph6
 
     one = resolve_measure(measure)
     want = {}
