@@ -41,6 +41,12 @@ REFERENCE_REPORTS = {
         ["scan", "--family", "all-graphs", "--order", "5", "--measure", "energy:incidence",
          "--ranking"],
         "a2cb8cb97858d82cc32f19fa9118351d31cdb1be7c81b7c36e7eb2b7af447618"),
+    # randic-incidence on five vertices: members with m >= n read the square
+    # roots of norm-q's eigenvalues, the rest their own m x m Gram products
+    "scan-all5-quadratic-randic-incidence": (
+        ["scan", "--family", "all-graphs", "--order", "5", "--measure",
+         "quadratic:randic-incidence", "--ranking"],
+        "787796b5a17726d8c92df3b7ac2c6e2bb6f673c6f3d091140245d5137c49788b"),
 }
 
 # compute --alpha 0.5,2,3 --log-base e on one input each, named as
