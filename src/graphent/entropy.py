@@ -48,7 +48,6 @@ from .matrices import (
     EdgeStack,
     MatrixKind,
     as_kind,
-    build_stack,
     moment_spectrum,
     require_orientation,
 )
@@ -273,14 +272,10 @@ def closed_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
 
 
 def require_distribution(stack: EdgeStack, kind: MatrixKind, label: str | None = None) -> None:
-    """Raise why a stack of one has no spectral distribution of ``kind`` (a NaN
-    row of :func:`direct_entropies`): the error of its matrix's domain, as
-    :func:`build_stack` raises it, that of its solve, or ZeroSpectrumError."""
-    if not kind.spec.builds(stack)[0]:
-        build_stack(kind, stack.n, stack.edges)  # outside the domain: raises its error
-    for exc in stack.errors(kind, label).values():
-        raise exc
-    probabilities_from_spectrum(stack.spectrum(kind, label))  # a zero spectrum raises
+    """Raise why a member of a stack has no spectral distribution of ``kind``
+    (a NaN row of :func:`direct_entropies`): :meth:`EdgeStack.require`'s
+    error, or ZeroSpectrumError."""
+    probabilities_from_spectrum(stack.require(kind, label))  # a zero spectrum raises
 
 
 def closed_form(

@@ -26,15 +26,14 @@ as functions of an :class:`EdgeStack`.
 
 Matrices are built in stacks: :func:`build_stack` takes an order n and a
 ``(B, m, 2)`` stack of edges (arcs for the oriented kinds) and returns one
-matrix per row, and :func:`spectrum_stack` solves the whole stack at once.
-A stack may mix edge counts: shorter rows are padded (see
-:func:`graphent.graphs.edge_counts`); only members with m < n build their
-incidence matrices, an edge count at a time (:attr:`KindSpec.gram`).  An
-:class:`EdgeStack` is such a stack of graphs with the invariants and
-spectra the claims and ``compute`` read of it, each matrix solved once; a
-graph is a stack of one (:meth:`EdgeStack.of`).  :func:`spectrum_of` is a
-batch of one of :func:`spectrum_stack`, so a graph's spectrum equals its
-row in any stack.
+matrix per row.  A stack may mix edge counts: shorter rows are padded (see
+:func:`graphent.graphs.edge_counts`).  An :class:`EdgeStack` is such a stack
+of graphs with the invariants and spectra that verify, audit, the scan and
+``compute`` read of it, each matrix solved once; it is the one solver.  Its
+incidence kinds build matrices only for members with m < n, an edge count at
+a time (:attr:`KindSpec.gram`).  A graph is a stack of one
+(:meth:`EdgeStack.of`), and :func:`spectrum_of` reads it, so a graph's
+spectrum equals its row in any stack.
 """
 
 from __future__ import annotations
@@ -146,7 +145,9 @@ class KindSpec:
     kind, from the square roots of that kind's eigenvalues, as
     :func:`moment_spectrum` alone reads it.  ``hypothesis``, ``trace`` and
     ``square_sum`` give a value per member of an :class:`EdgeStack`.  An
-    incidence kind's ``gram`` is the kind of B Bt (:func:`spectrum_stack`).
+    incidence kind's ``gram`` is the kind of B Bt, whose eigenvalues'
+    square roots are the spectrum of a member with m >= n
+    (:meth:`EdgeStack.spectrum`).
     """
 
     square_sum: Callable[[EdgeStack, MatrixKind], np.ndarray | float]
@@ -318,42 +319,16 @@ def _solve(kind: MatrixKind, matrices: np.ndarray) -> Spectrum:
     return symmetric_eigenvalues(matrices, source=label)
 
 
-def spectrum_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> Spectrum:
-    """The spectra of every row of a pair stack, as one ``(B, n)`` Spectrum.
-
-    One stacked matrix build and one stacked solve; see :func:`spectrum_of`.
-    The incidence kinds solve their ``gram`` kind where m >= n, else one per
-    edge count (:func:`graphent.graphs.by_edge_count`), so each member's Gram
-    product is the one it has alone, in batches of at most
-    :data:`STACK_ENTRIES` matrix entries.
-    """
-    kind = as_kind(kind)
-    edges = np.asarray(edges, dtype=np.int64)
-    if not kind.spec.edge_column:
-        return _solve(kind, build_stack(kind, n, edges))
-    values, members = np.empty((len(edges), n)), np.arange(len(edges))
-    # a stack under n edges wide, such as a stack of trees, has no member with m >= n
-    if edges.shape[1] >= n and (wide := edge_counts(n, edges) >= n).any():
-        values[wide] = sqrt_spectrum(spectrum_stack(kind.spec.gram, n, edges[wide])).values
-        members, edges = np.flatnonzero(~wide), edges[~wide]
-    for rows, part in by_edge_count(n, edges):
-        rows, size = members[rows], max(1, STACK_ENTRIES // (n * max(part.shape[1], 1)))
-        for lo in range(0, len(part), size):
-            matrices = build_stack(kind, n, part[lo:lo + size])
-            values[rows[lo:lo + size]] = _solve(kind, matrices).values
-    return Spectrum(values, SINGULAR_VALUES, str(kind))
-
-
 def spectrum_of(kind: MatrixKind | str, g: Graph | OrientedGraph) -> Spectrum:
     """The spectrum entering energy and entropy for the given kind.
 
     Symmetric kinds report eigenvalues, the incidence kinds report
     singular values padded to the vertex count, and the skew kinds
-    report absolute eigenvalues.  A batch of one of :func:`spectrum_stack`.
+    report absolute eigenvalues.  A stack of one of :meth:`EdgeStack.require`.
     """
     kind = as_kind(kind)
     require_orientation(kind, g)
-    spectrum = spectrum_stack(kind, g.n, edge_stack_of(g))
+    spectrum = EdgeStack.of(g).require(kind)
     return replace(spectrum, values=spectrum.values[0])
 
 
@@ -361,8 +336,8 @@ def moment_spectrum(kind: MatrixKind | str, solve: Callable[[MatrixKind], Spectr
     """The spectrum a kind's closed-form moments and its energy read: the
     square roots of the eigenvalues of the kind its row names as
     ``moment_source``, else the kind's own spectrum.  ``solve`` gives a
-    kind's spectrum: an :class:`EdgeStack`'s, :func:`spectrum_stack` or
-    :func:`spectrum_of` of the graphs at hand."""
+    kind's spectrum: an :class:`EdgeStack`'s, or :func:`spectrum_of` of the
+    graph at hand."""
     kind = as_kind(kind)
     source = kind.spec.moment_source
     if source is None:
@@ -444,7 +419,7 @@ class EdgeStack:
     def spectrum(self, kind: MatrixKind | str, orientation: str | None = None) -> Spectrum:
         """``(B, n)`` spectra of the members whose matrix exists, by one stacked
         solve of each :attr:`MatrixKind.matrix`, else one per member; NaN rows
-        elsewhere and for :meth:`errors`."""
+        elsewhere and for :meth:`errors` (:meth:`require` raises why)."""
         kind = as_kind(kind)
         return replace(self._solved(kind.matrix, orientation)[0], source=str(kind))
 
@@ -475,17 +450,48 @@ class EdgeStack:
             self._spectra[str(kind), label] = Spectrum(values, named, str(kind)), errors
         return self._spectra[str(kind), label]
 
+    def require(self, kind: MatrixKind | str, orientation: str | None = None) -> Spectrum:
+        """:meth:`spectrum`, where every member has one; else raises, for the
+        first member without, the error it raises alone: its matrix's domain
+        error, as :func:`build_stack` raises it, or its solve's."""
+        kind = as_kind(kind)
+        errors = self.errors(kind, orientation)
+        missing = ~kind.spec.builds(self)
+        missing[list(errors)] = True
+        if missing.any():
+            row = int(missing.argmax())
+            if row in errors:
+                raise errors[row]
+            build_stack(kind, self.n, self.edges[row, :self.m[row]][None])  # raises
+        return self.spectrum(kind, orientation)
+
     def _values(self, kind: MatrixKind, label: str | None, rows) -> np.ndarray:
         if kind.tag == "distance":
             return _solve(kind, self.distances[rows]).values
         arcs = self.arcs(label or "canonical")[rows]
         if not kind.spec.edge_column:
-            return spectrum_stack(kind, self.n, arcs).values
+            return _solve(kind, build_stack(kind, self.n, arcs)).values
+        # An incidence member with m >= n reads the square roots of its gram
+        # kind's eigenvalues: this stack's solve where it holds one, else one
+        # of those members alone.  The rest solve their own n x m matrices an
+        # edge count at a time, so each Gram product is the one it has alone.
         members = np.arange(len(self))[rows]
         wide, values = self.m[members] >= self.n, np.empty((len(members), self.n))
-        if wide.any():  # as spectrum_stack, from this stack's solve of the gram kind
-            for row in self.errors(kind.spec.gram).keys() & set(members[wide].tolist()):
-                raise self.errors(kind.spec.gram)[row]  # its failure is this kind's
-            values[wide] = sqrt_spectrum(self.spectrum(kind.spec.gram).take(members[wide])).values
-        values[~wide] = spectrum_stack(kind, self.n, arcs[~wide]).values
+        narrow = np.arange(len(members))
+        if wide.any():
+            gram = as_kind(kind.spec.gram)
+            if (str(gram), None) in self._spectra:
+                errors = self.errors(gram)
+                for row in errors.keys() & set(members[wide].tolist()):
+                    raise errors[row]  # its failure is this kind's
+                solved = self.spectrum(gram).take(members[wide])
+            else:
+                solved = _solve(gram, build_stack(gram, self.n, arcs[wide]))
+            values[wide] = sqrt_spectrum(solved).values
+            narrow, arcs = np.flatnonzero(~wide), arcs[~wide]
+        for at, part in by_edge_count(self.n, arcs):
+            at, size = narrow[at], max(1, STACK_ENTRIES // (self.n * max(part.shape[1], 1)))
+            for lo in range(0, len(part), size):
+                matrices = build_stack(kind, self.n, part[lo:lo + size])
+                values[at[lo:lo + size]] = _solve(kind, matrices).values
         return values

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -81,7 +80,6 @@ from .matrices import (
     as_kind,
     build_stack,
     moment_spectrum,
-    spectrum_stack,
 )
 from .measures import (
     distance_moment_stack,
@@ -690,8 +688,7 @@ class VerificationReport:
 
     ``claims`` retains only the records worth reading back (failures and
     equality-attained cases) in corpus order; ``summary`` counts every
-    evaluation.  ``runtime_seconds`` is informational and excluded from
-    serialized output so reports stay byte-stable.
+    evaluation.
     """
 
     corpus: str
@@ -703,7 +700,6 @@ class VerificationReport:
     total_graphs: int
     claims: tuple[ClaimResult, ...]
     summary: dict[str, dict[str, int]]
-    runtime_seconds: float = 0.0
 
     @property
     def failure_count(self) -> int:
@@ -769,7 +765,6 @@ def verify_corpus(
     for name in checks:
         if name not in CHECK_NAMES:
             raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
-    started = time.perf_counter()
     total = spec.total
     chunk_args = []
     chunk = total if workers <= 1 else max(STACK_CHUNK, -(-total // (workers * 4)))
@@ -811,7 +806,6 @@ def verify_corpus(
         claims=tuple(retained),
         summary={claim_id: dict(zip(STATUSES, counts.tolist()))
                  for claim_id, counts in merged.items()},
-        runtime_seconds=time.perf_counter() - started,
     )
 
 
@@ -833,7 +827,6 @@ class AuditReport:
     total_claims: int
     claims: tuple[ClaimResult, ...]
     summary: dict[str, dict[str, int]]
-    runtime_seconds: float = 0.0
 
 
 def default_audit_kinds() -> tuple[MatrixKind, ...]:
@@ -893,7 +886,6 @@ def audit_corpus(
     spec = corpus if isinstance(corpus, CorpusSpec) else parse_corpus(corpus)
     use_kinds = tuple(as_kind(k) for k in (kinds if kinds is not None else default_audit_kinds()))
     alphas = _audit_grid(alpha_grid)
-    started = time.perf_counter()
     graphs, tally, retained = _sweep(
         spec, 0, spec.total, seed,
         lambda stack: _audit_stack(stack, use_kinds, alphas, log_base), AUDIT_RETAIN_LIMIT)
@@ -908,7 +900,6 @@ def audit_corpus(
         total_claims=int(counts.sum()),
         claims=tuple(retained),
         summary=audit_summary(counts),
-        runtime_seconds=time.perf_counter() - started,
     )
 
 
@@ -1035,12 +1026,11 @@ def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
                                lambda s: s.connected)
     if head == "energy":
         kind = as_kind(rest)
-        solve = lambda s: lambda solved: spectrum_stack(solved, s.n, s.arcs("canonical"))
         # the domain, where every matrix the rule solves exists: the rule read
         # over a stand-in spectrum per solved kind, 0 where built, NaN elsewhere
         built = lambda s: lambda solved: Spectrum(
             np.where(solved.spec.builds(s), 0.0, np.nan)[:, None], EIGENVALUES)
-        return _StackedMeasure(lambda s: moment_spectrum(kind, solve(s)).abs_sum(),
+        return _StackedMeasure(lambda s: moment_spectrum(kind, s.require).abs_sum(),
                                lambda s: moment_spectrum(kind, built(s)).values[:, 0] == 0.0)
     if head in ("quadratic", "renyi", "daroczy"):
         if head == "quadratic":
@@ -1072,4 +1062,4 @@ def resolve_measure(text: str, *, log_base: float = 2.0) -> Callable[[Graph | Or
 
 
 def _distribution(kind: MatrixKind, s: EdgeStack, log_base: float) -> ProbabilityVector:
-    return probabilities_from_spectrum(spectrum_stack(kind, s.n, s.arcs("canonical")), log_base)
+    return probabilities_from_spectrum(s.require(kind), log_base)

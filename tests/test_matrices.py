@@ -251,7 +251,7 @@ def _mixed_stack():
 def test_mixed_stack_edge_sums_and_incidence_spectra_are_each_members_own_bits():
     """Sums along the edge axis run an edge count at a time, so a stack of
     mixed edge counts gives every member the bits it has alone."""
-    from graphent.matrices import EdgeStack, spectrum_stack
+    from graphent.matrices import EdgeStack
     from graphent.measures import general_randic_stack
 
     graphs, stack = _mixed_stack()
@@ -262,8 +262,10 @@ def test_mixed_stack_edge_sums_and_incidence_spectra_are_each_members_own_bits()
             assert got.tobytes() == alone[0].tobytes(), (beta, g.edges)
     with_edges = [row for row, g in enumerate(graphs) if g.m]
     for kind in ("incidence", "randic-incidence"):
-        mixed = spectrum_stack(kind, 12, stack.edges[with_edges]).values
+        # members with m >= n read the stack's gram solve here, their own in ``mixed``
+        stack.spectrum(as_kind(kind).spec.gram)
         solved = stack.spectrum(kind).values
+        mixed = stack[np.array(with_edges)].spectrum(kind).values
         assert np.isnan(solved[3]).all()  # the edgeless member has no incidence matrix
         for row, values in zip(with_edges, mixed):
             alone = spectrum_of(kind, graphs[row]).values
@@ -306,7 +308,6 @@ def test_incidence_spectra_with_m_at_least_n_are_the_singular_values_of_b():
     """Members with m >= n take the square roots of q's and norm-q's
     eigenvalues; numpy's SVD of the explicit matrix is the oracle."""
     from graphent.enumeration import graphs_of_stack
-    from graphent.matrices import spectrum_stack
 
     checked = 0
     for corpus in ("all:5", "gnp:12,0.5,60"):
@@ -314,11 +315,54 @@ def test_incidence_spectra_with_m_at_least_n_are_the_singular_values_of_b():
             wide = np.flatnonzero(stack.m >= stack.n)
             for kind, scaled in (("incidence", False), ("randic-incidence", True)):
                 solved = stack.spectrum(kind).values[wide]
-                alone = spectrum_stack(kind, stack.n, stack.edges[wide]).values
-                for row, g, a, b in zip(wide, graphs_of_stack(stack.n, stack.edges[wide]),
-                                        solved, alone):
+                for g, a in zip(graphs_of_stack(stack.n, stack.edges[wide]), solved):
                     want = np.linalg.svd(_explicit_incidence(g, scaled), compute_uv=False)
                     assert np.allclose(a, want, rtol=0, atol=1e-9), (kind, g.edges)
-                    assert a.tobytes() == b.tobytes(), (kind, g.edges)
+                    assert a.tobytes() == spectrum_of(kind, g).values.tobytes(), (kind, g.edges)
                     checked += 1
     assert checked > 2 * 60
+
+
+def _refuse_solves(monkeypatch):
+    from graphent import matrices
+    from graphent.errors import NoConvergenceError
+
+    def refuse(kind, stack):
+        raise NoConvergenceError(f"{kind} solve refused")
+
+    monkeypatch.setattr(matrices, "_solve", refuse)
+
+
+def test_a_refused_solve_raises_from_spectrum_of_and_energy(monkeypatch):
+    """The stack records a failed solve; reading a graph's spectrum raises it."""
+    from graphent.errors import NoConvergenceError
+    from graphent.measures import energy
+
+    _refuse_solves(monkeypatch)
+    with pytest.raises(NoConvergenceError, match="q solve refused"):
+        spectrum_of("q", complete_graph(3))
+    with pytest.raises(NoConvergenceError, match="q solve refused"):
+        energy("incidence", complete_graph(3))  # its moments are q's
+
+
+def test_a_refused_solve_fails_the_scan_with_one_error_line(monkeypatch, capsys):
+    from graphent.cli import main
+
+    _refuse_solves(monkeypatch)
+    assert main(["scan", "--family", "trees", "--order", "5",
+                 "--measure", "quadratic:incidence"]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: incidence solve refused"], err
+
+
+def test_require_raises_a_members_own_domain_error():
+    """An edgeless member of a ragged stack raises what it raises alone, not
+    the error of a stack of several edge counts."""
+    graphs, stack = _mixed_stack()
+    assert stack.m[3] == 0
+    with pytest.raises(EmptyEdgeSetError):
+        stack.require("incidence")
+    with pytest.raises(EmptyEdgeSetError):
+        spectrum_of("incidence", graphs[3])
+    stack[stack.m > 0].require("incidence")  # every other member has a spectrum

@@ -921,6 +921,15 @@ def test_scan_entropy_measure_and_ranking():
     assert len(scan.max_witnesses) == 60  # the labeled paths
 
 
+@pytest.mark.parametrize("family, order, members",
+                         [("all-graphs", 6, 32_767), ("trees", 7, 16_807)])
+def test_scan_solves_one_matrix_per_member_in_the_domain(monkeypatch, family, order, members):
+    """Members with m >= n solve q alone, not the whole stack's q as well."""
+    solved = _spy_solves(monkeypatch)
+    assert scan_extremal(family, order, "quadratic:incidence").count == members
+    assert sum(shape[0] for _, shape in solved) == members
+
+
 def test_scan_oriented_trees_skew_measure():
     scan = scan_extremal("oriented-trees", 5, "energy:skew")
     assert scan.count == 125
