@@ -59,9 +59,9 @@ from .verifier import (
     CHECK_NAMES,
     SCAN_FAMILIES,
     audit_corpus,
-    audit_summary,
     audit_table,
     scan_extremal,
+    status_summary,
     verify_corpus,
 )
 
@@ -358,8 +358,8 @@ def _run_audit(args) -> int:
             "distribution": list(weights),
             "alpha_grid": list(grid),
             "log_base": float(args.log_base),
-            "summary": audit_summary(table.tally()),
-            "claims": [claim_to_object(c) for c in table.records(0, pv.origin)],
+            "summary": status_summary(table.tally()),
+            "claims": [claim_to_object(c) for c in table.row(0)],
         }
         _write_report(doc, args)
         return 0

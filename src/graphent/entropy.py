@@ -20,10 +20,10 @@ its distance matrix) but no intermediate result.
 
 Both routes take stacks: :func:`direct_entropies` and
 :func:`closed_entropies` give every member of an
-:class:`graphent.matrices.EdgeStack` its entropies by each route, and the
-verifier's claim tables and ``compute`` both read them.  A graph is a
-stack of one (:func:`closed_form`): the same code runs along each row, so
-a member's values are, bit for bit, those it has alone.
+:class:`graphent.matrices.EdgeStack` its entropies by each route, as the
+columns of one array, and the verifier's claim tables and ``compute`` read
+them.  A graph is a stack of one (:func:`closed_form`): the same code runs
+along each row, so a member's values are, bit for bit, those it has alone.
 
 Logarithm base is 2 unless stated; Daroczy entropy is base-free.
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -85,10 +85,6 @@ class ProbabilityVector:
             raise ValueError("probability vector does not sum to 1")
         check_log_base(self.log_base)
         object.__setattr__(self, "p", arr)
-
-    @property
-    def size(self) -> int:
-        return int(self.p.shape[-1])
 
 
 def probability_vector(weights, origin: str = "custom", log_base: float = 2.0) -> ProbabilityVector:
@@ -168,65 +164,6 @@ def functional_entropy(weights, log_base: float = 2.0) -> float:
     return shannon_entropy(probability_vector(weights, "functional", log_base))
 
 
-@dataclass(frozen=True, eq=False)
-class ClosedFormParts:
-    """Invariant-based ingredients for the closed entropy expressions.
-
-    ``trace_sum`` is the total absolute spectral mass, taken from the
-    kind's trace-sum invariant where it has one.  ``moment_spectrum``
-    (:func:`graphent.matrices.moment_spectrum`) supplies the alpha-power
-    sums, and its absolute sum is the energy; for the incidence kind it
-    comes from square roots of signless Laplacian eigenvalues rather than
-    from the incidence matrix itself.  Values are (B,) arrays, one per
-    member of a stack.
-    """
-
-    kind: MatrixKind
-    quadratic_value: np.ndarray
-    trace_sum: np.ndarray
-    moment_spectrum: Spectrum
-
-    @cached_property
-    def _log_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # log(|v| / t) as each member's largest and each one's excess over
-        # it, and which moments are nonzero: zeros add nothing to a power sum
-        v = np.abs(self.moment_spectrum.values)
-        with np.errstate(divide="ignore"):
-            logs = np.log(v) - np.log(self.trace_sum)[..., None]
-        top = logs.max(axis=-1)
-        return top, logs - top[..., None], v > 0
-
-    def _log_power_sum(self, alpha: float) -> np.ndarray:
-        """log of each member's sum of (|v| / t)^alpha, as a log-sum-exp: no
-        order overflows or underflows it."""
-        _check_alpha(alpha)
-        top, excess, nonzero = self._log_terms
-        return alpha * top + np.log(np.where(nonzero, np.exp(alpha * excess), 0.0).sum(axis=-1))
-
-    def renyi(self, alpha: float, log_base: float = 2.0):
-        return self._log_power_sum(alpha) / ((1.0 - alpha) * math.log(log_base))
-
-    def daroczy(self, alpha: float):
-        # math.exp, not np.exp: numpy's AVX-512 exp differs from its fallback
-        # kernel (and libm) in the last bit for about one value in twenty,
-        # and here that moved compute-oriented-p4's pinned report.  This keeps
-        # that pin equal on both kernels; the other log/exp calls stay SIMD.
-        power_sums = np.array([math.exp(v) for v in self._log_power_sum(alpha).tolist()])
-        return (power_sums - 1.0) / (2.0 ** (1.0 - alpha) - 1.0)
-
-
-def closed_form_stack(kind: MatrixKind | str, stack: EdgeStack, moments: Spectrum,
-                      rows) -> ClosedFormParts:
-    """The closed-route ingredients of the members ``rows`` of a stack, under
-    the hypothesis, from their moment spectra (:func:`moment_spectrum`)."""
-    kind = as_kind(kind)
-    row = kind.spec
-    t = (moments.abs_sum() if row.trace is None
-         else np.broadcast_to(row.trace(stack), (len(stack),))[rows])
-    square_sum = np.broadcast_to(row.square_sum(stack, kind), (len(stack),))[rows]
-    return ClosedFormParts(kind, 1.0 - square_sum / (t * t), t, moments)
-
-
 def _entropies(quadratic, renyi, daroczy, alphas: Sequence[float], log_base: float) -> np.ndarray:
     """The quadratic, then the Renyi and Daroczy entropy at each order."""
     columns = [quadratic]
@@ -265,9 +202,36 @@ def closed_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
     moments = moment_spectrum(kind, solve)
     rows = np.flatnonzero(applies & ~np.isnan(moments.values[:, 0]))
     out = np.full((len(stack), 1 + 2 * len(alphas)), np.nan)
-    if len(rows):
-        parts = closed_form_stack(kind, stack, moments.take(rows), rows)
-        out[rows] = _entropies(parts.quadratic_value, parts.renyi, parts.daroczy, alphas, log_base)
+    if not len(rows):
+        return out
+    row = kind.spec
+    v = np.abs(moments.take(rows).values)
+    t = (v.sum(axis=-1) if row.trace is None
+         else np.broadcast_to(row.trace(stack), (len(stack),))[rows])
+    square_sum = np.broadcast_to(row.square_sum(stack, kind), (len(stack),))[rows]
+    # log(|v| / t) as each member's largest and each one's excess over it,
+    # and which moments are nonzero: zeros add nothing to a power sum
+    with np.errstate(divide="ignore"):
+        logs = np.log(v) - np.log(t)[..., None]
+    top = logs.max(axis=-1)
+    excess, nonzero = logs - top[..., None], v > 0
+
+    def log_power_sum(alpha: float) -> np.ndarray:
+        _check_alpha(alpha)
+        return alpha * top + np.log(np.where(nonzero, np.exp(alpha * excess), 0.0).sum(axis=-1))
+
+    def renyi(alpha: float, base: float) -> np.ndarray:
+        return log_power_sum(alpha) / ((1.0 - alpha) * math.log(base))
+
+    def daroczy(alpha: float) -> np.ndarray:
+        # math.exp, not np.exp: numpy's AVX-512 exp differs from its fallback
+        # kernel (and libm) in the last bit for about one value in twenty,
+        # and here that moved compute-oriented-p4's pinned report.  This keeps
+        # that pin equal on both kernels; the other log/exp calls stay SIMD.
+        power_sums = np.array([math.exp(x) for x in log_power_sum(alpha).tolist()])
+        return (power_sums - 1.0) / (2.0 ** (1.0 - alpha) - 1.0)
+
+    out[rows] = _entropies(1.0 - square_sum / (t * t), renyi, daroczy, alphas, log_base)
     return out
 
 

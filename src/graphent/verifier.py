@@ -19,8 +19,9 @@ the row's.  Each bound shares the closed-form hypothesis of one kind.
 Claims are evaluated as tables over a stack of graphs of one order, whose
 edge counts may differ (:class:`graphent.matrices.EdgeStack`): :func:`claim_table`
 solves each spectrum once per stack and reduces values, residuals,
-witnesses, slacks and equality characterizations to a status code per
-member and claim, as arrays.  The ``check_*`` functions are a table of one.
+witnesses, slacks and equality characterizations to a :class:`ClaimTable`
+of status codes, member by claim, the type the audit returns too.  The
+``check_*`` functions are a table of one.
 
 Every claim produces a :class:`ClaimResult` with status ``pass``, ``fail``,
 ``not-applicable`` (hypothesis unmet), or ``equality-attained`` (the bound
@@ -131,15 +132,30 @@ class ClaimResult:
 
 class ClaimTable(NamedTuple):
     """Claims over a stack: ``status[row, k]`` indexes :data:`STATUSES` (or is
-    ``len(STATUSES)``: not counted) for ``claim_ids[claims[k]]``, built by ``record``."""
+    ``len(STATUSES)``: not counted) for claim ``claim_ids[k]``, whose record
+    ``record(row, k)`` builds.  An id may head several columns."""
 
     claim_ids: list[str]
-    claims: np.ndarray
     status: np.ndarray
     record: Callable[[int, int], ClaimResult]
 
     def row(self, row: int) -> list[ClaimResult]:
-        return [self.record(row, k) for k in range(len(self.claims))]
+        return [self.record(row, k) for k in range(len(self.claim_ids))]
+
+    def tally(self) -> dict[str, np.ndarray]:
+        """Status counts by claim id, in column order; an id's columns are summed."""
+        ids = {claim_id: i for i, claim_id in enumerate(dict.fromkeys(self.claim_ids))}
+        size = len(STATUSES) + 1
+        codes = np.array([ids[c] for c in self.claim_ids], dtype=np.int64) * size + self.status
+        counts = np.bincount(codes.ravel(), minlength=len(ids) * size).reshape(-1, size)[:, :-1]
+        return dict(zip(ids, counts))
+
+
+def status_summary(tally: dict[str, np.ndarray]) -> dict[str, dict[str, int]]:
+    """``{claim id: {status: count}}`` of a tally, leaving out a claim that
+    counted nothing: an audit of no distribution is ``{}``."""
+    return {claim_id: dict(zip(STATUSES, counts.tolist()))
+            for claim_id, counts in tally.items() if counts.any()}
 
 
 # Claim families: a family covers the kind of its name, but "normalized"
@@ -413,7 +429,7 @@ def claim_table(
         return ClaimResult(claim_id, stack.descriptor(row), STATUSES[status[row]],
                            None if math.isnan(value) else value, why)
 
-    return ClaimTable([c[0] for c in columns], np.arange(len(columns)),
+    return ClaimTable([c[0] for c in columns],
                       np.array([c[1] for c in columns], dtype=np.int64).T.reshape(size, -1),
                       record)
 
@@ -462,64 +478,11 @@ def _audit_grid(alpha_grid: Sequence[float]) -> tuple[float, ...]:
     return alphas
 
 
-class AuditTable(NamedTuple):
-    """The order-inequality audit of a stack of B distributions.
-
-    Arrays have shape ``(B, len(alphas), 3)``: distribution, grid point and
-    claim, in :data:`AUDIT_CLAIMS` order.  ``status`` holds indices into
-    :data:`STATUSES`; ``margin`` is ``lhs - rhs``, or -inf where that is
-    not finite.
-    """
-
-    alphas: tuple[float, ...]
-    status: np.ndarray
-    margin: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    def tally(self) -> np.ndarray:
-        """Status counts, shape ``(3, len(STATUSES))``: one row per claim."""
-        return _status_counts(self.status.reshape(-1, 3), np.arange(3))
-
-    def records(self, row: int, graph: str) -> list[ClaimResult]:
-        """Every claim record of one distribution, by grid point then claim."""
-        return [_audit_record(c, graph, alpha, int(self.status[row, a, c]),
-                              float(self.margin[row, a, c]), float(self.lhs[row, a, c]),
-                              float(self.rhs[row, a, c]))
-                for a, alpha in enumerate(self.alphas) for c in range(len(AUDIT_CLAIMS))]
-
-
-def _audit_record(claim: int, graph: str, alpha: float, status: int, margin: float,
-                  lhs: float, rhs: float, matrix: str | None = None) -> ClaimResult:
-    """One audit claim record; ``matrix``, when given, joins the witness."""
-    if status == _NOT_APPLICABLE:
-        return ClaimResult(AUDIT_CLAIMS[claim], graph, NOT_APPLICABLE, None, {"alpha": alpha})
-    witness = {"alpha": alpha, "lhs": lhs, "rhs": rhs}
-    if matrix is not None:
-        witness["matrix"] = matrix
-    return ClaimResult(AUDIT_CLAIMS[claim], graph, STATUSES[status], margin, witness)
-
-
-def audit_table(
-    p: ProbabilityVector,
-    alpha_grid: Sequence[float],
-    log_base: float = 2.0,
-) -> AuditTable:
-    """Audit the cross-entropy order inequalities on a stack of distributions.
-
-    Three claims per grid point, each comparing the two sides the stated
-    inequality relates (Renyi vs Daroczy, Daroczy vs quadratic, Renyi vs
-    quadratic), with the branch chosen by where alpha falls.  The margin
-    is left-hand side minus right-hand side; a negative margin beyond
-    tolerance means the stated inequality fails on this distribution, and
-    that is reported, not raised: these claims are audited as published,
-    not assumed true.  A non-finite margin fails closed; alpha = 1 is
-    not applicable.  The grid is validated before any work.  A single
-    vector is a stack of one.
-    """
-    alphas = _audit_grid(alpha_grid)
-    if p.p.ndim == 1:
-        p = ProbabilityVector(p.p[None], p.origin, p.log_base)
+def _audit_arrays(p: ProbabilityVector, alphas: tuple[float, ...], log_base: float
+                  ) -> tuple[np.ndarray, ...]:
+    """``(status, margin, lhs, rhs)`` of B distributions, each ``(B, 3 * len(alphas))``
+    by grid point, then claim; ``status`` indexes :data:`STATUSES`, and ``margin``
+    is ``lhs - rhs``, or -inf where that is not finite."""
     shape = (len(p.p), len(alphas), len(AUDIT_CLAIMS))
     lhs = np.full(shape, np.nan)
     rhs = np.full(shape, np.nan)
@@ -555,7 +518,52 @@ def audit_table(
     status = np.where((margin == -math.inf) | (-margin > band), _FAIL,
                       np.where(np.abs(margin) <= band, _EQUALITY, _PASS))
     status[:, [alpha == 1.0 for alpha in alphas]] = _NOT_APPLICABLE
-    return AuditTable(alphas, status, margin, lhs, rhs)
+    return tuple(x.reshape(len(p.p), -1) for x in (status, margin, lhs, rhs))
+
+
+def _audit_records(alphas: tuple[float, ...], status: np.ndarray, margin: np.ndarray,
+                   lhs: np.ndarray, rhs: np.ndarray, matrix: str | None = None
+                   ) -> Callable[[int, int, str], ClaimResult]:
+    """``record(row, k, graph)``: the record of a row and column of
+    :func:`_audit_arrays`, naming ``graph``; ``matrix``, when given, joins the witness."""
+    def record(row: int, k: int, graph: str) -> ClaimResult:
+        claim_id, witness = AUDIT_CLAIMS[k % 3], {"alpha": alphas[k // 3]}
+        if status[row, k] == _NOT_APPLICABLE:
+            return ClaimResult(claim_id, graph, NOT_APPLICABLE, None, witness)
+        witness.update(lhs=float(lhs[row, k]), rhs=float(rhs[row, k]))
+        if matrix is not None:
+            witness["matrix"] = matrix
+        return ClaimResult(claim_id, graph, STATUSES[status[row, k]], float(margin[row, k]),
+                           witness)
+
+    return record
+
+
+def audit_table(
+    p: ProbabilityVector,
+    alpha_grid: Sequence[float],
+    log_base: float = 2.0,
+) -> ClaimTable:
+    """Audit the cross-entropy order inequalities on a stack of distributions.
+
+    Three claims per grid point, each comparing the two sides the stated
+    inequality relates (Renyi vs Daroczy, Daroczy vs quadratic, Renyi vs
+    quadratic), with the branch chosen by where alpha falls; columns run by
+    grid point, then claim, so each id heads one column per grid point.  A
+    record's residual is its margin, left-hand side minus right-hand side; a
+    negative margin beyond tolerance means the stated inequality fails on
+    this distribution, and that is reported, not raised: these claims are
+    audited as published, not assumed true.  A non-finite margin fails
+    closed; alpha = 1 is not applicable.  The grid is validated before any
+    work.  A single vector is a stack of one; records name ``p.origin``.
+    """
+    alphas = _audit_grid(alpha_grid)
+    if p.p.ndim == 1:
+        p = ProbabilityVector(p.p[None], p.origin, p.log_base)
+    status, *values = _audit_arrays(p, alphas, log_base)
+    records = _audit_records(alphas, status, *values)
+    return ClaimTable(list(AUDIT_CLAIMS) * len(alphas), status,
+                      lambda row, k: records(row, k, p.origin))
 
 
 def audit_theorem10(
@@ -567,16 +575,7 @@ def audit_theorem10(
     point then claim, each naming the distribution's origin."""
     if p.p.ndim != 1:
         raise ValueError("audit_theorem10 takes one distribution; use audit_table for a stack")
-    return audit_table(p, alpha_grid, log_base).records(0, p.origin)
-
-
-def audit_summary(tally: np.ndarray) -> dict[str, dict[str, int]]:
-    """``{claim id: {status: count}}`` of a claim-by-status tally; empty when
-    nothing was audited."""
-    if not tally.any():
-        return {}
-    return {claim_id: dict(zip(STATUSES, row.tolist()))
-            for claim_id, row in zip(AUDIT_CLAIMS, tally)}
+    return audit_table(p, alpha_grid, log_base).row(0)
 
 
 @dataclass(frozen=True)
@@ -614,30 +613,31 @@ class CorpusSpec:
 
     def stacks(self, start: int, stop: int, seed: int = 0) -> Iterator[EdgeStack]:
         """The members at corpus indices [start, stop), in corpus order, decoded
-        a stack at a time.
+        (:meth:`edges`) a stack at a time, each an :class:`EdgeStack` seeded with ``seed``.
 
         Each stack holds consecutive members of one order n, whose rows hold
         different edge counts: at most :data:`graphent.enumeration.STACK_CHUNK`
         of them, and at most ``STACK_ENTRIES // n^2``, so that its ``(B, n, n)``
         matrices hold at most :data:`graphent.matrices.STACK_ENTRIES` entries.
-        ``all`` decodes a stack of masks, ``trees`` of tree indices (one edge
-        count), ``gnp`` of samples; each is an :class:`EdgeStack` seeded with
-        ``seed``.
         """
         start, stop, base = max(start, 0), min(stop, self.total), 0
         for n in range(1, self.order + 1) if self.family == "all" else (self.order,):
             count = labeled_graph_count(n) if self.family == "all" else self.total
             size = min(STACK_CHUNK, max(1, STACK_ENTRIES // (n * n)))
             for indices in index_chunks(max(start - base, 0), min(stop - base, count), size):
-                if self.family == "all":
-                    edges = graph_edge_stack(n, indices)
-                elif self.family == "trees":
-                    edges = tree_edge_stack(n, indices)
-                else:
-                    edges = gnp_edge_stack(n, self.edge_probability, [
-                        self._sample_seed(seed, index) for index in indices])
-                yield EdgeStack(n, edges, seed=seed)
+                yield EdgeStack(n, self.edges(n, indices, seed), seed=seed)
             base += count
+
+    def edges(self, n: int, indices: Sequence[int], seed: int = 0) -> np.ndarray:
+        """The edges of the members ``indices`` of order n, each counted from that
+        order's first member: ``all`` decodes masks, ``trees`` tree indices (one
+        edge count), ``gnp`` samples."""
+        if self.family == "all":
+            return graph_edge_stack(n, indices)
+        if self.family == "trees":
+            return tree_edge_stack(n, indices)
+        return gnp_edge_stack(n, self.edge_probability,
+                              [self._sample_seed(seed, index) for index in indices])
 
     def _sample_seed(self, seed: int, index: int) -> int:
         return zlib.crc32(f"{self.text}#{index}".encode("ascii")) ^ (seed & 0xFFFFFFFF)
@@ -710,13 +710,6 @@ class VerificationReport:
         return self.failure_count == 0
 
 
-def _status_counts(status: np.ndarray, claims: np.ndarray) -> np.ndarray:
-    """Status counts by claim of a ``(B, K)`` table whose column k is ``claims[k]``."""
-    size = len(STATUSES) + 1
-    codes = claims * size + status
-    return np.bincount(codes.ravel(), minlength=(claims.max() + 1) * size).reshape(-1, size)[:, :-1]
-
-
 def _sweep(spec: CorpusSpec, start: int, stop: int, seed: int,
            table_of: Callable[[EdgeStack], ClaimTable], limit: int | None = None
            ) -> tuple[int, dict[str, np.ndarray], list[ClaimResult]]:
@@ -729,8 +722,7 @@ def _sweep(spec: CorpusSpec, start: int, stop: int, seed: int,
     for stack in spec.stacks(start, stop, seed):
         graphs += len(stack)
         table = table_of(stack)
-        for claim_id, counts in zip(table.claim_ids,
-                                    _status_counts(table.status, table.claims)):
+        for claim_id, counts in table.tally().items():
             tally[claim_id] = tally.get(claim_id, 0) + counts
         rows, ks = np.nonzero((table.status == _FAIL) | (table.status == _EQUALITY))
         keep = len(rows) if limit is None else max(limit - len(retained), 0)
@@ -762,16 +754,16 @@ def verify_corpus(
     so the report is byte-identical to a single-worker run.
     """
     spec = corpus if isinstance(corpus, CorpusSpec) else parse_corpus(corpus)
+    if not checks:
+        raise ValueError("no checks given")
     for name in checks:
         if name not in CHECK_NAMES:
             raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
-    total = spec.total
-    chunk_args = []
+    total, checks = spec.total, tuple(checks)
+    alphas, betas = tuple(float(a) for a in alphas), tuple(float(b) for b in betas)
     chunk = total if workers <= 1 else max(STACK_CHUNK, -(-total // (workers * 4)))
-    for start in range(0, total, chunk):
-        chunk_args.append((spec.text, start, min(start + chunk, total),
-                           tuple(checks), tuple(float(a) for a in alphas),
-                           tuple(float(b) for b in betas), seed, float(log_base)))
+    chunk_args = [(spec.text, start, min(start + chunk, total), checks, alphas, betas, seed,
+                   float(log_base)) for start in range(0, total, chunk)]
 
     merged: dict[str, np.ndarray] = {}
     retained: list[ClaimResult] = []
@@ -797,15 +789,14 @@ def verify_corpus(
 
     return VerificationReport(
         corpus=spec.text,
-        checks=tuple(checks),
-        alphas=tuple(float(a) for a in alphas),
-        betas=tuple(float(b) for b in betas),
+        checks=checks,
+        alphas=alphas,
+        betas=betas,
         seed=seed,
         log_base=float(log_base),
         total_graphs=graphs,
         claims=tuple(retained),
-        summary={claim_id: dict(zip(STATUSES, counts.tolist()))
-                 for claim_id, counts in merged.items()},
+        summary=status_summary(merged),
     )
 
 
@@ -837,9 +828,11 @@ def default_audit_kinds() -> tuple[MatrixKind, ...]:
 
 def _audit_stack(stack: EdgeStack, kinds: Sequence[MatrixKind], alphas: tuple[float, ...],
                  log_base: float) -> ClaimTable:
-    """One :func:`audit_table` per kind over its domain; columns: kind, alpha, claim."""
-    status = np.full((len(stack), len(kinds), len(alphas), len(AUDIT_CLAIMS)), _UNCOUNTED)
-    kept = {}  # kind index: the rows owning a failure or equality, and their audit values
+    """One audit (:func:`audit_table`) per kind over its domain; columns: kind,
+    grid point, claim."""
+    width = len(alphas) * len(AUDIT_CLAIMS)
+    status = np.full((len(stack), len(kinds), width), _UNCOUNTED)
+    kept = {}  # kind index: the rows owning a failure or equality, and their records
     for k, kind in enumerate(kinds):
         rows = np.flatnonzero(kind.spec.builds(stack) & (stack.m >= 1))
         if not len(rows):
@@ -847,19 +840,16 @@ def _audit_stack(stack: EdgeStack, kinds: Sequence[MatrixKind], alphas: tuple[fl
         for exc in stack.errors(kind).values():
             raise exc  # the audit has no record for a failed solve
         pv = probabilities_from_spectrum(stack.spectrum(kind).take(rows), log_base)
-        table = audit_table(pv, alphas, log_base)
-        status[rows, k] = table.status
-        owners = ((table.status == _FAIL) | (table.status == _EQUALITY)).any(axis=(1, 2))
-        kept[k] = rows[owners], [x[owners] for x in table[1:]]
+        arrays = _audit_arrays(pv, alphas, log_base)
+        status[rows, k] = arrays[0]
+        owners = ((arrays[0] == _FAIL) | (arrays[0] == _EQUALITY)).any(axis=1)
+        kept[k] = rows[owners], _audit_records(alphas, *(x[owners] for x in arrays), str(kind))
 
     def record(row: int, column: int) -> ClaimResult:
-        k, a, c = column // (len(alphas) * 3), column // 3 % len(alphas), column % 3
-        rows, (codes, *values) = kept[k]
-        at = (int(np.searchsorted(rows, row)), a, c)
-        return _audit_record(c, stack.descriptor(row), alphas[a], int(codes[at]),
-                             *(float(x[at]) for x in values), str(kinds[k]))
+        rows, records = kept[column // width]
+        return records(int(np.searchsorted(rows, row)), column % width, stack.descriptor(row))
 
-    return ClaimTable(list(AUDIT_CLAIMS), np.tile(np.arange(3), len(kinds) * len(alphas)),
+    return ClaimTable(list(AUDIT_CLAIMS) * len(alphas) * len(kinds),
                       status.reshape(len(stack), -1), record)
 
 
@@ -877,8 +867,8 @@ def audit_corpus(
     is about distributions, not graph coverage): every kind needs an edge,
     and ``distance`` a connected graph.  Skew kinds use the canonical
     orientation.  The corpus runs through the same loop as verify
-    (:func:`_sweep`): each stack gets one stacked solve per kind and one
-    :func:`audit_table`.  Retains at most :data:`AUDIT_RETAIN_LIMIT`
+    (:func:`_sweep`): each stack gets one stacked solve and one audit per
+    kind.  Retains at most :data:`AUDIT_RETAIN_LIMIT`
     violation/equality records in corpus order (graph, kind, grid point,
     claim) and keeps counting past it; only graphs that own a retained
     record are encoded as graph6.  The grid is validated before any work.
@@ -889,7 +879,6 @@ def audit_corpus(
     graphs, tally, retained = _sweep(
         spec, 0, spec.total, seed,
         lambda stack: _audit_stack(stack, use_kinds, alphas, log_base), AUDIT_RETAIN_LIMIT)
-    counts = np.array([tally[claim_id] for claim_id in AUDIT_CLAIMS])  # every corpus has a graph
     return AuditReport(
         corpus=spec.text,
         kinds=tuple(str(k) for k in use_kinds),
@@ -897,9 +886,9 @@ def audit_corpus(
         seed=seed,
         log_base=float(log_base),
         total_graphs=graphs,
-        total_claims=int(counts.sum()),
+        total_claims=sum(int(counts.sum()) for counts in tally.values()),
         claims=tuple(retained),
-        summary=audit_summary(counts),
+        summary=status_summary(tally),
     )
 
 
@@ -918,13 +907,7 @@ class ExtremalScan:
     ranking: tuple[tuple[str, float], ...] | None = None
 
 
-SCAN_FAMILIES = ("trees", "oriented-trees", "all-graphs")
-
-
-def _family_edge_stack(family: str, order: int, indices: np.ndarray) -> np.ndarray:
-    if family == "all-graphs":
-        return graph_edge_stack(order, indices)
-    return tree_edge_stack(order, indices)
+SCAN_FAMILIES = ("trees", "all-graphs")
 
 
 def scan_extremal(
@@ -938,15 +921,15 @@ def scan_extremal(
     """Evaluate a measure on every member of a family and find its extremes.
 
     Members are decoded, built, solved and measured as the stacks of a
-    corpus (:meth:`CorpusSpec.stacks`).  Members outside
-    the measure's domain, where its per-graph form (:func:`resolve_measure`)
-    raises for want of an edge or of connectivity, are skipped; ``count``
-    is the number measured, and a family with none in the domain is an
-    error.  Members within
-    1e-9 of an extreme value form its witness tie set, reported as graph6
-    descriptors in enumeration order; only the witnesses are encoded.
-    With ``keep_ranking`` the full (descriptor, value) list is retained,
-    sorted by descending value then descriptor, so every member is encoded.
+    corpus (:meth:`CorpusSpec.stacks`).  Members outside the measure's
+    domain, where its per-graph form (:func:`resolve_measure`) raises for
+    want of an edge or of connectivity, are skipped; ``count`` is the number
+    measured.  A family with none in the domain is an error, and so is a NaN
+    or infinite value, which names its first member.  Members within 1e-9 of
+    an extreme value form its witness tie set, reported as graph6 descriptors
+    in enumeration order; only the witnesses are encoded.  With
+    ``keep_ranking`` the full (descriptor, value) list is retained, sorted by
+    descending value then descriptor, so every member is encoded.
     """
     stacked = _measure_stack(measure, log_base=log_base)
     if family not in SCAN_FAMILIES:
@@ -960,8 +943,9 @@ def scan_extremal(
     for stack in spec.stacks(first, spec.total):
         rows = np.flatnonzero(np.broadcast_to(stacked.domain(stack), (len(stack),)))
         if len(rows):
-            values[offset + rows] = stacked.values(stack if len(rows) == len(stack)
-                                                   else stack[rows])
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+                values[offset + rows] = stacked.values(stack if len(rows) == len(stack)
+                                                       else stack[rows])
             measured[offset + rows] = True
         offset += len(stack)
     members = np.flatnonzero(measured)
@@ -972,10 +956,13 @@ def scan_extremal(
     def descriptors(indices: np.ndarray) -> list[str]:
         out: list[str] = []
         for chunk in index_chunks(0, len(indices)):
-            edges = _family_edge_stack(family, order, indices[chunk.start:chunk.stop])
+            edges = spec.edges(order, indices[chunk.start:chunk.stop])
             out.extend(data.decode("ascii") for data in encode_graph6_stack(order, edges))
         return out
 
+    if not np.isfinite(values).all():  # fail closed: no extreme is read off a NaN or inf
+        bad = members[~np.isfinite(values)][:1]
+        raise ValueError(f"measure {measure} is not finite on {descriptors(bad)[0]}")
     min_value = float(values.min())
     max_value = float(values.max())
     min_witnesses = descriptors(members[np.abs(values - min_value) <= TIE_TOL])
@@ -1022,6 +1009,8 @@ def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
                                lambda s: s.connected)
     if text == "wiener" or head == "wk":
         k = 1 if text == "wiener" else _parse(rest, "moment order")
+        if k < 1:
+            raise ValueError(f"wk moment order must be at least 1, got {k}")
         return _StackedMeasure(lambda s: distance_moment_stack(_connected_distances(s), k),
                                lambda s: s.connected)
     if head == "energy":

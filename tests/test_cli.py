@@ -201,6 +201,9 @@ def test_verify_small_corpus_exits_zero(capsys):
 def test_verify_bad_corpus_is_usage_error(capsys):
     assert main(["verify", "--corpus", "all:99"]) == 2
     assert main(["verify", "--corpus", "trees"]) == 2
+    capsys.readouterr()
+    assert main(["verify", "--corpus", "all:3", "--checks", ","]) == 2
+    assert capsys.readouterr().err == "error: no checks given\n"
 
 
 def test_verify_failure_escalates_exit_code(monkeypatch, capsys):
@@ -262,6 +265,10 @@ def test_audit_corpus_mode(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["report"] == "audit"
     assert doc["total_graphs"] == 11
+    # K1 has no edge, so no distribution: nothing is counted
+    assert main(["audit", "--corpus", "all:1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["total_graphs"], doc["total_claims"], doc["summary"]) == (1, 0, {})
 
 
 def test_audit_needs_exactly_one_source(capsys):
@@ -380,8 +387,18 @@ def test_scan_with_no_member_in_the_domain_is_one_line_error(capsys):
 
 
 def test_scan_bad_measure_is_usage_error(capsys):
-    assert main(["scan", "--family", "trees", "--order", "5",
-                 "--measure", "zmeasure"]) == 2
+    for measure in ("zmeasure", "wk:0", "wk:-1"):
+        assert main(["scan", "--family", "trees", "--order", "5", "--measure", measure]) == 2
+
+
+def test_scan_non_finite_value_fails_closed(capsys):
+    """Degree products to the power 1e308 overflow: no extreme is read off an inf."""
+    argv = ["scan", "--family", "trees", "--order", "4", "--measure", "randic-index:1e308"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the first tree in enumeration order: the star at vertex 0
+    assert captured.err == "error: measure randic-index:1e308 is not finite on Cs\n"
 
 
 def _overflow(*args, **kwargs):

@@ -264,24 +264,26 @@ def test_stack_rows_with_zero_moments_are_each_graphs_own_bits(kind, zero_counts
     n = 5 equal, byte for byte, those of its graph or vector alone; the rows'
     counts of exactly-zero moments are ``zero_counts`` where those are
     snapped to 0."""
-    from graphent.entropy import closed_form_stack
+    from graphent.entropy import closed_entropies
     from graphent.enumeration import graphs_of_stack
     from graphent.matrices import KINDS
     from graphent.verifier import parse_corpus
 
     label = "canonical" if KINDS[kind].oriented else None
+    alphas = (0.5, 2.0, 3.0, 1000.0)
     seen = set()
     for stack in parse_corpus("all:5").stacks(0, 1099):
         if stack.n != 5:
             continue
         moments = moment_spectrum(kind, lambda k: stack.spectrum(k, label))
-        rows = np.flatnonzero(KINDS[kind].has_closed_form(stack))
-        parts = closed_form_stack(kind, stack, moments.take(rows), rows)
+        applies = KINDS[kind].has_closed_form(stack)
+        rows = np.flatnonzero(applies)
+        closed = closed_entropies(stack, MatrixKind(kind), label, applies, alphas, 2.0, [])[rows]
         pv = probabilities_from_spectrum(stack.spectrum(kind, label).take(rows))
         graphs = graphs_of_stack(5, stack.edges[rows])
         seen |= set((moments.values[rows] == 0).sum(axis=-1).tolist())
-        for alpha in (0.5, 2.0, 3.0, 1000.0):
-            stacked = (parts.renyi(alpha), parts.daroczy(alpha),
+        for j, alpha in enumerate(alphas):
+            stacked = (closed[:, 1 + 2 * j], closed[:, 2 + 2 * j],
                        renyi_entropy(pv, alpha), daroczy_entropy(pv, alpha))
             for i, g in enumerate(graphs):
                 alone = ProbabilityVector(pv.p[i])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from collections import Counter
 from itertools import combinations
@@ -315,9 +314,14 @@ def test_oriented_input_is_respected():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_equality_claims_fail_on_non_finite_closed_form(monkeypatch, bad):
-    parts = entropy.closed_form_stack
-    monkeypatch.setattr(entropy, "closed_form_stack", lambda *a, **k: dataclasses.replace(
-        parts(*a, **k), quadratic_value=np.full(1, bad)))
+    closed = verifier.closed_entropies
+
+    def poisoned(*args):
+        values = closed(*args)
+        values[:, 0] = bad  # the closed quadratic entropy
+        return values
+
+    monkeypatch.setattr(verifier, "closed_entropies", poisoned)
     res = _by_id(check_equalities(complete_graph(3), alphas=(2.0,)))
     claim = res["identity.q"]
     assert claim.status == "fail" and claim.residual == math.inf
@@ -472,6 +476,16 @@ def _reference_audit_theorem10(p, alpha_grid, log_base):
     return results
 
 
+@given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8).filter(any),
+       st.lists(st.floats(0.05, 6.0), max_size=4).flatmap(lambda g: st.permutations([*g, 1.0])),
+       st.sampled_from((2.0, math.e, 10.0)))
+@settings(max_examples=80, deadline=None)
+def test_audit_theorem10_equals_the_scalar_reference(weights, grid, log_base):
+    """The single-vector path (a stack of one, as ``audit --p`` runs it)."""
+    p = probability_vector(weights, "stated", log_base)
+    assert audit_theorem10(p, grid, log_base) == _reference_audit_theorem10(p, grid, log_base)
+
+
 def _reference_audit_corpus(corpus, kinds=None, alpha_grid=verifier.DEFAULT_AUDIT_GRID,
                             seed=0, log_base=2.0):
     """Reference: the per-graph loop, one solve per graph and kind."""
@@ -560,14 +574,21 @@ def test_audit_table_fails_a_non_finite_row_only(monkeypatch):
     clean = verifier.audit_table(pv, (0.5, 1.5, 3.0), log_base=math.e)
     monkeypatch.setattr(verifier, "quadratic_entropy", poisoned)
     table = verifier.audit_table(pv, (0.5, 1.5, 3.0), log_base=math.e)
+
+    def by_claim(values):  # (distribution, grid point, claim)
+        return np.asarray(values).reshape(len(rows), -1, len(verifier.AUDIT_CLAIMS))
+
+    status, clean_status = by_claim(table.status), by_claim(clean.status)
+    margin, clean_margin = (by_claim([[c.residual for c in t.row(r)] for r in range(len(rows))])
+                            for t in (table, clean))
     untouched = [0, 2]
-    assert np.array_equal(table.status[untouched], clean.status[untouched])
-    assert np.array_equal(table.margin[untouched], clean.margin[untouched])
+    assert np.array_equal(status[untouched], clean_status[untouched])
+    assert np.array_equal(margin[untouched], clean_margin[untouched])
     fail = verifier.STATUSES.index("fail")
     # every claim reading the quadratic entropy fails on row 1; Renyi vs Daroczy does not
-    assert (table.status[1, :, 1:] == fail).all()
-    assert (table.margin[1, :, 1:] == -math.inf).all()
-    assert np.array_equal(table.status[1, :, 0], clean.status[1, :, 0])
+    assert (status[1, :, 1:] == fail).all()
+    assert (margin[1, :, 1:] == -math.inf).all()
+    assert np.array_equal(status[1, :, 0], clean_status[1, :, 0])
 
 
 # corpora
@@ -931,7 +952,7 @@ def test_scan_solves_one_matrix_per_member_in_the_domain(monkeypatch, family, or
 
 
 def test_scan_oriented_trees_skew_measure():
-    scan = scan_extremal("oriented-trees", 5, "energy:skew")
+    scan = scan_extremal("trees", 5, "energy:skew")  # each tree in its canonical orientation
     assert scan.count == 125
     assert scan.min_value > 0
 
@@ -1019,16 +1040,14 @@ def _assert_scan_matches_scalar(family, order, measures, log_base=2.0):
         got = _scan_values(family, order, measure, log_base)
         one = resolve_measure(measure, log_base=log_base)
         for g, d in zip(members, descriptors):
-            target = canonical_orientation(g) if family == "oriented-trees" else g
             want = _scalar_value(measure, g, log_base)
-            assert got[d].hex() == want.hex() == one(target).hex(), (measure, d)
+            assert got[d].hex() == want.hex() == one(g).hex(), (measure, d)
 
 
-@pytest.mark.parametrize("family", ["trees", "oriented-trees"])
-def test_tree_scan_values_equal_the_per_graph_route_bitwise(family):
+def test_tree_scan_values_equal_the_per_graph_route_bitwise():
     measures = [f"quadratic:{k}" for k in SCAN_KINDS]
     measures += [f"energy:{k}" for k in SCAN_KINDS]
-    _assert_scan_matches_scalar(family, 6, measures)
+    _assert_scan_matches_scalar("trees", 6, measures)
 
 
 def test_renyi_and_daroczy_scans_equal_the_per_graph_route_bitwise():
