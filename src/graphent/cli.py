@@ -44,7 +44,6 @@ from .matrices import EdgeStack, MatrixKind, as_kind, moment_spectrum, standard_
 from .measures import (
     distance_moment_stack,
     first_zagreb_stack,
-    general_randic_stack,
     hyper_wiener_stack,
 )
 from .report import (
@@ -266,8 +265,8 @@ def _run_compute(args) -> int:
 
     indices: dict[str, float] = {
         "m1": float(first_zagreb_stack(stack.degrees)[0]),
-        "randic-index:-1": float(general_randic_stack(stack.degrees, stack.edges, -1.0)[0]),
-        "randic-index:-0.5": float(general_randic_stack(stack.degrees, stack.edges, -0.5)[0]),
+        "randic-index:-1": float(stack.randic_sum(-1.0)[0]),
+        "randic-index:-0.5": float(stack.randic_sum(-0.5)[0]),
     }
     if stack.connected[0]:
         indices["wiener"] = float(distance_moment_stack(stack.distances, 1)[0])

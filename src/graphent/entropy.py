@@ -126,23 +126,23 @@ def quadratic_entropy(p: ProbabilityVector):
     return per_member(1.0 - (p.p * p.p).sum(axis=-1))
 
 
-def _log_power_sum(p: np.ndarray, alpha: float):
-    """log of the alpha-power sum of p, or of each row of a stack; a sum that
-    underflows (at a large order) as a log-sum-exp of alpha * log p."""
+def _power_sums(p: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """log of the alpha-power sum of p, or of each row of a stack, and the sum;
+    a sum that underflows (at a large order) logged as a log-sum-exp."""
     power_sum = (p ** alpha).sum(axis=-1)
     low = power_sum < np.finfo(float).tiny
     if not low.any():
-        return np.log(power_sum)
+        return np.log(power_sum), power_sum
     with np.errstate(divide="ignore"):  # log 0 = -inf adds nothing to the sum
         return np.where(low, np.logaddexp.reduce(alpha * np.log(p), axis=-1),
-                        np.log(np.where(low, 1.0, power_sum)))
+                        np.log(np.where(low, 1.0, power_sum))), power_sum
 
 
 def renyi_entropy(p: ProbabilityVector, alpha: float, log_base: float | None = None):
     """log of the alpha-power sum, scaled by 1/(1 - alpha)."""
     _check_alpha(alpha)
     base = p.log_base if log_base is None else log_base
-    return per_member(_log_power_sum(p.p, alpha) / ((1.0 - alpha) * math.log(base)))
+    return per_member(_power_sums(p.p, alpha)[0] / ((1.0 - alpha) * math.log(base)))
 
 
 def daroczy_entropy(p: ProbabilityVector, alpha: float):
@@ -164,11 +164,16 @@ def functional_entropy(weights, log_base: float = 2.0) -> float:
     return shannon_entropy(probability_vector(weights, "functional", log_base))
 
 
-def _entropies(quadratic, renyi, daroczy, alphas: Sequence[float], log_base: float) -> np.ndarray:
-    """The quadratic, then the Renyi and Daroczy entropy at each order."""
+def _entropies(quadratic, power_sums, alphas: Sequence[float], log_base: float) -> np.ndarray:
+    """The quadratic, then the Renyi and Daroczy entropy at each order, both
+    from ``power_sums(alpha)``: the log of the alpha-power sum and the sum,
+    computed once per order."""
     columns = [quadratic]
     for a in alphas:
-        columns += [renyi(a, log_base), daroczy(a)]
+        _check_alpha(a)
+        log_power_sum, power_sum = power_sums(a)
+        columns += [log_power_sum / ((1.0 - a) * math.log(log_base)),
+                    (power_sum - 1.0) / (2.0 ** (1.0 - a) - 1.0)]
     return np.stack(columns, axis=-1)
 
 
@@ -183,8 +188,8 @@ def direct_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
     out = np.full((len(stack), 1 + 2 * len(alphas)), np.nan)
     if len(rows):
         pv = probabilities_from_spectrum(spectrum.take(rows), log_base)
-        out[rows] = _entropies(quadratic_entropy(pv), partial(renyi_entropy, pv),
-                               partial(daroczy_entropy, pv), alphas, log_base)
+        out[rows] = _entropies(quadratic_entropy(pv), partial(_power_sums, pv.p), alphas,
+                               log_base)
     return out
 
 
@@ -216,22 +221,24 @@ def closed_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
     top = logs.max(axis=-1)
     excess, nonzero = logs - top[..., None], v > 0
 
-    def log_power_sum(alpha: float) -> np.ndarray:
-        _check_alpha(alpha)
-        return alpha * top + np.log(np.where(nonzero, np.exp(alpha * excess), 0.0).sum(axis=-1))
-
-    def renyi(alpha: float, base: float) -> np.ndarray:
-        return log_power_sum(alpha) / ((1.0 - alpha) * math.log(base))
-
-    def daroczy(alpha: float) -> np.ndarray:
+    def power_sums(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        log_power_sum = alpha * top + np.log(
+            np.where(nonzero, np.exp(alpha * excess), 0.0).sum(axis=-1))
         # math.exp, not np.exp: numpy's AVX-512 exp differs from its fallback
         # kernel (and libm) in the last bit for about one value in twenty,
         # and here that moved compute-oriented-p4's pinned report.  This keeps
         # that pin equal on both kernels; the other log/exp calls stay SIMD.
-        power_sums = np.array([math.exp(x) for x in log_power_sum(alpha).tolist()])
-        return (power_sums - 1.0) / (2.0 ** (1.0 - alpha) - 1.0)
+        return log_power_sum, np.array([math.exp(x) for x in log_power_sum.tolist()])
 
-    out[rows] = _entropies(1.0 - square_sum / (t * t), renyi, daroczy, alphas, log_base)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = square_sum / (t * t)
+        # 2 sum (d_u d_v)^(2 beta) and t leave the float range at a large
+        # |beta|: there the ratio is taken in the log domain, as the power sums are
+        low = ~np.isfinite(ratio) | (square_sum < np.finfo(float).tiny)
+        if low.any() and row.log_square_sum is not None:
+            ratio[low] = np.exp(row.log_square_sum(stack[rows[low]], kind)
+                                - 2.0 * np.log(t[low]))
+    out[rows] = _entropies(1.0 - ratio, power_sums, alphas, log_base)
     return out
 
 

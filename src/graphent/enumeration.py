@@ -11,8 +11,7 @@ turns a batch of masks into one ``(B, m_max, 2)`` array whose rows hold
 different edge counts, each padded with (n, n) after its edges; each row
 holds one member's edges, sorted, with ``u < v``.  The single-member
 functions (:func:`labeled_tree_from_index`, :func:`labeled_graph_from_mask`)
-and the tree stream are a batch of one, or of :data:`STACK_CHUNK`, of the
-same decoders, so there is one decoding path.
+are a batch of one of the same decoders, so there is one decoding path.
 """
 
 from __future__ import annotations
@@ -116,9 +115,3 @@ def labeled_trees_from_indices(n: int, indices: Iterable[int]) -> list[Graph]:
 def labeled_tree_from_index(n: int, index: int) -> Graph:
     """The tree at one position of the enumeration order."""
     return labeled_trees_from_indices(n, [index])[0]
-
-
-def enumerate_labeled_trees(n: int) -> Iterator[Graph]:
-    """Every labeled tree on n vertices, one per vertex sequence of length n-2."""
-    for indices in index_chunks(0, labeled_tree_count(n)):
-        yield from labeled_trees_from_indices(n, indices)

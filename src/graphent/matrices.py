@@ -144,13 +144,16 @@ class KindSpec:
     come from the kind's own spectrum, or, where ``moment_source`` names a
     kind, from the square roots of that kind's eigenvalues, as
     :func:`moment_spectrum` alone reads it.  ``hypothesis``, ``trace`` and
-    ``square_sum`` give a value per member of an :class:`EdgeStack`.  An
+    ``square_sum`` give a value per member of an :class:`EdgeStack`, and
+    ``log_square_sum`` the square sum's log, read where its ratio to the
+    squared trace sum leaves the float range (at a member with an edge).  An
     incidence kind's ``gram`` is the kind of B Bt, whose eigenvalues'
     square roots are the spectrum of a member with m >= n
     (:meth:`EdgeStack.spectrum`).
     """
 
     square_sum: Callable[[EdgeStack, MatrixKind], np.ndarray | float]
+    log_square_sum: Callable[[EdgeStack, MatrixKind], np.ndarray] | None = None
     oriented: bool = False
     edge_column: bool = False
     connected: bool = False
@@ -172,11 +175,11 @@ class KindSpec:
 
 
 def _randic_square_sum(s: EdgeStack, kind: MatrixKind) -> np.ndarray:
-    return 2.0 * measures.general_randic_stack(s.degrees, s.edges, -1.0)
+    return 2.0 * s.randic_sum(-1.0)
 
 
 _NORMALIZED = KindSpec(
-    lambda s, kind: s.non_isolated + 2.0 * measures.general_randic_stack(s.degrees, s.edges, -1.0),
+    lambda s, kind: s.non_isolated + 2.0 * s.randic_sum(-1.0),
     hypothesis=lambda s: s.non_isolated == s.n,
     refusal=(HypothesisNotMetError, "normalized closed form needs every vertex non-isolated"),
     trace=lambda s: float(s.n))
@@ -203,7 +206,9 @@ KINDS: dict[str, KindSpec] = {
     "randic-incidence": KindSpec(lambda s, kind: s.non_isolated.astype(float), edge_column=True,
                                  gram="norm-q"),  # B Bt = S Q S with S = D^(-1/2)
     "general-randic": KindSpec(
-        lambda s, kind: 2.0 * measures.general_randic_stack(s.degrees, s.edges, 2.0 * kind.beta)),
+        lambda s, kind: 2.0 * s.randic_sum(2.0 * kind.beta),
+        log_square_sum=lambda s, kind: math.log(2.0) + measures.log_general_randic_stack(
+            s.degrees, s.edges, 2.0 * kind.beta)),
     "skew-randic": KindSpec(_randic_square_sum, oriented=True),
 }
 
@@ -256,7 +261,8 @@ def _inv_sqrt(d: np.ndarray) -> np.ndarray:
     return s
 
 
-def build_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> np.ndarray:
+def build_stack(kind: MatrixKind | str, n: int, edges: np.ndarray,
+                degrees: np.ndarray | None = None) -> np.ndarray:
     """One matrix of the given kind per row of a ``(B, m, 2)`` pair stack.
 
     Rows hold each member's sorted edges; for the oriented kinds they hold
@@ -264,7 +270,8 @@ def build_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> np.ndarray
     ``(B, n, n)`` stack, or ``(B, n, m)`` for the incidence kinds, whose
     columns follow the edge order.  The square kinds take a ragged stack
     (see :func:`graphent.graphs.edge_counts`); the incidence kinds, whose
-    columns are the edges, one edge count.
+    columns are the edges, one edge count.  ``degrees`` are the members'
+    ``(B, n)`` degrees where the caller holds them, else computed here.
     """
     kind = as_kind(kind)
     edges = np.asarray(edges, dtype=np.int64)
@@ -282,25 +289,26 @@ def build_stack(kind: MatrixKind | str, n: int, edges: np.ndarray) -> np.ndarray
         out[members, edges[..., 1], cols] = 1.0
         if kind.tag == "incidence":
             return out
-        return _inv_sqrt(degree_stack(n, edges))[:, :, None] * out
+        degrees = degree_stack(n, edges) if degrees is None else degrees
+        return _inv_sqrt(degrees)[:, :, None] * out
     members, tail, head = edge_entries(n, edges)
     out = np.zeros((size, n, n))
     if kind.tag == "skew":
         out[members, tail, head] = 1.0
         out[members, head, tail] = -1.0
         return out
-    d = degree_stack(n, edges)
+    degrees = degree_stack(n, edges) if degrees is None else degrees
     if kind.tag in ("q", "norm-l", "norm-q"):
         diagonal = np.arange(n)
-        out[:, diagonal, diagonal] = d
+        out[:, diagonal, diagonal] = degrees
         w = -1.0 if kind.tag == "norm-l" else 1.0  # degree minus or plus adjacency
         out[members, tail, head] = w
         out[members, head, tail] = w
         if kind.tag == "q":
             return out
-        s = _inv_sqrt(d)
+        s = _inv_sqrt(degrees)
         return (s[:, :, None] * out) * s[:, None, :]
-    ends = d[members, tail] * d[members, head]
+    ends = degrees[members, tail] * degrees[members, head]
     if kind.tag == "skew-randic":
         w = 1.0 / np.sqrt(ends)  # arc endpoints always have positive degree
     else:
@@ -348,13 +356,14 @@ def moment_spectrum(kind: MatrixKind | str, solve: Callable[[MatrixKind], Spectr
 class EdgeStack:
     """B graphs of one order n as a ``(B, m, 2)`` sorted-edge stack, with their
     edge counts ``m`` (a (B,) array: a stack may be ragged, see
-    :func:`graphent.graphs.edge_counts`), degrees, connectivity, distance
-    matrices, orientations, spectra and graph6 descriptors, each computed
-    once on first use.  The ``canonical`` orientation is the edges or the
-    ``arcs`` given, the ``random`` one draws each member's coins as
-    :func:`graphent.graphs.random_orientation` does, seeded by its
-    descriptor mixed with ``seed``.  A graph is a stack of one (:meth:`of`),
-    and ``stack[rows]`` is the stack of some members."""
+    :func:`graphent.graphs.edge_counts`), degrees, degree-product sums
+    (:meth:`randic_sum`), connectivity, distance matrices, orientations,
+    spectra and graph6 descriptors, each computed once on first use; its
+    matrices are built from its own degrees.  The ``canonical`` orientation
+    is the edges or the ``arcs`` given, the ``random`` one draws each
+    member's coins as :func:`graphent.graphs.random_orientation` does,
+    seeded by its descriptor mixed with ``seed``.  A graph is a stack of one
+    (:meth:`of`), and ``stack[rows]`` is the stack of some members."""
 
     def __init__(self, n: int, edges: np.ndarray, *, arcs: np.ndarray | None = None,
                  seed: int = 0):
@@ -363,6 +372,7 @@ class EdgeStack:
         self._arcs = {"canonical": self.edges if arcs is None else arcs}
         self._spectra: dict[tuple[str, str | None], tuple[Spectrum, dict[int, Exception]]] = {}
         self._descriptors: dict[int, str] = {}
+        self._randic_sums: dict[float, np.ndarray] = {}
 
     @classmethod
     def of(cls, g: Graph | OrientedGraph, seed: int = 0) -> EdgeStack:
@@ -381,6 +391,16 @@ class EdgeStack:
     @cached_property
     def degrees(self) -> np.ndarray:
         return degree_stack(self.n, self.edges)
+
+    def randic_sum(self, beta: float) -> np.ndarray:
+        """Each member's sum of (d_u d_v)^beta over its edges
+        (:func:`graphent.measures.general_randic_stack`), once per exponent;
+        the array is read-only, since every caller of that exponent shares it."""
+        if beta not in self._randic_sums:
+            sums = measures.general_randic_stack(self.degrees, self.edges, beta)
+            sums.flags.writeable = False
+            self._randic_sums[beta] = sums
+        return self._randic_sums[beta]
 
     @cached_property
     def non_isolated(self) -> np.ndarray:
@@ -468,9 +488,9 @@ class EdgeStack:
     def _values(self, kind: MatrixKind, label: str | None, rows) -> np.ndarray:
         if kind.tag == "distance":
             return _solve(kind, self.distances[rows]).values
-        arcs = self.arcs(label or "canonical")[rows]
+        arcs, degrees = self.arcs(label or "canonical")[rows], self.degrees[rows]
         if not kind.spec.edge_column:
-            return _solve(kind, build_stack(kind, self.n, arcs)).values
+            return _solve(kind, build_stack(kind, self.n, arcs, degrees)).values
         # An incidence member with m >= n reads the square roots of its gram
         # kind's eigenvalues: this stack's solve where it holds one, else one
         # of those members alone.  The rest solve their own n x m matrices an
@@ -486,12 +506,13 @@ class EdgeStack:
                     raise errors[row]  # its failure is this kind's
                 solved = self.spectrum(gram).take(members[wide])
             else:
-                solved = _solve(gram, build_stack(gram, self.n, arcs[wide]))
+                solved = _solve(gram, build_stack(gram, self.n, arcs[wide], degrees[wide]))
             values[wide] = sqrt_spectrum(solved).values
             narrow, arcs = np.flatnonzero(~wide), arcs[~wide]
         for at, part in by_edge_count(self.n, arcs):
             at, size = narrow[at], max(1, STACK_ENTRIES // (self.n * max(part.shape[1], 1)))
             for lo in range(0, len(part), size):
-                matrices = build_stack(kind, self.n, part[lo:lo + size])
+                matrices = build_stack(kind, self.n, part[lo:lo + size],
+                                       degrees[at[lo:lo + size]])
                 values[at[lo:lo + size]] = _solve(kind, matrices).values
         return values

@@ -29,15 +29,29 @@ def general_randic_stack(degrees: np.ndarray, edges: np.ndarray, beta: float) ->
     """Sum of (d_u d_v)^beta over the edges of each member, from its (B, n)
     degrees and (B, m, 2) edges.
 
-    beta = -1/2 gives the classic branching index; beta = -1 and
-    beta = 1 appear in the closed entropy forms for the degree-weighted
-    adjacency families.  A ragged stack is summed an edge count at a time
+    beta = -1/2 gives the classic branching index; beta = -1 and 2b enter the
+    closed forms of the degree-weighted adjacency families (general-randic:<b>),
+    once per stack and exponent (:meth:`graphent.matrices.EdgeStack.randic_sum`).
+    A ragged stack is summed an edge count at a time
     (:func:`graphent.graphs.by_edge_count`), so each member's sum is its own.
     """
+    return _edge_sums(degrees, edges, lambda ends: (ends ** beta).sum(axis=-1))
+
+
+def log_general_randic_stack(degrees: np.ndarray, edges: np.ndarray, beta: float) -> np.ndarray:
+    """The log of :func:`general_randic_stack`, as a log-sum-exp of
+    beta * log(d_u d_v) over each member's edges: finite where the sum itself
+    over- or underflows.  Every member needs an edge."""
+    return _edge_sums(degrees, edges,
+                      lambda ends: np.logaddexp.reduce(beta * np.log(ends), axis=-1))
+
+
+def _edge_sums(degrees: np.ndarray, edges: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` of each member's (m,) degree products d_u d_v, an edge count at a time."""
     out = np.empty(len(edges))
     for rows, part in by_edge_count(degrees.shape[-1], np.asarray(edges)):
         d, members = degrees[rows], np.arange(len(part))[:, None]
-        out[rows] = ((d[members, part[..., 0]] * d[members, part[..., 1]]) ** beta).sum(axis=-1)
+        out[rows] = reduce(d[members, part[..., 0]] * d[members, part[..., 1]])
     return out
 
 

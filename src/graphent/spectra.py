@@ -51,10 +51,6 @@ def comparison_tolerance(a, b):
     return ABS_TOL + REL_TOL * max(abs(a), abs(b))
 
 
-def within_tolerance(a: float, b: float) -> bool:
-    return abs(a - b) <= comparison_tolerance(a, b)
-
-
 def per_member(values):
     """A reduction over the last axis: a float for one member, else the array."""
     return values if np.ndim(values) else float(values)

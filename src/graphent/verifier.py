@@ -63,7 +63,6 @@ from .entropy import (
 from .enumeration import (
     STACK_CHUNK,
     graph_edge_stack,
-    graphs_of_stack,
     index_chunks,
     labeled_graph_count,
     labeled_tree_count,
@@ -85,7 +84,6 @@ from .matrices import (
 from .measures import (
     distance_moment_stack,
     first_zagreb_stack,
-    general_randic_stack,
     hyper_wiener_stack,
 )
 from .spectra import (
@@ -596,21 +594,6 @@ class CorpusSpec:
             return labeled_tree_count(self.order)
         return self.count
 
-    def graph_at(self, index: int, seed: int = 0) -> Graph:
-        if not 0 <= index < self.total:
-            raise ValueError(f"corpus index {index} out of range")
-        return next(self.iterate(index, index + 1, seed))
-
-    def iterate(self, start: int, stop: int, seed: int = 0) -> Iterator[Graph]:
-        """The graphs at corpus indices [start, stop), in corpus order.
-
-        Each graph is built from its stack row as it is reached, so a loop
-        over them holds one graph, and the caches it fills, at a time.
-        """
-        for stack in self.stacks(start, stop, seed):
-            for row in range(len(stack)):
-                yield graphs_of_stack(stack.n, stack.edges[row:row + 1])[0]
-
     def stacks(self, start: int, stop: int, seed: int = 0) -> Iterator[EdgeStack]:
         """The members at corpus indices [start, stop), in corpus order, decoded
         (:meth:`edges`) a stack at a time, each an :class:`EdgeStack` seeded with ``seed``.
@@ -922,14 +905,14 @@ def scan_extremal(
 
     Members are decoded, built, solved and measured as the stacks of a
     corpus (:meth:`CorpusSpec.stacks`).  Members outside the measure's
-    domain, where its per-graph form (:func:`resolve_measure`) raises for
-    want of an edge or of connectivity, are skipped; ``count`` is the number
-    measured.  A family with none in the domain is an error, and so is a NaN
-    or infinite value, which names its first member.  Members within 1e-9 of
-    an extreme value form its witness tie set, reported as graph6 descriptors
-    in enumeration order; only the witnesses are encoded.  With
-    ``keep_ranking`` the full (descriptor, value) list is retained, sorted by
-    descending value then descriptor, so every member is encoded.
+    domain, which lack the edge or the connectivity it needs, are skipped;
+    ``count`` is the number measured.  A family with none in the domain is
+    an error, and so is a NaN or infinite value, which names its first
+    member.  Members within 1e-9 of an extreme value form its witness tie
+    set, reported as graph6 descriptors in enumeration order; only the
+    witnesses are encoded.  With ``keep_ranking`` the full (descriptor,
+    value) list is retained, sorted by descending value then descriptor, so
+    every member is encoded.
     """
     stacked = _measure_stack(measure, log_base=log_base)
     if family not in SCAN_FAMILIES:
@@ -989,11 +972,12 @@ def _connected_distances(s: EdgeStack) -> np.ndarray:
 
 
 def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
-    """Turn a measure id (see :func:`resolve_measure`) into a stacked measure.
+    """Turn a measure id (the grammar of ``scan --measure``) into a stacked measure.
 
     Invariant measures read the stacked invariants the closed forms read;
-    spectral measures take one stacked solve.  Distance-based measures need
-    a connected graph, energies the matrix they solve, entropies also an edge.
+    spectral measures take one stacked solve, the oriented kinds under the
+    canonical orientation.  Distance-based measures need a connected graph,
+    energies the matrix they solve, entropies also an edge.
     """
     head, _, rest = text.partition(":")
     if text == "m1":
@@ -1002,8 +986,7 @@ def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
         beta = _parse(rest, "exponent", float)
         if not math.isfinite(beta):
             raise ValueError(f"randic-index exponent must be finite, got {beta}")
-        return _StackedMeasure(lambda s: general_randic_stack(s.degrees, s.edges, beta),
-                               lambda s: True)
+        return _StackedMeasure(lambda s: s.randic_sum(beta), lambda s: True)
     if text == "hyper-wiener":
         return _StackedMeasure(lambda s: hyper_wiener_stack(_connected_distances(s)),
                                lambda s: s.connected)
@@ -1035,19 +1018,6 @@ def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
             values = lambda s: functional(_distribution(kind, s, log_base), alpha)
         return _StackedMeasure(values, lambda s: kind.spec.builds(s) & (s.m >= 1))
     raise ValueError(f"unknown measure {text!r}")
-
-
-def resolve_measure(text: str, *, log_base: float = 2.0) -> Callable[[Graph | OrientedGraph], float]:
-    """Turn a measure id into a callable on graphs.
-
-    Grammar: ``m1``, ``randic-index:<b>``, ``wiener``, ``hyper-wiener``,
-    ``wk:<k>``, ``energy:<kind>``, ``quadratic:<kind>``,
-    ``renyi:<kind>:<a>``, ``daroczy:<kind>:<a>``.  Orientation-requiring
-    kinds applied to a plain graph use the smaller-to-larger orientation.
-    Every measure is a stack of one of the stacked code the scan runs.
-    """
-    values = _measure_stack(text, log_base=log_base).values
-    return lambda g: float(values(EdgeStack.of(g))[0])
 
 
 def _distribution(kind: MatrixKind, s: EdgeStack, log_base: float) -> ProbabilityVector:

@@ -1,17 +1,27 @@
 """Loops the stacked code replaces, kept as references for the tests: the
 seeded random generators as one ``random.Random(seed).random()`` call per
 vertex pair or edge (the bulk draws of :func:`graphent.graphs.uniform_draws`),
-and padding graphs into an edge stack one row at a time."""
+padding graphs into an edge stack one row at a time, and the per-graph forms
+of corpora, scan measures, the comparison tolerance and the tree enumeration."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from graphent.graphs import Graph
+from graphent import verifier
+from graphent.enumeration import (
+    graphs_of_stack,
+    index_chunks,
+    labeled_tree_count,
+    labeled_trees_from_indices,
+)
+from graphent.graphs import Graph, OrientedGraph
+from graphent.matrices import EdgeStack
+from graphent.spectra import comparison_tolerance
 
 
 def loop_draws(seeds, counts) -> list[float]:
@@ -42,3 +52,36 @@ def pad_edge_stack(n: int, edge_arrays: Sequence[np.ndarray]) -> np.ndarray:
     for row, edges in zip(out, edge_arrays):
         row[:len(edges)] = edges
     return out
+
+
+def iterate_corpus(spec: verifier.CorpusSpec, start: int, stop: int,
+                   seed: int = 0) -> Iterator[Graph]:
+    """The graphs at corpus indices [start, stop), in corpus order, one per
+    row of the corpus's stacks."""
+    for stack in spec.stacks(start, stop, seed):
+        for row in range(len(stack)):
+            yield graphs_of_stack(stack.n, stack.edges[row:row + 1])[0]
+
+
+def graph_at(spec: verifier.CorpusSpec, index: int, seed: int = 0) -> Graph:
+    if not 0 <= index < spec.total:
+        raise ValueError(f"corpus index {index} out of range")
+    return next(iterate_corpus(spec, index, index + 1, seed))
+
+
+def resolve_measure(text: str, *, log_base: float = 2.0
+                    ) -> Callable[[Graph | OrientedGraph], float]:
+    """A scan measure as a callable on graphs: a stack of one of the stacked
+    code the scan runs."""
+    values = verifier._measure_stack(text, log_base=log_base).values
+    return lambda g: float(values(EdgeStack.of(g))[0])
+
+
+def within_tolerance(a: float, b: float) -> bool:
+    return abs(a - b) <= comparison_tolerance(a, b)
+
+
+def enumerate_labeled_trees(n: int) -> Iterator[Graph]:
+    """Every labeled tree on n vertices, one per vertex sequence of length n-2."""
+    for indices in index_chunks(0, labeled_tree_count(n)):
+        yield from labeled_trees_from_indices(n, indices)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from graphent.enumeration import (
-    enumerate_labeled_trees,
     labeled_graph_count,
     labeled_graph_from_mask,
     labeled_tree_count,
@@ -13,6 +12,7 @@ from graphent.enumeration import (
 from graphent.enumeration import graph_edge_stack, labeled_graphs_from_masks, tree_edge_stack
 from graphent.enumeration import graphs_of_stack
 from graphent.graphs import Graph, edge_counts
+from reference_loops import enumerate_labeled_trees
 
 
 def _tree_edges_from_sequence(seq, n):

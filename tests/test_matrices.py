@@ -257,6 +257,10 @@ def test_mixed_stack_edge_sums_and_incidence_spectra_are_each_members_own_bits()
     graphs, stack = _mixed_stack()
     for beta in (-1.0, -0.5, 1.0, 2.0):
         sums = general_randic_stack(stack.degrees, stack.edges, beta)
+        cached = stack.randic_sum(beta)  # kept on the stack, shared, read-only
+        assert cached.tobytes() == sums.tobytes() and stack.randic_sum(beta) is cached
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
         for g, got in zip(graphs, sums):
             alone = general_randic_stack(EdgeStack.of(g).degrees, g.edge_array[None], beta)
             assert got.tobytes() == alone[0].tobytes(), (beta, g.edges)

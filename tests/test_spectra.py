@@ -14,8 +14,8 @@ from graphent.spectra import (
     spectral_moment,
     sqrt_spectrum,
     symmetric_eigenvalues,
-    within_tolerance,
 )
+from reference_loops import within_tolerance
 
 
 def _symmetric(entries, n):

@@ -44,9 +44,15 @@ from graphent.verifier import (
     check_equalities,
     check_traces,
     parse_corpus,
+)
+from reference_loops import (
+    enumerate_labeled_trees,
+    graph_at,
+    iterate_corpus,
+    loop_random_gnp,
+    pad_edge_stack,
     resolve_measure,
 )
-from reference_loops import loop_random_gnp, pad_edge_stack
 
 
 def _by_id(results):
@@ -139,7 +145,7 @@ def test_claims_are_not_applicable_exactly_where_their_route_raises(corpus):
     spec = parse_corpus(corpus)
     closed = lambda kind, g: closed_form(kind, g, 2.0)
     build = lambda kind, g: build_stack(kind, g.n, edge_stack_of(g))
-    for g in spec.iterate(0, spec.total):
+    for g in iterate_corpus(spec, 0, spec.total):
         for claims, kinds_of, route in (
                 (check_equalities(g, alphas=(2.0,), betas=_BETAS), IDENTITY_KINDS, closed),
                 (check_traces(g, betas=_BETAS), TRACE_KINDS, build)):
@@ -280,6 +286,65 @@ def test_one_probability_vector_per_spectrum_at_base_e(monkeypatch):
     assert g.is_connected and min(g.degrees) >= 1
     verifier.claim_table(EdgeStack.of(g), ("equalities", "bounds"), log_base=math.e)
     assert len(calls) == 11
+
+
+def test_each_degree_product_sum_and_the_degrees_are_computed_once_per_stack(monkeypatch):
+    """The square sums of randic, the normalized kinds, skew-randic and
+    general-randic:<b> read one sum per exponent: -1 (general-randic:-0.5
+    among them), then 2b = -2 and 2.  The matrices read the stack's degrees."""
+    sums, degrees = [], []
+    randic_kernel, degree_kernel = measures.general_randic_stack, matrices.degree_stack
+
+    def counting_sums(d, edges, beta):
+        sums.append(beta)
+        return randic_kernel(d, edges, beta)
+
+    def counting_degrees(n, edges):
+        degrees.append(len(edges))
+        return degree_kernel(n, edges)
+
+    monkeypatch.setattr(measures, "general_randic_stack", counting_sums)
+    monkeypatch.setattr(matrices, "degree_stack", counting_degrees)
+    spec = parse_corpus("all:4")
+    stack = list(spec.stacks(0, spec.total))[-1]
+    assert stack.n == 4 and len(stack) == 64
+    table = verifier.claim_table(stack, verifier.CHECK_NAMES, (0.5, 2.0), (-1.0, -0.5, 1.0))
+    assert (table.status != verifier._FAIL).all()
+    assert sorted(sums) == [-2.0, -1.0, 2.0]
+    assert degrees == [64]
+
+
+def test_closed_quadratic_at_a_large_negative_exponent_is_taken_in_the_log_domain():
+    """2 sum (d_u d_v)^(2 beta) and the squared trace sum underflow together
+    long before the matrix entries do; the closed quadratic reads their ratio
+    in the log domain there, and every other row keeps its bits."""
+    from graphent.formats import parse_graph6
+
+    g = parse_graph6(b"D~w")
+    direct = quadratic_entropy(probabilities_from_spectrum(spectrum_of("general-randic:-150", g)))
+    closed = closed_form("general-randic:-150", g, 2.0)[0]
+    assert direct == pytest.approx(0.5, abs=1e-12)
+    assert abs(closed - direct) <= comparison_tolerance(closed, direct)
+    stack = EdgeStack(5, parse_corpus("all:5").edges(5, range(1024)))
+    for beta in (-1.0, -0.5, 1.0, -150.0, -250.0):
+        kind = as_kind(f"general-randic:{beta:g}")
+        applies = kind.spec.has_closed_form(stack)
+        quadratic = entropy.closed_entropies(stack, kind, None, applies, (), 2.0, [])[:, 0]
+        square_sum, t = 2.0 * stack.randic_sum(2.0 * beta), stack.spectrum(kind).abs_sum()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plain = 1.0 - square_sum / (t * t)
+        kept = applies & np.isfinite(plain) & (square_sum >= np.finfo(float).tiny)
+        assert quadratic[kept].tobytes() == plain[kept].tobytes(), beta
+        assert (kept == applies).all() == (beta > -150), beta
+        want = entropy.direct_entropies(stack, kind, None, (), 2.0)[applies, 0]
+        assert (np.abs(quadratic[applies] - want) <= comparison_tolerance(
+            quadratic[applies], want)).all(), beta
+
+
+@pytest.mark.parametrize("beta", [-150.0, -250.0])
+def test_verify_at_a_large_negative_exponent_has_no_failure(beta):
+    report = verify_corpus("all:5", alphas=(0.5, 2.0, 3.0), betas=(beta,))
+    assert report.ok and report.failure_count == 0
 
 
 def test_sweep_computes_each_distance_matrix_once(monkeypatch):
@@ -492,7 +557,7 @@ def _reference_audit_corpus(corpus, kinds=None, alpha_grid=verifier.DEFAULT_AUDI
     spec = parse_corpus(corpus)
     use_kinds = [as_kind(k) for k in (kinds or verifier.default_audit_kinds())]
     counts, retained, graphs, total = {}, [], 0, 0
-    for g in spec.iterate(0, spec.total, seed):
+    for g in iterate_corpus(spec, 0, spec.total, seed):
         graphs += 1
         descriptor = encode_graph6(g).decode("ascii")
         for kind in use_kinds:
@@ -610,12 +675,12 @@ def test_parse_corpus_rejects_bad_text():
 
 def test_corpus_random_access_matches_iteration():
     spec = parse_corpus("all:4")
-    streamed = [g.edges for g in spec.iterate(0, spec.total)]
-    direct = [spec.graph_at(i).edges for i in range(spec.total)]
+    streamed = [g.edges for g in iterate_corpus(spec, 0, spec.total)]
+    direct = [graph_at(spec, i).edges for i in range(spec.total)]
     assert streamed == direct
     spec = parse_corpus("gnp:6,0.4,12")
-    streamed = [g.edges for g in spec.iterate(0, 12, seed=9)]
-    direct = [spec.graph_at(i, seed=9).edges for i in range(12)]
+    streamed = [g.edges for g in iterate_corpus(spec, 0, 12, seed=9)]
+    direct = [graph_at(spec, i, seed=9).edges for i in range(12)]
     assert streamed == direct
 
 
@@ -625,12 +690,12 @@ def test_corpus_stacks_decode_every_family_in_corpus_order():
     spec = parse_corpus("all:5")
     want = [labeled_graph_from_mask(n, mask).edges
             for n in range(1, 6) for mask in range(2 ** (n * (n - 1) // 2))]
-    assert [g.edges for g in spec.iterate(60, 700)] == want[60:700]  # orders 4 and 5
+    assert [g.edges for g in iterate_corpus(spec, 60, 700)] == want[60:700]  # orders 4 and 5
     spec = parse_corpus("trees:6")
-    assert [g.edges for g in spec.iterate(500, 1296)] == [
+    assert [g.edges for g in iterate_corpus(spec, 500, 1296)] == [
         labeled_tree_from_index(6, i).edges for i in range(500, 1296)]
     spec = parse_corpus("gnp:7,0.4,600")
-    assert [g.edges for g in spec.iterate(0, 600, seed=5)] == [
+    assert [g.edges for g in iterate_corpus(spec, 0, 600, seed=5)] == [
         loop_random_gnp(7, 0.4, spec._sample_seed(5, i)).edges for i in range(600)]
     chunks = [len(stack) for stack in spec.stacks(0, 600, seed=5)]
     assert chunks == [512, 88]  # STACK_CHUNK members each
@@ -656,8 +721,8 @@ def test_corpus_stacks_hold_at_most_the_entry_cap():
 
 def test_gnp_corpus_seed_changes_samples():
     spec = parse_corpus("gnp:8,0.5,6")
-    a = [g.edges for g in spec.iterate(0, 6, seed=1)]
-    b = [g.edges for g in spec.iterate(0, 6, seed=2)]
+    a = [g.edges for g in iterate_corpus(spec, 0, 6, seed=1)]
+    b = [g.edges for g in iterate_corpus(spec, 0, 6, seed=2)]
     assert a != b
 
 
@@ -997,11 +1062,7 @@ def _scan_values(family, order, measure, log_base=2.0):
 
 
 def _members(family, order):
-    from graphent.enumeration import (
-        enumerate_labeled_trees,
-        labeled_graph_count,
-        labeled_graphs_from_masks,
-    )
+    from graphent.enumeration import labeled_graph_count, labeled_graphs_from_masks
 
     if family == "all-graphs":
         return labeled_graphs_from_masks(order, range(labeled_graph_count(order)))
