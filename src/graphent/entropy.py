@@ -231,10 +231,11 @@ def closed_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
         return log_power_sum, np.array([math.exp(x) for x in log_power_sum.tolist()])
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = square_sum / (t * t)
-        # 2 sum (d_u d_v)^(2 beta) and t leave the float range at a large
+        squared = t * t
+        ratio = square_sum / squared
+        # 2 sum (d_u d_v)^(2 beta) and t^2 leave the float range at a large
         # |beta|: there the ratio is taken in the log domain, as the power sums are
-        low = ~np.isfinite(ratio) | (square_sum < np.finfo(float).tiny)
+        low = ~np.isfinite(ratio) | np.isinf(squared) | (square_sum < np.finfo(float).tiny)
         if low.any() and row.log_square_sum is not None:
             ratio[low] = np.exp(row.log_square_sum(stack[rows[low]], kind)
                                 - 2.0 * np.log(t[low]))

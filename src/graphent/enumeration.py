@@ -9,9 +9,8 @@ Decoding works on stacks.  :func:`tree_edge_stack` turns a batch of B tree
 indices into a ``(B, n - 1, 2)`` int64 array, and :func:`graph_edge_stack`
 turns a batch of masks into one ``(B, m_max, 2)`` array whose rows hold
 different edge counts, each padded with (n, n) after its edges; each row
-holds one member's edges, sorted, with ``u < v``.  The single-member
-functions (:func:`labeled_tree_from_index`, :func:`labeled_graph_from_mask`)
-are a batch of one of the same decoders, so there is one decoding path.
+holds one member's edges, sorted, with ``u < v``; :func:`graphs_of_stack`
+turns a stack into graphs.
 """
 
 from __future__ import annotations
@@ -66,16 +65,6 @@ def graph_edge_stack(n: int, masks: Iterable[int]) -> np.ndarray:
     return pair_stack(n, ((masks[:, None] >> np.arange(n * (n - 1) // 2)) & 1).astype(bool))
 
 
-def labeled_graphs_from_masks(n: int, masks: Iterable[int]) -> list[Graph]:
-    """The graphs at several bitmask positions, in the order given."""
-    return graphs_of_stack(n, graph_edge_stack(n, masks))
-
-
-def labeled_graph_from_mask(n: int, mask: int) -> Graph:
-    """The graph at one bitmask position of the enumeration order."""
-    return labeled_graphs_from_masks(n, [mask])[0]
-
-
 def tree_edge_stack(n: int, indices: Iterable[int]) -> np.ndarray:
     """Decode tree indices into a ``(B, n - 1, 2)`` sorted-edge stack.
 
@@ -105,13 +94,3 @@ def tree_edge_stack(n: int, indices: Iterable[int]) -> np.ndarray:
     edges[:, n - 2] = np.nonzero(degree == 1)[1].reshape(size, 2)
     order = np.argsort(edges[..., 0] * n + edges[..., 1], axis=1)
     return np.take_along_axis(edges, order[..., None], axis=1)
-
-
-def labeled_trees_from_indices(n: int, indices: Iterable[int]) -> list[Graph]:
-    """The trees at several positions of the enumeration order."""
-    return graphs_of_stack(n, tree_edge_stack(n, indices))
-
-
-def labeled_tree_from_index(n: int, index: int) -> Graph:
-    """The tree at one position of the enumeration order."""
-    return labeled_trees_from_indices(n, [index])[0]

@@ -134,9 +134,9 @@ def encode_graph6_stack(n: int, edges: np.ndarray) -> list[bytes]:
     edges = np.asarray(edges, dtype=np.int64)
     members, tails, heads = edge_entries(n, edges)
     width = -(-(n * (n - 1) // 2) // 6)  # bytes after the order header
-    bits = np.zeros((len(edges), 6 * width), dtype=np.int64)
+    bits = np.zeros((len(edges), 6 * width), dtype=np.uint8)
     bits[members, heads * (heads - 1) // 2 + tails] = 1  # column by column of the upper triangle
-    body = bits.reshape(len(edges), width, 6) @ (1 << np.arange(5, -1, -1))
+    body = bits.reshape(len(edges), width, 6) @ (1 << np.arange(5, -1, -1, dtype=np.uint8))
     rows = np.concatenate([np.tile(header, (len(edges), 1)), body], axis=1) + 63
     raw = rows.astype(np.uint8).tobytes()
     size = len(header) + width

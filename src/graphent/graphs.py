@@ -23,9 +23,6 @@ from .errors import DisconnectedGraphError, LoopEdgeError
 
 Edge = tuple[int, int]
 
-FAMILY_NAMES = ("complete", "path", "star", "cycle", "matching")
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph on the vertex set {0, ..., n - 1}.
@@ -122,11 +119,6 @@ class OrientedGraph:
         return np.array(self.arcs, dtype=np.int64).reshape(-1, 2)
 
 
-def canonical_orientation(g: Graph) -> OrientedGraph:
-    """Orient every edge from its smaller to its larger endpoint."""
-    return OrientedGraph(g, g.edges)
-
-
 def random_orientation(g: Graph, seed: int) -> OrientedGraph:
     """Orient each edge by an independent fair coin from ``seed``."""
     flips = (uniform_draws([seed], [g.m]) >= 0.5).tolist()
@@ -139,7 +131,11 @@ def uniform_draws(seeds: Sequence, counts: Sequence[int]) -> np.ndarray:
     lowest, and ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, exact."""
     words = np.frombuffer(b"".join(random.Random(seed).getrandbits(64 * k).to_bytes(8 * k, "little")
                                    for seed, k in zip(seeds, counts)), dtype="<u4")
-    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+    out = (words[0::2] >> 5).astype(float)  # each step is exact, so in place is the same
+    out *= 67108864.0
+    out += words[1::2] >> 6
+    out *= 1.0 / 9007199254740992.0
+    return out
 
 
 def complete_graph(n: int) -> Graph:
@@ -159,39 +155,6 @@ def star_graph(n: int) -> Graph:
     return Graph(n, tuple((0, i) for i in range(1, n)))
 
 
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError(f"a simple cycle needs n >= 3, got {n}")
-    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    return Graph(n, tuple(sorted(edges)))
-
-
-def matching_graph(n: int) -> Graph:
-    """Perfect matching (0,1), (2,3), ...; n must be even."""
-    _check_order(n)
-    if n % 2:
-        raise ValueError(f"a perfect matching needs even n, got {n}")
-    return Graph(n, tuple((i, i + 1) for i in range(0, n, 2)))
-
-
-_FAMILY_BUILDERS = {
-    "complete": complete_graph,
-    "path": path_graph,
-    "star": star_graph,
-    "cycle": cycle_graph,
-    "matching": matching_graph,
-}
-
-
-def make_family(kind: str, n: int) -> Graph:
-    """Build one of the named deterministic families."""
-    try:
-        builder = _FAMILY_BUILDERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown family {kind!r}; expected one of {FAMILY_NAMES}") from None
-    return builder(n)
-
-
 def random_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p): the i-th vertex pair in lexicographic order is an edge
     where the i-th ``random.Random(seed).random()`` is below p."""
@@ -201,17 +164,28 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n, tuple(map(tuple, gnp_edge_stack(n, p, [seed])[0].tolist())))  # a stack of one
 
 
+# Vertex pairs drawn, or decoded into edges, at a time: the temporaries of a
+# sampled corpus's decode stay near those of one (B, n, n) batch.
+PAIRS_AT_A_TIME = 1 << 15
+
+
 def gnp_edge_stack(n: int, p: float, seeds: Sequence) -> np.ndarray:
     """One :func:`random_gnp` sample per seed, as a :func:`pair_stack`."""
-    draws = uniform_draws(seeds, [n * (n - 1) // 2] * len(seeds))
-    return pair_stack(n, (draws < p).reshape(len(seeds), n * (n - 1) // 2))
+    pairs = n * (n - 1) // 2
+    size = max(1, PAIRS_AT_A_TIME // max(pairs, 1))
+    chosen = np.concatenate([uniform_draws(seeds[lo:lo + size], [pairs] * len(seeds[lo:lo + size]))
+                             < p for lo in range(0, len(seeds), size)] or [np.empty(0, bool)])
+    return pair_stack(n, chosen.reshape(len(seeds), pairs))
 
 
 def pair_stack(n: int, chosen: np.ndarray) -> np.ndarray:
     """The ragged edge stack of the vertex pairs, in lexicographic order, ``chosen`` picks."""
-    counts, (_, picked) = chosen.sum(axis=1), np.nonzero(chosen)
+    counts, pairs = chosen.sum(axis=1), np.transpose(np.triu_indices(n, 1))
     out = np.full((len(chosen), counts.max(initial=0), 2), n, dtype=np.int64)
-    out[np.arange(out.shape[1]) < counts[:, None]] = np.transpose(np.triu_indices(n, 1))[picked]
+    size = max(1, PAIRS_AT_A_TIME // max(chosen.shape[1], 1))
+    for lo in range(0, len(chosen), size):
+        real = np.arange(out.shape[1]) < counts[lo:lo + size, None]
+        out[lo:lo + size][real] = pairs[np.nonzero(chosen[lo:lo + size])[1]]
     return out
 
 
@@ -260,13 +234,13 @@ def degree_stack(n: int, edges: np.ndarray) -> np.ndarray:
     return np.bincount(ends, minlength=len(edges) * n).reshape(len(edges), n).astype(float)
 
 
-def adjacency_stack(n: int, edges: np.ndarray) -> np.ndarray:
+def adjacency_stack(n: int, edges: np.ndarray, dtype: type = float) -> np.ndarray:
     """0/1 adjacency matrices, shape (B, n, n), of a (B, m, 2) edge stack."""
     edges = np.asarray(edges, dtype=np.int64)
-    out = np.zeros((len(edges), n, n))
+    out = np.zeros((len(edges), n, n), dtype=dtype)
     members, tails, heads = edge_entries(n, edges)
-    out[members, tails, heads] = 1.0
-    out[members, heads, tails] = 1.0
+    out[members, tails, heads] = 1
+    out[members, heads, tails] = 1
     return out
 
 
@@ -275,11 +249,13 @@ def connected_stack(n: int, edges: np.ndarray) -> np.ndarray:
 
     Squares the reachability matrices (walks of length at most 1, then 2,
     4, ...) until walks reach length n - 1; a member is connected when
-    vertex 0 reaches every vertex.  The single vertex is connected.
+    vertex 0 reaches every vertex.  The single vertex is connected.  Walk
+    counts are integers below n^2, exact in float32 up to n = 4096.
     """
-    reach = adjacency_stack(n, edges) + np.eye(n)
+    dtype = np.float32 if n <= 4096 else float
+    reach = adjacency_stack(n, edges, dtype) + np.eye(n, dtype=dtype)
     for _ in range(max(n - 2, 0).bit_length()):
-        reach = (reach @ reach > 0).astype(float)
+        reach = (reach @ reach > 0).astype(dtype)
     return (reach[:, 0] > 0).all(axis=1)
 
 
@@ -287,9 +263,9 @@ def distance_stack(n: int, edges: np.ndarray) -> np.ndarray:
     """All-pairs shortest-path matrices, shape (B, n, n) float, by Seidel's algorithm.
 
     ``edges`` is a (B, m, 2) edge stack.  Raises DisconnectedGraphError if
-    any member is disconnected.
+    any member is disconnected.  The recursion runs in float32 up to n = 4096.
     """
-    return _seidel(adjacency_stack(n, edges))
+    return _seidel(adjacency_stack(n, edges, np.float32 if n <= 4096 else float)).astype(float)
 
 
 def distances(g: Graph) -> np.ndarray:
@@ -307,22 +283,24 @@ def _seidel(a: np.ndarray) -> np.ndarray:
     # joins pairs at distance <= 2, its distances t are ceil(d / 2), and
     # d = 2t - 1 exactly where sum_k t_ik a_kj < t_ij deg_j.  Each level
     # halves the diameter, so there are about log2(diameter) dense
-    # products; every value stays an integer below n^2, exact in float64.
+    # products; every value stays an integer below n^2, exact in a's dtype.
     # A member whose square graph adds no pair and is not complete is
     # disconnected.
     n = a.shape[-1]
     diagonal = np.arange(n)
     b = (a + a @ a) > 0
     b[:, diagonal, diagonal] = False
-    out = 2.0 * b - a
+    out = b.astype(a.dtype)
+    out *= 2
+    out -= a
     pending = np.count_nonzero(b, axis=(1, 2)) != n * n - n
     if not pending.any():
         return out
     a, b = a[pending], b[pending]
     if np.all(b == (a > 0), axis=(1, 2)).any():
         raise DisconnectedGraphError("distance matrix requires a connected graph")
-    t = _seidel(b.astype(float))
-    out[pending] = 2.0 * t - (t @ a < t * a.sum(axis=1)[:, None, :])
+    t = _seidel(b.astype(a.dtype))
+    out[pending] = 2 * t - (t @ a < t * a.sum(axis=1)[:, None, :])
     return out
 
 

@@ -42,7 +42,7 @@ import math
 import zlib
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -59,7 +59,6 @@ from .formats import encode_graph6_stack
 from .graphs import (
     Graph,
     OrientedGraph,
-    by_edge_count,
     connected_stack,
     degree_stack,
     distance_stack,
@@ -78,11 +77,17 @@ from .spectra import (
     symmetric_eigenvalues,
 )
 
-# Matrix entries per stacked array: claim tables hold at most this many in
-# each (B, n, n) stack, and incidence solves at most this many per batch.
+# Matrix entries per stacked array: an EdgeStack builds, solves, and takes
+# distances and reachability a batch of :func:`batch_rows` members at a time.
 # Uncapped, audit gnp:30,1.0,100 peaked at 56 MB (34 MB at p = 0.3); 1 << 16
 # ran verify gnp:40,0.3,200 faster than this, but at a higher peak RSS.
 STACK_ENTRIES = 1 << 15
+
+
+def batch_rows(n: int, width: int | None = None) -> int:
+    """Members per batch of ``(B, n, width)`` arrays, ``(B, n, n)`` by
+    default, under :data:`STACK_ENTRIES`; at least one."""
+    return max(1, STACK_ENTRIES // (n * (n if width is None else max(width, 1))))
 
 
 @dataclass(frozen=True)
@@ -290,7 +295,8 @@ def build_stack(kind: MatrixKind | str, n: int, edges: np.ndarray,
         if kind.tag == "incidence":
             return out
         degrees = degree_stack(n, edges) if degrees is None else degrees
-        return _inv_sqrt(degrees)[:, :, None] * out
+        out *= _inv_sqrt(degrees)[:, :, None]
+        return out
     members, tail, head = edge_entries(n, edges)
     out = np.zeros((size, n, n))
     if kind.tag == "skew":
@@ -307,7 +313,9 @@ def build_stack(kind: MatrixKind | str, n: int, edges: np.ndarray,
         if kind.tag == "q":
             return out
         s = _inv_sqrt(degrees)
-        return (s[:, :, None] * out) * s[:, None, :]
+        out *= s[:, :, None]
+        out *= s[:, None, :]
+        return out
     ends = degrees[members, tail] * degrees[members, head]
     if kind.tag == "skew-randic":
         w = 1.0 / np.sqrt(ends)  # arc endpoints always have positive degree
@@ -359,7 +367,9 @@ class EdgeStack:
     :func:`graphent.graphs.edge_counts`), degrees, degree-product sums
     (:meth:`randic_sum`), connectivity, distance matrices, orientations,
     spectra and graph6 descriptors, each computed once on first use; its
-    matrices are built from its own degrees.  The ``canonical`` orientation
+    matrices are built from its own degrees.  Its (B, n, n) and (B, n, m)
+    arrays exist a batch of :func:`batch_rows` members at a time, and each
+    member's values are the ones it has alone.  The ``canonical`` orientation
     is the edges or the ``arcs`` given, the ``random`` one draws each
     member's coins as :func:`graphent.graphs.random_orientation` does,
     seeded by its descriptor mixed with ``seed``.  A graph is a stack of one
@@ -395,9 +405,12 @@ class EdgeStack:
     def randic_sum(self, beta: float) -> np.ndarray:
         """Each member's sum of (d_u d_v)^beta over its edges
         (:func:`graphent.measures.general_randic_stack`), once per exponent;
-        the array is read-only, since every caller of that exponent shares it."""
+        the array is read-only, since every caller of that exponent shares it.
+        A sum beyond the float range is inf, which its readers take in the
+        log domain (``KindSpec.log_square_sum``)."""
         if beta not in self._randic_sums:
-            sums = measures.general_randic_stack(self.degrees, self.edges, beta)
+            with np.errstate(over="ignore"):
+                sums = measures.general_randic_stack(self.degrees, self.edges, beta)
             sums.flags.writeable = False
             self._randic_sums[beta] = sums
         return self._randic_sums[beta]
@@ -408,17 +421,26 @@ class EdgeStack:
 
     @cached_property
     def connected(self) -> np.ndarray:
-        return connected_stack(self.n, self.edges)
+        out = np.empty(len(self), dtype=bool)
+        for at in self._batches(np.arange(len(self))):
+            out[at] = connected_stack(self.n, self.edges[at])
+        return out
 
     @cached_property
     def distances(self) -> np.ndarray:
-        """``(B, n, n)`` shortest-path lengths of the connected members; zero elsewhere."""
-        if self.connected.all():
-            return distance_stack(self.n, self.edges)
-        out = np.zeros((len(self), self.n, self.n))
-        if self.connected.any():
-            out[self.connected] = distance_stack(self.n, self.edges[self.connected])
+        """``(B, n, n)`` shortest-path lengths of the connected members, zero
+        elsewhere, as the narrowest unsigned integers that hold them."""
+        out = np.zeros((len(self), self.n, self.n), dtype=np.min_scalar_type(self.n))
+        for at in self._batches(np.flatnonzero(self.connected)):
+            out[at] = distance_stack(self.n, self.edges[at])
         return out
+
+    def _batches(self, rows: np.ndarray, width: int | None = None) -> Iterator[slice | np.ndarray]:
+        """``rows`` a batch of :func:`batch_rows` members at a time."""
+        size = batch_rows(self.n, width)
+        for lo in range(0, len(rows), size):
+            at = rows[lo:lo + size]  # consecutive members as a slice: views, not copies
+            yield slice(at[0], at[-1] + 1) if at[-1] - at[0] == len(at) - 1 else at
 
     def descriptor(self, row: int) -> str:
         if row not in self._descriptors:
@@ -433,7 +455,8 @@ class EdgeStack:
             flips = np.zeros(self.edges.shape[:2], dtype=bool)
             seeds = [zlib.crc32(d) ^ (self.seed & 0xFFFFFFFF) for d in encoded]
             flips[self.edges[..., 0] < self.n] = uniform_draws(seeds, self.m.tolist()) >= 0.5
-            self._arcs[label] = np.where(flips[..., None], self.edges[..., ::-1], self.edges)
+            edges = self.edges.astype(np.min_scalar_type(self.n))  # kept narrow; pads are n
+            self._arcs[label] = np.where(flips[..., None], edges[..., ::-1], edges)
         return self._arcs[label]
 
     def spectrum(self, kind: MatrixKind | str, orientation: str | None = None) -> Spectrum:
@@ -486,18 +509,14 @@ class EdgeStack:
         return self.spectrum(kind, orientation)
 
     def _values(self, kind: MatrixKind, label: str | None, rows) -> np.ndarray:
-        if kind.tag == "distance":
-            return _solve(kind, self.distances[rows]).values
-        arcs, degrees = self.arcs(label or "canonical")[rows], self.degrees[rows]
+        members, arcs = np.arange(len(self))[rows], self.arcs(label or "canonical")
         if not kind.spec.edge_column:
-            return _solve(kind, build_stack(kind, self.n, arcs, degrees)).values
+            return self._batched(kind, arcs, members)
         # An incidence member with m >= n reads the square roots of its gram
         # kind's eigenvalues: this stack's solve where it holds one, else one
         # of those members alone.  The rest solve their own n x m matrices an
         # edge count at a time, so each Gram product is the one it has alone.
-        members = np.arange(len(self))[rows]
         wide, values = self.m[members] >= self.n, np.empty((len(members), self.n))
-        narrow = np.arange(len(members))
         if wide.any():
             gram = as_kind(kind.spec.gram)
             if (str(gram), None) in self._spectra:
@@ -506,13 +525,24 @@ class EdgeStack:
                     raise errors[row]  # its failure is this kind's
                 solved = self.spectrum(gram).take(members[wide])
             else:
-                solved = _solve(gram, build_stack(gram, self.n, arcs[wide], degrees[wide]))
+                solved = Spectrum(self._batched(gram, arcs, members[wide]), EIGENVALUES)
             values[wide] = sqrt_spectrum(solved).values
-            narrow, arcs = np.flatnonzero(~wide), arcs[~wide]
-        for at, part in by_edge_count(self.n, arcs):
-            at, size = narrow[at], max(1, STACK_ENTRIES // (self.n * max(part.shape[1], 1)))
-            for lo in range(0, len(part), size):
-                matrices = build_stack(kind, self.n, part[lo:lo + size],
-                                       degrees[at[lo:lo + size]])
-                values[at[lo:lo + size]] = _solve(kind, matrices).values
+        narrow = np.flatnonzero(~wide)
+        counts = self.m[members[narrow]]
+        for m in np.flatnonzero(np.bincount(counts)).tolist():
+            at = narrow[counts == m]
+            values[at] = self._batched(kind, arcs, members[at], m)
         return values
+
+    def _batched(self, kind: MatrixKind, arcs: np.ndarray, members: np.ndarray,
+                 m: int | None = None) -> np.ndarray:
+        """The kind's ``(len(members), n)`` values, built and solved a batch at a
+        time (:meth:`_batches`): n x n matrices, or, for an incidence kind, the
+        n x m matrices of members with m edges."""
+        def build(at: np.ndarray) -> np.ndarray:
+            return (self.distances[at] if kind.tag == "distance"
+                    else build_stack(kind, self.n, arcs[at, :m], self.degrees[at]))
+
+        # each batch's matrices are freed before the next batch is built
+        return np.concatenate([_solve(kind, build(at)).values
+                               for at in self._batches(members, m)])

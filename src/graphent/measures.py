@@ -57,9 +57,15 @@ def _edge_sums(degrees: np.ndarray, edges: np.ndarray, reduce) -> np.ndarray:
 
 def distance_moment_stack(distances: np.ndarray, k: int) -> np.ndarray:
     """Half the sum of d(u,v)^k over unordered vertex pairs, per member of a
-    (B, n, n) distance stack."""
-    upper = np.triu(np.asarray(distances, dtype=float), 1) ** k
-    return 0.5 * upper.reshape(len(upper), -1).sum(axis=-1)
+    (B, n, n) distance stack, in float64 a batch of
+    :func:`graphent.matrices.batch_rows` members at a time."""
+    distances = np.asarray(distances)
+    out, size = np.empty(len(distances)), matrices.batch_rows(distances.shape[-1])
+    for lo in range(0, len(distances), size):
+        upper = np.triu(distances[lo:lo + size], 1).astype(float)
+        upper **= k
+        out[lo:lo + size] = 0.5 * upper.reshape(len(upper), -1).sum(axis=-1)
+    return out
 
 
 def hyper_wiener_stack(distances: np.ndarray) -> np.ndarray:

@@ -93,7 +93,7 @@ def symmetric_eigenvalues(matrix, source: str = "custom") -> Spectrum:
     Rejects matrices that are not symmetric within 1e-12 absolute.
     """
     a = _as_square(matrix)
-    if np.abs(a - a.swapaxes(-1, -2)).max(initial=0.0) > SYMMETRY_TOL:
+    if _largest_abs(a - a.swapaxes(-1, -2)) > SYMMETRY_TOL:
         raise NonSymmetricError("matrix is not symmetric within 1e-12")
     vals = _eigvalsh(a)
     return Spectrum(np.ascontiguousarray(vals[..., ::-1]), EIGENVALUES, source)
@@ -129,7 +129,7 @@ def skew_absolute_eigenvalues(matrix, source: str = "custom") -> Spectrum:
     """
     a = _as_square(matrix)
     at = a.swapaxes(-1, -2)
-    if np.abs(a + at).max(initial=0.0) > SYMMETRY_TOL:
+    if _largest_abs(a + at) > SYMMETRY_TOL:
         raise NonSkewError("matrix is not skew-symmetric within 1e-12")
     vals = _sqrt_of_gram_eigenvalues(_eigvalsh(a @ at))
     return Spectrum(vals, ABSOLUTE_EIGENVALUES, source)
@@ -162,6 +162,11 @@ def _as_square(matrix) -> np.ndarray:
     if a.ndim > 3 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     return a
+
+
+def _largest_abs(a: np.ndarray) -> float:
+    """max |a|, 0 for an empty array, without an array of |a|."""
+    return max(a.max(initial=0.0), -a.min(initial=0.0))
 
 
 def _eigvalsh(gram: np.ndarray) -> np.ndarray:

@@ -73,11 +73,11 @@ from .formats import encode_graph6_stack
 from .graphs import Graph, OrientedGraph, gnp_edge_stack
 from .matrices import (
     KINDS,
-    STACK_ENTRIES,
     EdgeStack,
     KindSpec,
     MatrixKind,
     as_kind,
+    batch_rows,
     build_stack,
     moment_spectrum,
 )
@@ -107,6 +107,11 @@ DEFAULT_AUDIT_GRID = (0.5, 1.5, 2.0, 3.0)
 CHECK_NAMES = ("equalities", "traces", "bounds")
 
 TRACE_REL_TOL = 1e-9
+# Batches of (B, n, n) arrays per claim table: a table costs about 10 ms
+# whatever its size, and its batches bound its peak memory.  At n = 40, 4
+# ran verify gnp:40,0.3,200 about 15% faster than 1 within the same peak
+# memory, and 8 ran 5% faster than 4 at 1.2 MB more (CHANGES.md).
+TABLE_BATCHES = 4
 TIE_TOL = 1e-9
 AUDIT_RETAIN_LIMIT = 1000
 
@@ -225,10 +230,25 @@ def _identity(stack: EdgeStack, direct, members, alphas: Sequence[float],
 
 def _trace(stack: EdgeStack, members, observe, expect, applies: np.ndarray):
     """Each member's power sum ``observe(spectrum)`` against its invariant
-    ``expect(kind)``, to a tighter tolerance: both sides are plain sums."""
-    a = _columns([observe(stack.spectrum(kind, label)) for kind, label in members], len(stack))
+    ``expect(kind)``, to a tighter tolerance: both sides are plain sums.  The
+    square sums of general-randic:<b> leave the float range at a large |b|:
+    where either does at a member with an edge, both sides, the residual and
+    the witness are their logs (log-sum-exps), held to the same tolerance."""
+    with np.errstate(over="ignore"):
+        a = _columns([observe(stack.spectrum(kind, label)) for kind, label in members], len(stack))
     b = _columns([expect(kind) for kind, _ in members], len(stack))
     tol = TRACE_REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    for j, (kind, label) in enumerate(members):
+        if kind.spec.log_square_sum is None:  # only general-randic's square sums overflow
+            continue
+        low, high = np.minimum(a[:, j], b[:, j]), np.maximum(a[:, j], b[:, j])
+        inside = (low >= np.finfo(float).tiny) & (high < math.inf)
+        rows = np.flatnonzero(applies & (stack.m >= 1) & ~inside & ~np.isnan(a[:, j]))
+        if len(rows):
+            with np.errstate(divide="ignore"):  # log 0 = -inf adds nothing to the sum
+                logs = 2.0 * np.log(np.abs(stack.spectrum(kind, label).values[rows]))
+            a[rows, j], tol[rows, j] = np.logaddexp.reduce(logs, axis=-1), TRACE_REL_TOL
+            b[rows, j] = kind.spec.log_square_sum(stack[rows], kind)
     return *_agreement(a, b, tol, lambda k, x, y: {"observed": x, "expected": y}), members
 
 
@@ -277,9 +297,12 @@ def _quadratics(direction: str, rhs: Callable[[EdgeStack], np.ndarray | float]):
 
 
 def _skew_det_pairs(s: EdgeStack, values) -> list[tuple]:
-    pairs = []
+    pairs, size = [], batch_rows(s.n)
     for label, value in values:
-        power = np.abs(determinant(build_stack("skew", s.n, s.arcs(label)))) ** (2.0 / s.n)
+        arcs = s.arcs(label)
+        det = np.concatenate([determinant(build_stack("skew", s.n, arcs[lo:lo + size]))
+                              for lo in range(0, len(s), size)])
+        power = np.abs(det) ** (2.0 / s.n)
         pairs.append((value, 1.0 - 2.0 * s.m / (2.0 * s.m + s.n * (s.n - 1.0) * power), "lower"))
     return pairs
 
@@ -600,13 +623,14 @@ class CorpusSpec:
 
         Each stack holds consecutive members of one order n, whose rows hold
         different edge counts: at most :data:`graphent.enumeration.STACK_CHUNK`
-        of them, and at most ``STACK_ENTRIES // n^2``, so that its ``(B, n, n)``
-        matrices hold at most :data:`graphent.matrices.STACK_ENTRIES` entries.
+        of them, and at most :data:`TABLE_BATCHES` batches of
+        :func:`graphent.matrices.batch_rows` members, the batches in which the
+        stack builds its ``(B, n, n)`` arrays.
         """
         start, stop, base = max(start, 0), min(stop, self.total), 0
         for n in range(1, self.order + 1) if self.family == "all" else (self.order,):
             count = labeled_graph_count(n) if self.family == "all" else self.total
-            size = min(STACK_CHUNK, max(1, STACK_ENTRIES // (n * n)))
+            size = min(STACK_CHUNK, TABLE_BATCHES * batch_rows(n))
             for indices in index_chunks(max(start - base, 0), min(stop - base, count), size):
                 yield EdgeStack(n, self.edges(n, indices, seed), seed=seed)
             base += count
@@ -710,7 +734,7 @@ def _sweep(spec: CorpusSpec, start: int, stop: int, seed: int,
         rows, ks = np.nonzero((table.status == _FAIL) | (table.status == _EQUALITY))
         keep = len(rows) if limit is None else max(limit - len(retained), 0)
         retained.extend(map(table.record, rows[:keep].tolist(), ks[:keep].tolist()))
-        del table  # before the next table is built
+        del table, stack  # before the next stack is decoded
     return graphs, tally, retained
 
 
@@ -744,6 +768,12 @@ def verify_corpus(
             raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
     total, checks = spec.total, tuple(checks)
     alphas, betas = tuple(float(a) for a in alphas), tuple(float(b) for b in betas)
+    n = spec.order
+    for b in betas:  # (d_u d_v)^b at (n - 1)^2, and the eigenvalues' sum, n (n - 1) times it
+        power = b * math.log2(max(n - 1, 1) ** 2)
+        if math.isfinite(b) and not -1022.0 <= power < 1024.0 - math.log2(max(n * (n - 1), 1)):
+            raise ValueError(f"general-randic exponent {b:g} is out of range at order {n}: "
+                             f"(d_u d_v)^{b:g} or its eigenvalues leave the float range")
     chunk = total if workers <= 1 else max(STACK_CHUNK, -(-total // (workers * 4)))
     chunk_args = [(spec.text, start, min(start + chunk, total), checks, alphas, betas, seed,
                    float(log_base)) for start in range(0, total, chunk)]

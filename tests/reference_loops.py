@@ -2,24 +2,22 @@
 seeded random generators as one ``random.Random(seed).random()`` call per
 vertex pair or edge (the bulk draws of :func:`graphent.graphs.uniform_draws`),
 padding graphs into an edge stack one row at a time, and the per-graph forms
-of corpora, scan measures, the comparison tolerance and the tree enumeration."""
+of corpora, scan measures, the comparison tolerance and the enumerations, and
+the single-member decoders and named deterministic families that only the
+tests build."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from graphent import verifier
-from graphent.enumeration import (
-    graphs_of_stack,
-    index_chunks,
-    labeled_tree_count,
-    labeled_trees_from_indices,
-)
-from graphent.graphs import Graph, OrientedGraph
+from graphent.enumeration import graph_edge_stack, graphs_of_stack, index_chunks
+from graphent.enumeration import labeled_tree_count, tree_edge_stack
+from graphent.graphs import Graph, OrientedGraph, complete_graph, path_graph, star_graph
 from graphent.matrices import EdgeStack
 from graphent.spectra import comparison_tolerance
 
@@ -81,7 +79,66 @@ def within_tolerance(a: float, b: float) -> bool:
     return abs(a - b) <= comparison_tolerance(a, b)
 
 
+def labeled_graphs_from_masks(n: int, masks: Iterable[int]) -> list[Graph]:
+    """The graphs at several bitmask positions, in the order given."""
+    return graphs_of_stack(n, graph_edge_stack(n, masks))
+
+
+def labeled_graph_from_mask(n: int, mask: int) -> Graph:
+    """The graph at one bitmask position of the enumeration order."""
+    return labeled_graphs_from_masks(n, [mask])[0]
+
+
+def labeled_trees_from_indices(n: int, indices: Iterable[int]) -> list[Graph]:
+    """The trees at several positions of the enumeration order."""
+    return graphs_of_stack(n, tree_edge_stack(n, indices))
+
+
+def labeled_tree_from_index(n: int, index: int) -> Graph:
+    """The tree at one position of the enumeration order."""
+    return labeled_trees_from_indices(n, [index])[0]
+
+
 def enumerate_labeled_trees(n: int) -> Iterator[Graph]:
     """Every labeled tree on n vertices, one per vertex sequence of length n-2."""
     for indices in index_chunks(0, labeled_tree_count(n)):
         yield from labeled_trees_from_indices(n, indices)
+
+
+def canonical_orientation(g: Graph) -> OrientedGraph:
+    """Orient every edge from its smaller to its larger endpoint."""
+    return OrientedGraph(g, g.edges)
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError(f"a simple cycle needs n >= 3, got {n}")
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    return Graph(n, tuple(sorted(edges)))
+
+
+def matching_graph(n: int) -> Graph:
+    """Perfect matching (0,1), (2,3), ...; n must be even."""
+    if n < 1 or n % 2:
+        raise ValueError(f"a perfect matching needs even n >= 2, got {n}")
+    return Graph(n, tuple((i, i + 1) for i in range(0, n, 2)))
+
+
+FAMILY_NAMES = ("complete", "path", "star", "cycle", "matching")
+
+_FAMILY_BUILDERS = {
+    "complete": complete_graph,
+    "path": path_graph,
+    "star": star_graph,
+    "cycle": cycle_graph,
+    "matching": matching_graph,
+}
+
+
+def make_family(kind: str, n: int) -> Graph:
+    """Build one of the named deterministic families."""
+    try:
+        builder = _FAMILY_BUILDERS[kind]
+    except KeyError:
+        raise ValueError(f"unknown family {kind!r}; expected one of {FAMILY_NAMES}") from None
+    return builder(n)

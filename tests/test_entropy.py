@@ -31,8 +31,9 @@ from graphent.errors import (
     HypothesisNotMetError,
     ZeroSpectrumError,
 )
-from graphent.graphs import Graph, canonical_orientation
+from graphent.graphs import Graph
 from graphent.matrices import EdgeStack, MatrixKind, moment_spectrum
+from reference_loops import canonical_orientation
 
 
 def test_probability_vector_normalizes():

@@ -4,22 +4,28 @@ import numpy as np
 import pytest
 
 from graphent import complete_graph, path_graph, star_graph
-from graphent.enumeration import labeled_graph_count, labeled_graph_from_mask
+from graphent.enumeration import labeled_graph_count
 from graphent.errors import DisconnectedGraphError
 from graphent.graphs import (
     Graph,
-    canonical_orientation,
-    cycle_graph,
     distances,
-    make_family,
-    matching_graph,
     random_gnp,
     random_orientation,
 )
 from graphent import graphs as graphs_module
 from graphent.matrices import EdgeStack
 from graphent.measures import distance_moment_stack
-from reference_loops import loop_draws, loop_random_gnp, loop_random_orientation, pad_edge_stack
+from reference_loops import (
+    loop_draws,
+    loop_random_gnp,
+    canonical_orientation,
+    cycle_graph,
+    labeled_graph_from_mask,
+    loop_random_orientation,
+    make_family,
+    matching_graph,
+    pad_edge_stack,
+)
 
 
 def test_from_edges_normalizes_and_deduplicates():

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 from collections import Counter
 from itertools import combinations
 
@@ -30,8 +32,6 @@ from graphent.errors import AlphaNonPositiveError, NoConvergenceError
 from graphent.formats import encode_graph6
 from graphent.graphs import (
     Graph,
-    canonical_orientation,
-    matching_graph,
     random_gnp,
     random_orientation,
 )
@@ -46,10 +46,12 @@ from graphent.verifier import (
     parse_corpus,
 )
 from reference_loops import (
+    canonical_orientation,
     enumerate_labeled_trees,
     graph_at,
     iterate_corpus,
     loop_random_gnp,
+    matching_graph,
     pad_edge_stack,
     resolve_measure,
 )
@@ -250,13 +252,21 @@ def test_each_spectrum_is_solved_once_per_stack(monkeypatch):
     assert Counter(kind for kind, _ in solved) == {
         "q": 1, "norm-l": 1, "norm-q": 1, "distance": 1, "skew": 2, "randic": 1,
         "general-randic:-1": 1, "skew-randic": 2}
-    # every table of gnp:40,0.3,200 (no member has fewer than 40 edges) makes 11 solves
+    # every table of gnp:40,0.3,200 (no member has fewer than 40 edges) makes
+    # 11 solves per batch, and a batch holds at most STACK_ENTRIES // n^2 members
+    size = matrices.STACK_ENTRIES // (40 * 40)
     for stack in parse_corpus("gnp:40,0.3,200").stacks(0, 200, seed=7):
         solved.clear()
         verifier.claim_table(stack, verifier.CHECK_NAMES, (0.5, 2.0), (-1.0, -0.5, 1.0))
+        batches = _cut(len(stack), size)
+        assert len(batches) > 1
+        per_batch = {"q": 1, "norm-l": 1, "norm-q": 1, "distance": 1, "randic": 1,
+                     "general-randic:-1": 1, "general-randic:1": 1, "skew": 2, "skew-randic": 2}
         assert Counter(kind for kind, _ in solved) == {
-            "q": 1, "norm-l": 1, "norm-q": 1, "distance": 1, "randic": 1,
-            "general-randic:-1": 1, "general-randic:1": 1, "skew": 2, "skew-randic": 2}
+            kind: count * len(batches) for kind, count in per_batch.items()}
+        for kind in ("q", "distance", "skew"):
+            assert sorted(shape[0] for solved_kind, shape in solved if solved_kind == kind) == \
+                sorted(batches * (2 if kind == "skew" else 1))
 
 
 def _count_probability_vectors(monkeypatch) -> list[int]:
@@ -345,6 +355,40 @@ def test_closed_quadratic_at_a_large_negative_exponent_is_taken_in_the_log_domai
 def test_verify_at_a_large_negative_exponent_has_no_failure(beta):
     report = verify_corpus("all:5", alphas=(0.5, 2.0, 3.0), betas=(beta,))
     assert report.ok and report.failure_count == 0
+
+
+@pytest.mark.parametrize("beta", [127.3, 150.0, 254.0])
+def test_verify_at_a_large_positive_exponent_has_no_failure(beta):
+    """The square sums overflow together from b = 128 on, and K5's squared
+    trace sum overflows alone at b = 127.3: the trace claim and the closed
+    quadratic compare logs there, and no numpy warning is raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_corpus("all:5", alphas=(0.5, 2.0), betas=(beta,))
+    assert report.ok and report.summary[f"trace.general-randic:{beta:g}.square"]["pass"] == 1099
+
+
+def test_trace_square_sums_beyond_the_float_range_are_compared_as_logs():
+    """Where 2 sum (d_u d_v)^(2b) overflows, the trace claim compares logs and
+    its residual is their gap; every other member keeps the plain gap's bits."""
+    stack = EdgeStack(5, parse_corpus("all:5").edges(5, range(1024)))
+    table = verifier.claim_table(stack, ("traces",), (), (150.0,))
+    k = table.claim_ids.index("trace.general-randic:150.square")
+    residual = np.array([table.record(row, k).residual for row in range(len(stack))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = 2.0 * stack.randic_sum(300.0)
+        gap = np.abs((stack.spectrum("general-randic:150").values ** 2).sum(axis=-1) - plain)
+    over = np.isinf(plain)
+    assert over.sum() > 100 and (table.status[:, k] == verifier._PASS).all()
+    assert (residual[over] <= verifier.TRACE_REL_TOL).all()
+    assert residual[~over].tobytes() == gap[~over].tobytes()
+
+
+@pytest.mark.parametrize("corpus, beta", [("all:5", -255.6), ("all:5", -300.0), ("all:5", 255.0),
+                                          ("gnp:40,0.3,2", 97.0)])
+def test_verify_refuses_an_exponent_whose_entries_leave_the_float_range(corpus, beta):
+    with pytest.raises(ValueError, match="general-randic exponent .* is out of range at order"):
+        verify_corpus(corpus, betas=(-1.0, beta))
 
 
 def test_sweep_computes_each_distance_matrix_once(monkeypatch):
@@ -685,7 +729,7 @@ def test_corpus_random_access_matches_iteration():
 
 
 def test_corpus_stacks_decode_every_family_in_corpus_order():
-    from graphent.enumeration import labeled_graph_from_mask, labeled_tree_from_index
+    from reference_loops import labeled_graph_from_mask, labeled_tree_from_index
 
     spec = parse_corpus("all:5")
     want = [labeled_graph_from_mask(n, mask).edges
@@ -699,24 +743,28 @@ def test_corpus_stacks_decode_every_family_in_corpus_order():
         loop_random_gnp(7, 0.4, spec._sample_seed(5, i)).edges for i in range(600)]
     chunks = [len(stack) for stack in spec.stacks(0, 600, seed=5)]
     assert chunks == [512, 88]  # STACK_CHUNK members each
-    spec = parse_corpus("gnp:40,0.3,30")  # decoded a stack of at most 20 at a time
-    want = [loop_random_gnp(40, 0.3, spec._sample_seed(7, i)).edge_array for i in range(30)]
-    stacks = list(spec.stacks(0, 30, seed=7))
-    assert [len(stack) for stack in stacks] == [20, 10]
-    for stack, lo in zip(stacks, (0, 20)):
+    spec = parse_corpus("gnp:40,0.3,100")  # decoded a stack of at most 80 at a time
+    want = [loop_random_gnp(40, 0.3, spec._sample_seed(7, i)).edge_array for i in range(100)]
+    stacks = list(spec.stacks(0, 100, seed=7))
+    assert [len(stack) for stack in stacks] == [80, 20]
+    for stack, lo in zip(stacks, (0, 80)):
         assert np.array_equal(stack.edges, pad_edge_stack(40, want[lo:lo + len(stack)]))
 
 
-def test_corpus_stacks_hold_at_most_the_entry_cap():
-    """A chunk of 512 trees on nine vertices would hold 512 * 81 matrix
-    entries; the stacks, which verify, audit and scan all read, are decoded
-    under the cap, in corpus order."""
+def test_corpus_stacks_hold_at_most_the_entry_cap(monkeypatch):
+    """A chunk of 512 trees on nine vertices holds 512 * 81 matrix entries;
+    the stacks, which verify, audit and scan all read, hold whole chunks in
+    corpus order, and build and solve their matrices in batches under the cap."""
     spec = parse_corpus("trees:9")
     stacks = list(spec.stacks(0, 1100))
-    assert [len(stack) for stack in stacks] == [404, 404, 292]
-    assert all(len(stack) * 81 <= matrices.STACK_ENTRIES for stack in stacks)
+    assert [len(stack) for stack in stacks] == [512, 512, 76]
     assert np.array_equal(np.concatenate([stack.edges for stack in stacks]),
                           tree_edge_stack(9, range(1100)))
+    solved = _spy_solves(monkeypatch)
+    for kind in ("q", "distance", "skew"):
+        stacks[0].spectrum(kind)
+    assert sorted(shape[0] for _, shape in solved) == [108] * 3 + [404] * 3
+    assert all(np.prod(shape) <= matrices.STACK_ENTRIES for _, shape in solved)
 
 
 def test_gnp_corpus_seed_changes_samples():
@@ -803,8 +851,9 @@ def _cut(total: int, size: int) -> list[int]:
 
 
 def test_one_table_per_order_and_chunk_until_the_entry_cap(monkeypatch):
-    """A chunk's edge counts share one claim table; only the matrix-entry
-    cap, read at the (n, n) matrices every table holds, cuts it."""
+    """A chunk's edge counts share one claim table; only the table cap,
+    TABLE_BATCHES batches under the matrix-entry cap read at the (n, n)
+    matrices, cuts it."""
     tables = []
     table_of = verifier.claim_table
 
@@ -817,7 +866,8 @@ def test_one_table_per_order_and_chunk_until_the_entry_cap(monkeypatch):
     assert tables == [1, 2, 8, 64, 512, 512]
     tables.clear()
     verify_corpus("gnp:40,0.3,200", seed=7)
-    assert tables == _cut(200, matrices.STACK_ENTRIES // (40 * 40))
+    assert tables == _cut(200, verifier.TABLE_BATCHES * (matrices.STACK_ENTRIES // (40 * 40)))
+    assert tables == [80, 80, 40]
 
 
 def test_sweep_leaves_a_failed_stacked_solve_to_the_per_graph_route(monkeypatch):
@@ -936,6 +986,56 @@ def test_incidence_batches_under_a_small_cap_keep_each_members_bits(monkeypatch)
         assert len(widths) < len(mine)  # some edge counts take several batches
         for row, g in enumerate(graphs):
             assert spectra[row].tobytes() == spectrum_of(kind, g).values.tobytes(), (kind, row)
+
+
+def _table_bits(stack: EdgeStack) -> tuple:
+    """A stack's verify and audit tables, as everything they report: spectra
+    and solve errors, statuses, and the records the sweep keeps, with their
+    residuals and witnesses, and every verify record."""
+    verify = verifier.claim_table(stack, verifier.CHECK_NAMES, (0.5, 2.0), (-1.0, -0.5, 1.0))
+    audit = verifier._audit_stack(stack, verifier.default_audit_kinds(), (0.5, 2.0), 2.0)
+    spectra = {key: (spectrum.values.tobytes(), {row: str(exc) for row, exc in errors.items()})
+               for key, (spectrum, errors) in stack._spectra.items()}
+    kept = [table.record(row, k) for table in (verify, audit) for row, k in zip(
+        *np.nonzero((table.status == verifier._FAIL) | (table.status == verifier._EQUALITY)))]
+    records = [verify.row(row) for row in range(len(stack))]
+    return spectra, verify.status.tobytes(), audit.status.tobytes(), kept, records
+
+
+@pytest.mark.parametrize("corpus", ["gnp:12,0.3,40", "all:5"])
+def test_tables_in_batches_of_one_to_three_members_equal_the_default(monkeypatch, corpus):
+    """Built, solved and measured in batches of one to three members, a table
+    reports bit for bit what it reports in one batch: on gnp:12,0.3, whose
+    members include disconnected ones and isolated vertices, and on all:5's
+    order-5 table."""
+    spec = parse_corpus(corpus)
+    stack = list(spec.stacks(0, spec.total, seed=3))[-1]
+    n, stack_of = stack.n, lambda: EdgeStack(stack.n, stack.edges, seed=3)
+    assert len(stack) == (40 if n == 12 else 512) and len(stack) <= matrices.batch_rows(n)
+    assert not stack.connected.all() and (stack.non_isolated < n).any()
+    want = _table_bits(stack)
+    for cap in (1, 3 * n * n):  # one member a batch; three, and a few more for incidence
+        monkeypatch.setattr(matrices, "STACK_ENTRIES", cap)
+        assert _table_bits(stack_of()) == want, cap
+
+
+def test_a_table_of_four_batches_peaks_below_the_one_batch_table():
+    """gnp:40,0.3,200's tables hold 80 members, built and solved in batches of
+    20: a table's traced peak stays under the 1.70 MB that a table of 20
+    members reached when a table was one batch."""
+    spec = parse_corpus("gnp:40,0.3,200")
+    args = (verifier.CHECK_NAMES, verifier.DEFAULT_ALPHAS, (-1.0, -0.5, 1.0))
+    verifier.claim_table(next(spec.stacks(0, 200, seed=7)), *args)  # the first call's imports
+    stack = next(spec.stacks(0, 200, seed=7))
+    assert len(stack) == 4 * matrices.batch_rows(40) == 80
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        verifier.claim_table(stack, *args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8e6
 
 
 def test_worker_pool_is_capped_by_chunks_and_cpus(monkeypatch):
@@ -1062,7 +1162,8 @@ def _scan_values(family, order, measure, log_base=2.0):
 
 
 def _members(family, order):
-    from graphent.enumeration import labeled_graph_count, labeled_graphs_from_masks
+    from graphent.enumeration import labeled_graph_count
+    from reference_loops import labeled_graphs_from_masks
 
     if family == "all-graphs":
         return labeled_graphs_from_masks(order, range(labeled_graph_count(order)))
