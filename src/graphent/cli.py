@@ -40,7 +40,8 @@ from .errors import (
 )
 from .formats import parse_arc_list, parse_edge_list, parse_graph6
 from .graphs import Graph, OrientedGraph
-from .matrices import EdgeStack, MatrixKind, as_kind, moment_spectrum, standard_kinds
+from .matrices import (EdgeStack, MatrixKind, as_kind, check_exponents, moment_spectrum,
+                       standard_kinds)
 from .measures import (
     distance_moment_stack,
     first_zagreb_stack,
@@ -49,10 +50,10 @@ from .measures import (
 from .report import (
     audit_to_object,
     claim_to_object,
-    render_csv,
-    render_json,
     scan_to_object,
     verification_to_object,
+    write_csv,
+    write_json,
 )
 from .verifier import (
     CHECK_NAMES,
@@ -151,13 +152,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE
     try:
         check_log_base(args.log_base)  # before any work, whatever the command reads
-        if args.command == "compute":
-            return _run_compute(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "audit":
-            return _run_audit(args)
-        return _run_scan(args)
+        return {"compute": _run_compute, "verify": _run_verify, "audit": _run_audit,
+                "scan": _run_scan}[args.command](args)
     except (GraphInputError, ValueError, NotOrientedError,
             NoConvergenceError, NegativeEigenvalueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -172,16 +168,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 def _join_negative_lists(argv: Sequence[str]) -> list[str]:
     """Rewrite ``--beta -1,-0.5,1`` as ``--beta=-1,-0.5,1``, ``--p -0.5`` as ``--p=-0.5``."""
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if (token in _NUMBER_OPTIONS and i + 1 < len(argv)
-                and _NEGATIVE_NUMBER.match(argv[i + 1])):
-            out.append(f"{token}={argv[i + 1]}")
-            i += 2
+    for token in argv:
+        if out and out[-1] in _NUMBER_OPTIONS and _NEGATIVE_NUMBER.match(token):
+            out[-1] += "=" + token
         else:
             out.append(token)
-            i += 1
     return out
 
 
@@ -203,29 +194,33 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
 def _load_graph(path: str, input_format: str) -> Graph | OrientedGraph:
     fmt = input_format
     if fmt == "auto":
-        suffix = Path(path).suffix.lower()
-        if suffix in (".g6", ".graph6"):
-            fmt = "graph6"
-        elif suffix == ".arcs":
-            fmt = "arcs"
-        else:
-            fmt = "edges"
+        fmt = {".g6": "graph6", ".graph6": "graph6", ".arcs": "arcs"}.get(
+            Path(path).suffix.lower(), "edges")
     data = Path(path).read_bytes()
     if fmt == "graph6":
         return parse_graph6(data)
-    text = data.decode("utf-8")
-    if fmt == "arcs":
-        return parse_arc_list(text)
-    return parse_edge_list(text)
+    return (parse_arc_list if fmt == "arcs" else parse_edge_list)(data.decode("utf-8"))
 
 
 def _write_report(doc: dict, args) -> None:
-    text = render_json(doc) if args.format == "json" else render_csv(doc)
-    if args.out:
-        # bytes, not text: keep CSV line endings exact on every platform
-        Path(args.out).write_bytes(text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
+    """Stream the report to stdout or ``--out``.  A regular file at ``--out``
+    is replaced only once the whole report is written beside it."""
+    write = write_json if args.format == "json" else write_csv
+    if not args.out:
+        return write(doc, sys.stdout.write)
+    target = Path(args.out)
+    in_place = target.exists() and not target.is_file()  # a device or a pipe
+    if not in_place:
+        target = target.resolve()  # through a symbolic link, which stays
+    partial = target if in_place else target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:  # newline="": CSV line endings stay exact on every platform
+        with open(partial, "w", encoding="utf-8", newline="") as stream:
+            write(doc, stream.write)
+        if not in_place:
+            partial.replace(target)
+    finally:
+        if not in_place:
+            partial.unlink(missing_ok=True)
 
 
 def _resolve_workers(args) -> int:
@@ -249,6 +244,7 @@ def _run_compute(args) -> int:
 
     strict = args.matrix != "all"  # a kind named alone fails rather than skips
     kinds = [as_kind(args.matrix)] if strict else standard_kinds(betas)
+    check_exponents(kinds, loaded.n)
 
     stack = EdgeStack.of(loaded)  # a table of one: every value below reads it
     matrices = []

@@ -285,22 +285,26 @@ def _seidel(a: np.ndarray) -> np.ndarray:
     # halves the diameter, so there are about log2(diameter) dense
     # products; every value stays an integer below n^2, exact in a's dtype.
     # A member whose square graph adds no pair and is not complete is
-    # disconnected.
+    # disconnected.  While the levels below run, a level holds only a and
+    # the pending members' b; it builds its distances after they return.
     n = a.shape[-1]
     diagonal = np.arange(n)
     b = (a + a @ a) > 0
     b[:, diagonal, diagonal] = False
-    out = b.astype(a.dtype)
-    out *= 2
-    out -= a
     pending = np.count_nonzero(b, axis=(1, 2)) != n * n - n
-    if not pending.any():
-        return out
-    a, b = a[pending], b[pending]
-    if np.all(b == (a > 0), axis=(1, 2)).any():
+    if (pending & np.all(b == (a > 0), axis=(1, 2))).any():
         raise DisconnectedGraphError("distance matrix requires a connected graph")
-    t = _seidel(b.astype(a.dtype))
-    out[pending] = 2 * t - (t @ a < t * a.sum(axis=1)[:, None, :])
+    t = b[pending].astype(a.dtype)
+    del b
+    t = _seidel(t) if len(t) else t
+    below = a[pending]
+    below = t @ below < t * below.sum(axis=1)[:, None, :]
+    t *= 2
+    t -= below
+    out = np.full_like(a, 2)  # a complete square graph: 1 on an edge of a, else 2
+    out[:, diagonal, diagonal] = 0
+    out -= a
+    out[pending] = t
     return out
 
 

@@ -42,7 +42,7 @@ import math
 import zlib
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -239,6 +239,17 @@ def standard_kinds(betas: tuple[float, ...] = ()) -> tuple[MatrixKind, ...]:
     kinds = [MatrixKind(tag) for tag in KINDS if tag != "general-randic"]
     kinds.extend(MatrixKind("general-randic", float(b)) for b in betas)
     return tuple(kinds)
+
+
+def check_exponents(kinds: Iterable[MatrixKind], n: int) -> None:
+    """Refuse a general-randic exponent b whose entries (d_u d_v)^b at the
+    largest degree product of order n, (n - 1)^2, or the absolute eigenvalue
+    sum they bound, n (n - 1) times that, leave the normal float range."""
+    for b in (kind.beta for kind in kinds if kind.beta is not None):
+        power = b * math.log2(max(n - 1, 1) ** 2)
+        if not -1022.0 <= power < 1024.0 - math.log2(max(n * (n - 1), 1)):
+            raise ValueError(f"general-randic exponent {b:g} is out of range at order {n}: "
+                             f"(d_u d_v)^{b:g} or its eigenvalues leave the float range")
 
 
 def edge_stack_of(g: Graph | OrientedGraph) -> np.ndarray:

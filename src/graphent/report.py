@@ -4,13 +4,16 @@ Reports serialize to JSON or CSV with stable bytes: key order is fixed by
 construction, floats render through one formatter, and informational
 fields that vary between runs (wall-clock time) are left out.  Reruns of
 the same job must produce identical files regardless of worker count.
+The writers pass a report to a ``write`` callable a few thousand pieces at a
+time; :func:`render_json` and :func:`render_csv` collect it into one string.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
+from types import SimpleNamespace
+from typing import Callable
 
 from .spectra import ABS_TOL, EQUALITY_BAND, REL_TOL
 from .verifier import AuditReport, ClaimResult, ExtremalScan, VerificationReport
@@ -26,10 +29,6 @@ def format_float(value: float) -> str:
     return "0" if text == "-0" else text
 
 
-def _tolerance_object() -> dict:
-    return {"absolute": ABS_TOL, "relative": REL_TOL, "equality_band": EQUALITY_BAND}
-
-
 def claim_to_object(claim: ClaimResult) -> dict:
     return {
         "id": claim.claim_id,
@@ -40,37 +39,33 @@ def claim_to_object(claim: ClaimResult) -> dict:
     }
 
 
-def verification_to_object(report: VerificationReport) -> dict:
+def _corpus_object(name: str, report, head: dict, tail: dict) -> dict:
+    """A corpus report: its run's settings (``head`` after the corpus), then
+    its counts (``tail`` after the graph count), summary and claim records."""
     return {
-        "report": "verification",
+        "report": name,
         "corpus": report.corpus,
-        "checks": list(report.checks),
-        "alphas": list(report.alphas),
-        "betas": list(report.betas),
+        **head,
         "seed": report.seed,
         "log_base": report.log_base,
-        "tolerance": _tolerance_object(),
+        "tolerance": {"absolute": ABS_TOL, "relative": REL_TOL, "equality_band": EQUALITY_BAND},
         "total_graphs": report.total_graphs,
-        "failures": report.failure_count,
+        **tail,
         "summary": {claim_id: dict(by_status) for claim_id, by_status in report.summary.items()},
         "claims": [claim_to_object(c) for c in report.claims],
     }
+
+
+def verification_to_object(report: VerificationReport) -> dict:
+    return _corpus_object("verification", report, {"checks": list(report.checks),
+                          "alphas": list(report.alphas), "betas": list(report.betas)},
+                          {"failures": report.failure_count})
 
 
 def audit_to_object(report: AuditReport) -> dict:
-    return {
-        "report": "audit",
-        "corpus": report.corpus,
-        "kinds": list(report.kinds),
-        "alpha_grid": list(report.alpha_grid),
-        "seed": report.seed,
-        "log_base": report.log_base,
-        "tolerance": _tolerance_object(),
-        "total_graphs": report.total_graphs,
-        "total_claims": report.total_claims,
-        "summary": {claim_id: dict(by_status) for claim_id, by_status in report.summary.items()},
-        "claims": [claim_to_object(c) for c in report.claims],
-    }
+    return _corpus_object("audit", report, {"kinds": list(report.kinds),
+                          "alpha_grid": list(report.alpha_grid)},
+                          {"total_claims": report.total_claims})
 
 
 def scan_to_object(scan: ExtremalScan) -> dict:
@@ -88,51 +83,61 @@ def scan_to_object(scan: ExtremalScan) -> dict:
     return obj
 
 
-def render_json(value) -> str:
-    """Emit pretty JSON with deterministic key order and float format."""
+def write_json(value, write: Callable[[str], object]) -> None:
+    """Write pretty JSON with deterministic key order and float format to
+    ``write``, a few thousand pieces at a time."""
     pieces: list[str] = []
-    _emit(value, pieces, 0)
+    _emit(value, pieces, 0, write)
     pieces.append("\n")
-    return "".join(pieces)
+    write("".join(pieces))
 
 
-def _emit(value, pieces: list[str], depth: int | None) -> None:
-    """Append ``value`` as JSON: indented two spaces per level from
-    ``depth``, or compact (no indent, no newlines) where ``depth`` is None."""
-    if value is None:
-        pieces.append("null")
-    elif value is True:
-        pieces.append("true")
-    elif value is False:
-        pieces.append("false")
-    elif isinstance(value, str):
+def render_json(value) -> str:
+    """The text :func:`write_json` writes."""
+    chunks: list[str] = []
+    write_json(value, chunks.append)
+    return "".join(chunks)
+
+
+_CHUNK = 4096  # pieces a writer holds before it writes them out
+
+
+def _emit(value, pieces: list[str], depth: int | None, write: Callable | None) -> None:
+    """Append ``value`` as JSON: indented two spaces per level from ``depth``,
+    or compact (no indent, no newlines) where ``depth`` is None.  With
+    ``write``, a container that leaves :data:`_CHUNK` pieces writes them out."""
+    kind = type(value)
+    if kind is str:
         pieces.append(_escape(value))
-    elif isinstance(value, int):
-        pieces.append(str(value))
-    elif isinstance(value, float):
-        pieces.append(format_float(value))
-    elif isinstance(value, (dict, list, tuple)):
-        is_dict = isinstance(value, dict)
-        opening, closing = "{}" if is_dict else "[]"
+    elif kind is float:
+        pieces.append(format_float(value))  # looked up here: a caller may replace it
+    elif kind is dict or kind is list or kind is tuple:
+        is_dict = kind is dict
         if not value:
-            pieces.append(opening + closing)
-            return
-        if depth is None:
-            inner = outer = ""
-            colon, child = ":", None
-        else:
-            inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-            colon, child = ": ", depth + 1
-        pieces.append(opening)
-        for i, item in enumerate(value.items() if is_dict else value):
-            pieces.append("," + inner if i else inner)
-            if is_dict:
-                key, item = item
-                pieces.append(_escape(str(key)) + colon)
-            _emit(item, pieces, child)
-        pieces.append(outer + closing)
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+            return pieces.append("{}" if is_dict else "[]")
+        compact = depth is None
+        lead, outer = ("", "") if compact else ("\n" + "  " * (depth + 1), "\n" + "  " * depth)
+        colon, child, separator = (":", None, ",") if compact else (": ", depth + 1, "," + lead)
+        pieces.append("{" if is_dict else "[")
+        for key, item in value.items() if is_dict else zip(value, value):  # a list: keys unread
+            pieces.append(lead + _escape(str(key)) + colon if is_dict else lead)
+            _emit(item, pieces, child, write)
+            lead = separator
+        pieces.append(outer + ("}" if is_dict else "]"))
+        if write is not None and len(pieces) >= _CHUNK:
+            write("".join(pieces))
+            pieces.clear()
+    elif value is None:
+        pieces.append("null")
+    elif kind is bool:
+        pieces.append("true" if value else "false")
+    elif kind is int:
+        pieces.append(str(value))
+    else:  # a subclass of a JSON type, numpy's float64 say, is written as that type
+        base = next((t for t in (str, float, int, dict, list, tuple) if isinstance(value, t)), None)
+        if base is None:
+            raise TypeError(f"cannot serialize {kind.__name__}")
+        _emit(base.__str__(value) if base is str else base(value), pieces, depth, write)
 
 
 # each character a JSON string escapes, and its escape
@@ -141,33 +146,37 @@ _ESCAPES = ({c: "\\u%04x" % c for c in range(0x20)}
 
 
 def _escape(text: str) -> str:
+    if text.isprintable() and '"' not in text and "\\" not in text:  # nothing to escape
+        return '"' + text + '"'
     return '"' + text.translate(_ESCAPES) + '"'
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        text = format_float(value)
-        return text.strip('"')
-    if isinstance(value, (dict, list, tuple)):
-        pieces: list[str] = []
-        _emit(value, pieces, None)
-        return "".join(pieces)
-    return str(value)
+    """Empty for None, a string as is, anything else compact JSON, a
+    non-finite float unquoted."""
+    if value is None or isinstance(value, str):
+        return "" if value is None else value
+    pieces: list[str] = []
+    _emit(value, pieces, None, None)
+    return "".join(pieces).strip('"')
 
 
 def render_csv(doc: dict) -> str:
-    """Flatten a report object into six-column CSV sections.
+    """The text :func:`write_csv` writes."""
+    chunks: list[str] = []
+    write_csv(doc, chunks.append)
+    return "".join(chunks)
+
+
+def write_csv(doc: dict, write: Callable[[str], object]) -> None:
+    """Flatten a report object into six-column CSV sections, written to
+    ``write`` a row at a time.
 
     Row kinds: ``meta`` (scalar and list-valued report fields),
     ``summary`` (per-claim status counts), ``claim`` (retained claim
     records), ``witness`` and ``ranking`` (scan results).
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
+    writer = csv.writer(SimpleNamespace(write=write), lineterminator="\r\n")
     writer.writerow(("section", "key", "value", "detail", "residual", "witness"))
     for key, value in doc.items():
         if key in ("summary", "claims", "min", "max", "ranking"):
@@ -187,4 +196,3 @@ def render_csv(doc: dict) -> str:
     for claim in doc.get("claims", []):
         writer.writerow(("claim", claim["id"], claim["graph"], claim["status"],
                          _csv_cell(claim["residual"]), _csv_cell(claim["witness"])))
-    return buf.getvalue()

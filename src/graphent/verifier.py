@@ -79,7 +79,9 @@ from .matrices import (
     as_kind,
     batch_rows,
     build_stack,
+    check_exponents,
     moment_spectrum,
+    standard_kinds,
 )
 from .measures import (
     distance_moment_stack,
@@ -768,12 +770,7 @@ def verify_corpus(
             raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
     total, checks = spec.total, tuple(checks)
     alphas, betas = tuple(float(a) for a in alphas), tuple(float(b) for b in betas)
-    n = spec.order
-    for b in betas:  # (d_u d_v)^b at (n - 1)^2, and the eigenvalues' sum, n (n - 1) times it
-        power = b * math.log2(max(n - 1, 1) ** 2)
-        if math.isfinite(b) and not -1022.0 <= power < 1024.0 - math.log2(max(n * (n - 1), 1)):
-            raise ValueError(f"general-randic exponent {b:g} is out of range at order {n}: "
-                             f"(d_u d_v)^{b:g} or its eigenvalues leave the float range")
+    check_exponents(standard_kinds(betas), spec.order)
     chunk = total if workers <= 1 else max(STACK_CHUNK, -(-total // (workers * 4)))
     chunk_args = [(spec.text, start, min(start + chunk, total), checks, alphas, betas, seed,
                    float(log_base)) for start in range(0, total, chunk)]
@@ -888,6 +885,7 @@ def audit_corpus(
     """
     spec = corpus if isinstance(corpus, CorpusSpec) else parse_corpus(corpus)
     use_kinds = tuple(as_kind(k) for k in (kinds if kinds is not None else default_audit_kinds()))
+    check_exponents(use_kinds, spec.order)
     alphas = _audit_grid(alpha_grid)
     graphs, tally, retained = _sweep(
         spec, 0, spec.total, seed,
@@ -945,6 +943,7 @@ def scan_extremal(
     every member is encoded.
     """
     stacked = _measure_stack(measure, log_base=log_base)
+    check_exponents(stacked.kinds, order)
     if family not in SCAN_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {SCAN_FAMILIES}")
     # the members are those of trees:<order>, or the last order of all:<order>
@@ -993,6 +992,7 @@ class _StackedMeasure(NamedTuple):
 
     values: Callable[[EdgeStack], np.ndarray]
     domain: Callable[[EdgeStack], np.ndarray | bool]
+    kinds: tuple[MatrixKind, ...] = ()  # the kinds it solves
 
 
 def _connected_distances(s: EdgeStack) -> np.ndarray:
@@ -1033,7 +1033,8 @@ def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
         built = lambda s: lambda solved: Spectrum(
             np.where(solved.spec.builds(s), 0.0, np.nan)[:, None], EIGENVALUES)
         return _StackedMeasure(lambda s: moment_spectrum(kind, s.require).abs_sum(),
-                               lambda s: moment_spectrum(kind, built(s)).values[:, 0] == 0.0)
+                               lambda s: moment_spectrum(kind, built(s)).values[:, 0] == 0.0,
+                               (kind,))
     if head in ("quadratic", "renyi", "daroczy"):
         if head == "quadratic":
             kind = as_kind(rest)
@@ -1046,7 +1047,7 @@ def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
             alpha = _parse(alpha_text, "entropy order", float)
             functional = renyi_entropy if head == "renyi" else daroczy_entropy
             values = lambda s: functional(_distribution(kind, s, log_base), alpha)
-        return _StackedMeasure(values, lambda s: kind.spec.builds(s) & (s.m >= 1))
+        return _StackedMeasure(values, lambda s: kind.spec.builds(s) & (s.m >= 1), (kind,))
     raise ValueError(f"unknown measure {text!r}")
 
 

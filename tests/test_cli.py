@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import pytest
 
 from graphent.cli import main
-from graphent.verifier import VerificationReport
+from graphent.report import audit_to_object, render_csv, render_json, verification_to_object
+from graphent.verifier import VerificationReport, audit_corpus, verify_corpus
 
 
 @pytest.fixture
@@ -457,3 +459,69 @@ def test_space_separated_negative_beta_matches_equals_form(command, k3_file, cap
     assert main(argv + ["--beta", "-1,-0.5,1"]) == 0
     assert capsys.readouterr().out == joined
     assert "general-randic:-0.5" in joined
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["verify", "audit"])
+def test_stdout_and_out_carry_the_rendered_report_bytes(command, fmt, tmp_path, capsys):
+    out = tmp_path / f"report.{fmt}"
+    argv = [command, "--corpus", "all:4", "--format", fmt]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    assert main(argv + ["--out", str(out)]) == 0
+    if command == "verify":
+        doc = verification_to_object(verify_corpus("all:4", betas=(-1.0, -0.5, 1.0)))
+    else:
+        doc = audit_to_object(audit_corpus("all:4"))
+    rendered = (render_json if fmt == "json" else render_csv)(doc).encode("utf-8")
+    assert out.read_bytes() == printed == rendered
+    assert sorted(p.name for p in tmp_path.iterdir()) == [out.name]
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier report\n"])
+def test_a_failed_write_leaves_no_partial_report(existing, monkeypatch, tmp_path, capsys):
+    def unserializable(report):
+        doc = verification_to_object(report)
+        doc["claims"][-1]["witness"] = {"value": object()}
+        return doc
+
+    monkeypatch.setattr("graphent.cli.verification_to_object", unserializable)
+    monkeypatch.setattr("graphent.report._CHUNK", 8)  # the file gets pieces before the failure
+    out = tmp_path / "report.json"
+    if existing is not None:
+        out.write_bytes(existing)
+    assert main(["verify", "--corpus", "all:4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: TypeError: cannot serialize object\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if existing is None else [out.name])
+    if existing is not None:
+        assert out.read_bytes() == existing
+
+
+def test_out_writes_through_a_symbolic_link_and_into_a_device(tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old\n")
+    link.symlink_to(target.name)
+    assert main(["verify", "--corpus", "all:3", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["report"] == "verification"
+    assert main(["verify", "--corpus", "all:3", "--out", "/dev/null"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv,beta,order", [
+    (["compute", "--input", "k4.g6", "--beta=400"], "400", 4),
+    (["audit", "--corpus", "all:5", "--matrix", "general-randic:400"], "400", 5),
+    (["scan", "--family", "trees", "--order", "6", "--measure",
+      "quadratic:general-randic:400"], "400", 6),
+    (["verify", "--corpus", "all:5", "--beta=-300"], "-300", 5),
+])
+def test_every_command_refuses_an_exponent_out_of_range_at_its_order(argv, beta, order, tmp_path,
+                                                                     monkeypatch, capsys):
+    (tmp_path / "k4.g6").write_bytes(b"C~\n")
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any power overflows
+        assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: general-randic exponent {beta} is out of range at "
+                                   f"order {order}: (d_u d_v)^{beta} or its eigenvalues leave "
+                                   "the float range\n")

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 
+from graphent import report
+from graphent.verifier import audit_corpus
 from report_diff import compare, main, ulp_distance
 
 
@@ -43,3 +45,13 @@ def test_a_moved_count_is_rejected(capsys):
     moved = json.loads(json.dumps(report))
     moved["summary"]["identity.q"]["pass"] += 1
     assert len(compare(report, moved)[0]) == 1
+
+
+def test_a_dump_writes_every_float_round_trip(capsys):
+    argv = ["audit", "--corpus", "all:3", "--log-base", "2.718281828459045"]
+    assert main(["--dump", *argv]) == 0
+    dumped = json.loads(capsys.readouterr().out)
+    want = [claim.residual for claim in audit_corpus("all:3", log_base=2.718281828459045).claims]
+    assert [claim["residual"] for claim in dumped["claims"]] == want  # bit for bit
+    assert any(float("%.15g" % r) != r for r in want)  # which 15 digits would not give
+    assert report.format_float(0.1 + 0.2) == "0.3"  # the hook is put back
