@@ -42,14 +42,8 @@ from .formats import parse_arc_list, parse_edge_list, parse_graph6
 from .graphs import Graph, OrientedGraph
 from .matrices import (EdgeStack, MatrixKind, as_kind, check_exponents, moment_spectrum,
                        standard_kinds)
-from .measures import (
-    distance_moment_stack,
-    first_zagreb_stack,
-    hyper_wiener_stack,
-)
 from .report import (
     audit_to_object,
-    claim_to_object,
     scan_to_object,
     verification_to_object,
     write_csv,
@@ -60,6 +54,7 @@ from .verifier import (
     SCAN_FAMILIES,
     audit_corpus,
     audit_table,
+    measure_stack,
     scan_extremal,
     status_summary,
     verify_corpus,
@@ -259,15 +254,11 @@ def _run_compute(args) -> int:
                 raise
             skipped.append({"kind": str(kind), "reason": str(exc)})
 
-    indices: dict[str, float] = {
-        "m1": float(first_zagreb_stack(stack.degrees)[0]),
-        "randic-index:-1": float(stack.randic_sum(-1.0)[0]),
-        "randic-index:-0.5": float(stack.randic_sum(-0.5)[0]),
-    }
-    if stack.connected[0]:
-        indices["wiener"] = float(distance_moment_stack(stack.distances, 1)[0])
-        indices["hyper-wiener"] = float(hyper_wiener_stack(stack.distances)[0])
-        indices["w2"] = float(distance_moment_stack(stack.distances, 2)[0])
+    indices: dict[str, float] = {}  # the scan's measures, where the graph lies in their domain
+    for name in ("m1", "randic-index:-1", "randic-index:-0.5", "wiener", "hyper-wiener", "wk:2"):
+        measure = measure_stack(name)
+        if measure.domain(stack)[0]:
+            indices["w2" if name == "wk:2" else name] = float(measure.values(stack)[0])
     if stack.m[0] >= 1:
         indices["functional-degree-entropy"] = functional_entropy(stack.degrees[0], log_base=base)
 
@@ -298,10 +289,8 @@ def _compute_kind(kind: MatrixKind, stack: EdgeStack, oriented: bool,
     closed form's hypothesis the closed values are None, with the refusal."""
     spectrum = stack.spectrum(kind)
     applies = kind.spec.has_closed_form(stack)
-    reads = [(kind, None)]  # the direct route's spectrum first: it names the error
-    closed = closed_entropies(stack, kind, None, applies, alphas, base, reads)[0].tolist()
-    for read in reads:
-        require_distribution(stack, *read)
+    closed = closed_entropies(stack, kind, None, applies, alphas, base)[0].tolist()
+    require_distribution(stack, kind)
     direct = direct_entropies(stack, kind, None, alphas, base)[0].tolist()
     refusal = None if applies[0] else kind.spec.refusal[1].format(kind=kind)
     if refusal:
@@ -354,7 +343,7 @@ def _run_audit(args) -> int:
             "alpha_grid": list(grid),
             "log_base": float(args.log_base),
             "summary": status_summary(table.tally()),
-            "claims": [claim_to_object(c) for c in table.row(0)],
+            "claims": table.row(0),
         }
         _write_report(doc, args)
         return 0

@@ -8,22 +8,23 @@ The closed route reads each kind's row of the catalogue
 (:data:`graphent.matrices.KINDS`): the quadratic entropy is one minus the
 square-sum invariant (degree sums, distance sums) over the squared trace
 sum, and the Renyi and Daroczy entropies take the power sums of the moment
-spectrum divided by the trace sum, each as a log-sum-exp of
-alpha * log(|v| / t), so no order overflows or underflows them.  The trace
-sum is an invariant where the row has one (2m, or the vertex count), and
-the incidence moments come from the signless Laplacian, never from the
-incidence matrix.  Where the row has neither, the closed Renyi and
-Daroczy values read the same spectrum as the direct route, through
-different arithmetic.  The verifier compares the two routes on every
-graph it sweeps.  The routes share inputs (the graph, its spectrum, and
-its distance matrix) but no intermediate result.
+spectrum (of :attr:`graphent.matrices.MatrixKind.moment_kind`) divided by
+the trace sum, each as a log-sum-exp of alpha * log(|v| / t), so no order
+overflows or underflows them.  The trace sum is an invariant where the row
+has one (2m, or the vertex count), and the incidence moments come from the
+signless Laplacian, never from the incidence matrix.  Where the row has
+neither, the closed Renyi and Daroczy values read the same spectrum as the
+direct route, through different arithmetic.  The verifier compares the two
+routes on every graph it sweeps.  The routes share inputs (the graph, its
+spectrum, and its distance matrix) but no intermediate result.
 
 Both routes take stacks: :func:`direct_entropies` and
 :func:`closed_entropies` give every member of an
 :class:`graphent.matrices.EdgeStack` its entropies by each route, as the
-columns of one array, and the verifier's claim tables and ``compute`` read
-them.  A graph is a stack of one (:func:`closed_form`): the same code runs
-along each row, so a member's values are, bit for bit, those it has alone.
+columns of one array, and the verifier's claim tables, its audit and
+``compute`` read them.  A graph is a stack of one (:func:`closed_form`):
+the same code runs along each row, so a member's values are, bit for bit,
+those it has alone.
 
 Logarithm base is 2 unless stated; Daroczy entropy is base-free.
 """
@@ -187,24 +188,23 @@ def direct_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
     rows = np.flatnonzero(np.abs(spectrum.values).sum(axis=-1) > 0)  # solved and nonzero
     out = np.full((len(stack), 1 + 2 * len(alphas)), np.nan)
     if len(rows):
-        pv = probabilities_from_spectrum(spectrum.take(rows), log_base)
-        out[rows] = _entropies(quadratic_entropy(pv), partial(_power_sums, pv.p), alphas,
-                               log_base)
+        out[rows] = distribution_entropies(probabilities_from_spectrum(spectrum.take(rows),
+                                                                       log_base), alphas, log_base)
     return out
 
 
-def closed_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
-                     applies: np.ndarray, alphas: Sequence[float], log_base: float,
-                     reads: list) -> np.ndarray:
-    """The columns of :func:`direct_entropies` by the closed route, for the
-    members where ``applies`` and every spectrum it reads was solved; NaN
-    elsewhere.  Appends to ``reads`` each ``(kind, orientation)`` whose
-    spectrum it reads."""
-    def solve(solved: MatrixKind) -> Spectrum:
-        reads.append((solved, label))
-        return stack.spectrum(solved, label)
+def distribution_entropies(p: ProbabilityVector, alphas: Sequence[float],
+                           log_base: float) -> np.ndarray:
+    """The columns of :func:`direct_entropies` of a ``(B, n)`` stack of distributions."""
+    return _entropies(quadratic_entropy(p), partial(_power_sums, p.p), alphas, log_base)
 
-    moments = moment_spectrum(kind, solve)
+
+def closed_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
+                     applies: np.ndarray, alphas: Sequence[float], log_base: float) -> np.ndarray:
+    """The columns of :func:`direct_entropies` by the closed route, for the
+    members where ``applies`` and the spectrum of ``kind.moment_kind`` was
+    solved; NaN elsewhere."""
+    moments = moment_spectrum(kind, lambda solved: stack.spectrum(solved, label))
     rows = np.flatnonzero(applies & ~np.isnan(moments.values[:, 0]))
     out = np.full((len(stack), 1 + 2 * len(alphas)), np.nan)
     if not len(rows):
@@ -244,10 +244,11 @@ def closed_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
 
 
 def require_distribution(stack: EdgeStack, kind: MatrixKind, label: str | None = None) -> None:
-    """Raise why a member of a stack has no spectral distribution of ``kind``
-    (a NaN row of :func:`direct_entropies`): :meth:`EdgeStack.require`'s
-    error, or ZeroSpectrumError."""
-    probabilities_from_spectrum(stack.require(kind, label))  # a zero spectrum raises
+    """Raise why a member of a stack has no spectral distribution of ``kind`` (a
+    NaN row of :func:`direct_entropies`), else of ``kind.moment_kind``, which the
+    closed route reads: :meth:`EdgeStack.require`'s error, or ZeroSpectrumError."""
+    for read in (kind, kind.moment_kind):
+        probabilities_from_spectrum(stack.require(read, label))  # a zero spectrum raises
 
 
 def closed_form(
@@ -271,9 +272,6 @@ def closed_form(
     if not np.all(row.hypothesis(stack)):
         error, reason = row.refusal
         raise error(reason.format(kind=kind))
-    reads: list = []
-    values = closed_entropies(stack, kind, None, row.has_closed_form(stack), (alpha,), log_base,
-                              reads)
-    for read in reads:
-        require_distribution(stack, *read)
+    values = closed_entropies(stack, kind, None, row.has_closed_form(stack), (alpha,), log_base)
+    require_distribution(stack, kind)
     return tuple(values[0].tolist())

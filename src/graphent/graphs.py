@@ -164,15 +164,17 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n, tuple(map(tuple, gnp_edge_stack(n, p, [seed])[0].tolist())))  # a stack of one
 
 
-# Vertex pairs drawn, or decoded into edges, at a time: the temporaries of a
-# sampled corpus's decode stay near those of one (B, n, n) batch.
-PAIRS_AT_A_TIME = 1 << 15
+# Entries per stacked array: an EdgeStack's batches (graphent.matrices.batch_rows)
+# and a sampled corpus's vertex pairs drawn at a time.  Uncapped, audit
+# gnp:30,1.0,100 peaked at 56 MB (34 MB at p = 0.3); 1 << 16 ran verify
+# gnp:40,0.3,200 faster than this, but at a higher peak RSS.
+STACK_ENTRIES = 1 << 15
 
 
 def gnp_edge_stack(n: int, p: float, seeds: Sequence) -> np.ndarray:
     """One :func:`random_gnp` sample per seed, as a :func:`pair_stack`."""
     pairs = n * (n - 1) // 2
-    size = max(1, PAIRS_AT_A_TIME // max(pairs, 1))
+    size = max(1, STACK_ENTRIES // max(pairs, 1))
     chosen = np.concatenate([uniform_draws(seeds[lo:lo + size], [pairs] * len(seeds[lo:lo + size]))
                              < p for lo in range(0, len(seeds), size)] or [np.empty(0, bool)])
     return pair_stack(n, chosen.reshape(len(seeds), pairs))
@@ -182,7 +184,7 @@ def pair_stack(n: int, chosen: np.ndarray) -> np.ndarray:
     """The ragged edge stack of the vertex pairs, in lexicographic order, ``chosen`` picks."""
     counts, pairs = chosen.sum(axis=1), np.transpose(np.triu_indices(n, 1))
     out = np.full((len(chosen), counts.max(initial=0), 2), n, dtype=np.int64)
-    size = max(1, PAIRS_AT_A_TIME // max(chosen.shape[1], 1))
+    size = max(1, STACK_ENTRIES // max(chosen.shape[1], 1))
     for lo in range(0, len(chosen), size):
         real = np.arange(out.shape[1]) < counts[lo:lo + size, None]
         out[lo:lo + size][real] = pairs[np.nonzero(chosen[lo:lo + size])[1]]

@@ -20,9 +20,9 @@ graph, so incidence-based spectra are reproducible across runs.
 Each tag has one :class:`KindSpec` row in :data:`KINDS`, the catalogue the
 rest of the package reads: the kind's domain (orientation, an edge column,
 connectivity, and the closed form's own hypothesis with the error it
-raises), its trace sum, its square-sum invariant, and the spectrum its
-closed-form moments and its energy come from (:func:`moment_spectrum`),
-as functions of an :class:`EdgeStack`.
+raises), its trace sum and its square-sum invariant, as functions of an
+:class:`EdgeStack`, and the kind whose spectrum its closed-form moments and
+its energy read (:attr:`MatrixKind.moment_kind`, :func:`moment_spectrum`).
 
 Matrices are built in stacks: :func:`build_stack` takes an order n and a
 ``(B, m, 2)`` stack of edges (arcs for the oriented kinds) and returns one
@@ -57,6 +57,7 @@ from .errors import (
 )
 from .formats import encode_graph6_stack
 from .graphs import (
+    STACK_ENTRIES,
     Graph,
     OrientedGraph,
     connected_stack,
@@ -77,16 +78,9 @@ from .spectra import (
     symmetric_eigenvalues,
 )
 
-# Matrix entries per stacked array: an EdgeStack builds, solves, and takes
-# distances and reachability a batch of :func:`batch_rows` members at a time.
-# Uncapped, audit gnp:30,1.0,100 peaked at 56 MB (34 MB at p = 0.3); 1 << 16
-# ran verify gnp:40,0.3,200 faster than this, but at a higher peak RSS.
-STACK_ENTRIES = 1 << 15
-
-
 def batch_rows(n: int, width: int | None = None) -> int:
     """Members per batch of ``(B, n, width)`` arrays, ``(B, n, n)`` by
-    default, under :data:`STACK_ENTRIES`; at least one."""
+    default, under :data:`graphent.graphs.STACK_ENTRIES`; at least one."""
     return max(1, STACK_ENTRIES // (n * (n if width is None else max(width, 1))))
 
 
@@ -123,6 +117,12 @@ class MatrixKind:
         return self.spec.oriented
 
     @property
+    def moment_kind(self) -> MatrixKind:
+        """The kind whose spectrum its closed-form moments and its energy read: the
+        row's ``moment_source``, else this kind."""
+        return self if self.spec.moment_source is None else MatrixKind(self.spec.moment_source)
+
+    @property
     def matrix(self) -> MatrixKind:
         """The kind of the same matrix: ``randic`` for ``general-randic:-0.5``."""
         return MatrixKind("randic") if self.tag == "general-randic" and self.beta == -0.5 else self
@@ -147,8 +147,8 @@ class KindSpec:
     trace sum is the spectrum's absolute sum; ``square_sum`` is the
     invariant sum of squared spectral values; the moments, and the energy,
     come from the kind's own spectrum, or, where ``moment_source`` names a
-    kind, from the square roots of that kind's eigenvalues, as
-    :func:`moment_spectrum` alone reads it.  ``hypothesis``, ``trace`` and
+    kind (:attr:`MatrixKind.moment_kind`), from the square roots of that
+    kind's eigenvalues (:func:`moment_spectrum`).  ``hypothesis``, ``trace`` and
     ``square_sum`` give a value per member of an :class:`EdgeStack`, and
     ``log_square_sum`` the square sum's log, read where its ratio to the
     squared trace sum leaves the float range (at a member with an edge).  An
@@ -337,13 +337,18 @@ def build_stack(kind: MatrixKind | str, n: int, edges: np.ndarray,
     return out
 
 
-def _solve(kind: MatrixKind, matrices: np.ndarray) -> Spectrum:
-    label = str(kind)
-    if kind.spec.edge_column:
-        return singular_values(matrices, pad_to=matrices.shape[-2], source=label)
-    if kind.needs_orientation:
-        return skew_absolute_eigenvalues(matrices, source=label)
-    return symmetric_eigenvalues(matrices, source=label)
+def _named(kind: MatrixKind) -> str:
+    """What a kind's spectrum holds, and so how :func:`_solve` solves it."""
+    return (SINGULAR_VALUES if kind.spec.edge_column
+            else ABSOLUTE_EIGENVALUES if kind.needs_orientation else EIGENVALUES)
+
+
+def _solve(kind: MatrixKind, matrices: np.ndarray) -> np.ndarray:
+    named = _named(kind)
+    if named == SINGULAR_VALUES:
+        return singular_values(matrices, pad_to=matrices.shape[-2]).values
+    solve = skew_absolute_eigenvalues if named == ABSOLUTE_EIGENVALUES else symmetric_eigenvalues
+    return solve(matrices).values
 
 
 def spectrum_of(kind: MatrixKind | str, g: Graph | OrientedGraph) -> Spectrum:
@@ -361,15 +366,13 @@ def spectrum_of(kind: MatrixKind | str, g: Graph | OrientedGraph) -> Spectrum:
 
 def moment_spectrum(kind: MatrixKind | str, solve: Callable[[MatrixKind], Spectrum]) -> Spectrum:
     """The spectrum a kind's closed-form moments and its energy read: the
-    square roots of the eigenvalues of the kind its row names as
-    ``moment_source``, else the kind's own spectrum.  ``solve`` gives a
-    kind's spectrum: an :class:`EdgeStack`'s, or :func:`spectrum_of` of the
-    graph at hand."""
+    square roots of the eigenvalues of its :attr:`MatrixKind.moment_kind`,
+    else the kind's own spectrum.  ``solve`` gives a kind's spectrum: an
+    :class:`EdgeStack`'s, or :func:`spectrum_of` of the graph at hand."""
     kind = as_kind(kind)
-    source = kind.spec.moment_source
-    if source is None:
+    if kind.moment_kind == kind:
         return solve(kind)
-    return sqrt_spectrum(solve(as_kind(source)), source=str(kind))
+    return sqrt_spectrum(solve(kind.moment_kind), source=str(kind))
 
 
 class EdgeStack:
@@ -499,9 +502,7 @@ class EdgeStack:
                         values[row] = self._values(kind, label, [row])[0]
                     except (NoConvergenceError, NegativeEigenvalueError) as exc:
                         errors[row] = exc
-            named = (SINGULAR_VALUES if kind.spec.edge_column  # as :func:`_solve` names them
-                     else ABSOLUTE_EIGENVALUES if kind.needs_orientation else EIGENVALUES)
-            self._spectra[str(kind), label] = Spectrum(values, named, str(kind)), errors
+            self._spectra[str(kind), label] = Spectrum(values, _named(kind), str(kind)), errors
         return self._spectra[str(kind), label]
 
     def require(self, kind: MatrixKind | str, orientation: str | None = None) -> Spectrum:
@@ -555,5 +556,4 @@ class EdgeStack:
                     else build_stack(kind, self.n, arcs[at, :m], self.degrees[at]))
 
         # each batch's matrices are freed before the next batch is built
-        return np.concatenate([_solve(kind, build(at)).values
-                               for at in self._batches(members, m)])
+        return np.concatenate([_solve(kind, build(at)) for at in self._batches(members, m)])

@@ -6,6 +6,7 @@ fields that vary between runs (wall-clock time) are left out.  Reruns of
 the same job must produce identical files regardless of worker count.
 The writers pass a report to a ``write`` callable a few thousand pieces at a
 time; :func:`render_json` and :func:`render_csv` collect it into one string.
+Claim records stay :class:`ClaimResult` objects until each is written.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _corpus_object(name: str, report, head: dict, tail: dict) -> dict:
         "total_graphs": report.total_graphs,
         **tail,
         "summary": {claim_id: dict(by_status) for claim_id, by_status in report.summary.items()},
-        "claims": [claim_to_object(c) for c in report.claims],
+        "claims": report.claims,
     }
 
 
@@ -133,6 +134,8 @@ def _emit(value, pieces: list[str], depth: int | None, write: Callable | None) -
         pieces.append("true" if value else "false")
     elif kind is int:
         pieces.append(str(value))
+    elif kind is ClaimResult:
+        _emit(claim_to_object(value), pieces, depth, write)
     else:  # a subclass of a JSON type, numpy's float64 say, is written as that type
         base = next((t for t in (str, float, int, dict, list, tuple) if isinstance(value, t)), None)
         if base is None:
@@ -173,8 +176,8 @@ def write_csv(doc: dict, write: Callable[[str], object]) -> None:
     ``write`` a row at a time.
 
     Row kinds: ``meta`` (scalar and list-valued report fields),
-    ``summary`` (per-claim status counts), ``claim`` (retained claim
-    records), ``witness`` and ``ranking`` (scan results).
+    ``summary`` (per-claim status counts), ``claim`` (retained
+    :class:`ClaimResult` records), ``witness`` and ``ranking`` (scan results).
     """
     writer = csv.writer(SimpleNamespace(write=write), lineterminator="\r\n")
     writer.writerow(("section", "key", "value", "detail", "residual", "witness"))
@@ -193,6 +196,6 @@ def write_csv(doc: dict, write: Callable[[str], object]) -> None:
     for claim_id, by_status in doc.get("summary", {}).items():
         for status, count in by_status.items():
             writer.writerow(("summary", claim_id, status, str(count), "", ""))
-    for claim in doc.get("claims", []):
-        writer.writerow(("claim", claim["id"], claim["graph"], claim["status"],
-                         _csv_cell(claim["residual"]), _csv_cell(claim["witness"])))
+    for claim in doc.get("claims", ()):
+        writer.writerow(("claim", claim.claim_id, claim.graph, claim.status,
+                         _csv_cell(claim.residual), _csv_cell(claim.witness)))

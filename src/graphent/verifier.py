@@ -47,18 +47,17 @@ import os
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .entropy import (
     ProbabilityVector,
     closed_entropies,
-    daroczy_entropy,
     direct_entropies,
+    distribution_entropies,
     probabilities_from_spectrum,
-    quadratic_entropy,
-    renyi_entropy,
 )
 from .enumeration import (
     STACK_CHUNK,
@@ -89,7 +88,6 @@ from .measures import (
     hyper_wiener_stack,
 )
 from .spectra import (
-    EIGENVALUES,
     EQUALITY_BAND,
     comparison_tolerance,
     Spectrum,
@@ -217,9 +215,10 @@ def _columns(values: list, size: int) -> np.ndarray:
 def _identity(stack: EdgeStack, direct, members, alphas: Sequence[float],
               log_base: float, applies: np.ndarray):
     a = np.concatenate([direct(kind, label) for kind, label in members], 1)
-    reads = list(members)  # the direct route's spectra first: the first read names an error
-    b = np.concatenate([closed_entropies(stack, kind, label, applies, alphas, log_base, reads)
+    b = np.concatenate([closed_entropies(stack, kind, label, applies, alphas, log_base)
                         for kind, label in members], 1)
+    # the direct route's spectra first: the first read names an error
+    reads = [*members, *((kind.moment_kind, label) for kind, label in members)]
     columns = [("quadratic", None)] + [(f, a) for a in alphas for f in ("renyi", "daroczy")]
 
     def witness(k: int, direct_value: float, closed_value: float) -> dict:
@@ -501,21 +500,22 @@ def _audit_grid(alpha_grid: Sequence[float]) -> tuple[float, ...]:
     return alphas
 
 
-def _audit_arrays(p: ProbabilityVector, alphas: tuple[float, ...], log_base: float
-                  ) -> tuple[np.ndarray, ...]:
+def _audit_arrays(entropies: np.ndarray, alphas: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     """``(status, margin, lhs, rhs)`` of B distributions, each ``(B, 3 * len(alphas))``
-    by grid point, then claim; ``status`` indexes :data:`STATUSES`, and ``margin``
-    is ``lhs - rhs``, or -inf where that is not finite."""
-    shape = (len(p.p), len(alphas), len(AUDIT_CLAIMS))
+    by grid point, then claim, from their :func:`graphent.entropy.direct_entropies`
+    columns at the grid's orders other than 1; ``status`` indexes :data:`STATUSES`,
+    and ``margin`` is ``lhs - rhs``, or -inf where that is not finite."""
+    shape = (len(entropies), len(alphas), len(AUDIT_CLAIMS))
     lhs = np.full(shape, np.nan)
     rhs = np.full(shape, np.nan)
-    quad = quadratic_entropy(p)
+    quad = entropies[:, 0]
     ln2 = math.log(2.0)
+    columns = iter(range(1, entropies.shape[1], 2))  # each order's Renyi, then Daroczy
     for j, alpha in enumerate(alphas):
         if alpha == 1.0:
             continue
-        ren = renyi_entropy(p, alpha, log_base)
-        dar = daroczy_entropy(p, alpha)
+        at = next(columns)
+        ren, dar = entropies[:, at], entropies[:, at + 1]
         c = 1.0 - 2.0 ** (1.0 - alpha)
         if alpha < 1.0:
             part_i = (dar * ln2, ren)
@@ -541,7 +541,7 @@ def _audit_arrays(p: ProbabilityVector, alphas: tuple[float, ...], log_base: flo
     status = np.where((margin == -math.inf) | (-margin > band), _FAIL,
                       np.where(np.abs(margin) <= band, _EQUALITY, _PASS))
     status[:, [alpha == 1.0 for alpha in alphas]] = _NOT_APPLICABLE
-    return tuple(x.reshape(len(p.p), -1) for x in (status, margin, lhs, rhs))
+    return tuple(x.reshape(len(entropies), -1) for x in (status, margin, lhs, rhs))
 
 
 def _audit_records(alphas: tuple[float, ...], status: np.ndarray, margin: np.ndarray,
@@ -583,7 +583,8 @@ def audit_table(
     alphas = _audit_grid(alpha_grid)
     if p.p.ndim == 1:
         p = ProbabilityVector(p.p[None], p.origin, p.log_base)
-    status, *values = _audit_arrays(p, alphas, log_base)
+    orders = tuple(alpha for alpha in alphas if alpha != 1.0)
+    status, *values = _audit_arrays(distribution_entropies(p, orders, log_base), alphas)
     records = _audit_records(alphas, status, *values)
     return ClaimTable(list(AUDIT_CLAIMS) * len(alphas), status,
                       lambda row, k: records(row, k, p.origin))
@@ -719,31 +720,34 @@ class VerificationReport:
         return self.failure_count == 0
 
 
-def _sweep(spec: CorpusSpec, start: int, stop: int, seed: int,
-           table_of: Callable[[EdgeStack], ClaimTable], limit: int | None = None
-           ) -> tuple[int, dict[str, np.ndarray], list[ClaimResult]]:
-    """The corpus loop of verify and audit, one table per stack of
-    :meth:`CorpusSpec.stacks`: each table is tallied by claim id, and failures
-    and equalities are kept in corpus then column order, up to ``limit``."""
-    tally: dict[str, np.ndarray] = {}
-    retained: list[ClaimResult] = []
-    graphs = 0
-    for stack in spec.stacks(start, stop, seed):
-        graphs += len(stack)
-        table = table_of(stack)
-        for claim_id, counts in table.tally().items():
-            tally[claim_id] = tally.get(claim_id, 0) + counts
-        rows, ks = np.nonzero((table.status == _FAIL) | (table.status == _EQUALITY))
-        keep = len(rows) if limit is None else max(limit - len(retained), 0)
-        retained.extend(map(table.record, rows[:keep].tolist(), ks[:keep].tolist()))
-        del table, stack  # before the next stack is decoded
+def _merge(parts: Iterable[tuple[int, dict[str, np.ndarray], Iterable[ClaimResult]]],
+           limit: int | None = None) -> tuple[int, dict[str, np.ndarray], list[ClaimResult]]:
+    """The sum of the parts' graph counts and tallies, and their records in
+    order, up to ``limit``: a record past it is never taken from its part."""
+    graphs, tally, retained = 0, {}, []
+    for size, counts, records in parts:
+        graphs += size
+        for claim_id, by_status in counts.items():
+            tally[claim_id] = tally.get(claim_id, 0) + by_status
+        retained.extend(islice(records, None if limit is None else max(limit - len(retained), 0)))
+        del records  # a stack's records hold its table: dropped before the next stack is decoded
     return graphs, tally, retained
 
 
-def _verify_chunk(args: tuple) -> tuple[int, dict[str, np.ndarray], list[ClaimResult]]:
-    text, start, stop, checks, alphas, betas, seed, log_base = args
-    return _sweep(parse_corpus(text), start, stop, seed,
-                  lambda stack: claim_table(stack, checks, alphas, betas, log_base))
+def _sweep(spec: CorpusSpec, seed: int, table_of: Callable[[EdgeStack], ClaimTable],
+           limit: int | None, span: tuple[int, int]
+           ) -> tuple[int, dict[str, np.ndarray], list[ClaimResult]]:
+    """The corpus loop of verify and audit over the corpus indices ``span``: one
+    table per stack of :meth:`CorpusSpec.stacks`, whose failures and equalities
+    :func:`_merge` keeps in corpus then column order, up to ``limit``."""
+    def parts() -> Iterator[tuple[int, dict[str, np.ndarray], Iterator[ClaimResult]]]:
+        for stack in spec.stacks(*span, seed):
+            table = table_of(stack)
+            rows, ks = np.nonzero((table.status == _FAIL) | (table.status == _EQUALITY))
+            yield len(stack), table.tally(), map(table.record, rows.tolist(), ks.tolist())
+            del table, stack  # before the next stack is decoded
+
+    return _merge(parts(), limit)
 
 
 def verify_corpus(
@@ -772,15 +776,12 @@ def verify_corpus(
     alphas, betas = tuple(float(a) for a in alphas), tuple(float(b) for b in betas)
     check_exponents(standard_kinds(betas), spec.order)
     chunk = total if workers <= 1 else max(STACK_CHUNK, -(-total // (workers * 4)))
-    chunk_args = [(spec.text, start, min(start + chunk, total), checks, alphas, betas, seed,
-                   float(log_base)) for start in range(0, total, chunk)]
-
-    merged: dict[str, np.ndarray] = {}
-    retained: list[ClaimResult] = []
-    graphs = 0
-    pool_size = _pool_size(workers, len(chunk_args))
+    spans = [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
+    sweep = partial(_sweep, spec, seed, partial(claim_table, checks=checks, alphas=alphas,
+                                                betas=betas, log_base=float(log_base)), None)
+    pool_size = _pool_size(workers, len(spans))
     if pool_size <= 1:
-        chunk_results = map(_verify_chunk, chunk_args)
+        chunk_results = map(sweep, spans)
     else:
         # imported here: they load socket, logging and subprocess, which a
         # single-process run never uses
@@ -790,12 +791,8 @@ def verify_corpus(
         # spawned, not forked: the parent may hold BLAS threads
         with ProcessPoolExecutor(max_workers=pool_size,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
-            chunk_results = list(pool.map(_verify_chunk, chunk_args))
-    for chunk_graphs, tally, chunk_retained in chunk_results:
-        graphs += chunk_graphs
-        for claim_id, counts in tally.items():
-            merged[claim_id] = merged.get(claim_id, 0) + counts
-        retained.extend(chunk_retained)
+            chunk_results = list(pool.map(sweep, spans))
+    graphs, merged, retained = _merge(chunk_results)
 
     return VerificationReport(
         corpus=spec.text,
@@ -840,24 +837,24 @@ def _audit_stack(stack: EdgeStack, kinds: Sequence[MatrixKind], alphas: tuple[fl
                  log_base: float) -> ClaimTable:
     """One audit (:func:`audit_table`) per kind over its domain; columns: kind,
     grid point, claim."""
-    width = len(alphas) * len(AUDIT_CLAIMS)
+    width, orders = len(alphas) * len(AUDIT_CLAIMS), tuple(a for a in alphas if a != 1.0)
     status = np.full((len(stack), len(kinds), width), _UNCOUNTED)
-    kept = {}  # kind index: the rows owning a failure or equality, and their records
+    kept = {}  # kind index: the place of each row owning a failure or equality, and their records
     for k, kind in enumerate(kinds):
         rows = np.flatnonzero(kind.spec.builds(stack) & (stack.m >= 1))
         if not len(rows):
             continue
         for exc in stack.errors(kind).values():
             raise exc  # the audit has no record for a failed solve
-        pv = probabilities_from_spectrum(stack.spectrum(kind).take(rows), log_base)
-        arrays = _audit_arrays(pv, alphas, log_base)
+        arrays = _audit_arrays(direct_entropies(stack, kind, None, orders, log_base)[rows], alphas)
         status[rows, k] = arrays[0]
         owners = ((arrays[0] == _FAIL) | (arrays[0] == _EQUALITY)).any(axis=1)
-        kept[k] = rows[owners], _audit_records(alphas, *(x[owners] for x in arrays), str(kind))
+        kept[k] = ({row: at for at, row in enumerate(rows[owners].tolist())},
+                   _audit_records(alphas, *(x[owners] for x in arrays), str(kind)))
 
     def record(row: int, column: int) -> ClaimResult:
-        rows, records = kept[column // width]
-        return records(int(np.searchsorted(rows, row)), column % width, stack.descriptor(row))
+        places, records = kept[column // width]
+        return records(places[row], column % width, stack.descriptor(row))
 
     return ClaimTable(list(AUDIT_CLAIMS) * len(alphas) * len(kinds),
                       status.reshape(len(stack), -1), record)
@@ -888,8 +885,8 @@ def audit_corpus(
     check_exponents(use_kinds, spec.order)
     alphas = _audit_grid(alpha_grid)
     graphs, tally, retained = _sweep(
-        spec, 0, spec.total, seed,
-        lambda stack: _audit_stack(stack, use_kinds, alphas, log_base), AUDIT_RETAIN_LIMIT)
+        spec, seed, partial(_audit_stack, kinds=use_kinds, alphas=alphas, log_base=log_base),
+        AUDIT_RETAIN_LIMIT, (0, spec.total))
     return AuditReport(
         corpus=spec.text,
         kinds=tuple(str(k) for k in use_kinds),
@@ -942,7 +939,7 @@ def scan_extremal(
     value) list is retained, sorted by descending value then descriptor, so
     every member is encoded.
     """
-    stacked = _measure_stack(measure, log_base=log_base)
+    stacked = measure_stack(measure, log_base=log_base)
     check_exponents(stacked.kinds, order)
     if family not in SCAN_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {SCAN_FAMILIES}")
@@ -953,7 +950,7 @@ def scan_extremal(
     measured = np.zeros(len(values), dtype=bool)
     offset = 0
     for stack in spec.stacks(first, spec.total):
-        rows = np.flatnonzero(np.broadcast_to(stacked.domain(stack), (len(stack),)))
+        rows = np.flatnonzero(stacked.domain(stack))
         if len(rows):
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
                 values[offset + rows] = stacked.values(stack if len(rows) == len(stack)
@@ -988,10 +985,10 @@ def scan_extremal(
 
 
 class _StackedMeasure(NamedTuple):
-    """A measure over an :class:`EdgeStack` and the mask of its domain."""
+    """A measure over an :class:`EdgeStack` and the (B,) mask of its domain."""
 
     values: Callable[[EdgeStack], np.ndarray]
-    domain: Callable[[EdgeStack], np.ndarray | bool]
+    domain: Callable[[EdgeStack], np.ndarray]
     kinds: tuple[MatrixKind, ...] = ()  # the kinds it solves
 
 
@@ -1001,22 +998,23 @@ def _connected_distances(s: EdgeStack) -> np.ndarray:
     return s.distances
 
 
-def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
+def measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
     """Turn a measure id (the grammar of ``scan --measure``) into a stacked measure.
 
-    Invariant measures read the stacked invariants the closed forms read;
-    spectral measures take one stacked solve, the oriented kinds under the
-    canonical orientation.  Distance-based measures need a connected graph,
-    energies the matrix they solve, entropies also an edge.
+    Invariant measures read the stacked invariants the closed forms read, and
+    ``compute`` reports them; spectral measures take one stacked solve, the
+    oriented kinds under the canonical orientation.  Distance-based measures
+    need a connected graph, energies the matrix they solve, entropies also an edge.
     """
     head, _, rest = text.partition(":")
     if text == "m1":
-        return _StackedMeasure(lambda s: first_zagreb_stack(s.degrees), lambda s: True)
+        return _StackedMeasure(lambda s: first_zagreb_stack(s.degrees),
+                               lambda s: np.ones(len(s), dtype=bool))
     if head == "randic-index":
         beta = _parse(rest, "exponent", float)
         if not math.isfinite(beta):
             raise ValueError(f"randic-index exponent must be finite, got {beta}")
-        return _StackedMeasure(lambda s: s.randic_sum(beta), lambda s: True)
+        return _StackedMeasure(lambda s: s.randic_sum(beta), lambda s: np.ones(len(s), dtype=bool))
     if text == "hyper-wiener":
         return _StackedMeasure(lambda s: hyper_wiener_stack(_connected_distances(s)),
                                lambda s: s.connected)
@@ -1028,28 +1026,18 @@ def _measure_stack(text: str, *, log_base: float = 2.0) -> _StackedMeasure:
                                lambda s: s.connected)
     if head == "energy":
         kind = as_kind(rest)
-        # the domain, where every matrix the rule solves exists: the rule read
-        # over a stand-in spectrum per solved kind, 0 where built, NaN elsewhere
-        built = lambda s: lambda solved: Spectrum(
-            np.where(solved.spec.builds(s), 0.0, np.nan)[:, None], EIGENVALUES)
         return _StackedMeasure(lambda s: moment_spectrum(kind, s.require).abs_sum(),
-                               lambda s: moment_spectrum(kind, built(s)).values[:, 0] == 0.0,
-                               (kind,))
+                               kind.moment_kind.spec.builds, (kind,))
     if head in ("quadratic", "renyi", "daroczy"):
-        if head == "quadratic":
-            kind = as_kind(rest)
-            values = lambda s: quadratic_entropy(_distribution(kind, s, log_base))
-        else:
+        kind_text, orders, column = rest, (), 0  # a column of the direct route's entropies
+        if head != "quadratic":
             kind_text, sep, alpha_text = rest.rpartition(":")
             if not sep:
                 raise ValueError(f"measure {text!r} needs an order, like {head}:q:2")
-            kind = as_kind(kind_text)
-            alpha = _parse(alpha_text, "entropy order", float)
-            functional = renyi_entropy if head == "renyi" else daroczy_entropy
-            values = lambda s: functional(_distribution(kind, s, log_base), alpha)
+            orders = (_parse(alpha_text, "entropy order", float),)
+            column = 1 if head == "renyi" else 2
+        kind = as_kind(kind_text)
+        values = lambda s: distribution_entropies(
+            probabilities_from_spectrum(s.require(kind), log_base), orders, log_base)[:, column]
         return _StackedMeasure(values, lambda s: kind.spec.builds(s) & (s.m >= 1), (kind,))
     raise ValueError(f"unknown measure {text!r}")
-
-
-def _distribution(kind: MatrixKind, s: EdgeStack, log_base: float) -> ProbabilityVector:
-    return probabilities_from_spectrum(s.require(kind), log_base)

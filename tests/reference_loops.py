@@ -71,7 +71,7 @@ def resolve_measure(text: str, *, log_base: float = 2.0
                     ) -> Callable[[Graph | OrientedGraph], float]:
     """A scan measure as a callable on graphs: a stack of one of the stacked
     code the scan runs."""
-    values = verifier._measure_stack(text, log_base=log_base).values
+    values = verifier.measure_stack(text, log_base=log_base).values
     return lambda g: float(values(EdgeStack.of(g))[0])
 
 

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -482,7 +483,8 @@ def test_stdout_and_out_carry_the_rendered_report_bytes(command, fmt, tmp_path, 
 def test_a_failed_write_leaves_no_partial_report(existing, monkeypatch, tmp_path, capsys):
     def unserializable(report):
         doc = verification_to_object(report)
-        doc["claims"][-1]["witness"] = {"value": object()}
+        last = replace(doc["claims"][-1], witness={"value": object()})
+        doc["claims"] = (*doc["claims"][:-1], last)
         return doc
 
     monkeypatch.setattr("graphent.cli.verification_to_object", unserializable)

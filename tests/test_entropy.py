@@ -231,14 +231,21 @@ def test_closed_form_error_taxonomy():
         closed_form("distance", Graph.from_edges(4, [(0, 1), (2, 3)]), 2.0)
 
 
-def test_closed_form_incidence_moments_do_not_touch_incidence_matrix():
+def test_closed_form_incidence_moments_do_not_touch_incidence_matrix(monkeypatch):
     """The closed incidence route runs off the signless Laplacian alone."""
+    from graphent import matrices
+
     g = star_graph(5)
     stack = EdgeStack.of(g)
-    reads = []
-    closed_entropies(stack, MatrixKind("incidence"), None, np.ones(1, dtype=bool), (2.0,), 2.0,
-                     reads)
-    assert reads == [(MatrixKind("q"), None)]
+    solved, solve = [], matrices._solve
+
+    def recorded(kind, stack):
+        solved.append(str(kind))
+        return solve(kind, stack)
+
+    monkeypatch.setattr(matrices, "_solve", recorded)
+    closed_entropies(stack, MatrixKind("incidence"), None, np.ones(1, dtype=bool), (2.0,), 2.0)
+    assert solved == ["q"]
     moments = moment_spectrum("incidence", stack.spectrum)
     direct = spectrum_of("incidence", g)
     assert np.allclose(np.sort(moments.values[0]), np.sort(direct.values), atol=1e-9)
@@ -279,7 +286,7 @@ def test_stack_rows_with_zero_moments_are_each_graphs_own_bits(kind, zero_counts
         moments = moment_spectrum(kind, lambda k: stack.spectrum(k, label))
         applies = KINDS[kind].has_closed_form(stack)
         rows = np.flatnonzero(applies)
-        closed = closed_entropies(stack, MatrixKind(kind), label, applies, alphas, 2.0, [])[rows]
+        closed = closed_entropies(stack, MatrixKind(kind), label, applies, alphas, 2.0)[rows]
         pv = probabilities_from_spectrum(stack.spectrum(kind, label).take(rows))
         graphs = graphs_of_stack(5, stack.edges[rows])
         seen |= set((moments.values[rows] == 0).sum(axis=-1).tolist())

@@ -339,7 +339,7 @@ def test_closed_quadratic_at_a_large_negative_exponent_is_taken_in_the_log_domai
     for beta in (-1.0, -0.5, 1.0, -150.0, -250.0):
         kind = as_kind(f"general-randic:{beta:g}")
         applies = kind.spec.has_closed_form(stack)
-        quadratic = entropy.closed_entropies(stack, kind, None, applies, (), 2.0, [])[:, 0]
+        quadratic = entropy.closed_entropies(stack, kind, None, applies, (), 2.0)[:, 0]
         square_sum, t = 2.0 * stack.randic_sum(2.0 * beta), stack.spectrum(kind).abs_sum()
         with np.errstate(divide="ignore", invalid="ignore"):
             plain = 1.0 - square_sum / (t * t)
@@ -470,9 +470,21 @@ def test_bound_claims_fail_on_non_finite_values(monkeypatch, bad):
     assert res["bound.skew.degree-chain"].status == "pass"
 
 
+def _poison_audit_quadratic(monkeypatch, rows, bad):
+    """The audit's entropy columns, with ``bad`` for the quadratic entropy of ``rows``."""
+    columns = verifier.distribution_entropies
+
+    def poisoned(*args):
+        values = columns(*args)
+        values[rows, 0] = bad
+        return values
+
+    monkeypatch.setattr(verifier, "distribution_entropies", poisoned)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_audit_claims_fail_on_non_finite_values(monkeypatch, bad):
-    monkeypatch.setattr(verifier, "quadratic_entropy", lambda p: bad)
+    _poison_audit_quadratic(monkeypatch, slice(None), bad)
     pv = probability_vector((0.6, 0.3, 0.1), log_base=math.e)
     res = _by_id(audit_theorem10(pv, (3.0,), log_base=math.e))
     assert res["inequality.renyi-daroczy"].status == "pass"
@@ -671,17 +683,10 @@ def test_stacked_audit_encodes_only_graphs_owning_a_retained_record(monkeypatch)
 
 
 def test_audit_table_fails_a_non_finite_row_only(monkeypatch):
-    quadratic = verifier.quadratic_entropy
-
-    def poisoned(p):
-        values = quadratic(p)
-        values[1] = math.nan
-        return values
-
     rows = np.array([[0.6, 0.3, 0.1], [0.5, 0.25, 0.25], [0.7, 0.2, 0.1]])
     pv = ProbabilityVector(rows, log_base=math.e)
     clean = verifier.audit_table(pv, (0.5, 1.5, 3.0), log_base=math.e)
-    monkeypatch.setattr(verifier, "quadratic_entropy", poisoned)
+    _poison_audit_quadratic(monkeypatch, 1, math.nan)
     table = verifier.audit_table(pv, (0.5, 1.5, 3.0), log_base=math.e)
 
     def by_claim(values):  # (distribution, grid point, claim)
@@ -857,9 +862,9 @@ def test_one_table_per_order_and_chunk_until_the_entry_cap(monkeypatch):
     tables = []
     table_of = verifier.claim_table
 
-    def counting(stack, *args):
+    def counting(stack, **options):
         tables.append(len(stack))
-        return table_of(stack, *args)
+        return table_of(stack, **options)
 
     monkeypatch.setattr(verifier, "claim_table", counting)
     verify_corpus("all:5", betas=(-1.0, -0.5, 1.0))
@@ -1247,6 +1252,17 @@ def test_all_graph_scan_skips_exactly_the_members_where_the_measure_raises(measu
     scan = scan_extremal("all-graphs", 4, measure, keep_ranking=True)
     assert scan.count == len(want) == len(scan.ranking)
     assert {d: v.hex() for d, v in scan.ranking} == want
+
+
+@pytest.mark.parametrize("kind", matrices.standard_kinds((1.0,)), ids=str)
+def test_energy_domain_is_where_the_moment_spectrum_is_solved(kind):
+    """The scan's energy:<kind> domain, read off the catalogue row of the
+    kind's moment kind, is where the moment spectrum the energy sums exists."""
+    spec = parse_corpus("all:4")
+    for stack in spec.stacks(0, spec.total):
+        solved = ~np.isnan(matrices.moment_spectrum(kind, stack.spectrum).values).any(axis=-1)
+        assert np.array_equal(kind.moment_kind.spec.builds(stack), solved)
+        assert np.array_equal(verifier.measure_stack(f"energy:{kind}").domain(stack), solved)
 
 
 def test_scan_with_no_member_in_the_domain_is_an_error():
