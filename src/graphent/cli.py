@@ -40,8 +40,8 @@ from .errors import (
 )
 from .formats import parse_arc_list, parse_edge_list, parse_graph6
 from .graphs import Graph, OrientedGraph
-from .matrices import (EdgeStack, MatrixKind, as_kind, check_exponents, moment_spectrum,
-                       standard_kinds)
+from .matrices import (EdgeStack, MatrixKind, as_kind, check_exponents, check_order,
+                       moment_spectrum, standard_kinds)
 from .report import (
     audit_to_object,
     scan_to_object,
@@ -232,6 +232,7 @@ def _resolve_workers(args) -> int:
 
 def _run_compute(args) -> int:
     loaded = _load_graph(args.input, args.input_format)
+    check_order(loaded.n)
     oriented = isinstance(loaded, OrientedGraph)
     alphas = _parse_floats(args.alpha, "alpha")
     betas = _parse_floats(args.beta, "beta")

@@ -97,7 +97,10 @@ def probability_vector(weights, origin: str = "custom", log_base: float = 2.0) -
         raise ValueError(f"weights must be finite, got {float(w[~np.isfinite(w)][0])}")
     if np.any(w < 0):
         raise ValueError(f"weights must be nonnegative, got {float(w.min())}")
-    total = float(np.sum(w))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(w))
+    if total == math.inf:
+        raise ValueError("weights sum beyond the float range")
     if total <= 0:
         raise AllZeroWeightsError("weights sum to zero; no distribution exists")
     return ProbabilityVector(w / total, origin, log_base)
@@ -134,7 +137,9 @@ def _power_sums(p: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     low = power_sum < np.finfo(float).tiny
     if not low.any():
         return np.log(power_sum), power_sum
-    with np.errstate(divide="ignore"):  # log 0 = -inf adds nothing to the sum
+    # log 0 = -inf adds nothing to the sum, and neither does a term whose
+    # alpha * log(p) overflows to -inf at a huge order
+    with np.errstate(divide="ignore", over="ignore"):
         return np.where(low, np.logaddexp.reduce(alpha * np.log(p), axis=-1),
                         np.log(np.where(low, 1.0, power_sum))), power_sum
 
@@ -222,8 +227,9 @@ def closed_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
     excess, nonzero = logs - top[..., None], v > 0
 
     def power_sums(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        log_power_sum = alpha * top + np.log(
-            np.where(nonzero, np.exp(alpha * excess), 0.0).sum(axis=-1))
+        with np.errstate(over="ignore"):  # at a huge order a term overflows to -inf: exp 0
+            log_power_sum = alpha * top + np.log(
+                np.where(nonzero, np.exp(alpha * excess), 0.0).sum(axis=-1))
         # math.exp, not np.exp: numpy's AVX-512 exp differs from its fallback
         # kernel (and libm) in the last bit for about one value in twenty,
         # and here that moved compute-oriented-p4's pinned report.  This keeps

@@ -39,9 +39,11 @@ spectrum equals its row in any stack.
 from __future__ import annotations
 
 import math
+import os
 import zlib
 from dataclasses import dataclass, replace
 from functools import cached_property
+from threading import Thread
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -77,6 +79,20 @@ from .spectra import (
     sqrt_spectrum,
     symmetric_eigenvalues,
 )
+
+def cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+# Threads that solve the spectra of a stack of several batches
+# (EdgeStack.solve): two where the process has a second CPU to itself.
+# verify's worker processes set it to one where the pool fills the CPUs.
+_SOLVE_THREADS = min(2, cpu_count())
+
 
 def batch_rows(n: int, width: int | None = None) -> int:
     """Members per batch of ``(B, n, width)`` arrays, ``(B, n, n)`` by
@@ -241,6 +257,17 @@ def standard_kinds(betas: tuple[float, ...] = ()) -> tuple[MatrixKind, ...]:
     return tuple(kinds)
 
 
+# The largest order whose matrices are built: each is dense, 128 MB at this
+# order, up to which the float32 reachability and distance kernels are exact.
+MAX_ORDER = 4096
+
+
+def check_order(n: int) -> None:
+    """Refuse an order above :data:`MAX_ORDER` before any (n, n) array exists."""
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} is above {MAX_ORDER}, the largest whose matrices are built")
+
+
 def check_exponents(kinds: Iterable[MatrixKind], n: int) -> None:
     """Refuse a general-randic exponent b whose entries (d_u d_v)^b at the
     largest degree product of order n, (n - 1)^2, or the absolute eigenvalue
@@ -290,7 +317,7 @@ def build_stack(kind: MatrixKind | str, n: int, edges: np.ndarray,
     ``(B, n)`` degrees where the caller holds them, else computed here.
     """
     kind = as_kind(kind)
-    edges = np.asarray(edges, dtype=np.int64)
+    edges = np.asarray(edges, dtype=np.min_scalar_type(n))  # indices only: no arithmetic
     if kind.tag == "distance":
         return distance_stack(n, edges)
     size, m = edges.shape[:2]
@@ -343,6 +370,11 @@ def _named(kind: MatrixKind) -> str:
             else ABSOLUTE_EIGENVALUES if kind.needs_orientation else EIGENVALUES)
 
 
+def _label(kind: MatrixKind, orientation: str | None) -> str | None:
+    """The orientation a kind's spectrum is solved under: None where it needs none."""
+    return (orientation or "canonical") if kind.needs_orientation else None
+
+
 def _solve(kind: MatrixKind, matrices: np.ndarray) -> np.ndarray:
     named = _named(kind)
     if named == SINGULAR_VALUES:
@@ -386,14 +418,18 @@ class EdgeStack:
     member's values are the ones it has alone.  The ``canonical`` orientation
     is the edges or the ``arcs`` given, the ``random`` one draws each
     member's coins as :func:`graphent.graphs.random_orientation` does,
-    seeded by its descriptor mixed with ``seed``.  A graph is a stack of one
+    seeded by its descriptor mixed with ``seed``.  A spectrum is solved on its
+    first read, or with others by :meth:`solve`.  A graph is a stack of one
     (:meth:`of`), and ``stack[rows]`` is the stack of some members."""
 
     def __init__(self, n: int, edges: np.ndarray, *, arcs: np.ndarray | None = None,
                  seed: int = 0):
-        self.n, self.edges, self.seed = n, np.asarray(edges, dtype=np.int64), seed
+        # the narrowest unsigned integers that hold n, the pad: readers index
+        # by them, and widen them where they compute with them
+        dtype = np.min_scalar_type(n)
+        self.n, self.edges, self.seed = n, np.asarray(edges, dtype=dtype), seed
         self.m = edge_counts(n, self.edges)
-        self._arcs = {"canonical": self.edges if arcs is None else arcs}
+        self._arcs = {"canonical": self.edges if arcs is None else np.asarray(arcs, dtype=dtype)}
         self._spectra: dict[tuple[str, str | None], tuple[Spectrum, dict[int, Exception]]] = {}
         self._descriptors: dict[int, str] = {}
         self._randic_sums: dict[float, np.ndarray] = {}
@@ -469,8 +505,7 @@ class EdgeStack:
             flips = np.zeros(self.edges.shape[:2], dtype=bool)
             seeds = [zlib.crc32(d) ^ (self.seed & 0xFFFFFFFF) for d in encoded]
             flips[self.edges[..., 0] < self.n] = uniform_draws(seeds, self.m.tolist()) >= 0.5
-            edges = self.edges.astype(np.min_scalar_type(self.n))  # kept narrow; pads are n
-            self._arcs[label] = np.where(flips[..., None], edges[..., ::-1], edges)
+            self._arcs[label] = np.where(flips[..., None], self.edges[..., ::-1], self.edges)
         return self._arcs[label]
 
     def spectrum(self, kind: MatrixKind | str, orientation: str | None = None) -> Spectrum:
@@ -483,8 +518,65 @@ class EdgeStack:
     def errors(self, kind: MatrixKind | str, orientation: str | None = None) -> dict:
         return self._solved(as_kind(kind).matrix, orientation)[1]
 
+    def solve(self, reads: Iterable[tuple[MatrixKind | str, str | None]]) -> None:
+        """Solve the spectra of the ``(kind, orientation)`` pairs ``reads``, each
+        as :meth:`spectrum` solves it, so that later reads find them solved.
+
+        A stack of more than one batch solves them on :data:`_SOLVE_THREADS`
+        threads, each taking the next matrix in turn: numpy's stacked solves
+        release the GIL and solve each member on its own, so every value is the
+        one a solve in order gives.  The lazy values the solves share are
+        computed first, on the caller's thread, and a gram kind (``q``,
+        ``norm-q``) solves before, and on the thread of, the incidence kind that
+        reads it.  An error other than a solve's own (see :meth:`require`) is
+        raised on the caller: the one of the first matrix in ``reads`` that
+        raised."""
+        keys: list[tuple[MatrixKind, str | None]] = []  # the matrices not yet solved
+        for kind, orientation in reads:
+            kind = as_kind(kind).matrix
+            key = (kind, _label(kind, orientation))
+            if key not in keys and (str(kind), key[1]) not in self._spectra:
+                keys.append(key)
+        chains: dict[tuple, list[tuple[MatrixKind, str | None]]] = {}
+        for kind, label in keys:
+            gram = kind.spec.gram and (MatrixKind(kind.spec.gram), None)
+            if gram in keys:
+                chains.setdefault(gram, [gram]).append((kind, label))
+            else:
+                chains.setdefault((kind, label), [(kind, label)])
+        pending = list(enumerate(chains.values()))[::-1]  # popped from the end, in order
+        threads = min(_SOLVE_THREADS, len(pending)) if len(self) > batch_rows(self.n) else 1
+        if threads > 1:  # what the solves share, computed once, here
+            for kind, label in keys:
+                if kind.tag == "distance":
+                    self.distances
+                else:
+                    self.degrees, self.arcs(label or "canonical")
+        failures: list[tuple[int, BaseException]] = []
+
+        def work() -> None:
+            while pending and not failures:
+                try:
+                    at, chain = pending.pop()
+                except IndexError:  # the other thread took the last one
+                    return
+                try:
+                    for kind, label in chain:
+                        self._solved(kind, label)
+                except BaseException as exc:  # raised on the caller, below
+                    failures.append((at, exc))
+
+        helpers = [Thread(target=work, daemon=True) for _ in range(threads - 1)]
+        for helper in helpers:
+            helper.start()
+        work()
+        for helper in helpers:
+            helper.join()
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+
     def _solved(self, kind: MatrixKind, orientation: str | None):
-        label = (orientation or "canonical") if kind.needs_orientation else None
+        label = _label(kind, orientation)
         if (str(kind), label) not in self._spectra:
             errors: dict[int, Exception] = {}
             builds = kind.spec.builds(self)

@@ -87,7 +87,7 @@ class Spectrum:
         return self if len(rows) == len(self.values) else replace(self, values=self.values[rows])
 
 
-def symmetric_eigenvalues(matrix, source: str = "custom") -> Spectrum:
+def symmetric_eigenvalues(matrix) -> Spectrum:
     """Eigenvalues of a real symmetric matrix, descending.
 
     Rejects matrices that are not symmetric within 1e-12 absolute.
@@ -96,10 +96,10 @@ def symmetric_eigenvalues(matrix, source: str = "custom") -> Spectrum:
     if _largest_abs(a - a.swapaxes(-1, -2)) > SYMMETRY_TOL:
         raise NonSymmetricError("matrix is not symmetric within 1e-12")
     vals = _eigvalsh(a)
-    return Spectrum(np.ascontiguousarray(vals[..., ::-1]), EIGENVALUES, source)
+    return Spectrum(np.ascontiguousarray(vals[..., ::-1]), EIGENVALUES)
 
 
-def singular_values(matrix, pad_to: int | None = None, source: str = "custom") -> Spectrum:
+def singular_values(matrix, pad_to: int | None = None) -> Spectrum:
     """Singular values of a real matrix, descending, zero-padded to ``pad_to``.
 
     Computed as square roots of the Gram eigenvalues on the smaller side.
@@ -118,10 +118,10 @@ def singular_values(matrix, pad_to: int | None = None, source: str = "custom") -
         svals = svals[..., :pad_to]
     out = np.zeros(svals.shape[:-1] + (pad_to,))
     out[..., :svals.shape[-1]] = svals
-    return Spectrum(out, SINGULAR_VALUES, source)
+    return Spectrum(out, SINGULAR_VALUES)
 
 
-def skew_absolute_eigenvalues(matrix, source: str = "custom") -> Spectrum:
+def skew_absolute_eigenvalues(matrix) -> Spectrum:
     """Absolute eigenvalues of a real skew-symmetric matrix, descending.
 
     These are the singular values of the matrix, computed through the
@@ -132,7 +132,7 @@ def skew_absolute_eigenvalues(matrix, source: str = "custom") -> Spectrum:
     if _largest_abs(a + at) > SYMMETRY_TOL:
         raise NonSkewError("matrix is not skew-symmetric within 1e-12")
     vals = _sqrt_of_gram_eigenvalues(_eigvalsh(a @ at))
-    return Spectrum(vals, ABSOLUTE_EIGENVALUES, source)
+    return Spectrum(vals, ABSOLUTE_EIGENVALUES)
 
 
 def sqrt_spectrum(spectrum: Spectrum, source: str | None = None) -> Spectrum:

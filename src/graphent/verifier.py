@@ -52,6 +52,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import matrices
 from .entropy import (
     ProbabilityVector,
     closed_entropies,
@@ -79,6 +80,8 @@ from .matrices import (
     batch_rows,
     build_stack,
     check_exponents,
+    check_order,
+    cpu_count,
     moment_spectrum,
     standard_kinds,
 )
@@ -217,8 +220,6 @@ def _identity(stack: EdgeStack, direct, members, alphas: Sequence[float],
     a = np.concatenate([direct(kind, label) for kind, label in members], 1)
     b = np.concatenate([closed_entropies(stack, kind, label, applies, alphas, log_base)
                         for kind, label in members], 1)
-    # the direct route's spectra first: the first read names an error
-    reads = [*members, *((kind.moment_kind, label) for kind, label in members)]
     columns = [("quadratic", None)] + [(f, a) for a in alphas for f in ("renyi", "daroczy")]
 
     def witness(k: int, direct_value: float, closed_value: float) -> dict:
@@ -226,7 +227,7 @@ def _identity(stack: EdgeStack, direct, members, alphas: Sequence[float],
         return {"matrix": str(kind), "orientation": label, "functional": functional,
                 "alpha": alpha, "direct": direct_value, "closed": closed_value}
 
-    return *_agreement(a, b, comparison_tolerance(a, b), witness), tuple(dict.fromkeys(reads))
+    return _agreement(a, b, comparison_tolerance(a, b), witness)
 
 
 def _trace(stack: EdgeStack, members, observe, expect, applies: np.ndarray):
@@ -250,7 +251,7 @@ def _trace(stack: EdgeStack, members, observe, expect, applies: np.ndarray):
                 logs = 2.0 * np.log(np.abs(stack.spectrum(kind, label).values[rows]))
             a[rows, j], tol[rows, j] = np.logaddexp.reduce(logs, axis=-1), TRACE_REL_TOL
             b[rows, j] = kind.spec.log_square_sum(stack[rows], kind)
-    return *_agreement(a, b, tol, lambda k, x, y: {"observed": x, "expected": y}), members
+    return _agreement(a, b, tol, lambda k, x, y: {"observed": x, "expected": y})
 
 
 class BoundSpec(NamedTuple):
@@ -361,11 +362,15 @@ BOUNDS = (
 )
 
 
+def _bound_members(bound: BoundSpec) -> tuple[tuple[MatrixKind, str | None], ...]:
+    return _claim_members((bound.family,), ())[0][1] if bound.family else ()
+
+
 def _bound(stack: EdgeStack, direct, bound: BoundSpec, applies: np.ndarray):
     """Residual: the first minimal slack, a violation below minus the tolerance;
     the equality band must hold exactly where the characterization does."""
     size = len(stack)
-    members = _claim_members((bound.family,), ())[0][1] if bound.family else ()
+    members = _bound_members(bound)
     # members outside the hypothesis may divide by a zero degree; none is read
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pairs = bound.pairs(stack, [(label, direct(kind, label)[:, 0])
@@ -388,7 +393,7 @@ def _bound(stack: EdgeStack, direct, bound: BoundSpec, applies: np.ndarray):
         return out
 
     status = np.where(beyond | (condition != in_band), _FAIL, np.where(in_band, _EQUALITY, _PASS))
-    return status, min_slack, witness, members
+    return status, min_slack, witness
 
 
 def claim_table(
@@ -401,40 +406,51 @@ def claim_table(
     """Evaluate the selected claim families on every member of a stack, in
     catalogue order: one identity per identity family (the normalized kinds
     and a skew kind's orientations share one), the traces, then :data:`BOUNDS`;
-    not-applicable outside the domain of a kind's closed form (traces: matrix)."""
+    not-applicable outside the domain of a kind's closed form (traces: matrix).
+    The spectra the applicable claims read are solved first, together
+    (:meth:`EdgeStack.solve`)."""
     size, betas = len(stack), tuple(float(b) for b in betas)
 
     orders = alphas if "equalities" in checks else ()  # the bounds read the quadratic alone
+    # one probability vector and one set of entropies per matrix: general-randic:-0.5 reads randic's
+    entropies = lru_cache(maxsize=None)(partial(direct_entropies, stack, alphas=orders,
+                                                log_base=log_base))
 
-    @lru_cache(maxsize=None)  # one probability vector and one set of entropies per spectrum
     def direct(kind: MatrixKind, label: str | None) -> np.ndarray:
-        return direct_entropies(stack, kind, label, orders, log_base)
+        return entropies(kind.matrix, label)
 
-    claims = []  # (claim id, the kinds its domain needs, that domain, evaluate(applies))
+    # (claim id, the kinds its domain needs, that domain, the spectra it reads,
+    # evaluate(applies)); the first spectrum read names a member's error
+    claims = []
     if "equalities" in checks:
         claims += [(f"identity.{name}", members, KindSpec.has_closed_form,
+                    (*members, *((kind.moment_kind, label) for kind, label in members)),
                     partial(_identity, stack, direct, members, alphas, log_base))
                    for name, members in _claim_members(_IDENTITY_FAMILIES, betas)]
     if "traces" in checks:
         q = ((MatrixKind("q"), None),)
-        claims += [("trace.q.sum", q, KindSpec.builds, partial(
+        claims += [("trace.q.sum", q, KindSpec.builds, q, partial(
             _trace, stack, q, Spectrum.sum, lambda kind: kind.spec.trace(stack)))]
-        claims += [(f"trace.{name}.square", members, KindSpec.builds, partial(
+        claims += [(f"trace.{name}.square", members, KindSpec.builds, members, partial(
             _trace, stack, members, lambda spectrum: spectral_moment(spectrum, 2.0),
             lambda kind: kind.spec.square_sum(stack, kind)))
                    for name, members in _claim_members(_TRACE_FAMILIES, betas)]
     if "bounds" in checks:
         claims += [(bound.claim_id, ((MatrixKind(bound.hypothesis), None),),
-                    KindSpec.has_closed_form, partial(_bound, stack, direct, bound))
+                    KindSpec.has_closed_form, _bound_members(bound),
+                    partial(_bound, stack, direct, bound))
                    for bound in BOUNDS]
+    domains = [np.broadcast_to(np.logical_and.reduce([domain(kind.spec, stack)
+                                                      for kind, _ in needs]), (size,))
+               for _, needs, domain, _, _ in claims]
+    stack.solve(read for claim, applies in zip(claims, domains) if applies.any()
+                for read in claim[3])  # every spectrum the applicable claims read, at once
     columns = []
-    for claim_id, needs, domain, evaluate in claims:
-        applies = np.broadcast_to(np.logical_and.reduce(
-            [domain(kind.spec, stack) for kind, _ in needs]), (size,))
+    for (claim_id, _, _, reads, evaluate), applies in zip(claims, domains):
         status, residual = np.full(size, _NOT_APPLICABLE), np.full(size, np.nan)
         witness, errors = None, {}
         if applies.any():
-            found, values, witness, reads = evaluate(applies)
+            found, values, witness = evaluate(applies)
             status[applies], residual[applies] = found[applies], values[applies]
             for kind, label in reversed(reads):  # the first spectrum read names the error
                 errors.update((row, exc) for row, exc in stack.errors(kind, label).items()
@@ -677,6 +693,7 @@ def parse_corpus(text: str) -> CorpusSpec:
         count = _parse(fields[2], "count")
         if order < 1:
             raise ValueError(f"gnp order must be positive, got {order}")
+        check_order(order)
         if not 0.0 <= prob <= 1.0:
             raise ValueError(f"edge probability must lie in [0, 1], got {prob}")
         if count < 1:
@@ -788,9 +805,12 @@ def verify_corpus(
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # spawned, not forked: the parent may hold BLAS threads
+        # spawned, not forked: the parent may hold BLAS threads; a worker solves
+        # on a second thread only where the pool leaves it a second CPU
+        threads = max(1, min(matrices._SOLVE_THREADS, cpu_count() // pool_size))
         with ProcessPoolExecutor(max_workers=pool_size,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+                                 mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_set_solve_threads, initargs=(threads,)) as pool:
             chunk_results = list(pool.map(sweep, spans))
     graphs, merged, retained = _merge(chunk_results)
 
@@ -810,6 +830,11 @@ def verify_corpus(
 def _pool_size(workers: int, chunks: int) -> int:
     """Processes to start: never more than requested, chunks, or CPUs."""
     return min(workers, chunks, os.cpu_count() or 1)
+
+
+def _set_solve_threads(threads: int) -> None:
+    """A pool worker's threads per stacked solve (:meth:`EdgeStack.solve`)."""
+    matrices._SOLVE_THREADS = threads
 
 
 @dataclass(eq=False)
@@ -840,8 +865,9 @@ def _audit_stack(stack: EdgeStack, kinds: Sequence[MatrixKind], alphas: tuple[fl
     width, orders = len(alphas) * len(AUDIT_CLAIMS), tuple(a for a in alphas if a != 1.0)
     status = np.full((len(stack), len(kinds), width), _UNCOUNTED)
     kept = {}  # kind index: the place of each row owning a failure or equality, and their records
-    for k, kind in enumerate(kinds):
-        rows = np.flatnonzero(kind.spec.builds(stack) & (stack.m >= 1))
+    domains = [np.flatnonzero(kind.spec.builds(stack) & (stack.m >= 1)) for kind in kinds]
+    stack.solve((kind, None) for kind, rows in zip(kinds, domains) if len(rows))
+    for k, (kind, rows) in enumerate(zip(kinds, domains)):
         if not len(rows):
             continue
         for exc in stack.errors(kind).values():

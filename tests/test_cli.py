@@ -340,6 +340,46 @@ def test_compute_at_an_underflowing_order(tmp_path, capsys):
     assert doc["skipped"] == [] and len(doc["matrices"]) == 12
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["compute", "--input", "P3", "--alpha", "1e308"], 0),
+    (["verify", "--corpus", "all:3", "--alpha", "1e308"], 0),
+    (["audit", "--p", "1e308,1e308"], 2),
+])
+def test_a_huge_order_or_weight_raises_no_warning(argv, code, tmp_path, capsys):
+    """alpha * log p overflows to -inf at these orders, where it adds nothing to a
+    power sum, and the weights' sum overflows: no warning either way, even as an error."""
+    path = tmp_path / "p3.edges"
+    path.write_text("0 1\n1 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([str(path) if arg == "P3" else arg for arg in argv]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == "" and json.loads(captured.out)
+    else:
+        assert captured.out == ""
+        assert captured.err == "error: weights sum beyond the float range\n"
+
+
+def test_an_order_above_the_bound_is_refused_before_any_matrix(tmp_path, capsys, monkeypatch):
+    from graphent import matrices
+
+    def no_stack(*args, **kwargs):
+        raise AssertionError("a stack was built")
+
+    monkeypatch.setattr(matrices.EdgeStack, "__init__", no_stack)
+    path = tmp_path / "far.edges"
+    path.write_text("0 99999999\n")
+    assert main(["compute", "--input", str(path)]) == 2
+    assert main(["verify", "--corpus", f"gnp:{matrices.MAX_ORDER + 1},0.5,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: order 100000000 is above 4096, the largest whose matrices are built\n"
+        "error: order 4097 is above 4096, the largest whose matrices are built\n")
+    matrices.check_order(matrices.MAX_ORDER)
+
+
 def test_verify_orders_past_62_vertices(capsys):
     """gnp orders of 63 and more take graph6's four-byte order header."""
     assert main(["verify", "--corpus", "gnp:80,0.1,4"]) == 0

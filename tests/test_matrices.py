@@ -8,6 +8,7 @@ from graphent import complete_graph, path_graph, spectrum_of, star_graph
 from graphent.errors import EmptyEdgeSetError, NotOrientedError
 from graphent.graphs import Graph
 from graphent.matrices import (
+    EdgeStack,
     MatrixKind,
     as_kind,
     build_stack,
@@ -371,3 +372,13 @@ def test_require_raises_a_members_own_domain_error():
     with pytest.raises(EmptyEdgeSetError):
         spectrum_of("incidence", graphs[3])
     stack[stack.m > 0].require("incidence")  # every other member has a spectrum
+
+
+def test_a_stack_keeps_its_edges_in_the_narrowest_unsigned_type():
+    """uint8 up to order 255, its pad included; uint16 above."""
+    stack = next(parse_corpus("gnp:40,0.3,200").stacks(0, 200, seed=7))
+    assert stack.edges.dtype == np.uint8 and stack.arcs("random").dtype == np.uint8
+    g = Graph.from_edges(300, [(0, 299), (7, 299), (298, 299)])
+    big = EdgeStack.of(g)
+    assert big.edges.dtype == np.uint16
+    assert big.degrees[0, [0, 7, 298, 299]].tolist() == [1.0, 1.0, 1.0, 3.0]

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -1022,6 +1024,161 @@ def test_tables_in_batches_of_one_to_three_members_equal_the_default(monkeypatch
     for cap in (1, 3 * n * n):  # one member a batch; three, and a few more for incidence
         monkeypatch.setattr(matrices, "STACK_ENTRIES", cap)
         assert _table_bits(stack_of()) == want, cap
+
+
+def _count_threads(monkeypatch, threads: int) -> list:
+    """Solve on ``threads`` threads; the list collects every thread a solve starts."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(matrices, "_SOLVE_THREADS", threads)
+    monkeypatch.setattr(matrices, "Thread", Counted)
+    return started
+
+
+def _multi_batch_tables() -> list[tuple[int, int, EdgeStack]]:
+    """gnp:12,0.3,40 cut into batches of three members, and gnp:40,0.3,200's first table."""
+    small = list(parse_corpus("gnp:12,0.3,40").stacks(0, 40, seed=3))[-1]
+    large = next(parse_corpus("gnp:40,0.3,200").stacks(0, 200, seed=7))
+    return [(small.n, 3 * 12 * 12, small), (large.n, matrices.STACK_ENTRIES, large)]
+
+
+def test_tables_on_two_threads_equal_the_tables_on_one(monkeypatch):
+    """Spectra, errors, statuses, residuals and records, bit for bit."""
+    for n, cap, stack in _multi_batch_tables():
+        monkeypatch.setattr(matrices, "STACK_ENTRIES", cap)
+        assert len(stack) > matrices.batch_rows(n)
+        bits = {}
+        for threads in (1, 2):
+            started = _count_threads(monkeypatch, threads)
+            bits[threads] = _table_bits(EdgeStack(n, stack.edges, seed=stack.seed))
+            assert len(started) == threads - 1  # the audit reads the table's spectra
+        assert bits[1] == bits[2]
+
+
+def test_solves_on_more_threads_than_cpus_lose_no_spectrum(monkeypatch):
+    """Four threads that switch every microsecond solve each matrix once a
+    batch, and the table is the one of one thread."""
+    n, _, stack = _multi_batch_tables()[1]
+    _count_threads(monkeypatch, 1)
+    want = _table_bits(EdgeStack(n, stack.edges, seed=stack.seed))
+    started = _count_threads(monkeypatch, 4)
+    solved = _spy_solves(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _table_bits(EdgeStack(n, stack.edges, seed=stack.seed))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == 3 and got == want
+    counts = Counter(kind for kind, _ in solved)  # every member reads q's solve for incidence
+    assert len(counts) == 9 and "incidence" not in counts
+    assert all(count == 4 * (2 if as_kind(kind).needs_orientation else 1)
+               for kind, count in counts.items())
+
+
+def test_a_gram_kind_solves_before_the_incidence_kind_that_reads_it(monkeypatch):
+    """Asked for incidence first, a stack still solves q first, on the same
+    thread: every member of gnp:40,0.3,200 has m >= n and reads q's solve."""
+    stack = _multi_batch_tables()[1][2]
+    assert (stack.m >= stack.n).all()
+    _count_threads(monkeypatch, 2)
+    solved = _spy_solves(monkeypatch)
+    stack.solve([("incidence", None), ("norm-l", None), ("q", None)])
+    assert Counter(kind for kind, _ in solved) == {"q": 4, "norm-l": 4}
+
+
+def test_an_error_on_the_second_thread_reaches_the_caller(monkeypatch):
+    _count_threads(monkeypatch, 2)
+    helper_solved = threading.Event()
+    solve = matrices._solve
+
+    def failing(kind, stack):
+        if threading.current_thread() is threading.main_thread():
+            helper_solved.wait(10)  # the helper takes a matrix before this thread goes on
+            return solve(kind, stack)
+        helper_solved.set()
+        raise RuntimeError("failed on the helper thread")
+
+    monkeypatch.setattr(matrices, "_solve", failing)
+    stack = _multi_batch_tables()[1][2]
+    with pytest.raises(RuntimeError, match="failed on the helper thread"):
+        verifier.claim_table(stack)
+    assert helper_solved.is_set()
+
+
+def test_a_solve_refused_on_the_second_thread_falls_back_per_member(monkeypatch):
+    """Every stacked solve raises NoConvergenceError, and so does each solve of
+    one member alone: its claims fail with the error as witness, on two
+    threads as on one, and the second thread ran into the refusal too."""
+    stack = _multi_batch_tables()[1][2]
+    refused, solve = set(), matrices._solve
+    monkeypatch.setattr(matrices, "_solve", lambda kind, m: refused.add(m.tobytes()) or
+                        solve(kind, m))
+    row = 5
+    alone = EdgeStack(stack.n, stack.edges[[row]], seed=stack.seed)
+    verifier.claim_table(alone)  # records that member's matrices
+    threads_refused = set()
+
+    def refusing(kind, m):
+        if len(m) > 1 or m.tobytes() in refused:
+            threads_refused.add(threading.current_thread() is threading.main_thread())
+            raise NoConvergenceError(f"{kind} solve refused")
+        return solve(kind, m)
+
+    monkeypatch.setattr(matrices, "_solve", refusing)
+    tables = []
+    for threads in (1, 2):
+        _count_threads(monkeypatch, threads)
+        threads_refused.clear()
+        table = verifier.claim_table(EdgeStack(stack.n, stack.edges, seed=stack.seed))
+        tables.append(([table.row(r) for r in range(len(stack))], table.status.tobytes()))
+    assert False in threads_refused  # the helper thread's refusal
+    assert tables[0] == tables[1]
+    failed = [c for c in tables[1][0][row] if c.status == "fail"]
+    assert failed and all(set(c.witness) == {"error"} for c in failed)
+    assert all(c.status != "fail" for r in range(len(stack)) if r != row for c in tables[1][0][r])
+
+
+def test_one_batch_tables_start_no_thread(monkeypatch):
+    started = _count_threads(monkeypatch, 2)
+    verify_corpus("all:5", betas=(-1.0, -0.5, 1.0))
+    verify_corpus("trees:7")
+    audit_corpus("all:5")
+    assert not started
+
+
+@pytest.mark.parametrize("test", [
+    lambda mp: test_each_spectrum_is_solved_once_per_stack(mp),
+    lambda mp: test_tables_in_batches_of_one_to_three_members_equal_the_default(mp, "gnp:12,0.3,40"),
+    lambda mp: test_tables_in_batches_of_one_to_three_members_equal_the_default(mp, "all:5"),
+], ids=["solved-once", "batches-gnp", "batches-all"])
+def test_solve_counts_and_batched_tables_hold_on_two_threads(test):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrices, "_SOLVE_THREADS", 2)
+        test(mp)
+
+
+def test_a_table_takes_one_set_of_direct_entropies_per_matrix(monkeypatch):
+    """general-randic:-0.5 is the randic matrix: twelve matrices, twelve
+    direct entropy computations and twelve probability vectors."""
+    vectors = _count_probability_vectors(monkeypatch)
+    direct, compute = [], verifier.direct_entropies
+
+    def counting(stack, kind, label, *args, **kwargs):
+        direct.append((str(kind), label))
+        return compute(stack, kind, label, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "direct_entropies", counting)
+    g = random_gnp(9, 0.5, seed=4)
+    assert g.is_connected and min(g.degrees) >= 1
+    verifier.claim_table(EdgeStack.of(g), verifier.CHECK_NAMES, betas=(-1.0, -0.5))
+    assert len(direct) == len(set(direct)) == 12 and len(vectors) == 12
+    assert ("general-randic:-0.5", None) not in direct
 
 
 def test_a_table_of_four_batches_peaks_below_the_one_batch_table():
