@@ -145,17 +145,15 @@ def _power_sums(p: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def renyi_entropy(p: ProbabilityVector, alpha: float, log_base: float | None = None):
-    """log of the alpha-power sum, scaled by 1/(1 - alpha)."""
-    _check_alpha(alpha)
+    """log of the alpha-power sum, scaled by 1/(1 - alpha): a column of
+    :func:`distribution_entropies`."""
     base = p.log_base if log_base is None else log_base
-    return per_member(_power_sums(p.p, alpha)[0] / ((1.0 - alpha) * math.log(base)))
+    return per_member(distribution_entropies(p, (alpha,), base)[..., 1])
 
 
 def daroczy_entropy(p: ProbabilityVector, alpha: float):
     """(alpha-power sum - 1) / (2^(1-alpha) - 1); no base enters."""
-    _check_alpha(alpha)
-    power_sum = (p.p ** alpha).sum(axis=-1)
-    return per_member((power_sum - 1.0) / (2.0 ** (1.0 - alpha) - 1.0))
+    return per_member(distribution_entropies(p, (alpha,), p.log_base)[..., 2])
 
 
 def shannon_entropy(p: ProbabilityVector, log_base: float | None = None) -> float:
@@ -170,16 +168,27 @@ def functional_entropy(weights, log_base: float = 2.0) -> float:
     return shannon_entropy(probability_vector(weights, "functional", log_base))
 
 
-def _entropies(quadratic, power_sums, alphas: Sequence[float], log_base: float) -> np.ndarray:
+def _entropies(quadratic, power_sums, logs, alphas: Sequence[float], log_base: float) -> np.ndarray:
     """The quadratic, then the Renyi and Daroczy entropy at each order, both
     from ``power_sums(alpha)``: the log of the alpha-power sum and the sum,
-    computed once per order."""
+    computed once per order.  Where alpha * log(max p) overflows, so the log
+    power sum is -inf, the Renyi entropy is (alpha / (1 - alpha)) top +
+    log sum exp(alpha (log p - top)) / (1 - alpha), with log p read off
+    ``logs()`` and top its largest: finite, near its limit -top."""
     columns = [quadratic]
     for a in alphas:
         _check_alpha(a)
         log_power_sum, power_sum = power_sums(a)
-        columns += [log_power_sum / ((1.0 - a) * math.log(log_base)),
-                    (power_sum - 1.0) / (2.0 ** (1.0 - a) - 1.0)]
+        renyi = log_power_sum / ((1.0 - a) * math.log(log_base))
+        huge = log_power_sum == -math.inf
+        if np.any(huge):  # log 0 and the terms that overflow to -inf add exp(-inf) = 0
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                log_p = logs()
+                top = log_p.max(axis=-1)
+                rest = np.log(np.exp(a * (log_p - top[..., None])).sum(axis=-1))
+                renyi = np.where(huge, (a / (1.0 - a) * top + rest / (1.0 - a))
+                                 / math.log(log_base), renyi)
+        columns += [renyi, (power_sum - 1.0) / (2.0 ** (1.0 - a) - 1.0)]
     return np.stack(columns, axis=-1)
 
 
@@ -201,7 +210,8 @@ def direct_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
 def distribution_entropies(p: ProbabilityVector, alphas: Sequence[float],
                            log_base: float) -> np.ndarray:
     """The columns of :func:`direct_entropies` of a ``(B, n)`` stack of distributions."""
-    return _entropies(quadratic_entropy(p), partial(_power_sums, p.p), alphas, log_base)
+    return _entropies(quadratic_entropy(p), partial(_power_sums, p.p), partial(np.log, p.p),
+                      alphas, log_base)
 
 
 def closed_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
@@ -245,7 +255,7 @@ def closed_entropies(stack: EdgeStack, kind: MatrixKind, label: str | None,
         if low.any() and row.log_square_sum is not None:
             ratio[low] = np.exp(row.log_square_sum(stack[rows[low]], kind)
                                 - 2.0 * np.log(t[low]))
-    out[rows] = _entropies(1.0 - ratio, power_sums, alphas, log_base)
+    out[rows] = _entropies(1.0 - ratio, power_sums, lambda: logs, alphas, log_base)
     return out
 
 

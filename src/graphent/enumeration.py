@@ -9,8 +9,7 @@ Decoding works on stacks.  :func:`tree_edge_stack` turns a batch of B tree
 indices into a ``(B, n - 1, 2)`` int64 array, and :func:`graph_edge_stack`
 turns a batch of masks into one ``(B, m_max, 2)`` array whose rows hold
 different edge counts, each padded with (n, n) after its edges; each row
-holds one member's edges, sorted, with ``u < v``; :func:`graphs_of_stack`
-turns a stack into graphs.
+holds one member's edges, sorted, with ``u < v``.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, edge_counts, pair_stack
+from .graphs import pair_stack
 
 # Members per decoded stack, here and in the extremal scan.  Small stacks
 # keep a sweep's peak memory at the level of a graph-by-graph loop, and at
@@ -45,13 +44,6 @@ def labeled_tree_count(n: int) -> int:
     if not 2 <= n <= 9:
         raise ValueError(f"labeled-tree enumeration supports 2 <= n <= 9, got {n}")
     return n ** (n - 2)
-
-
-def graphs_of_stack(n: int, edges: np.ndarray) -> list[Graph]:
-    """One :class:`Graph` per row of a ``(B, m, 2)`` sorted-edge stack, ragged
-    or not (see :func:`graphent.graphs.edge_counts`)."""
-    return [Graph(n, tuple(map(tuple, rows[:k]))) for rows, k in
-            zip(np.asarray(edges).tolist(), edge_counts(n, edges).tolist())]
 
 
 def graph_edge_stack(n: int, masks: Iterable[int]) -> np.ndarray:

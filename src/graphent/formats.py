@@ -118,12 +118,6 @@ def parse_graph6(data: bytes | str) -> Graph:
     return Graph(n, tuple(sorted(edges)))
 
 
-def encode_graph6(g: Graph) -> bytes:
-    """Encode a graph as graph6 bytes, without a trailing newline: a stack
-    of one of :func:`encode_graph6_stack`."""
-    return encode_graph6_stack(g.n, g.edge_array[None])[0]
-
-
 def encode_graph6_stack(n: int, edges: np.ndarray) -> list[bytes]:
     """The graph6 bytes of every row of a ``(B, m, 2)`` sorted-edge stack
     (ragged or not, see :func:`graphent.graphs.edge_counts`), by array

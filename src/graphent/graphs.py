@@ -119,12 +119,6 @@ class OrientedGraph:
         return np.array(self.arcs, dtype=np.int64).reshape(-1, 2)
 
 
-def random_orientation(g: Graph, seed: int) -> OrientedGraph:
-    """Orient each edge by an independent fair coin from ``seed``."""
-    flips = (uniform_draws([seed], [g.m]) >= 0.5).tolist()
-    return OrientedGraph(g, tuple((v, u) if f else (u, v) for (u, v), f in zip(g.edges, flips)))
-
-
 def uniform_draws(seeds: Sequence, counts: Sequence[int]) -> np.ndarray:
     """The first ``counts[i]`` doubles of ``random.Random(seeds[i]).random()`` for
     each i in turn: ``getrandbits(64 * k)`` returns the 2k words k calls take, first
@@ -155,15 +149,6 @@ def star_graph(n: int) -> Graph:
     return Graph(n, tuple((0, i) for i in range(1, n)))
 
 
-def random_gnp(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p): the i-th vertex pair in lexicographic order is an edge
-    where the i-th ``random.Random(seed).random()`` is below p."""
-    _check_order(n)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    return Graph(n, tuple(map(tuple, gnp_edge_stack(n, p, [seed])[0].tolist())))  # a stack of one
-
-
 # Entries per stacked array: an EdgeStack's batches (graphent.matrices.batch_rows)
 # and a sampled corpus's vertex pairs drawn at a time.  Uncapped, audit
 # gnp:30,1.0,100 peaked at 56 MB (34 MB at p = 0.3); 1 << 16 ran verify
@@ -172,7 +157,9 @@ STACK_ENTRIES = 1 << 15
 
 
 def gnp_edge_stack(n: int, p: float, seeds: Sequence) -> np.ndarray:
-    """One :func:`random_gnp` sample per seed, as a :func:`pair_stack`."""
+    """One Erdos-Renyi G(n, p) sample per seed, as a :func:`pair_stack`: the
+    i-th vertex pair in lexicographic order is an edge where the i-th
+    ``random.Random(seed).random()`` is below p."""
     pairs = n * (n - 1) // 2
     size = max(1, STACK_ENTRIES // max(pairs, 1))
     chosen = np.concatenate([uniform_draws(seeds[lo:lo + size], [pairs] * len(seeds[lo:lo + size]))

@@ -94,6 +94,13 @@ def cpu_count() -> int:
 _SOLVE_THREADS = min(2, cpu_count())
 
 
+def share_cpus(processes: int) -> None:
+    """Make this process one of ``processes`` that share its CPUs: its stacked
+    solves keep a second thread only where each process has a second CPU."""
+    global _SOLVE_THREADS
+    _SOLVE_THREADS = max(1, min(_SOLVE_THREADS, cpu_count() // processes))
+
+
 def batch_rows(n: int, width: int | None = None) -> int:
     """Members per batch of ``(B, n, width)`` arrays, ``(B, n, n)`` by
     default, under :data:`graphent.graphs.STACK_ENTRIES`; at least one."""
@@ -416,8 +423,8 @@ class EdgeStack:
     matrices are built from its own degrees.  Its (B, n, n) and (B, n, m)
     arrays exist a batch of :func:`batch_rows` members at a time, and each
     member's values are the ones it has alone.  The ``canonical`` orientation
-    is the edges or the ``arcs`` given, the ``random`` one draws each
-    member's coins as :func:`graphent.graphs.random_orientation` does,
+    is the edges or the ``arcs`` given, the ``random`` one reverses each
+    member's edges by fair coins (:func:`graphent.graphs.uniform_draws`),
     seeded by its descriptor mixed with ``seed``.  A spectrum is solved on its
     first read, or with others by :meth:`solve`.  A graph is a stack of one
     (:meth:`of`), and ``stack[rows]`` is the stack of some members."""

@@ -5,7 +5,7 @@ construction, floats render through one formatter, and informational
 fields that vary between runs (wall-clock time) are left out.  Reruns of
 the same job must produce identical files regardless of worker count.
 The writers pass a report to a ``write`` callable a few thousand pieces at a
-time; :func:`render_json` and :func:`render_csv` collect it into one string.
+time.
 Claim records stay :class:`ClaimResult` objects until each is written.
 """
 
@@ -93,13 +93,6 @@ def write_json(value, write: Callable[[str], object]) -> None:
     write("".join(pieces))
 
 
-def render_json(value) -> str:
-    """The text :func:`write_json` writes."""
-    chunks: list[str] = []
-    write_json(value, chunks.append)
-    return "".join(chunks)
-
-
 _CHUNK = 4096  # pieces a writer holds before it writes them out
 
 
@@ -162,13 +155,6 @@ def _csv_cell(value) -> str:
     pieces: list[str] = []
     _emit(value, pieces, None, None)
     return "".join(pieces).strip('"')
-
-
-def render_csv(doc: dict) -> str:
-    """The text :func:`write_csv` writes."""
-    chunks: list[str] = []
-    write_csv(doc, chunks.append)
-    return "".join(chunks)
 
 
 def write_csv(doc: dict, write: Callable[[str], object]) -> None:

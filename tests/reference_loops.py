@@ -3,7 +3,8 @@ seeded random generators as one ``random.Random(seed).random()`` call per
 vertex pair or edge (the bulk draws of :func:`graphent.graphs.uniform_draws`),
 padding graphs into an edge stack one row at a time, and the per-graph forms
 of corpora, scan measures, the comparison tolerance and the enumerations, and
-the single-member decoders and named deterministic families that only the
+the single-member decoders, encoders, samplers and named deterministic
+families, and the one-string renders of the report writers, that only the
 tests build."""
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from graphent import verifier
-from graphent.enumeration import graph_edge_stack, graphs_of_stack, index_chunks
+from graphent.enumeration import graph_edge_stack, index_chunks
 from graphent.enumeration import labeled_tree_count, tree_edge_stack
+from graphent.formats import encode_graph6_stack
 from graphent.graphs import Graph, OrientedGraph, complete_graph, path_graph, star_graph
+from graphent.graphs import _check_order, edge_counts, gnp_edge_stack, uniform_draws
 from graphent.matrices import EdgeStack
+from graphent.report import write_csv, write_json
 from graphent.spectra import comparison_tolerance
 
 
@@ -40,6 +44,48 @@ def loop_random_orientation(g: Graph, seed) -> tuple:
     """The arcs: edge i reversed where the i-th draw is at least 1/2."""
     rng = random.Random(seed)
     return tuple((u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges)
+
+
+def graphs_of_stack(n: int, edges: np.ndarray) -> list[Graph]:
+    """One :class:`Graph` per row of a ``(B, m, 2)`` sorted-edge stack, ragged
+    or not (see :func:`graphent.graphs.edge_counts`)."""
+    return [Graph(n, tuple(map(tuple, rows[:k]))) for rows, k in
+            zip(np.asarray(edges).tolist(), edge_counts(n, edges).tolist())]
+
+
+def encode_graph6(g: Graph) -> bytes:
+    """Encode a graph as graph6 bytes, without a trailing newline: a stack
+    of one of :func:`graphent.formats.encode_graph6_stack`."""
+    return encode_graph6_stack(g.n, g.edge_array[None])[0]
+
+
+def random_orientation(g: Graph, seed: int) -> OrientedGraph:
+    """Orient each edge by an independent fair coin from ``seed``."""
+    flips = (uniform_draws([seed], [g.m]) >= 0.5).tolist()
+    return OrientedGraph(g, tuple((v, u) if f else (u, v) for (u, v), f in zip(g.edges, flips)))
+
+
+def random_gnp(n: int, p: float, seed: int) -> Graph:
+    """Erdos-Renyi G(n, p): the i-th vertex pair in lexicographic order is an edge
+    where the i-th ``random.Random(seed).random()`` is below p."""
+    _check_order(n)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    return Graph(n, tuple(map(tuple, gnp_edge_stack(n, p, [seed])[0].tolist())))  # a stack of one
+
+
+def render_json(value) -> str:
+    """The text :func:`graphent.report.write_json` writes."""
+    chunks: list[str] = []
+    write_json(value, chunks.append)
+    return "".join(chunks)
+
+
+def render_csv(doc: dict) -> str:
+    """The text :func:`graphent.report.write_csv` writes."""
+    chunks: list[str] = []
+    write_csv(doc, chunks.append)
+    return "".join(chunks)
 
 
 def pad_edge_stack(n: int, edge_arrays: Sequence[np.ndarray]) -> np.ndarray:

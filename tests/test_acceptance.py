@@ -25,12 +25,11 @@ from graphent import (
     verify_corpus,
 )
 from graphent.enumeration import labeled_graph_count
-from graphent.formats import encode_graph6
 from graphent.graphs import Graph
 from graphent.matrices import build_stack
-from graphent.report import audit_to_object, render_json
+from graphent.report import audit_to_object
 from graphent.spectra import symmetric_eigenvalues
-from reference_loops import labeled_graphs_from_masks
+from reference_loops import encode_graph6, labeled_graphs_from_masks, render_json
 
 
 def _criterion(name: str, ok: bool, detail: str) -> None:

@@ -5,8 +5,9 @@ from dataclasses import replace
 import pytest
 
 from graphent.cli import main
-from graphent.report import audit_to_object, render_csv, render_json, verification_to_object
+from graphent.report import audit_to_object, verification_to_object
 from graphent.verifier import VerificationReport, audit_corpus, verify_corpus
+from reference_loops import render_csv, render_json
 
 
 @pytest.fixture

@@ -18,7 +18,9 @@ from graphent import (
 )
 from graphent.entropy import (
     ProbabilityVector,
+    _power_sums,
     closed_entropies,
+    direct_entropies,
     functional_entropy,
     shannon_entropy,
 )
@@ -33,7 +35,7 @@ from graphent.errors import (
 )
 from graphent.graphs import Graph
 from graphent.matrices import EdgeStack, MatrixKind, moment_spectrum
-from reference_loops import canonical_orientation
+from reference_loops import canonical_orientation, pad_edge_stack
 
 
 def test_probability_vector_normalizes():
@@ -113,6 +115,28 @@ def test_underflowing_renyi_of_one_vector_is_its_stack_of_one():
     stacked = renyi_entropy(ProbabilityVector(p[None]), 1000.0)
     assert isinstance(one, float) and math.isfinite(one)
     assert np.float64(one).tobytes() == stacked[0].tobytes()
+
+
+@pytest.mark.parametrize("log_base", [2.0, math.e])
+def test_renyi_at_a_huge_order_is_finite_on_both_routes(log_base):
+    """At alpha = 1e308, alpha * log(max p) overflows for K12's incidence
+    distribution but not for the star's: both routes give each row its limit
+    -log(max p) / ln b, and the star's direct value is still the log power
+    sum over (1 - alpha) ln b."""
+    alpha, kind = 1e308, MatrixKind("incidence")
+    stack = EdgeStack(12, pad_edge_stack(12, [complete_graph(12).edge_array,
+                                              star_graph(12).edge_array]))
+    p = probabilities_from_spectrum(stack.spectrum(kind), log_base).p
+    with np.errstate(over="ignore"):
+        assert np.isinf(alpha * np.log(p.max(axis=-1))).tolist() == [True, False]
+    limit = -np.log(p.max(axis=-1)) / math.log(log_base)
+    direct = direct_entropies(stack, kind, None, (alpha,), log_base)[:, 1]
+    closed = closed_entropies(stack, kind, None, kind.spec.has_closed_form(stack), (alpha,),
+                              log_base)[:, 1]
+    np.testing.assert_allclose(direct, limit, rtol=1e-12)
+    np.testing.assert_allclose(closed, limit, rtol=1e-12)
+    assert direct[1] == _power_sums(p[1:], alpha)[0][0] / ((1.0 - alpha) * math.log(log_base))
+    assert renyi_entropy(ProbabilityVector(p[0], log_base=log_base), alpha) == direct[0]
 
 
 def test_shannon_entropy_known():
@@ -273,9 +297,9 @@ def test_stack_rows_with_zero_moments_are_each_graphs_own_bits(kind, zero_counts
     counts of exactly-zero moments are ``zero_counts`` where those are
     snapped to 0."""
     from graphent.entropy import closed_entropies
-    from graphent.enumeration import graphs_of_stack
+    from reference_loops import graphs_of_stack
     from graphent.matrices import KINDS
-    from graphent.verifier import parse_corpus
+    from graphent.verifier.corpus import parse_corpus
 
     label = "canonical" if KINDS[kind].oriented else None
     alphas = (0.5, 2.0, 3.0, 1000.0)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from graphent.enumeration import graph_edge_stack, labeled_graph_count, labeled_tree_count
-from graphent.enumeration import graphs_of_stack, tree_edge_stack
+from graphent.enumeration import tree_edge_stack
 from graphent.graphs import Graph, edge_counts
 from reference_loops import (
     enumerate_labeled_trees,
+    graphs_of_stack,
     labeled_graph_from_mask,
     labeled_graphs_from_masks,
     labeled_tree_from_index,

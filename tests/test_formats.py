@@ -8,10 +8,10 @@ from graphent.errors import (
     TrailingBytesError,
     TruncatedStreamError,
 )
-from graphent.formats import encode_graph6, parse_arc_list, parse_edge_list
+from graphent.formats import parse_arc_list, parse_edge_list
 from graphent.enumeration import labeled_graph_count
 from graphent.errors import ByteOutOfRangeError, LoopEdgeError
-from reference_loops import labeled_graphs_from_masks
+from reference_loops import encode_graph6, graphs_of_stack, labeled_graphs_from_masks
 
 
 def test_edge_list_with_header():
@@ -122,7 +122,7 @@ def test_encode_rejects_large_orders():
 def test_graph6_orders_past_62_take_the_four_byte_header():
     """n >= 63 is written as 126 and n in three 6-bit groups, as networkx writes it."""
     nx = pytest.importorskip("networkx")
-    from graphent.graphs import random_gnp
+    from reference_loops import random_gnp
 
     for n in (62, 63, 80, 130):
         g = random_gnp(n, 0.1, n)
@@ -156,7 +156,7 @@ def test_graph6_matches_networkx_on_every_graph_up_to_five():
 
 def _corpus_stacks():
     """The stacks of all:5, every edge count mixed, and of gnp:40,0.3 samples."""
-    from graphent.verifier import parse_corpus
+    from graphent.verifier.corpus import parse_corpus
 
     for corpus in ("all:5", "gnp:40,0.3,24"):
         spec = parse_corpus(corpus)
@@ -164,7 +164,6 @@ def _corpus_stacks():
 
 
 def test_graph6_stack_encoding_equals_the_per_graph_encoding():
-    from graphent.enumeration import graphs_of_stack
     from graphent.formats import encode_graph6_stack
 
     encoded = 0
@@ -179,7 +178,6 @@ def test_graph6_stack_encoding_equals_the_per_graph_encoding():
 
 def test_graph6_stack_encoding_matches_networkx():
     nx = pytest.importorskip("networkx")
-    from graphent.enumeration import graphs_of_stack
     from graphent.formats import encode_graph6_stack
 
     for stack in _corpus_stacks():

@@ -16,7 +16,7 @@ from graphent.matrices import (
     kind_from_string,
     standard_kinds,
 )
-from graphent.verifier import parse_corpus
+from graphent.verifier.corpus import parse_corpus
 from reference_loops import canonical_orientation
 
 
@@ -171,7 +171,8 @@ def test_spectrum_source_labels_follow_kind():
 
 def test_build_stack_rows_equal_per_graph_builds():
     from reference_loops import labeled_graphs_from_masks
-    from graphent.graphs import OrientedGraph, random_orientation
+    from graphent.graphs import OrientedGraph
+    from reference_loops import random_orientation
 
     graphs = [g for g in labeled_graphs_from_masks(4, range(64)) if g.m == 4]
     for kind in standard_kinds((-0.5, 1.0)):
@@ -239,7 +240,7 @@ def test_relabeling_leaves_spectra_and_quadratic_entropies_unchanged(pair):
 
 def _mixed_stack():
     """gnp:12 samples from sparse to dense, and the edgeless graph, in one stack."""
-    from graphent.graphs import random_gnp
+    from reference_loops import random_gnp
     from graphent.matrices import EdgeStack
     from reference_loops import pad_edge_stack
 
@@ -283,9 +284,7 @@ def test_mixed_stack_edge_sums_and_incidence_spectra_are_each_members_own_bits()
 def test_random_arcs_are_the_per_graph_random_orientations():
     import zlib
 
-    from graphent.formats import encode_graph6
-    from graphent.enumeration import graphs_of_stack
-    from reference_loops import loop_random_orientation
+    from reference_loops import encode_graph6, graphs_of_stack, loop_random_orientation
 
     graphs, stack = _mixed_stack()
     assert stack.m.max() > 8  # more coins than one member's draws of a short row
@@ -313,7 +312,7 @@ def _explicit_incidence(g: Graph, scaled: bool) -> np.ndarray:
 def test_incidence_spectra_with_m_at_least_n_are_the_singular_values_of_b():
     """Members with m >= n take the square roots of q's and norm-q's
     eigenvalues; numpy's SVD of the explicit matrix is the oracle."""
-    from graphent.enumeration import graphs_of_stack
+    from reference_loops import graphs_of_stack
 
     checked = 0
     for corpus in ("all:5", "gnp:12,0.5,60"):

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -29,32 +30,29 @@ from graphent import (
 )
 from graphent import entropy, matrices, measures, verifier
 from graphent.entropy import ProbabilityVector
-from graphent.enumeration import graphs_of_stack, tree_edge_stack
+from graphent.enumeration import tree_edge_stack
 from graphent.errors import AlphaNonPositiveError, NoConvergenceError
-from graphent.formats import encode_graph6
-from graphent.graphs import (
-    Graph,
-    random_gnp,
-    random_orientation,
-)
+from graphent.graphs import Graph
 from graphent.matrices import EdgeStack, as_kind, build_stack, edge_stack_of
-from graphent.report import audit_to_object, render_json, verification_to_object
+from graphent.report import audit_to_object, verification_to_object
 from graphent.spectra import comparison_tolerance
-from graphent.verifier import (
-    ClaimResult,
-    check_bounds,
-    check_equalities,
-    check_traces,
-    parse_corpus,
-)
+from graphent.verifier import ClaimResult, catalogue, tables
+from graphent.verifier import corpus as corpora, scan as scans
+from graphent.verifier.corpus import parse_corpus
+from graphent.verifier.tables import check_bounds, check_equalities, check_traces
 from reference_loops import (
     canonical_orientation,
+    encode_graph6,
     enumerate_labeled_trees,
     graph_at,
+    graphs_of_stack,
     iterate_corpus,
     loop_random_gnp,
     matching_graph,
     pad_edge_stack,
+    random_gnp,
+    random_orientation,
+    render_json,
     resolve_measure,
 )
 
@@ -321,7 +319,7 @@ def test_each_degree_product_sum_and_the_degrees_are_computed_once_per_stack(mon
     stack = list(spec.stacks(0, spec.total))[-1]
     assert stack.n == 4 and len(stack) == 64
     table = verifier.claim_table(stack, verifier.CHECK_NAMES, (0.5, 2.0), (-1.0, -0.5, 1.0))
-    assert (table.status != verifier._FAIL).all()
+    assert (table.status != catalogue._FAIL).all()
     assert sorted(sums) == [-2.0, -1.0, 2.0]
     assert degrees == [64]
 
@@ -381,8 +379,8 @@ def test_trace_square_sums_beyond_the_float_range_are_compared_as_logs():
         plain = 2.0 * stack.randic_sum(300.0)
         gap = np.abs((stack.spectrum("general-randic:150").values ** 2).sum(axis=-1) - plain)
     over = np.isinf(plain)
-    assert over.sum() > 100 and (table.status[:, k] == verifier._PASS).all()
-    assert (residual[over] <= verifier.TRACE_REL_TOL).all()
+    assert over.sum() > 100 and (table.status[:, k] == catalogue._PASS).all()
+    assert (residual[over] <= tables.TRACE_REL_TOL).all()
     assert residual[~over].tobytes() == gap[~over].tobytes()
 
 
@@ -425,14 +423,14 @@ def test_oriented_input_is_respected():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_equality_claims_fail_on_non_finite_closed_form(monkeypatch, bad):
-    closed = verifier.closed_entropies
+    closed = tables.closed_entropies
 
     def poisoned(*args):
         values = closed(*args)
         values[:, 0] = bad  # the closed quadratic entropy
         return values
 
-    monkeypatch.setattr(verifier, "closed_entropies", poisoned)
+    monkeypatch.setattr(tables, "closed_entropies", poisoned)
     res = _by_id(check_equalities(complete_graph(3), alphas=(2.0,)))
     claim = res["identity.q"]
     assert claim.status == "fail" and claim.residual == math.inf
@@ -451,7 +449,7 @@ def test_trace_claims_fail_on_non_finite_sides(monkeypatch, bad):
     assert not math.isfinite(claim.witness["expected"])
     assert res["trace.q.sum"].status == "pass"
 
-    monkeypatch.setattr(verifier, "spectral_moment", lambda spectrum, k: bad)
+    monkeypatch.setattr(tables, "spectral_moment", lambda spectrum, k: bad)
     res = _by_id(check_traces(path_graph(4)))
     assert res.pop("trace.q.sum").status == "pass"
     assert {r.status for r in res.values()} == {"fail"}
@@ -474,14 +472,14 @@ def test_bound_claims_fail_on_non_finite_values(monkeypatch, bad):
 
 def _poison_audit_quadratic(monkeypatch, rows, bad):
     """The audit's entropy columns, with ``bad`` for the quadratic entropy of ``rows``."""
-    columns = verifier.distribution_entropies
+    columns = tables.distribution_entropies
 
     def poisoned(*args):
         values = columns(*args)
         values[rows, 0] = bad
         return values
 
-    monkeypatch.setattr(verifier, "distribution_entropies", poisoned)
+    monkeypatch.setattr(tables, "distribution_entropies", poisoned)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -562,7 +560,7 @@ def _reference_audit_theorem10(p, alpha_grid, log_base):
     results = []
     for alpha in alpha_grid:
         if alpha == 1.0:
-            for claim_id in verifier.AUDIT_CLAIMS:
+            for claim_id in catalogue.AUDIT_CLAIMS:
                 results.append(ClaimResult(claim_id, p.origin, "not-applicable",
                                            None, {"alpha": alpha}))
             continue
@@ -583,7 +581,7 @@ def _reference_audit_theorem10(p, alpha_grid, log_base):
             part_iii = (ren, (c * c * ln2 / (alpha - 1.0)) * quad)
         else:
             part_iii = (ren, quad)
-        for claim_id, (lhs, rhs) in zip(verifier.AUDIT_CLAIMS, (part_i, part_ii, part_iii)):
+        for claim_id, (lhs, rhs) in zip(catalogue.AUDIT_CLAIMS, (part_i, part_ii, part_iii)):
             margin = lhs - rhs
             if not math.isfinite(margin):
                 margin = -math.inf
@@ -609,11 +607,11 @@ def test_audit_theorem10_equals_the_scalar_reference(weights, grid, log_base):
     assert audit_theorem10(p, grid, log_base) == _reference_audit_theorem10(p, grid, log_base)
 
 
-def _reference_audit_corpus(corpus, kinds=None, alpha_grid=verifier.DEFAULT_AUDIT_GRID,
+def _reference_audit_corpus(corpus, kinds=None, alpha_grid=corpora.DEFAULT_AUDIT_GRID,
                             seed=0, log_base=2.0):
     """Reference: the per-graph loop, one solve per graph and kind."""
     spec = parse_corpus(corpus)
-    use_kinds = [as_kind(k) for k in (kinds or verifier.default_audit_kinds())]
+    use_kinds = [as_kind(k) for k in (kinds or corpora.default_audit_kinds())]
     counts, retained, graphs, total = {}, [], 0, 0
     for g in iterate_corpus(spec, 0, spec.total, seed):
         graphs += 1
@@ -632,10 +630,10 @@ def _reference_audit_corpus(corpus, kinds=None, alpha_grid=verifier.DEFAULT_AUDI
                 by_status = counts.setdefault(res.claim_id, {})
                 by_status[res.status] = by_status.get(res.status, 0) + 1
                 if (res.status in ("fail", "equality-attained")
-                        and len(retained) < verifier.AUDIT_RETAIN_LIMIT):
+                        and len(retained) < corpora.AUDIT_RETAIN_LIMIT):
                     retained.append(ClaimResult(res.claim_id, descriptor, res.status,
                                                 res.residual, witness))
-    summary = {cid: {st: by.get(st, 0) for st in verifier.STATUSES}
+    summary = {cid: {st: by.get(st, 0) for st in catalogue.STATUSES}
                for cid, by in counts.items()}
     return verifier.AuditReport(spec.text, tuple(str(k) for k in use_kinds),
                                 tuple(float(a) for a in alpha_grid), seed, float(log_base),
@@ -664,7 +662,7 @@ def test_stacked_audit_report_equals_the_per_graph_loop(corpus, options):
 def test_stacked_audit_retains_the_first_records_in_corpus_order(monkeypatch):
     grid = (0.5, 1.0, 1.5, 2.0, 3.0)
     full = _reference_audit_corpus("all:4", alpha_grid=grid)
-    monkeypatch.setattr(verifier, "AUDIT_RETAIN_LIMIT", 7)
+    monkeypatch.setattr(corpora, "AUDIT_RETAIN_LIMIT", 7)
     report = audit_corpus("all:4", alpha_grid=grid)
     assert report.claims == full.claims[:7]
     assert report.summary == full.summary and report.total_claims == full.total_claims
@@ -692,7 +690,7 @@ def test_audit_table_fails_a_non_finite_row_only(monkeypatch):
     table = verifier.audit_table(pv, (0.5, 1.5, 3.0), log_base=math.e)
 
     def by_claim(values):  # (distribution, grid point, claim)
-        return np.asarray(values).reshape(len(rows), -1, len(verifier.AUDIT_CLAIMS))
+        return np.asarray(values).reshape(len(rows), -1, len(catalogue.AUDIT_CLAIMS))
 
     status, clean_status = by_claim(table.status), by_claim(clean.status)
     margin, clean_margin = (by_claim([[c.residual for c in t.row(r)] for r in range(len(rows))])
@@ -700,7 +698,7 @@ def test_audit_table_fails_a_non_finite_row_only(monkeypatch):
     untouched = [0, 2]
     assert np.array_equal(status[untouched], clean_status[untouched])
     assert np.array_equal(margin[untouched], clean_margin[untouched])
-    fail = verifier.STATUSES.index("fail")
+    fail = catalogue.STATUSES.index("fail")
     # every claim reading the quadratic entropy fails on row 1; Renyi vs Daroczy does not
     assert (status[1, :, 1:] == fail).all()
     assert (margin[1, :, 1:] == -math.inf).all()
@@ -845,10 +843,13 @@ def test_every_table_row_equals_the_table_of_one(data):
     log_base = data.draw(st.sampled_from([2.0, math.e]), label="log_base")
     alphas, betas = (0.5, 3.0), (-0.5,)
     with pytest.MonkeyPatch.context() as mp:
-        if data.draw(st.booleans(), label="failing traces"):
-            mp.setattr(verifier, "TRACE_REL_TOL", -1.0)
+        failing = data.draw(st.booleans(), label="failing traces")
+        if failing:
+            mp.setattr(tables, "TRACE_REL_TOL", -1.0)
         table = verifier.claim_table(EdgeStack(n, edges, seed=seed), verifier.CHECK_NAMES,
                                      alphas, betas, log_base)
+        traces = [k for k, claim_id in enumerate(table.claim_ids) if claim_id.startswith("trace.")]
+        assert (table.status[:, traces] == catalogue._FAIL).any() == failing
         for row, g in enumerate(graphs_of_stack(n, edges)):
             assert table.row(row) == _checks_of_one(g, alphas, betas, seed, log_base)
 
@@ -868,12 +869,12 @@ def test_one_table_per_order_and_chunk_until_the_entry_cap(monkeypatch):
         tables.append(len(stack))
         return table_of(stack, **options)
 
-    monkeypatch.setattr(verifier, "claim_table", counting)
+    monkeypatch.setattr(corpora, "claim_table", counting)
     verify_corpus("all:5", betas=(-1.0, -0.5, 1.0))
     assert tables == [1, 2, 8, 64, 512, 512]
     tables.clear()
     verify_corpus("gnp:40,0.3,200", seed=7)
-    assert tables == _cut(200, verifier.TABLE_BATCHES * (matrices.STACK_ENTRIES // (40 * 40)))
+    assert tables == _cut(200, corpora.TABLE_BATCHES * (matrices.STACK_ENTRIES // (40 * 40)))
     assert tables == [80, 80, 40]
 
 
@@ -1000,11 +1001,11 @@ def _table_bits(stack: EdgeStack) -> tuple:
     and solve errors, statuses, and the records the sweep keeps, with their
     residuals and witnesses, and every verify record."""
     verify = verifier.claim_table(stack, verifier.CHECK_NAMES, (0.5, 2.0), (-1.0, -0.5, 1.0))
-    audit = verifier._audit_stack(stack, verifier.default_audit_kinds(), (0.5, 2.0), 2.0)
+    audit = tables._audit_stack(stack, corpora.default_audit_kinds(), (0.5, 2.0), 2.0)
     spectra = {key: (spectrum.values.tobytes(), {row: str(exc) for row, exc in errors.items()})
                for key, (spectrum, errors) in stack._spectra.items()}
     kept = [table.record(row, k) for table in (verify, audit) for row, k in zip(
-        *np.nonzero((table.status == verifier._FAIL) | (table.status == verifier._EQUALITY)))]
+        *np.nonzero((table.status == catalogue._FAIL) | (table.status == catalogue._EQUALITY)))]
     records = [verify.row(row) for row in range(len(stack))]
     return spectra, verify.status.tobytes(), audit.status.tobytes(), kept, records
 
@@ -1167,13 +1168,13 @@ def test_a_table_takes_one_set_of_direct_entropies_per_matrix(monkeypatch):
     """general-randic:-0.5 is the randic matrix: twelve matrices, twelve
     direct entropy computations and twelve probability vectors."""
     vectors = _count_probability_vectors(monkeypatch)
-    direct, compute = [], verifier.direct_entropies
+    direct, compute = [], tables.direct_entropies
 
     def counting(stack, kind, label, *args, **kwargs):
         direct.append((str(kind), label))
         return compute(stack, kind, label, *args, **kwargs)
 
-    monkeypatch.setattr(verifier, "direct_entropies", counting)
+    monkeypatch.setattr(tables, "direct_entropies", counting)
     g = random_gnp(9, 0.5, seed=4)
     assert g.is_connected and min(g.degrees) >= 1
     verifier.claim_table(EdgeStack.of(g), verifier.CHECK_NAMES, betas=(-1.0, -0.5))
@@ -1186,7 +1187,7 @@ def test_a_table_of_four_batches_peaks_below_the_one_batch_table():
     20: a table's traced peak stays under the 1.70 MB that a table of 20
     members reached when a table was one batch."""
     spec = parse_corpus("gnp:40,0.3,200")
-    args = (verifier.CHECK_NAMES, verifier.DEFAULT_ALPHAS, (-1.0, -0.5, 1.0))
+    args = (verifier.CHECK_NAMES, catalogue.DEFAULT_ALPHAS, (-1.0, -0.5, 1.0))
     verifier.claim_table(next(spec.stacks(0, 200, seed=7)), *args)  # the first call's imports
     stack = next(spec.stacks(0, 200, seed=7))
     assert len(stack) == 4 * matrices.batch_rows(40) == 80
@@ -1201,13 +1202,31 @@ def test_a_table_of_four_batches_peaks_below_the_one_batch_table():
 
 
 def test_worker_pool_is_capped_by_chunks_and_cpus(monkeypatch):
-    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 4)
-    assert verifier._pool_size(1, 9) == 1
-    assert verifier._pool_size(3, 9) == 3
-    assert verifier._pool_size(64, 2) == 2
-    assert verifier._pool_size(10_000, 10_000) == 4
-    monkeypatch.setattr(verifier.os, "cpu_count", lambda: None)
-    assert verifier._pool_size(8, 8) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert corpora._pool_size(1, 9) == 1
+    assert corpora._pool_size(3, 9) == 3
+    assert corpora._pool_size(64, 2) == 2
+    assert corpora._pool_size(10_000, 10_000) == 4
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # where the mask is not kept
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert corpora._pool_size(8, 8) == 1
+
+
+def test_the_pool_and_its_solve_threads_read_the_affinity_mask(monkeypatch):
+    """A process allowed one CPU of two starts one worker, and a worker that
+    shares its CPUs with the others solves on one thread."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(matrices, "_SOLVE_THREADS", 2)
+    assert corpora._pool_size(2, 10) == 1
+    matrices.share_cpus(1)
+    assert matrices._SOLVE_THREADS == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(matrices, "_SOLVE_THREADS", 2)
+    matrices.share_cpus(2)
+    assert matrices._SOLVE_THREADS == 2
+    matrices.share_cpus(3)
+    assert matrices._SOLVE_THREADS == 1
 
 
 def test_random_graph_sweep_has_no_failures():
@@ -1243,7 +1262,6 @@ def test_tree_skew_entropy_ignores_orientation():
 
 
 def test_scan_tree_zagreb_extremes():
-    from graphent.formats import encode_graph6
 
     scan = scan_extremal("trees", 5, "m1")
     # among trees the star maximizes and the path minimizes the degree square sum
@@ -1356,7 +1374,6 @@ def _scalar_value(measure, g, log_base=2.0):
 
 
 def _assert_scan_matches_scalar(family, order, measures, log_base=2.0):
-    from graphent.formats import encode_graph6
 
     members = _members(family, order)
     descriptors = [encode_graph6(g).decode() for g in members]
@@ -1397,7 +1414,6 @@ DOMAIN_MEASURES = ["quadratic:distance", "quadratic:q", "renyi:incidence:0.5", "
 @pytest.mark.parametrize("measure", DOMAIN_MEASURES)
 def test_all_graph_scan_skips_exactly_the_members_where_the_measure_raises(measure):
     from graphent.errors import DisconnectedGraphError, EmptyEdgeSetError, ZeroSpectrumError
-    from graphent.formats import encode_graph6
 
     one = resolve_measure(measure)
     want = {}
@@ -1429,12 +1445,12 @@ def test_scan_with_no_member_in_the_domain_is_an_error():
 
 def test_scan_encodes_only_witnesses(monkeypatch):
     calls = []
-    encode = verifier.encode_graph6_stack
+    encode = scans.encode_graph6_stack
 
     def counting(n, edges):
         calls.extend(edges)  # one per member encoded
         return encode(n, edges)
 
-    monkeypatch.setattr(verifier, "encode_graph6_stack", counting)
+    monkeypatch.setattr(scans, "encode_graph6_stack", counting)
     scan = scan_extremal("trees", 5, "quadratic:incidence")
     assert len(calls) == len(scan.min_witnesses) + len(scan.max_witnesses) == 65
