@@ -31,7 +31,10 @@ matrix per row.  A stack may mix edge counts: shorter rows are padded (see
 of graphs with the invariants and spectra that verify, audit, the scan and
 ``compute`` read of it, each matrix solved once; it is the one solver.  Its
 incidence kinds build matrices only for members with m < n, an edge count at
-a time (:attr:`KindSpec.gram`).  A graph is a stack of one
+a time (:attr:`KindSpec.gram`), and read their m x m Gram products'
+eigenvalues through the stack's :class:`graphent.spectra.GramMemo` where it
+has one; the stacks of an enumerated corpus share one
+(:meth:`graphent.verifier.CorpusSpec.stacks`).  A graph is a stack of one
 (:meth:`EdgeStack.of`), and :func:`spectrum_of` reads it, so a graph's
 spectrum equals its row in any stack.
 """
@@ -42,7 +45,7 @@ import math
 import os
 import zlib
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from threading import Thread
 from typing import Callable, Iterable, Iterator
 
@@ -73,6 +76,7 @@ from .spectra import (
     ABSOLUTE_EIGENVALUES,
     EIGENVALUES,
     SINGULAR_VALUES,
+    GramMemo,
     Spectrum,
     singular_values,
     skew_absolute_eigenvalues,
@@ -382,10 +386,10 @@ def _label(kind: MatrixKind, orientation: str | None) -> str | None:
     return (orientation or "canonical") if kind.needs_orientation else None
 
 
-def _solve(kind: MatrixKind, matrices: np.ndarray) -> np.ndarray:
+def _solve(kind: MatrixKind, matrices: np.ndarray, memo: GramMemo | None = None) -> np.ndarray:
     named = _named(kind)
     if named == SINGULAR_VALUES:
-        return singular_values(matrices, pad_to=matrices.shape[-2]).values
+        return singular_values(matrices, pad_to=matrices.shape[-2], memo=memo).values
     solve = skew_absolute_eigenvalues if named == ABSOLUTE_EIGENVALUES else symmetric_eigenvalues
     return solve(matrices).values
 
@@ -426,11 +430,14 @@ class EdgeStack:
     is the edges or the ``arcs`` given, the ``random`` one reverses each
     member's edges by fair coins (:func:`graphent.graphs.uniform_draws`),
     seeded by its descriptor mixed with ``seed``.  A spectrum is solved on its
-    first read, or with others by :meth:`solve`.  A graph is a stack of one
-    (:meth:`of`), and ``stack[rows]`` is the stack of some members."""
+    first read, or with others by :meth:`solve`; the incidence Gram products
+    of members with m < n are solved through ``memo``, a
+    :class:`graphent.spectra.GramMemo`, where one is given.  A graph is a
+    stack of one (:meth:`of`), and ``stack[rows]`` is the stack of some
+    members, sharing this stack's memo."""
 
     def __init__(self, n: int, edges: np.ndarray, *, arcs: np.ndarray | None = None,
-                 seed: int = 0):
+                 seed: int = 0, memo: GramMemo | None = None):
         # the narrowest unsigned integers that hold n, the pad: readers index
         # by them, and widen them where they compute with them
         dtype = np.min_scalar_type(n)
@@ -440,6 +447,7 @@ class EdgeStack:
         self._spectra: dict[tuple[str, str | None], tuple[Spectrum, dict[int, Exception]]] = {}
         self._descriptors: dict[int, str] = {}
         self._randic_sums: dict[float, np.ndarray] = {}
+        self.memo = memo
 
     @classmethod
     def of(cls, g: Graph | OrientedGraph, seed: int = 0) -> EdgeStack:
@@ -453,7 +461,7 @@ class EdgeStack:
     def __getitem__(self, rows: slice | np.ndarray) -> EdgeStack:
         arcs = self._arcs["canonical"]
         return EdgeStack(self.n, self.edges[rows], seed=self.seed,
-                         arcs=None if arcs is self.edges else arcs[rows])
+                         arcs=None if arcs is self.edges else arcs[rows], memo=self.memo)
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -626,7 +634,8 @@ class EdgeStack:
         # An incidence member with m >= n reads the square roots of its gram
         # kind's eigenvalues: this stack's solve where it holds one, else one
         # of those members alone.  The rest solve their own n x m matrices an
-        # edge count at a time, so each Gram product is the one it has alone.
+        # edge count at a time, so each Gram product is the one it has alone,
+        # and the memo's key.
         wide, values = self.m[members] >= self.n, np.empty((len(members), self.n))
         if wide.any():
             gram = as_kind(kind.spec.gram)
@@ -649,10 +658,12 @@ class EdgeStack:
                  m: int | None = None) -> np.ndarray:
         """The kind's ``(len(members), n)`` values, built and solved a batch at a
         time (:meth:`_batches`): n x n matrices, or, for an incidence kind, the
-        n x m matrices of members with m edges."""
+        n x m matrices of members with m edges, whose Gram products go through
+        the memo if the stack has one."""
         def build(at: np.ndarray) -> np.ndarray:
             return (self.distances[at] if kind.tag == "distance"
                     else build_stack(kind, self.n, arcs[at, :m], self.degrees[at]))
 
+        solve = _solve if m is None else partial(_solve, memo=self.memo)
         # each batch's matrices are freed before the next batch is built
-        return np.concatenate([_solve(kind, build(at)) for at in self._batches(members, m)])
+        return np.concatenate([solve(kind, build(at)) for at in self._batches(members, m)])

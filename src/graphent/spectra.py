@@ -15,11 +15,17 @@ the package live here:
 * Gram eigenvalues below 1e-12 of the largest snap to exact zero before a
   square root is taken, so that numerically-null singular values do not get
   amplified by fractional powers.
+
+A :class:`GramMemo` holds the eigensolver's output for Gram products by the
+bytes it reads, so a sweep that meets one Gram product many times solves it
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
+from threading import Lock
 
 import numpy as np
 
@@ -99,11 +105,13 @@ def symmetric_eigenvalues(matrix) -> Spectrum:
     return Spectrum(np.ascontiguousarray(vals[..., ::-1]), EIGENVALUES)
 
 
-def singular_values(matrix, pad_to: int | None = None) -> Spectrum:
+def singular_values(matrix, pad_to: int | None = None, memo: GramMemo | None = None) -> Spectrum:
     """Singular values of a real matrix, descending, zero-padded to ``pad_to``.
 
     Computed as square roots of the Gram eigenvalues on the smaller side.
-    The default padding length is the row count.
+    The default padding length is the row count.  With a ``memo`` the Gram
+    eigenvalues are read from it where it holds them (:class:`GramMemo`); the
+    clamp, snap and square root still act on every read.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     rows, cols = m.shape[-2:]
@@ -111,7 +119,7 @@ def singular_values(matrix, pad_to: int | None = None) -> Spectrum:
         pad_to = rows
     mt = m.swapaxes(-1, -2)
     gram = m @ mt if rows <= cols else mt @ m
-    svals = _sqrt_of_gram_eigenvalues(_eigvalsh(gram))
+    svals = _sqrt_of_gram_eigenvalues(_eigvalsh(gram) if memo is None else memo.eigvalsh(gram))
     if pad_to < svals.shape[-1]:
         if (svals[..., pad_to:] > 0.0).any():
             raise ValueError(f"cannot pad {svals.shape[-1]} nonzero singular values into {pad_to}")
@@ -174,6 +182,55 @@ def _eigvalsh(gram: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
+
+
+class GramMemo:
+    """The ascending eigenvalues of Gram products, keyed by the exact bytes of
+    each product's lower triangle, all of it that ``np.linalg.eigvalsh`` reads.
+
+    :meth:`eigvalsh` solves the members of a stack that the memo does not hold
+    in one stacked call, once per distinct key, and reads the rest.  The
+    solver computes each member of a stack on its own, so a read is bit for
+    bit the solve.  It stores the solver's own output, so the clamp and snap
+    of its readers still act on every read; a call that fails stores nothing.
+    The memo stores at most ``entries`` float64 values, those of its keys and
+    its eigenvalues (``held``); past that it stores no more and still reads
+    what it holds.  Two threads may share it: a race between them can only
+    solve a matrix twice, to the same bits.
+    """
+
+    def __init__(self, entries: int):
+        self.entries, self.held = entries, 0
+        self._values: dict[bytes, bytes] = {}
+        self._lock = Lock()
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def eigvalsh(self, grams: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues of a symmetric ``(k, k)`` matrix or ``(B, k, k)`` stack."""
+        stack = grams.reshape(-1, *grams.shape[-2:])
+        if not stack.size:
+            return _eigvalsh(grams)
+        data = stack[(slice(None), *np.tril_indices(stack.shape[-1]))].tobytes()
+        step = len(data) // len(stack)
+        keys = [data[at:at + step] for at in range(0, len(data), step)]
+        found = list(map(self._values.get, keys))
+        if None in found:
+            missing: dict[bytes, int] = {}  # each distinct key not held, and its first member
+            for row, (key, values) in enumerate(zip(keys, found)):
+                if values is None:
+                    missing.setdefault(key, row)
+            out = _eigvalsh(stack[list(missing.values())])
+            width, out = out.shape[-1] * out.itemsize, out.tobytes()
+            solved = dict(zip(missing, (out[at:at + width] for at in range(0, len(out), width))))
+            size = (step + width) // stack.itemsize  # float64 values per entry
+            with self._lock:
+                stored = min(max(self.entries - self.held, 0) // size, len(solved))
+                self._values.update(islice(solved.items(), stored))
+                self.held += stored * size
+            found = [solved[key] if values is None else values for key, values in zip(keys, found)]
+        return np.frombuffer(b"".join(found)).reshape(grams.shape[:-1])
 
 
 def _sqrt_of_gram_eigenvalues(vals_ascending: np.ndarray) -> np.ndarray:

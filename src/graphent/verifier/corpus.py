@@ -14,9 +14,10 @@ import numpy as np
 
 from ..enumeration import (STACK_CHUNK, graph_edge_stack, index_chunks, labeled_graph_count,
                            labeled_tree_count, tree_edge_stack)
-from ..graphs import gnp_edge_stack
+from ..graphs import STACK_ENTRIES, gnp_edge_stack
 from ..matrices import (KINDS, EdgeStack, MatrixKind, as_kind, batch_rows, check_exponents,
                         check_order, cpu_count, share_cpus, standard_kinds)
+from ..spectra import GramMemo
 from .catalogue import (CHECK_NAMES, DEFAULT_ALPHAS, FAIL, _EQUALITY, _FAIL, ClaimResult,
                         ClaimTable, _audit_grid, status_summary)
 from .tables import _audit_stack, claim_table
@@ -28,6 +29,9 @@ DEFAULT_AUDIT_GRID = (0.5, 1.5, 2.0, 3.0)
 # ran verify gnp:40,0.3,200 about 15% faster than 1 within the same peak
 # memory, and 8 ran 5% faster than 4 at 1.2 MB more (CHANGES.md).
 TABLE_BATCHES = 4
+# A sweep's Gram memo holds at most as many float64 values as one stack's
+# batches of matrices of one kind.
+MEMO_ENTRIES = TABLE_BATCHES * STACK_ENTRIES
 AUDIT_RETAIN_LIMIT = 1000
 
 
@@ -57,14 +61,20 @@ class CorpusSpec:
         different edge counts: at most :data:`graphent.enumeration.STACK_CHUNK`
         of them, and at most :data:`TABLE_BATCHES` batches of
         :func:`graphent.matrices.batch_rows` members, the batches in which the
-        stack builds its ``(B, n, n)`` arrays.
+        stack builds its ``(B, n, n)`` arrays.  The stacks of one call of an
+        enumerated family, ``all`` or ``trees``, share one
+        :class:`graphent.spectra.GramMemo`, so each distinct incidence Gram
+        product of members with m < n is solved once per call; it holds at
+        most :data:`MEMO_ENTRIES` float64 values.  ``gnp`` samples rarely
+        repeat one, so their stacks have none.
         """
+        memo = None if self.family == "gnp" else GramMemo(MEMO_ENTRIES)
         start, stop, base = max(start, 0), min(stop, self.total), 0
         for n in range(1, self.order + 1) if self.family == "all" else (self.order,):
             count = labeled_graph_count(n) if self.family == "all" else self.total
             size = min(STACK_CHUNK, TABLE_BATCHES * batch_rows(n))
             for indices in index_chunks(max(start - base, 0), min(stop - base, count), size):
-                yield EdgeStack(n, self.edges(n, indices, seed), seed=seed)
+                yield EdgeStack(n, self.edges(n, indices, seed), seed=seed, memo=memo)
             base += count
 
     def edges(self, n: int, indices: Sequence[int], seed: int = 0) -> np.ndarray:

@@ -76,6 +76,7 @@ def scan_extremal(
                                                        else stack[rows])
             measured[offset + rows] = True
         offset += len(stack)
+    del stack  # and with it the sweep's Gram memo, before the witnesses are read
     members = np.flatnonzero(measured)
     if not len(members):
         raise ValueError(f"no member of {family}:{order} lies in the domain of {measure}")

@@ -263,9 +263,9 @@ def test_closed_form_incidence_moments_do_not_touch_incidence_matrix(monkeypatch
     stack = EdgeStack.of(g)
     solved, solve = [], matrices._solve
 
-    def recorded(kind, stack):
+    def recorded(kind, stack, memo=None):
         solved.append(str(kind))
-        return solve(kind, stack)
+        return solve(kind, stack, memo)
 
     monkeypatch.setattr(matrices, "_solve", recorded)
     closed_entropies(stack, MatrixKind("incidence"), None, np.ones(1, dtype=bool), (2.0,), 2.0)

@@ -9,6 +9,7 @@ from graphent.errors import EmptyEdgeSetError, NotOrientedError
 from graphent.graphs import Graph
 from graphent.matrices import (
     EdgeStack,
+    GramMemo,
     MatrixKind,
     as_kind,
     build_stack,
@@ -332,7 +333,7 @@ def _refuse_solves(monkeypatch):
     from graphent import matrices
     from graphent.errors import NoConvergenceError
 
-    def refuse(kind, stack):
+    def refuse(kind, stack, memo=None):
         raise NoConvergenceError(f"{kind} solve refused")
 
     monkeypatch.setattr(matrices, "_solve", refuse)
@@ -381,3 +382,28 @@ def test_a_stack_keeps_its_edges_in_the_narrowest_unsigned_type():
     big = EdgeStack.of(g)
     assert big.edges.dtype == np.uint16
     assert big.degrees[0, [0, 7, 298, 299]].tolist() == [1.0, 1.0, 1.0, 3.0]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_path_and_star_incidence_singular_values_are_the_roots_of_their_q_spectra(monkeypatch, n):
+    """Q(P_n) has the eigenvalues 2 + 2 cos(pi j / n), j = 1..n, and Q(S_n)
+    n, 1 (n - 2 times) and 0; the incidence singular values are their square
+    roots, read alone and through a warm memo."""
+    from graphent import spectra
+
+    wants = (2.0 + 2.0 * np.cos(np.pi * np.arange(1, n + 1) / n),
+             np.array([float(n)] + [1.0] * (n - 2) + [0.0]))
+    graphs = (path_graph(n), star_graph(n))
+    memo = GramMemo(1 << 12)
+    EdgeStack(n, np.stack([g.edge_array for g in graphs]), memo=memo).spectrum("incidence")
+    assert len(memo) == (1 if n <= 3 else 2)  # P3 is S3
+    solved, solve = [], spectra._eigvalsh
+    monkeypatch.setattr(spectra, "_eigvalsh",
+                        lambda grams: solved.append(len(grams)) or solve(grams))
+    for g, q in zip(graphs, wants):
+        want = np.sqrt(np.sort(np.maximum(q, 0.0))[::-1])
+        warm = EdgeStack(n, g.edge_array[None], memo=memo).spectrum("incidence").values[0]
+        alone = spectrum_of("incidence", g).values
+        assert warm.tobytes() == alone.tobytes()
+        np.testing.assert_allclose(alone, want, rtol=1e-9, atol=0)
+    assert solved == [1, 1]  # the two read alone; the warm memo held both

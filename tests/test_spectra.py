@@ -1,11 +1,16 @@
 import math
+import sys
+from threading import Thread
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphent.errors import AlphaNonPositiveError, NonSkewError, NonSymmetricError
+from graphent.errors import (AlphaNonPositiveError, NegativeEigenvalueError, NonSkewError,
+                             NonSymmetricError)
 from graphent.spectra import (
+    NEGATIVE_CLAMP,
+    GramMemo,
     Spectrum,
     comparison_tolerance,
     determinant,
@@ -188,3 +193,82 @@ def test_stack_with_a_negative_gram_eigenvalue_is_rejected():
                           [[2.0, 1.0, 0.0], [2.0, 1.0, 0.0]])
     with pytest.raises(NegativeEigenvalueError, match="-1e-06"):
         _sqrt_of_gram_eigenvalues(np.stack([ok, bad]))
+
+
+def test_the_gram_memo_keys_a_matrix_by_the_lower_triangle_the_solver_reads():
+    """numpy's eigvalsh reads the lower triangle only, so two matrices that
+    share it have one key and the same eigenvalues, bit for bit."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 4))
+    symmetric = np.tril(a) + np.tril(a, -1).T
+    other = symmetric.copy()
+    other[np.triu_indices(4, 1)] += 1.0  # another upper triangle
+    assert np.linalg.eigvalsh(other).tobytes() == np.linalg.eigvalsh(symmetric).tobytes()
+    memo = GramMemo(1 << 10)
+    got = memo.eigvalsh(np.stack([symmetric, other, symmetric]))
+    assert got.tobytes() == np.linalg.eigvalsh(np.stack([symmetric] * 3)).tobytes()
+    assert len(memo) == 1 and memo.held == 10 + 4  # the lower triangle and the eigenvalues
+    assert memo.eigvalsh(np.zeros((0, 4, 4))).shape == (0, 4)
+
+
+def test_the_gram_memo_stores_no_more_float64_values_than_its_entries():
+    """A 4 x 4 entry holds 10 + 4 values: a memo of 30 stores two of three
+    distinct matrices, then nothing more, and every read is the solve."""
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((5, 4, 4))
+    grams = a @ a.swapaxes(-1, -2)
+    memo = GramMemo(30)
+    got = memo.eigvalsh(grams[[0, 1, 2, 0]])
+    assert got.tobytes() == np.linalg.eigvalsh(grams[[0, 1, 2, 0]]).tobytes()
+    assert (len(memo), memo.held) == (2, 28)
+    got = memo.eigvalsh(grams[[4, 3, 2, 1, 0]])
+    assert got.tobytes() == np.linalg.eigvalsh(grams[[4, 3, 2, 1, 0]]).tobytes()
+    assert (len(memo), memo.held) == (2, 28)
+
+
+def test_threads_sharing_a_gram_memo_count_every_value_they_store():
+    """Eight threads store disjoint 3 x 3 entries of 6 + 3 values each under a
+    one-microsecond switch interval: a lost update of ``held`` would leave it
+    below the values stored, or let the memo pass its bound."""
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((8, 60, 3, 3))
+    grams = a @ a.swapaxes(-1, -2)
+    memo = GramMemo(9 * 300)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [Thread(target=lambda part=part: [memo.eigvalsh(part[at:at + 2])
+                                                    for at in range(0, len(part), 2)])
+                   for part in grams]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert (len(memo), memo.held) == (300, 9 * 300)
+
+
+def test_a_gram_below_the_clamp_raises_on_a_memo_hit_as_on_a_miss(monkeypatch):
+    """The memo keeps the solver's own output; the clamp acts on every read."""
+    from graphent import spectra
+
+    solve = spectra._eigvalsh
+
+    def below_the_clamp(grams):
+        out = solve(grams)
+        out[:, 0] = 10 * NEGATIVE_CLAMP
+        return out
+
+    b = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])  # P3's incidence matrix
+    memo = GramMemo(1 << 10)
+    monkeypatch.setattr(spectra, "_eigvalsh", below_the_clamp)
+    with pytest.raises(NegativeEigenvalueError):
+        singular_values(b, memo=memo)  # a miss
+    assert len(memo) == 1
+    monkeypatch.setattr(spectra, "_eigvalsh", solve)
+    with pytest.raises(NegativeEigenvalueError):
+        singular_values(b, memo=memo)  # a hit on the stored output
+    fresh = singular_values(b, memo=GramMemo(1 << 10))
+    assert fresh.values.tobytes() == singular_values(b).values.tobytes()

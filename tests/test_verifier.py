@@ -28,14 +28,14 @@ from graphent import (
     star_graph,
     verify_corpus,
 )
-from graphent import entropy, matrices, measures, verifier
+from graphent import entropy, matrices, measures, spectra, verifier
 from graphent.entropy import ProbabilityVector
 from graphent.enumeration import tree_edge_stack
-from graphent.errors import AlphaNonPositiveError, NoConvergenceError
+from graphent.errors import AlphaNonPositiveError, NegativeEigenvalueError, NoConvergenceError
 from graphent.graphs import Graph
 from graphent.matrices import EdgeStack, as_kind, build_stack, edge_stack_of
 from graphent.report import audit_to_object, verification_to_object
-from graphent.spectra import comparison_tolerance
+from graphent.spectra import GramMemo, comparison_tolerance
 from graphent.verifier import ClaimResult, catalogue, tables
 from graphent.verifier import corpus as corpora, scan as scans
 from graphent.verifier.corpus import parse_corpus
@@ -213,9 +213,9 @@ def _spy_solves(monkeypatch) -> list:
     solved = []
     solve = matrices._solve
 
-    def recorded(kind, stack):
+    def recorded(kind, stack, memo=None):
         solved.append((str(kind), stack.shape))
-        return solve(kind, stack)
+        return solve(kind, stack, memo)
 
     monkeypatch.setattr(matrices, "_solve", recorded)
     return solved
@@ -882,10 +882,10 @@ def test_sweep_leaves_a_failed_stacked_solve_to_the_per_graph_route(monkeypatch)
     want = render_json(verification_to_object(verify_corpus("all:4", alphas=(2.0,))))
     solve = matrices._solve
 
-    def refuse(kind, stack):
+    def refuse(kind, stack, memo=None):
         if len(stack) > 1:
             raise NoConvergenceError("stacked solve refused")
-        return solve(kind, stack)
+        return solve(kind, stack, memo)
 
     monkeypatch.setattr(matrices, "_solve", refuse)
     assert render_json(verification_to_object(verify_corpus("all:4", alphas=(2.0,)))) == want
@@ -902,10 +902,10 @@ def _assert_a_refused_solve_fails_its_readers(monkeypatch, tag: str, readers: se
     refused = build_stack(tag, g.n, g.edge_array[None])[0]
     solve = matrices._solve
 
-    def refuse(kind, stack):
+    def refuse(kind, stack, memo=None):
         if str(kind) == tag and any(np.array_equal(m, refused) for m in stack):
             raise NoConvergenceError(f"{tag} solve refused")
-        return solve(kind, stack)
+        return solve(kind, stack, memo)
 
     want = verify_corpus("all:3", alphas=(2.0,))
     monkeypatch.setattr(matrices, "_solve", refuse)
@@ -1294,6 +1294,169 @@ def test_scan_solves_one_matrix_per_member_in_the_domain(monkeypatch, family, or
     solved = _spy_solves(monkeypatch)
     assert scan_extremal(family, order, "quadratic:incidence").count == members
     assert sum(shape[0] for _, shape in solved) == members
+
+
+def _spy_eigvalsh(monkeypatch) -> list:
+    """Record the number of matrices of every call to the Gram eigensolver."""
+    received, solve = [], spectra._eigvalsh
+    monkeypatch.setattr(spectra, "_eigvalsh", lambda grams: received.append(len(grams)) or
+                        solve(grams))
+    return received
+
+
+@pytest.mark.parametrize("order, distinct", [(6, 151), (7, 1_237)])
+def test_a_tree_scan_solves_each_distinct_incidence_gram_once(monkeypatch, order, distinct):
+    """Every member's incidence matrix is built and reaches _solve; only the
+    distinct m x m Gram products reach the eigensolver."""
+    received, solved = _spy_eigvalsh(monkeypatch), _spy_solves(monkeypatch)
+    assert scan_extremal("trees", order, "quadratic:incidence").count == order ** (order - 2)
+    assert sum(shape[0] for _, shape in solved) == order ** (order - 2)
+    assert sum(received) == distinct
+
+
+MEMO_MEASURES = ("quadratic:incidence", "quadratic:randic-incidence", "energy:randic-incidence")
+
+
+def _memo_bits(stacks) -> list[tuple]:
+    """Each stack's incidence spectra and its values of the measures that read
+    them, as bytes."""
+    bits = []
+    for stack in stacks:
+        spectra_bits = [stack.spectrum(kind).values.tobytes()
+                        for kind in ("incidence", "randic-incidence")]
+        for text in MEMO_MEASURES:
+            measure = scans.measure_stack(text)
+            rows = np.flatnonzero(measure.domain(stack))
+            if len(rows):  # as the scan measures a stack
+                spectra_bits.append(measure.values(stack[rows]).tobytes())
+        bits.append(spectra_bits)
+    return bits
+
+
+@pytest.mark.parametrize("corpus", ["trees:6", "all:5"])
+def test_incidence_spectra_through_the_sweeps_memo_are_each_members_own_bits(corpus):
+    """The stacks of a sweep share one memo; their spectra and measures are
+    the bits of a fresh memo per stack, of no memo, of the stacks solved in
+    reverse order, and of members alone."""
+    spec = parse_corpus(corpus)
+    stacks = list(spec.stacks(0, spec.total))
+    memo = stacks[0].memo
+    assert all(stack.memo is memo for stack in stacks)
+    want = _memo_bits(stacks)
+    narrow = sum(int(((stack.m > 0) & (stack.m < stack.n)).sum()) for stack in stacks)
+    assert 0 < len(memo) < narrow and memo.held <= memo.entries == corpora.MEMO_ENTRIES
+    fresh = [EdgeStack(s.n, s.edges, memo=GramMemo(corpora.MEMO_ENTRIES)) for s in stacks]
+    assert _memo_bits(fresh) == want
+    assert _memo_bits([EdgeStack(s.n, s.edges) for s in stacks]) == want
+    assert _memo_bits(list(spec.stacks(0, spec.total))[::-1])[::-1] == want
+    for stack in stacks:
+        rows = range(0, len(stack), 23)
+        for row, g in zip(rows, graphs_of_stack(stack.n, stack.edges[rows])):
+            for kind in ("incidence", "randic-incidence"):
+                alone = EdgeStack.of(g).spectrum(kind).values[0]
+                assert alone.tobytes() == stack.spectrum(kind).values[row].tobytes(), (kind, g)
+
+
+@pytest.mark.parametrize("corpus", ["trees:6", "all:5"])
+def test_incidence_spectra_on_two_threads_through_one_memo_equal_one_thread(monkeypatch, corpus):
+    stack = list(parse_corpus(corpus).stacks(0, 10_000))[-1]
+    reads = [("incidence", None), ("randic-incidence", None)]
+    want = [stack.spectrum(kind).values.tobytes() for kind, _ in reads]
+    monkeypatch.setattr(matrices, "STACK_ENTRIES", 3 * stack.n * stack.n)
+    assert len(stack) > matrices.batch_rows(stack.n)
+    for threads in (1, 2):
+        started = _count_threads(monkeypatch, threads)
+        memo = GramMemo(corpora.MEMO_ENTRIES)
+        solved = EdgeStack(stack.n, stack.edges, memo=memo)
+        solved.solve(reads)
+        assert len(started) == threads - 1 and len(memo) > 0
+        assert [solved.spectrum(kind).values.tobytes() for kind, _ in reads] == want
+
+
+def _most_shared_gram(stack: EdgeStack) -> tuple[np.ndarray, list[int]]:
+    """The incidence Gram product that most members of a one-edge-count stack
+    share, and those members."""
+    b = build_stack("incidence", stack.n, stack.edges)
+    grams = b.swapaxes(-1, -2) @ b
+    keys, counts = np.unique(grams.reshape(len(grams), -1), axis=0, return_counts=True)
+    gram = keys[counts.argmax()].reshape(grams.shape[1:])
+    return gram, [row for row in range(len(stack)) if np.array_equal(grams[row], gram)]
+
+
+def test_a_failed_gram_solve_is_never_memoized_and_fails_only_its_members(monkeypatch):
+    stack = next(parse_corpus("trees:5").stacks(0, 125))
+    refused, sharing = _most_shared_gram(stack)
+    assert 1 < len(sharing) < len(stack)
+    solve = spectra._eigvalsh
+
+    def refusing(grams):
+        if any(np.array_equal(gram, refused) for gram in grams):
+            raise NoConvergenceError("gram solve refused")
+        return solve(grams)
+
+    monkeypatch.setattr(spectra, "_eigvalsh", refusing)
+    errors = stack.errors("incidence")
+    assert sorted(errors) == sharing
+    assert len({id(exc) for exc in errors.values()}) == len(sharing)  # each its own
+    assert all(str(exc) == "gram solve refused" for exc in errors.values())
+    values = stack.spectrum("incidence").values
+    assert np.isnan(values[sharing]).all() and not np.isnan(np.delete(values, sharing, 0)).any()
+    # the next stack of the sweep solves the refused Gram, and only that one
+    monkeypatch.setattr(spectra, "_eigvalsh", solve)
+    received = _spy_eigvalsh(monkeypatch)
+    again = EdgeStack(stack.n, stack.edges, memo=stack.memo).spectrum("incidence").values
+    assert received == [1]
+    assert again.tobytes() == EdgeStack(stack.n, stack.edges).spectrum("incidence").values.tobytes()
+
+
+def test_a_gram_below_the_clamp_fails_its_members_on_every_read(monkeypatch):
+    """The memo keeps the solver's output, not the clamped values: the
+    members that share a Gram below the clamp fail on the stack that solved
+    it and on a later stack of the sweep that reads it."""
+    stack = next(parse_corpus("trees:5").stacks(0, 125))
+    negative, sharing = _most_shared_gram(stack)
+    solve = spectra._eigvalsh
+
+    def below_the_clamp(grams):
+        out = solve(grams)
+        out[[np.array_equal(gram, negative) for gram in grams], 0] = 10 * spectra.NEGATIVE_CLAMP
+        return out
+
+    monkeypatch.setattr(spectra, "_eigvalsh", below_the_clamp)
+    assert sorted(stack.errors("incidence")) == sharing
+    monkeypatch.setattr(spectra, "_eigvalsh", solve)
+    again = EdgeStack(stack.n, stack.edges, memo=stack.memo)
+    errors = again.errors("incidence")
+    assert sorted(errors) == sharing
+    assert all(isinstance(exc, NegativeEigenvalueError) for exc in errors.values())
+    assert not EdgeStack(stack.n, stack.edges).errors("incidence")
+
+
+def test_a_full_memo_adds_no_entry_and_keeps_every_bit(monkeypatch):
+    """trees:6's Gram products are 5 x 5: 15 + 5 values an entry."""
+    monkeypatch.setattr(corpora, "MEMO_ENTRIES", 810)
+    spec = parse_corpus("trees:6")
+    stacks = list(spec.stacks(0, spec.total))
+    for stack in stacks:
+        got = stack.spectrum("randic-incidence").values
+        assert got.tobytes() == EdgeStack(stack.n, stack.edges).spectrum("randic-incidence").values.tobytes()
+    assert (len(stacks[0].memo), stacks[0].memo.held) == (40, 800)
+
+
+def test_a_sparse_gnp_sweep_has_no_memo_and_a_memo_there_keeps_its_bound():
+    """Nearly every gnp:30,0.05 member has m < n, and hardly two share a Gram
+    product: the sweep's stacks solve without a memo, and a memo given them
+    stores no more values than its entries, its reads the solve's bits."""
+    spec = parse_corpus("gnp:30,0.05,300")
+    stacks = list(spec.stacks(0, spec.total, seed=1))
+    assert all(stack.memo is None for stack in stacks)
+    narrow = sum(int(((stack.m > 0) & (stack.m < stack.n)).sum()) for stack in stacks)
+    assert narrow > 250
+    memo = GramMemo(20_000)
+    for stack in stacks:
+        got = EdgeStack(stack.n, stack.edges, memo=memo).spectrum("incidence").values
+        assert got.tobytes() == stack.spectrum("incidence").values.tobytes()
+    assert 0 < len(memo) < narrow and 20_000 - 30 * 31 // 2 - 30 < memo.held <= 20_000
 
 
 def test_scan_oriented_trees_skew_measure():
